@@ -1,11 +1,11 @@
-"""Timing comparison of the compiled and pure-numpy kernel paths.
+"""Timing of the hot kernels and of one kernel-map convolution.
 
 Run directly:
 
-    python3 benchmarks/bench_kernels.py [--n 2000000] [--repeats 5]
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--n 2000000] [--repeats 5]
 
-The compiled column is skipped when OCTCOMPLETE_NUMBA=0 or numba is
-unavailable (the active path is then the numpy one on both sides).
+`n` is the element count of the Morton and row kernels; the convolution
+runs 27 taps over n // 8 rows at 32 channels, forward and backward.
 """
 
 import argparse
@@ -13,7 +13,8 @@ import time
 
 import numpy as np
 
-from octcomplete import kernels
+from octcomplete import autodiff as ad
+from octcomplete import kernels, nn
 
 
 def timeit(fn, repeats):
@@ -25,41 +26,50 @@ def timeit(fn, repeats):
     return best
 
 
+def random_stencil(rng, rows, taps):
+    """A column-injective (rows, taps) table: shifted rows with random holes."""
+    shifts = rng.integers(-rows // 4, rows // 4, size=taps)
+    table = (np.arange(rows)[:, None] + shifts[None, :]) % rows
+    table[rng.random(table.shape) < 0.3] = -1
+    return table
+
+
+def conv_step(feats, table, weight):
+    x = ad.parameter(feats)
+    w = ad.parameter(weight)
+    with ad.Tape():
+        y = nn.octree_conv(x, table, nn.ConvParams(x.channels, w.rows, 3, 1, w))
+        ad.backward(ad.sum_all(y))
+
+
 def bench(n, repeats):
+    """Print one line per kernel with its best time over `repeats`; return the rows."""
     rng = np.random.default_rng(0)
     depth = 10
     x = rng.integers(0, 1 << depth, size=n, dtype=np.uint64)
     y = rng.integers(0, 1 << depth, size=n, dtype=np.uint64)
     z = rng.integers(0, 1 << depth, size=n, dtype=np.uint64)
-    codes = kernels.interleave3_np(x, y, z)
+    codes = kernels.interleave3(x, y, z)
     feats = rng.standard_normal((n // 8 + 1, 32)).astype(np.float32)
     idx = rng.integers(-1, feats.shape[0], size=n).astype(np.int64)
     rows = rng.standard_normal((n, 32)).astype(np.float32)
+    table = random_stencil(rng, feats.shape[0], 27)
+    weight = rng.standard_normal((32, 27 * 32)).astype(np.float32)
 
     cases = [
-        ("interleave3", kernels.interleave3_np, kernels.interleave3,
-         lambda f: f(x, y, z)),
-        ("deinterleave3", kernels.deinterleave3_np, kernels.deinterleave3,
-         lambda f: f(codes)),
-        ("gather_rows", kernels.gather_rows_np, kernels.gather_rows,
-         lambda f: f(feats, idx)),
-        ("scatter_add", kernels.scatter_add_np, kernels.scatter_add,
-         lambda f: f(np.zeros_like(feats), idx, rows)),
+        ("interleave3", lambda: kernels.interleave3(x, y, z)),
+        ("deinterleave3", lambda: kernels.deinterleave3(codes)),
+        ("gather_rows", lambda: kernels.gather_rows(feats, idx)),
+        ("scatter_add", lambda: kernels.scatter_add(np.zeros_like(feats), idx, rows)),
+        ("invert_table", lambda: kernels.invert_table(table, feats.shape[0])),
+        ("conv fwd+bwd", lambda: conv_step(feats, table, weight)),
     ]
-
-    table = [("kernel", "numpy s", "compiled s", "speedup")]
-    for name, f_np, f_active, call in cases:
-        t_np = timeit(lambda: call(f_np), repeats)
-        if kernels.HAVE_NUMBA and f_active is not f_np:
-            call(f_active)  # compile outside the timed region
-            t_c = timeit(lambda: call(f_active), repeats)
-            table.append((name, f"{t_np:.4f}", f"{t_c:.4f}", f"{t_np / t_c:.2f}x"))
-        else:
-            table.append((name, f"{t_np:.4f}", "-", "-"))
-
-    widths = [max(len(r[i]) for r in table) for i in range(4)]
-    for r in table:
-        print("  ".join(c.ljust(w) for c, w in zip(r, widths)))
+    table_rows = [(name, f"{timeit(call, repeats):.4f}") for name, call in cases]
+    width = max(len(name) for name, _ in table_rows)
+    print(f"{'kernel'.ljust(width)}  s")
+    for name, t in table_rows:
+        print(f"{name.ljust(width)}  {t}")
+    return table_rows
 
 
 def main():
@@ -68,7 +78,6 @@ def main():
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
     print(f"elements: {args.n}, best of {args.repeats}")
-    print(f"compiled path enabled: {kernels.HAVE_NUMBA}")
     bench(args.n, args.repeats)
 
 

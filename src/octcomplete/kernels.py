@@ -1,24 +1,11 @@
-"""Hot inner-loop kernels.
+"""Hot inner-loop kernels: Morton bit interleaving and index-table row moves.
 
-Every kernel has a pure-numpy implementation and, when numba is available,
-a jit-compiled twin. Set ``OCTCOMPLETE_NUMBA=0`` to force the numpy path
-(useful for debugging and for the benchmark in benchmarks/bench_kernels.py).
+Every kernel is plain numpy. Index tables use -1 for "no row"; gathers read
+it as a zero row.
 """
 
-import os
-
 import numpy as np
-
-_WANT_NUMBA = os.environ.get("OCTCOMPLETE_NUMBA", "1") != "0"
-
-njit = None
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-
-HAVE_NUMBA = njit is not None
+from scipy.linalg import blas
 
 # magic masks that spread 21 bits over every third bit of a 64-bit word
 _SPREAD_MASKS = (
@@ -30,14 +17,14 @@ _SPREAD_MASKS = (
 )
 
 
-def _spread_bits_np(v):
-    v = v.astype(np.uint64)
+def _spread_bits(v):
+    v = np.asarray(v, dtype=np.uint64)
     for shift, mask in _SPREAD_MASKS:
         v = (v | (v << np.uint64(shift))) & mask
     return v
 
 
-def _compact_bits_np(v):
+def _compact_bits(v):
     v = v & np.uint64(0x1249249249249249)
     v = (v | (v >> np.uint64(2))) & np.uint64(0x10C30C30C30C30C3)
     v = (v | (v >> np.uint64(4))) & np.uint64(0x100F00F00F00F00F)
@@ -46,138 +33,73 @@ def _compact_bits_np(v):
     return (v | (v >> np.uint64(32))) & np.uint64(0x1FFFFF)
 
 
-def interleave3_np(x, y, z):
+def interleave3(x, y, z):
     """Interleave coordinate bits into Morton codes, x in the high bit."""
     return (
-        (_spread_bits_np(x) << np.uint64(2))
-        | (_spread_bits_np(y) << np.uint64(1))
-        | _spread_bits_np(z)
+        (_spread_bits(x) << np.uint64(2))
+        | (_spread_bits(y) << np.uint64(1))
+        | _spread_bits(z)
     )
 
 
-def deinterleave3_np(codes):
-    codes = codes.astype(np.uint64)
-    x = _compact_bits_np(codes >> np.uint64(2))
-    y = _compact_bits_np(codes >> np.uint64(1))
-    z = _compact_bits_np(codes)
+def deinterleave3(codes):
+    codes = np.asarray(codes, dtype=np.uint64)
+    x = _compact_bits(codes >> np.uint64(2))
+    y = _compact_bits(codes >> np.uint64(1))
+    z = _compact_bits(codes)
     return x, y, z
 
 
-def gather_rows_np(src, idx):
-    """Gather rows of src by index; idx == -1 yields a zero row."""
-    out = src[np.clip(idx, 0, None)]
-    out[idx < 0] = 0.0
-    return out
+def gather_rows(src, idx):
+    """Gather rows of src by index; idx == -1 yields a zero row.
+
+    The source is padded with one zero row, which index -1 then reads.
+    """
+    padded = np.concatenate([src, np.zeros((1,) + src.shape[1:], dtype=src.dtype)])
+    return np.take(padded, idx, axis=0)
 
 
-def gather_concat_np(src, idx2d):
+def gather_concat(src, idx2d):
     """Gather a (m, k) index table into a (m, k*c) matrix, -1 -> zeros."""
     m, k = idx2d.shape
-    flat = gather_rows_np(src, idx2d.ravel())
+    flat = gather_rows(src, idx2d.ravel())
     return flat.reshape(m, k * src.shape[1])
 
 
-def scatter_add_np(out, idx, rows):
+def matmul_add(out, a, b):
+    """out += a @ b in place, for a C-ordered `out`.
+
+    One BLAS gemm with beta = 1 on the transposed, Fortran-ordered view
+    (out.T += b.T @ a.T), so no product temporary is allocated and added.
+    """
+    if a.size == 0 or out.size == 0:
+        return out  # gemm rejects empty operands; the product adds nothing
+    gemm = blas.get_blas_funcs("gemm", (out,))
+    res = gemm(1.0, b.T, a.T, beta=1.0, c=out.T, overwrite_c=True)
+    if not np.shares_memory(res, out):
+        out[...] = res.T  # gemm had to copy `out`; keep the result anyway
+    return out
+
+
+def scatter_add(out, idx, rows):
     """out[idx[i]] += rows[i] for idx[i] >= 0; deterministic order."""
     valid = idx >= 0
     np.add.at(out, idx[valid], rows[valid])
     return out
 
 
-if HAVE_NUMBA:
+def invert_table(table, rows):
+    """Inverse of a column-injective (m, k) index table over `rows` targets.
 
-    @njit(cache=True)
-    def _interleave3_nb(x, y, z, out):
-        for i in range(x.shape[0]):
-            code = np.uint64(0)
-            for b in range(21):
-                bb = np.uint64(b)
-                code |= ((x[i] >> bb) & np.uint64(1)) << np.uint64(3 * b + 2)
-                code |= ((y[i] >> bb) & np.uint64(1)) << np.uint64(3 * b + 1)
-                code |= ((z[i] >> bb) & np.uint64(1)) << np.uint64(3 * b)
-            out[i] = code
-
-    @njit(cache=True)
-    def _deinterleave3_nb(codes, x, y, z):
-        for i in range(codes.shape[0]):
-            xv = np.uint64(0)
-            yv = np.uint64(0)
-            zv = np.uint64(0)
-            for b in range(21):
-                bb = np.uint64(b)
-                xv |= ((codes[i] >> np.uint64(3 * b + 2)) & np.uint64(1)) << bb
-                yv |= ((codes[i] >> np.uint64(3 * b + 1)) & np.uint64(1)) << bb
-                zv |= ((codes[i] >> np.uint64(3 * b)) & np.uint64(1)) << bb
-            x[i] = xv
-            y[i] = yv
-            z[i] = zv
-
-    @njit(cache=True)
-    def _gather_rows_nb(src, idx, out):
-        c = src.shape[1]
-        for i in range(idx.shape[0]):
-            j = idx[i]
-            if j < 0:
-                for k in range(c):
-                    out[i, k] = 0.0
-            else:
-                for k in range(c):
-                    out[i, k] = src[j, k]
-
-    @njit(cache=True)
-    def _scatter_add_nb(out, idx, rows):
-        c = out.shape[1]
-        for i in range(idx.shape[0]):
-            j = idx[i]
-            if j >= 0:
-                for k in range(c):
-                    out[j, k] += rows[i, k]
-
-    def interleave3(x, y, z):
-        out = np.empty(x.shape[0], dtype=np.uint64)
-        _interleave3_nb(
-            np.ascontiguousarray(x, dtype=np.uint64),
-            np.ascontiguousarray(y, dtype=np.uint64),
-            np.ascontiguousarray(z, dtype=np.uint64),
-            out,
-        )
-        return out
-
-    def deinterleave3(codes):
-        codes = np.ascontiguousarray(codes, dtype=np.uint64)
-        x = np.empty_like(codes)
-        y = np.empty_like(codes)
-        z = np.empty_like(codes)
-        _deinterleave3_nb(codes, x, y, z)
-        return x, y, z
-
-    def gather_rows(src, idx):
-        out = np.empty((idx.shape[0], src.shape[1]), dtype=src.dtype)
-        _gather_rows_nb(
-            np.ascontiguousarray(src), np.ascontiguousarray(idx, dtype=np.int64), out
-        )
-        return out
-
-    def gather_concat(src, idx2d):
-        m, k = idx2d.shape
-        flat = gather_rows(src, idx2d.ravel())
-        return flat.reshape(m, k * src.shape[1])
-
-    def scatter_add(out, idx, rows):
-        _scatter_add_nb(
-            out,
-            np.ascontiguousarray(idx, dtype=np.int64),
-            np.ascontiguousarray(rows, dtype=out.dtype),
-        )
-        return out
-
-else:
-    interleave3 = lambda x, y, z: interleave3_np(
-        np.asarray(x, dtype=np.uint64),
-        np.asarray(y, dtype=np.uint64),
-        np.asarray(z, dtype=np.uint64),
-    )
-    deinterleave3 = deinterleave3_np
-    gather_rows = gather_rows_np
-    gather_concat = gather_concat_np
-    scatter_add = scatter_add_np
+    Returns a (rows, k) table with inv[table[i, t], t] = i and -1 where no
+    entry of column t points at a row. Every column of a stencil or child
+    table names each target row at most once, so plain assignment suffices.
+    Each column of the result is contiguous, for per-column gathers.
+    """
+    m, k = table.shape
+    # tap t owns slots t*(rows+1) .. t*(rows+1) + rows of the flat buffer; the
+    # last one is spare, and a -1 entry of tap t lands on tap t-1's spare slot
+    # (tap 0's wraps around to the final slot)
+    inv = np.full((k, rows + 1), -1, dtype=np.int64)
+    inv.ravel()[table + np.arange(0, k * (rows + 1), rows + 1)] = np.arange(m)[:, None]
+    return inv[:, :rows].T

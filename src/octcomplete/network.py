@@ -437,9 +437,9 @@ class CompletionNet:
     def complete(self, octree, expand_cap=8.0):
         """Run the network on one input octree and build the predicted shape."""
         batch = OctreeBatch([octree])
-        with ad.Tape():
-            code, feats = self.encode(batch, train=False)
-            res = self.decode(code, batch, feats, train=False, expand_cap=expand_cap)
+        # no Tape: custom_op records nothing, so no backward closures are kept
+        code, feats = self.encode(batch, train=False)
+        res = self.decode(code, batch, feats, train=False, expand_cap=expand_cap)
         d = self.spec.output_depth
         if d not in res.pred_status or res.head_out is None:
             return PredictedShape(

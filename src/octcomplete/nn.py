@@ -78,27 +78,34 @@ class BNParams:
 
 
 def _stencil_conv(x, table, weight, bias, out_level):
-    """Gather a stencil table, multiply by flattened weights.
+    """Kernel-map convolution over a (rows, taps) stencil or child table.
 
-    The gathered (rows, taps*c) matrix is recomputed during backward instead
-    of being saved on the tape; it dominates memory otherwise.
+    Tap t gathers the input rows named by column t and multiplies them by
+    its weight block W_t = weight[:, t*c:(t+1)*c], accumulating in place; no
+    (rows, taps*c) buffer is built. Backward gathers the output gradient
+    through the inverted table instead, g_t[j] = g[i] where table[i, t] = j:
+    W_t's gradient is g_t.T @ x and the input gradient accumulates
+    g_t @ W_t, so backward neither scatters nor regathers x.
     """
     c = x.channels
-    gathered = kernels.gather_concat(x.values, table)
-    out = gathered @ weight.values.T
+    taps = table.shape[1]
+    w = weight.values.reshape(-1, taps, c)  # (out, taps, in) view
+    cols = np.ascontiguousarray(table.T)
+    out = np.zeros((table.shape[0], w.shape[0]), dtype=np.result_type(x.values, w))
+    for t in range(taps):
+        kernels.matmul_add(out, kernels.gather_rows(x.values, cols[t]), w[:, t].T)
     if bias is not None:
         out = out + bias.values
 
     def back(g):
-        g = np.ascontiguousarray(g)
-        regathered = kernels.gather_concat(x.values, table)
-        gw = g.T @ regathered
-        gx_flat = g @ weight.values  # (rows, taps*c)
+        inv = kernels.invert_table(table, x.rows)
+        gw = np.empty_like(w)
         gx = np.zeros_like(x.values)
-        kernels.scatter_add(
-            gx, table.ravel(), np.ascontiguousarray(gx_flat.reshape(-1, c))
-        )
-        gs = [gx, gw]
+        for t in range(taps):
+            g_t = kernels.gather_rows(g, inv[:, t])
+            gw[:, t] = g_t.T @ x.values
+            kernels.matmul_add(gx, g_t, w[:, t])
+        gs = [gx, gw.reshape(weight.values.shape)]
         if bias is not None:
             gs.append(g.sum(axis=0, keepdims=True))
         return gs
@@ -183,10 +190,12 @@ def max_pool(x, child_table):
     rows_sel = np.take_along_axis(child_table, arg, axis=1)  # (p, c) source rows
 
     def back(g):
+        # each child row has one parent and each (parent, channel) one argmax,
+        # so the (row, channel) targets are unique: assignment, not a scatter
         ga = np.zeros_like(x.values)
         valid = rows_sel >= 0
         cols = np.broadcast_to(np.arange(c), (p, c))
-        np.add.at(ga, (rows_sel[valid], cols[valid]), g[valid])
+        ga[rows_sel[valid], cols[valid]] = g[valid]
         return (ga,)
 
     out_fm = ad.custom_op(out, [x], back, level=None if x.level is None else x.level - 1)

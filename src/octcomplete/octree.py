@@ -305,8 +305,9 @@ def build_octree(points: PointSet, depth: int) -> Octree:
     codes = keys_from_coords(cells[:, 0], cells[:, 1], cells[:, 2])
     uniq, inverse = np.unique(codes, return_inverse=True)
 
-    normal_sum = np.zeros((len(uniq), 3), dtype=np.float64)
-    np.add.at(normal_sum, inverse, points.normals)
+    normal_sum = np.stack(
+        [np.bincount(inverse, weights=n, minlength=len(uniq)) for n in points.normals.T], axis=1
+    )
     norms = np.linalg.norm(normal_sum, axis=1, keepdims=True)
     avg = np.divide(normal_sum, norms, out=np.zeros_like(normal_sum), where=norms > 1e-12)
 
@@ -338,9 +339,9 @@ def majority_labels(octree, points: PointSet):
     rows = find_nodes(octree, octree.depth, codes)
     n_nodes = octree.levels[octree.depth].num_nodes
     k = int(points.labels.max()) + 1
-    counts = np.zeros((n_nodes, k), dtype=np.int64)
     ok = rows >= 0
-    np.add.at(counts, (rows[ok], points.labels[ok]), 1)
+    flat = rows[ok] * k + points.labels[ok]
+    counts = np.bincount(flat, minlength=n_nodes * k).reshape(n_nodes, k)
     out = counts.argmax(axis=1).astype(np.int32)
     out[counts.sum(axis=1) == 0] = -1
     return out

@@ -103,6 +103,23 @@ def test_inference_deterministic():
         assert np.array_equal(a.patches, b.patches)
 
 
+def test_complete_records_no_tape_and_matches_taped_run(monkeypatch):
+    partial, _ = sphere_octree()
+    net = CompletionNet(small_spec(), seed=3)
+    with ad.Tape() as tape:  # the former inference: every op recorded
+        taped = net.complete(partial)
+    assert len(tape.ops) > 0
+
+    def no_tape(self):
+        raise AssertionError("complete entered a Tape")
+
+    monkeypatch.setattr(ad.Tape, "__enter__", no_tape)
+    shape = net.complete(partial)
+    assert not shape.empty
+    assert np.array_equal(shape.leaf_codes, taped.leaf_codes)
+    assert np.array_equal(shape.patches, taped.patches)
+
+
 def test_batched_matches_single_forward():
     p0, g0 = sphere_octree(seed=0)
     p1, g1 = sphere_octree(seed=1, views=3)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from octcomplete import autodiff as ad
-from octcomplete import nn
+from octcomplete import data as dt
+from octcomplete import kernels, nn
 from octcomplete.autodiff import FeatureMap
 from octcomplete.errors import DomainError
-from octcomplete.octree import coords_from_keys, octree_from_codes
+from octcomplete.octree import build_octree, coords_from_keys, octree_from_codes
 
 from conftest import numeric_grad
 
@@ -217,6 +218,68 @@ def test_grad_down_up_pool(seed):
             want = numeric_grad(lambda: float(run().values[0, 0]), {"a": arr}, "a")
             err = np.abs(leaf.grad - want) / np.maximum(np.abs(want), 1.0)
             assert err.max() < 1e-4, f"max rel err {err.max():.2e}"
+
+
+def scan_octree(depth=4, seed=0):
+    shape = dt.make_shape("cylinder", density=2500, seed=seed)
+    return build_octree(dt.virtual_scan(shape, dt.ScanConfig(num_views=2, seed=seed)), depth)
+
+
+def taped_grads(op, x, w, upstream):
+    """Gradients of <op(x, w), upstream> with respect to x and w."""
+    with ad.Tape():
+        y = op(x, w)
+        ad.backward(ad.sum_all(ad.mul(y, ad.constant(upstream))))
+    return x.grad, None if w is None else w.grad
+
+
+def assert_close_f32(got, want):
+    assert got.dtype == want.dtype == np.float32
+    assert np.abs(got - want).max() < 1e-5 * max(1.0, float(np.abs(want).max()))
+
+
+@pytest.mark.parametrize("kernel", [3, 2])
+def test_kernel_map_conv_grads_match_add_at(kernel, rng):
+    """Conv over a status-filtered stencil and downsample over a child table,
+    against the im2col form whose input gradient is scattered by np.add.at."""
+    o = scan_octree()
+    cin, cout = 5, 7
+    if kernel == 3:
+        table, op, stride = o.neighbor_table(4), nn.octree_conv, 1
+    else:
+        table, op, stride = o.child_table(3), nn.downsample, 2
+    assert np.any(table < 0)
+    taps = table.shape[1]
+    xv = rng.normal(size=(o.levels[4].num_nodes, cin)).astype(np.float32)
+    wv = rng.normal(size=(cout, taps * cin)).astype(np.float32)
+    g = rng.normal(size=(table.shape[0], cout)).astype(np.float32)
+    conv = lambda x, w: op(x, table, nn.ConvParams(cin, cout, kernel, stride, w))
+
+    cols = kernels.gather_concat(xv, table)  # (rows, taps * cin)
+    assert_close_f32(conv(FeatureMap(xv), FeatureMap(wv)).values, cols @ wv.T)
+    want_gx = np.zeros_like(xv)
+    flat, gx_flat = table.ravel(), (g @ wv).reshape(-1, cin)
+    np.add.at(want_gx, flat[flat >= 0], gx_flat[flat >= 0])
+    gx, gw = taped_grads(conv, ad.parameter(xv.copy()), ad.parameter(wv.copy()), g)
+    assert_close_f32(gx, want_gx)
+    assert_close_f32(gw, g.T @ cols)
+
+
+def test_max_pool_grad_matches_add_at(rng):
+    o = scan_octree()
+    table = o.child_table(3)
+    c = 6
+    xv = rng.normal(size=(o.levels[4].num_nodes, c)).astype(np.float32)
+    g = rng.normal(size=(table.shape[0], c)).astype(np.float32)
+    gx, _ = taped_grads(lambda x, w: nn.max_pool(x, table), ad.parameter(xv.copy()), None, g)
+    vals = kernels.gather_rows(xv, table.ravel()).reshape(-1, 8, c)
+    vals[table < 0] = -np.inf
+    src = np.take_along_axis(table, vals.argmax(axis=1), axis=1)  # argmax child rows
+    chans = np.broadcast_to(np.arange(c), src.shape)
+    ok = src >= 0
+    want = np.zeros_like(xv)
+    np.add.at(want, (src[ok], chans[ok]), g[ok])
+    assert np.array_equal(gx, want)
 
 
 @pytest.mark.parametrize("train", [True, False])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octcomplete import data as dt
+from octcomplete import kernels
 from octcomplete.errors import DomainError
 from octcomplete.octree import (
     MAX_DEPTH,
@@ -193,6 +194,22 @@ def test_build_octree_signal(rng):
     assert np.allclose(o.signal[row, :3], want, atol=1e-5)
 
 
+def test_build_octree_normal_sums_match_add_at(rng):
+    pts = rng.random((2000, 3))
+    nrm = rng.normal(size=(2000, 3))
+    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    o = build_octree(PointSet(positions=pts, normals=nrm), 4)
+    cells = points_to_cells(pts, 4)
+    uniq, inverse = np.unique(
+        keys_from_coords(cells[:, 0], cells[:, 1], cells[:, 2]), return_inverse=True
+    )
+    ref = np.zeros((len(uniq), 3))
+    np.add.at(ref, inverse, nrm)  # sequential float64 sums, in point order
+    ref /= np.linalg.norm(ref, axis=1, keepdims=True)
+    rows = find_in_sorted(o.levels[4].keys, uniq)
+    assert np.array_equal(o.signal[rows, :3], ref.astype(np.float32))
+
+
 def test_points_to_cells_boundary():
     cells = points_to_cells(np.array([[0.0, 0.5, 1.0]]), 3)
     assert cells.tolist() == [[0, 4, 7]]
@@ -257,6 +274,47 @@ def test_majority_labels_counting_oracle(rng):
         else:
             counts = np.bincount(labels[members], minlength=4)
             assert counts[got[r]] == counts.max()
+
+
+def test_majority_labels_match_add_at(rng):
+    pts = rng.random((3000, 3))
+    nrm = np.tile((0.0, 0.0, 1.0), (3000, 1))
+    labels = rng.integers(0, 5, size=3000).astype(np.int32)
+    ps = PointSet(positions=pts, normals=nrm, labels=labels)
+    o = build_octree(ps, 3)
+    cells = points_to_cells(pts, 3)
+    rows = find_in_sorted(o.levels[3].keys, keys_from_coords(cells[:, 0], cells[:, 1], cells[:, 2]))
+    counts = np.zeros((o.levels[3].num_nodes, 5), dtype=np.int64)
+    np.add.at(counts, (rows, labels), 1)
+    want = counts.argmax(axis=1).astype(np.int32)
+    want[counts.sum(axis=1) == 0] = -1
+    assert np.array_equal(majority_labels(o, ps), want)
+
+
+def brute_invert(table, rows):
+    inv = np.full((rows, table.shape[1]), -1, dtype=np.int64)
+    for i in range(table.shape[0]):
+        for t in range(table.shape[1]):
+            j = table[i, t]
+            if j >= 0:
+                assert inv[j, t] == -1, "table column is not injective"
+                inv[j, t] = i
+    return inv
+
+
+def test_invert_table_matches_brute_force():
+    shape = dt.make_shape("box", density=2500, seed=3)
+    scan = dt.virtual_scan(shape, dt.ScanConfig(num_views=2, seed=3))
+    o = build_octree(scan, 4)
+    for l in range(1, 5):
+        # neighbor tables with status holes: empty siblings read as -1
+        tab = o.neighbor_table(l)
+        assert np.any(tab < 0)
+        rows = o.levels[l].num_nodes
+        assert np.array_equal(kernels.invert_table(tab, rows), brute_invert(tab, rows))
+        # child tables: rows of level l indexed from level l - 1
+        tab = o.child_table(l - 1)
+        assert np.array_equal(kernels.invert_table(tab, rows), brute_invert(tab, rows))
 
 
 def test_estimate_normals_sphere():
