@@ -5,7 +5,8 @@ Run directly:
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--n 2000000] [--repeats 5]
 
 `n` is the element count of the Morton and row kernels; the convolution
-runs 27 taps over n // 8 rows at 32 channels, forward and backward.
+runs 27 taps over n // 8 rows at 32 channels, forward and backward, and
+`sample_points` draws 4 points on each of n // 8 random planar patches.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import time
 import numpy as np
 
 from octcomplete import autodiff as ad
-from octcomplete import kernels, nn
+from octcomplete import kernels, network, nn, octree
 
 
 def timeit(fn, repeats):
@@ -42,6 +43,14 @@ def conv_step(feats, table, weight):
         ad.backward(ad.sum_all(y))
 
 
+def random_patches(rng, leaves, depth):
+    """A predicted shape with `leaves` distinct cells, each cut by a random plane."""
+    cells = rng.choice(1 << (3 * depth), size=leaves, replace=False)
+    codes = np.sort(octree.keys_from_coords(*np.unravel_index(cells, (1 << depth,) * 3)))
+    patches = rng.uniform(-1.0, 1.0, size=(leaves, 4))
+    return network.PredictedShape(depth=depth, octree=None, leaf_codes=codes, patches=patches)
+
+
 def bench(n, repeats):
     """Print one line per kernel with its best time over `repeats`; return the rows."""
     rng = np.random.default_rng(0)
@@ -55,6 +64,7 @@ def bench(n, repeats):
     rows = rng.standard_normal((n, 32)).astype(np.float32)
     table = random_stencil(rng, feats.shape[0], 27)
     weight = rng.standard_normal((32, 27 * 32)).astype(np.float32)
+    shape = random_patches(rng, n // 8, depth=8)
 
     cases = [
         ("interleave3", lambda: kernels.interleave3(x, y, z)),
@@ -63,6 +73,7 @@ def bench(n, repeats):
         ("scatter_add", lambda: kernels.scatter_add(np.zeros_like(feats), idx, rows)),
         ("invert_table", lambda: kernels.invert_table(table, feats.shape[0])),
         ("conv fwd+bwd", lambda: conv_step(feats, table, weight)),
+        ("sample_points", lambda: network.sample_points(shape, samples_per_node=4)),
     ]
     table_rows = [(name, f"{timeit(call, repeats):.4f}") for name, call in cases]
     width = max(len(name) for name, _ in table_rows)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .data import shape_to_label_grid, voxelize_labels
+from .data import shape_to_label_grid
 from .errors import DomainError
 from .losses import chamfer_distance, iou
 from .network import CompletionNet, sample_points
@@ -83,7 +83,3 @@ def eval_semantic(net, items):
     out["per_sample"] = rows
     return out
 
-
-def grid_roundtrip_exact(points: PointSet, grid):
-    """True when voxelizing the labeled points reproduces the grid exactly."""
-    return bool(np.array_equal(voxelize_labels(points, np.asarray(grid).shape), grid))

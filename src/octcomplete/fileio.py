@@ -204,6 +204,8 @@ def load_checkpoint(path):
                 )
     except OSError as e:
         raise DataError(f"{path}: {e}") from e
+    except (struct.error, ValueError) as e:  # short reads, reshape, UnicodeDecodeError
+        raise DataError(f"{path}: truncated or corrupt checkpoint: {e}") from e
     if config_hash(config_text) != chash:
         raise DataError(f"{path}: config hash mismatch")
     return {"epoch": epoch, "config_text": config_text, "arrays": arrays}

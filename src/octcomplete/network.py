@@ -468,52 +468,96 @@ class CompletionNet:
 _CUBE_CORNERS = np.array(
     [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=np.float64
 )
-_CUBE_EDGES = [
-    (0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3),
-    (2, 6), (3, 7), (4, 5), (4, 6), (5, 7), (6, 7),
-]
+_EDGE_I, _EDGE_J = np.array(
+    [
+        (0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3),
+        (2, 6), (3, 7), (4, 5), (4, 6), (5, 7), (6, 7),
+    ]
+).T
+# vertex candidates of a leaf: the crossings of its 12 edges, then its 8
+# corners (a corner is the point t = 0 of the "edge" from it to itself)
+_CAND_FROM = np.concatenate([_EDGE_I, np.arange(8)])
+_CAND_TO = np.concatenate([_EDGE_J, np.arange(8)])
 
 
-def _plane_cell_polygon(normal, disp, h):
-    """Vertices of the plane/cell intersection in node-local coordinates."""
+def _cell_section_vertices(normals, disp, h):
+    """Distinct plane/cell intersection vertices of n leaves.
+
+    Returns (pts, k): pts (n, w, 3) holds each leaf's vertices in the order
+    np.unique(axis=0) gives them, zero-padded past its count k (n,); k is 0
+    where there are fewer than 3.
+    """
+    n = len(normals)
     corners = _CUBE_CORNERS * h
-    s = corners @ normal - disp
-    pts = []
-    for i, j in _CUBE_EDGES:
-        if (s[i] < 0) != (s[j] < 0):
-            t = s[i] / (s[i] - s[j])
-            pts.append(corners[i] + t * (corners[j] - corners[i]))
-    for i in range(8):
-        if s[i] == 0.0:
-            pts.append(corners[i])
-    if len(pts) < 3:
-        return None
-    pts = np.unique(np.round(np.array(pts), 12), axis=0)
-    if len(pts) < 3:
-        return None
+    s = normals @ corners.T - disp[:, None]
+    neg = s < 0
+    # the edges whose ends fall on either side, and the corners on the plane
+    rows, cols = np.nonzero(
+        np.concatenate([neg[:, _EDGE_I] != neg[:, _EDGE_J], s == 0.0], axis=1)
+    )
+    edge = cols < 12
+    si = s[rows[edge], _EDGE_I[cols[edge]]]
+    sj = s[rows[edge], _EDGE_J[cols[edge]]]
+    t = np.zeros(len(cols))
+    t[edge] = si / (si - sj)
+    start = corners[_CAND_FROM]
+    step = corners[_CAND_TO] - start
+    cand = np.round(start[cols] + t[:, None] * step[cols], 12)
+    # np.unique(axis=0) per leaf: a stable lexicographic sort within each
+    # leaf, then drop each repeat of the previous vertex
+    order = np.lexsort((cand[:, 2], cand[:, 1], cand[:, 0], rows))
+    cand, rows = cand[order], rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cand[1:] != cand[:-1]).any(axis=1)
+    cand, rows = cand[first], rows[first]
+    k = np.bincount(rows, minlength=n)
+    slot = np.arange(len(rows)) - (np.cumsum(k) - k)[rows]
+    k[k < 3] = 0
+    pts = np.zeros((n, int(k.max()), 3))
+    use = k[rows] > 0
+    pts[rows[use], slot[use]] = cand[use]
+    return pts, k
+
+
+def _plane_cell_polygon(normals, disp, h):
+    """Plane/cell intersection polygons of n leaves in node-local coordinates.
+
+    Returns (poly, k): poly (n, w, 3) holds each leaf's distinct vertices in
+    angular order, zero-padded past its vertex count k (n,). k is 0 where
+    the plane leaves fewer than 3 distinct vertices in the cell.
+    """
+    pts, k = _cell_section_vertices(normals, disp, h)
     # order around the polygon in a plane basis
-    a = np.array([1.0, 0.0, 0.0])
-    if abs(normal[0]) > 0.9:
-        a = np.array([0.0, 1.0, 0.0])
-    u = np.cross(normal, a)
-    u /= np.linalg.norm(u)
-    v = np.cross(normal, u)
-    center = pts.mean(axis=0)
-    rel = pts - center
-    ang = np.arctan2(rel @ v, rel @ u)
-    return pts[np.argsort(ang)]
+    a = np.zeros_like(normals)
+    flip = np.abs(normals[:, 0]) > 0.9
+    a[~flip, 0] = 1.0
+    a[flip, 1] = 1.0
+    u = np.cross(normals, a)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = np.cross(normals, u)
+    center = pts.sum(axis=1) / np.maximum(k, 1)[:, None]
+    rel = pts - center[:, None]
+    ang = np.arctan2((rel * v[:, None]).sum(axis=2), (rel * u[:, None]).sum(axis=2))
+    ang[np.arange(pts.shape[1]) >= k[:, None]] = np.inf
+    poly = np.take_along_axis(pts, np.argsort(ang, axis=1)[..., None], axis=1)
+    return poly, k
 
 
 def sample_points(shape: PredictedShape, samples_per_node=4, seed=0) -> PointSet:
     """Sample points on the clipped planar patch of every nonempty leaf.
 
-    Falls back to the node center projected onto the plane when the plane
-    misses the cell.
+    A leaf yields `samples_per_node` area-weighted points on its polygon's
+    fan triangulation, or its polygon's vertex mean when that is 1 or the
+    polygon has no area. Falls back to the node center projected onto the
+    plane when the plane misses the cell.
     """
     if shape.patches is None:
         raise DomainError("shape carries no planar patches")
     if shape.empty:
         raise DomainError("empty predicted shape")
+    if samples_per_node < 1:
+        raise DomainError(f"samples_per_node must be >= 1, got {samples_per_node}")
+    spn = samples_per_node
     rng = np.random.default_rng(seed)
     n_cells = 1 << shape.depth
     h = 0.5 / n_cells
@@ -522,38 +566,47 @@ def sample_points(shape: PredictedShape, samples_per_node=4, seed=0) -> PointSet
     centers = (centers + 0.5) / n_cells
 
     normals = shape.patches[:, :3].copy()
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    disp = shape.patches[:, 3] * h  # displacement in node-local length units
+    if not (np.isfinite(norms).all() and np.isfinite(disp).all()):
+        raise NumericalError("non-finite planar patch")
     bad = norms[:, 0] < 1e-9
     normals[bad] = (0.0, 0.0, 1.0)
     norms[bad] = 1.0
     normals /= norms
-    disp = shape.patches[:, 3] * h  # displacement in node-local length units
 
-    positions, out_normals = [], []
-    for i in range(len(centers)):
-        poly = _plane_cell_polygon(normals[i], disp[i], h)
-        if poly is None:
-            pts = np.tile(normals[i] * disp[i], (max(1, samples_per_node), 1))[:1]
-        elif samples_per_node == 1:
-            pts = poly.mean(axis=0, keepdims=True)
-        else:
-            # fan triangulation, area-weighted uniform sampling
-            v0 = poly[0]
-            tri_b = poly[1:-1] - v0
-            tri_c = poly[2:] - v0
-            areas = 0.5 * np.linalg.norm(np.cross(tri_b, tri_c), axis=1)
-            if areas.sum() <= 0:
-                pts = poly.mean(axis=0, keepdims=True)
-            else:
-                which = rng.choice(len(areas), size=samples_per_node, p=areas / areas.sum())
-                r1 = np.sqrt(rng.random(samples_per_node))
-                r2 = rng.random(samples_per_node)
-                pts = (
-                    v0
-                    + (r1 * (1 - r2))[:, None] * tri_b[which]
-                    + (r1 * r2)[:, None] * tri_c[which]
-                )
-        positions.append(pts + centers[i])
-        out_normals.append(np.tile(normals[i], (len(pts), 1)))
-    positions = np.clip(np.vstack(positions), 0.0, 1.0)
-    return PointSet(positions=positions, normals=np.vstack(out_normals))
+    poly, k = _plane_cell_polygon(normals, disp, h)
+    # one point per leaf: the vertex mean, or the projected center on a miss
+    single = poly.sum(axis=1) / np.maximum(k, 1)[:, None]
+    miss = k == 0
+    single[miss] = normals[miss] * disp[miss, None]
+    out = np.repeat(single[:, None], spn, axis=1)
+    counts = np.ones(len(k), dtype=np.int64)
+    if spn > 1 and poly.shape[1] >= 3:
+        # fan triangulation, area-weighted uniform sampling. Each leaf with
+        # area draws, in leaf order, spn uniforms that pick its triangles the
+        # way Generator.choice(p=areas / total) does (a search of the
+        # normalised area cdf), then spn for r1 and spn for r2
+        v0 = poly[:, :1]
+        tri_b = poly[:, 1:-1] - v0
+        tri_c = poly[:, 2:] - v0
+        areas = 0.5 * np.linalg.norm(np.cross(tri_b, tri_c), axis=2)
+        areas[np.arange(areas.shape[1]) >= k[:, None] - 2] = 0.0
+        total = areas.sum(axis=1)
+        d = np.flatnonzero(total > 0)
+        cdf = np.cumsum(areas[d] / total[d, None], axis=1)
+        cdf /= cdf[:, -1:]
+        draws = rng.random((len(d), 3, spn))
+        which = np.count_nonzero(cdf[:, None, :] <= draws[:, 0, :, None], axis=2)
+        r1 = np.sqrt(draws[:, 1])
+        r2 = draws[:, 2]
+        out[d] = (
+            v0[d]
+            + (r1 * (1 - r2))[..., None] * np.take_along_axis(tri_b[d], which[..., None], 1)
+            + (r1 * r2)[..., None] * np.take_along_axis(tri_c[d], which[..., None], 1)
+        )
+        counts[d] = spn
+    out += centers[:, None]
+    positions = np.clip(out[np.arange(spn) < counts[:, None]], 0.0, 1.0)
+    return PointSet(positions=positions, normals=np.repeat(normals, counts, axis=0))

@@ -1,10 +1,15 @@
 """End-to-end command-line flows and exit codes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from octcomplete import data as dt
 from octcomplete import fileio
 from octcomplete.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from octcomplete.network import CompletionNet, NetworkSpec
+from octcomplete.train import spec_config_values
 
 
 def run(argv):
@@ -126,3 +131,36 @@ def test_gen_scene_writes_grids(tmp_path):
     assert g.shape == (60, 36, 60)
     pts = fileio.read_ply(entries[0]["complete"])
     assert pts.labels is not None
+
+
+def untrained_checkpoint_and_scan(tmp_path):
+    """A checkpoint of an untrained net that predicts a nonempty shape for the scan."""
+    spec = NetworkSpec(input_depth=4, output_depth=4, n_res=1, c0=8, c_max=16, hidden=8)
+    net = CompletionNet(spec, seed=3)
+    ckpt = str(tmp_path / "untrained.ockp")
+    text = fileio.config_to_text(spec_config_values(spec))
+    fileio.save_checkpoint(ckpt, dict(net.params.state_arrays()), text, 0)
+    shape = dt.make_shape("sphere", density=2500, seed=0)
+    scan = str(tmp_path / "scan.ply")
+    fileio.write_ply(scan, dt.virtual_scan(shape, dt.ScanConfig(num_views=2, seed=0)))
+    return ckpt, scan
+
+
+def test_complete_samples_per_node_below_one_is_data_error(tmp_path):
+    ckpt, scan = untrained_checkpoint_and_scan(tmp_path)
+    out = str(tmp_path / "out.ply")
+    base = ["complete", "--ckpt", ckpt, "--in", scan, "--out", out]
+    assert run(base + ["--samples-per-node", "1"]) == EXIT_OK
+    assert len(fileio.read_ply(out)) > 0
+    assert run(base + ["--samples-per-node", "0"]) == EXIT_DATA
+    assert run(base + ["--samples-per-node", "-1"]) == EXIT_DATA
+
+
+def test_complete_truncated_checkpoint_is_data_error(tmp_path):
+    ckpt, scan = untrained_checkpoint_and_scan(tmp_path)
+    raw = Path(ckpt).read_bytes()
+    cut = tmp_path / "cut.ockp"
+    out = str(tmp_path / "out.ply")
+    for size in (len(raw) // 3, len(raw) - 1):
+        cut.write_bytes(raw[:size])
+        assert run(["complete", "--ckpt", str(cut), "--in", scan, "--out", out]) == EXIT_DATA

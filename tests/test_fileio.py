@@ -108,6 +108,34 @@ def test_checkpoint_hash_guard(tmp_path, rng):
         fileio.load_checkpoint(path)
 
 
+def test_checkpoint_truncated_at_every_offset_is_data_error(tmp_path, rng):
+    path = tmp_path / "c.ockp"
+    arrays = {
+        "w": rng.normal(size=(2, 3)).astype(np.float32),
+        "b": rng.normal(size=(3,)).astype(np.float32),
+    }
+    # two-byte characters in the config text, so some cuts split one
+    fileio.save_checkpoint(path, arrays, "net.c0=4\nlabel=\u00e9t\u00e9\n", 2)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.ockp"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(fileio.DataError):
+            fileio.load_checkpoint(cut)
+    cut.write_bytes(raw)
+    assert fileio.load_checkpoint(cut)["epoch"] == 2
+
+
+def test_checkpoint_undecodable_name_is_data_error(tmp_path):
+    path = tmp_path / "c.ockp"
+    fileio.save_checkpoint(path, {"w": np.ones((2, 2), np.float32)}, "a=1\n", 0)
+    raw = bytearray(path.read_bytes())
+    raw[raw.rfind(b"w")] = 0xFF  # the tensor name is no longer UTF-8
+    path.write_bytes(bytes(raw))
+    with pytest.raises(fileio.DataError):
+        fileio.load_checkpoint(path)
+
+
 def test_sgrid_roundtrip(tmp_path, rng):
     grid = rng.integers(-1, 4, size=(60, 36, 60)).astype(np.int32)
     path = tmp_path / "g.sgrid"

@@ -1,11 +1,13 @@
 """Network assembly: schedules, layer counts, decoding behavior, sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from octcomplete import autodiff as ad
 from octcomplete import data as dt
-from octcomplete.errors import DomainError
+from octcomplete.errors import DomainError, NumericalError
 from octcomplete.network import (
     CompletionNet,
     NetworkSpec,
@@ -13,7 +15,13 @@ from octcomplete.network import (
     PredictedShape,
     sample_points,
 )
-from octcomplete.octree import build_octree, coords_from_keys, keys_from_coords, octree_from_codes
+from octcomplete.octree import (
+    PointSet,
+    build_octree,
+    coords_from_keys,
+    keys_from_coords,
+    octree_from_codes,
+)
 
 
 def small_spec(**kw):
@@ -187,6 +195,208 @@ def test_sample_points_errors():
     shape = PredictedShape(depth=4, octree=None, leaf_codes=np.zeros(0, np.uint64))
     with pytest.raises(DomainError):
         sample_points(shape)
+
+
+# -- reference for sample_points: the same sampling, one leaf at a time -----
+
+_REF_CORNERS = np.array(
+    [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=np.float64
+)
+_REF_EDGES = [
+    (0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3),
+    (2, 6), (3, 7), (4, 5), (4, 6), (5, 7), (6, 7),
+]
+
+
+def _reference_plane_cell_polygon(normal, disp, h):
+    """Vertices of the plane/cell intersection in node-local coordinates."""
+    corners = _REF_CORNERS * h
+    s = corners @ normal - disp
+    pts = []
+    for i, j in _REF_EDGES:
+        if (s[i] < 0) != (s[j] < 0):
+            t = s[i] / (s[i] - s[j])
+            pts.append(corners[i] + t * (corners[j] - corners[i]))
+    for i in range(8):
+        if s[i] == 0.0:
+            pts.append(corners[i])
+    if len(pts) < 3:
+        return None
+    pts = np.unique(np.round(np.array(pts), 12), axis=0)
+    if len(pts) < 3:
+        return None
+    # order around the polygon in a plane basis
+    a = np.array([1.0, 0.0, 0.0])
+    if abs(normal[0]) > 0.9:
+        a = np.array([0.0, 1.0, 0.0])
+    u = np.cross(normal, a)
+    u /= np.linalg.norm(u)
+    v = np.cross(normal, u)
+    center = pts.mean(axis=0)
+    rel = pts - center
+    ang = np.arctan2(rel @ v, rel @ u)
+    return pts[np.argsort(ang)]
+
+
+def _reference_sample_points(shape, samples_per_node=4, seed=0):
+    rng = np.random.default_rng(seed)
+    n_cells = 1 << shape.depth
+    h = 0.5 / n_cells
+    xs, ys, zs = coords_from_keys(shape.leaf_codes)
+    centers = np.stack([xs, ys, zs], axis=1).astype(np.float64)
+    centers = (centers + 0.5) / n_cells
+
+    normals = shape.patches[:, :3].copy()
+    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    bad = norms[:, 0] < 1e-9
+    normals[bad] = (0.0, 0.0, 1.0)
+    norms[bad] = 1.0
+    normals /= norms
+    disp = shape.patches[:, 3] * h  # displacement in node-local length units
+
+    positions, out_normals = [], []
+    for i in range(len(centers)):
+        poly = _reference_plane_cell_polygon(normals[i], disp[i], h)
+        if poly is None:
+            pts = np.tile(normals[i] * disp[i], (max(1, samples_per_node), 1))[:1]
+        elif samples_per_node == 1:
+            pts = poly.mean(axis=0, keepdims=True)
+        else:
+            # fan triangulation, area-weighted uniform sampling
+            v0 = poly[0]
+            tri_b = poly[1:-1] - v0
+            tri_c = poly[2:] - v0
+            areas = 0.5 * np.linalg.norm(np.cross(tri_b, tri_c), axis=1)
+            if areas.sum() <= 0:
+                pts = poly.mean(axis=0, keepdims=True)
+            else:
+                which = rng.choice(len(areas), size=samples_per_node, p=areas / areas.sum())
+                r1 = np.sqrt(rng.random(samples_per_node))
+                r2 = rng.random(samples_per_node)
+                pts = (
+                    v0
+                    + (r1 * (1 - r2))[:, None] * tri_b[which]
+                    + (r1 * r2)[:, None] * tri_c[which]
+                )
+        positions.append(pts + centers[i])
+        out_normals.append(np.tile(normals[i], (len(pts), 1)))
+    positions = np.clip(np.vstack(positions), 0.0, 1.0)
+    return PointSet(positions=positions, normals=np.vstack(out_normals))
+
+
+def unit(raw):
+    """`raw` normalised exactly as sample_points normalises a patch normal."""
+    raw = np.asarray(raw, dtype=np.float64)[None]
+    return (raw / np.linalg.norm(raw, axis=1, keepdims=True))[0]
+
+
+def degenerate_patches():
+    """(name, patch) pairs; the displacement is in units of the half cell size."""
+    corner, third, diag = (1.0, 2.0, 0.5), (1.0, 1.0, 1.0), (1.0, 1.0, 0.0)
+    c, t, d = unit(corner), unit(third), unit(diag)
+    return [
+        # s == 0 at corner (+, -, -); the plane cuts on through the cell
+        ("through a corner", (*corner, (c[0] - c[1]) - c[2])),
+        # s == 0 at three corners: the triangle between them
+        ("through three corners", (*third, -t[0])),
+        # four corners on the plane, the crossings land on them too
+        ("through a diagonal", (*diag, 0.0)),
+        # touches one edge only: two distinct vertices, so it falls back
+        ("along an edge", (*diag, d[0] + d[1])),
+        ("top face", (0.0, 0.0, 1.0, 1.0)),
+        ("bottom face", (0.0, 0.0, 1.0, -1.0)),
+        ("x face, other basis", (-1.0, 0.0, 0.0, 1.0)),
+        ("misses the cell", (0.0, 0.0, 1.0, 10.0)),
+        ("zero normal", (0.0, 0.0, 0.0, 0.3)),
+        ("|n_x| > 0.9", (1.0, 0.2, 0.1, 0.1)),
+    ]
+
+
+def mixed_degenerate_shape(depth=4, seed=0):
+    """Ordinary random patches with every degenerate patch between them, in
+    one shape, so a leaf that draws nothing must not shift the draws after it."""
+    rng = np.random.default_rng(seed)
+    degenerate = [patch for _, patch in degenerate_patches()]
+    ordinary = rng.uniform(-1.0, 1.0, size=(3 * len(degenerate), 4))
+    patches = []
+    for i, patch in enumerate(degenerate):
+        patches.extend(ordinary[3 * i : 3 * i + 3])
+        patches.append(patch)
+    cells = rng.choice(1 << (3 * depth), size=len(patches), replace=False)
+    x, y, z = np.unravel_index(cells, (1 << depth,) * 3)
+    codes = np.sort(keys_from_coords(x, y, z))
+    return PredictedShape(
+        depth=depth,
+        octree=octree_from_codes(codes, depth),
+        leaf_codes=codes,
+        patches=np.array(patches, dtype=np.float64),
+    )
+
+
+def test_degenerate_patches_hit_their_cases():
+    h = 0.5 / 16
+    corners = _REF_CORNERS * h
+    zero_corners = {}
+    polys = {}
+    for name, patch in degenerate_patches():
+        n = np.asarray(patch[:3], dtype=np.float64)
+        if np.linalg.norm(n) >= 1e-9:
+            n = unit(n)
+        else:
+            n = np.array([0.0, 0.0, 1.0])
+        zero_corners[name] = int(np.count_nonzero(corners @ n - patch[3] * h == 0.0))
+        polys[name] = _reference_plane_cell_polygon(n, patch[3] * h, h)
+    assert zero_corners["through a corner"] == 1
+    assert len(polys["through a corner"]) >= 3
+    assert zero_corners["through three corners"] == 3
+    assert len(polys["through three corners"]) == 3
+    assert zero_corners["through a diagonal"] == 4
+    assert len(polys["through a diagonal"]) == 4
+    assert zero_corners["along an edge"] == 2
+    assert polys["along an edge"] is None
+    for face in ("top face", "bottom face", "x face, other basis"):
+        assert zero_corners[face] == 4 and len(polys[face]) == 4
+    assert polys["misses the cell"] is None
+
+
+@pytest.mark.parametrize("samples_per_node", [1, 4, 7])
+def test_sample_points_matches_per_leaf_reference(samples_per_node):
+    partial, _ = sphere_octree()
+    predicted = CompletionNet(small_spec(), seed=3).complete(partial)
+    assert not predicted.empty
+    for shape, seed in ((predicted, 5), (mixed_degenerate_shape(), 11)):
+        want = _reference_sample_points(shape, samples_per_node, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = sample_points(shape, samples_per_node=samples_per_node, seed=seed)
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.normals, want.normals)
+
+
+def test_sample_points_rejects_fewer_than_one_sample():
+    shape = make_shape_with_patch((1, 2, 3), (0.0, 0.0, 1.0), 0.0)
+    for spn in (0, -1):
+        with pytest.raises(DomainError):
+            sample_points(shape, samples_per_node=spn)
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        (np.nan, 0.0, 1.0, 0.0),
+        (0.0, 0.0, 1.0, np.nan),
+        (np.inf, 0.0, 1.0, 0.0),
+        (0.0, 0.0, 1.0, np.inf),
+        (0.0, 0.0, 1.0, -np.inf),
+        (1e200, 1e200, 0.0, 0.0),  # finite, but its norm overflows
+    ],
+)
+def test_sample_points_non_finite_patch_raises(patch):
+    shape = make_shape_with_patch((1, 2, 3), patch[:3], patch[3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError):
+            sample_points(shape, samples_per_node=4)
 
 
 def test_scene_head_shapes():
