@@ -143,17 +143,6 @@ def scale(a, s):
     return custom_op(a.values * s, [a], lambda g: (g * s,), level=a.level)
 
 
-def matmul(a, b):
-    if a.values.shape[1] != b.values.shape[0]:
-        raise DomainError("matmul inner dimension mismatch")
-    return custom_op(
-        a.values @ b.values,
-        [a, b],
-        lambda g: (g @ b.values.T, a.values.T @ g),
-        level=a.level,
-    )
-
-
 def linear(x, w, bias=None):
     """x @ w.T (+ bias); w is (out_channels, in_channels)."""
     if x.values.shape[1] != w.values.shape[1]:
@@ -182,50 +171,19 @@ def relu(a):
     )
 
 
-def sigmoid(a):
-    e = np.exp(-np.abs(a.values))
-    s = np.where(a.values >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return custom_op(s, [a], lambda g: (g * s * (1.0 - s),), level=a.level)
-
-
 def row_gather(a, idx):
-    """Gather rows by index, -1 yields a zero row.
-
-    1-D idx -> (len(idx), c); 2-D idx (m, k) -> (m, k*c) stencil layout.
-    """
+    """Gather rows by a 1-D index; -1 yields a zero row."""
     idx = np.asarray(idx, dtype=np.int64)
-    c = a.values.shape[1]
-    if idx.ndim == 1:
-        out = kernels.gather_rows(a.values, idx)
+    if idx.ndim != 1:
+        raise DomainError("row_gather index must be 1-D")
+    out = kernels.gather_rows(a.values, idx)
 
-        def back(g):
-            ga = np.zeros_like(a.values)
-            kernels.scatter_add(ga, idx, np.ascontiguousarray(g))
-            return (ga,)
+    def back(g):
+        ga = np.zeros_like(a.values)
+        kernels.scatter_add(ga, idx, np.ascontiguousarray(g))
+        return (ga,)
 
-    elif idx.ndim == 2:
-        out = kernels.gather_concat(a.values, idx)
-
-        def back(g):
-            ga = np.zeros_like(a.values)
-            kernels.scatter_add(
-                ga, idx.ravel(), np.ascontiguousarray(g.reshape(-1, c))
-            )
-            return (ga,)
-
-    else:
-        raise DomainError("row_gather index must be 1-D or 2-D")
     return custom_op(out, [a], back, level=a.level)
-
-
-def row_scatter_add(a, idx, num_rows):
-    """out[idx[i]] += a[i]; idx == -1 rows are dropped."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.shape[0] != a.values.shape[0]:
-        raise DomainError("row_scatter_add index length mismatch")
-    out = np.zeros((num_rows, a.values.shape[1]), dtype=a.values.dtype)
-    kernels.scatter_add(out, idx, np.ascontiguousarray(a.values))
-    return custom_op(out, [a], lambda g: (kernels.gather_rows(g, idx),), level=a.level)
 
 
 def row_mask(a, mask):
@@ -239,12 +197,6 @@ def row_mask(a, mask):
 def sum_all(a):
     out = np.full((1, 1), a.values.sum(), dtype=a.values.dtype)
     return custom_op(out, [a], lambda g: (np.full_like(a.values, g[0, 0]),))
-
-
-def mean_all(a):
-    n = a.values.size
-    out = np.full((1, 1), a.values.mean(), dtype=a.values.dtype)
-    return custom_op(out, [a], lambda g: (np.full_like(a.values, g[0, 0] / n),))
 
 
 def constant(values, level=None):

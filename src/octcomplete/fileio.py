@@ -65,10 +65,14 @@ def read_ply(path) -> PointSet:
             data = np.loadtxt(f, max_rows=count, ndmin=2)
     except OSError as e:
         raise DataError(f"{path}: {e}") from e
+    except ValueError as e:  # a non-numeric count or token, ragged rows, bad text
+        raise DataError(f"{path}: malformed PLY: {e}") from e
     if data.shape[0] != count or data.shape[1] < 6:
         raise DataError(f"{path}: vertex data mismatch")
     labels = None
     if "label" in props:
+        if props.index("label") >= data.shape[1]:
+            raise DataError(f"{path}: no column for property label")
         labels = data[:, props.index("label")].astype(np.int32)
     return PointSet(positions=data[:, :3], normals=data[:, 3:6], labels=labels)
 
@@ -85,6 +89,8 @@ def read_xyz(path) -> PointSet:
         data = np.loadtxt(path, ndmin=2)
     except OSError as e:
         raise DataError(f"{path}: {e}") from e
+    except ValueError as e:  # a non-numeric token, ragged rows, bad text
+        raise DataError(f"{path}: malformed XYZ: {e}") from e
     if data.shape[1] not in (6, 7):
         raise DataError(f"{path}: expected 'x y z nx ny nz [label]' columns")
     labels = data[:, 6].astype(np.int32) if data.shape[1] == 7 else None
@@ -310,12 +316,3 @@ def write_metrics(path, metrics):
     with open(path, "w") as f:
         json.dump(metrics, f, indent=2, sort_keys=True)
 
-
-def metrics_lines(metrics, prefix=""):
-    lines = []
-    for k, v in sorted(metrics.items()):
-        if isinstance(v, dict):
-            lines.extend(metrics_lines(v, prefix=f"{prefix}{k}."))
-        else:
-            lines.append(f"{prefix}{k}={v}")
-    return lines

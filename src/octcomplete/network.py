@@ -25,6 +25,7 @@ from .octree import (
     PointSet,
     coords_from_keys,
     find_in_sorted,
+    make_level,
     neighbor_table,
     octree_from_codes,
 )
@@ -73,7 +74,17 @@ class NetworkSpec:
 
 
 class OctreeBatch:
-    """Merged row-major view over a batch of octrees of equal depth."""
+    """A batch of equal-depth octrees, stored level by level as one octree.
+
+    Sample b's keys at level l carry b above the 3 * l Morton bits, as
+    ``key | b << 3*l``, so each level is one sorted key array over the whole
+    batch with rows in batch order, and ``>> 3`` and ``<< 3`` move the id
+    along with the key. ``levels`` is shaped like ``Octree.levels``.
+
+    The encoder's stencil tables are each octree's own cached tables shifted
+    by row offsets, not tables computed from the merged keys: an Octree
+    keeps its tables across steps and epochs, while a batch lives one step.
+    """
 
     def __init__(self, octrees: List[Octree]):
         if not octrees:
@@ -82,40 +93,29 @@ class OctreeBatch:
         self.depth = octrees[0].depth
         if any(o.depth != self.depth for o in octrees):
             raise DomainError("mixed octree depths in one batch")
+        self.levels = []
+        for l in range(self.depth + 1):
+            lvs = [o.levels[l] for o in octrees]
+            keys = [lv.keys | np.uint64(b << 3 * l) for b, lv in enumerate(lvs)]
+            status = np.concatenate([lv.status for lv in lvs])
+            self.levels.append(make_level(np.concatenate(keys), status, l < self.depth))
         self._cache = {}
 
     @property
     def size(self):
         return len(self.octrees)
 
-    def offsets(self, level):
-        key = ("off", level)
-        if key not in self._cache:
-            lens = [o.levels[level].num_nodes for o in self.octrees]
-            self._cache[key] = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
-        return self._cache[key]
-
-    def rows(self, level):
-        return int(self.offsets(level)[-1])
-
-    def status(self, level):
-        return np.concatenate([o.levels[level].status for o in self.octrees])
-
     def nonempty(self, level):
-        return int(sum(o.levels[level].num_nonempty for o in self.octrees))
+        return self.levels[level].num_nonempty
 
     def signal_fm(self):
         sig = np.vstack([o.signal for o in self.octrees])
         return FeatureMap(sig, level=self.depth)
 
     def _merge_tables(self, tables, level_of_targets):
-        off = self.offsets(level_of_targets)
-        merged = []
-        for b, tab in enumerate(tables):
-            t = tab.copy()
-            t[t >= 0] += off[b]
-            merged.append(t)
-        return np.vstack(merged) if merged else np.zeros((0, 0), dtype=np.int64)
+        lens = [o.levels[level_of_targets].num_nodes for o in self.octrees]
+        off = np.cumsum([0] + lens[:-1])
+        return np.vstack([np.where(t >= 0, t + o, -1) for t, o in zip(tables, off)])
 
     def nbr_table(self, level):
         key = ("nbr", level)
@@ -135,80 +135,51 @@ class OctreeBatch:
 
 
 class DecoderState:
-    """Dynamically grown output structure for a batch of samples."""
+    """Dynamically grown output structure for a batch of samples.
+
+    ``keys[level]`` is one sorted key array for the whole batch, with the
+    sample id above the Morton bits as in OctreeBatch.
+    """
 
     def __init__(self, batch_size, coarsest):
         self.coarsest = coarsest
-        n = 8**coarsest
-        self.keys = {coarsest: [np.arange(n, dtype=np.uint64) for _ in range(batch_size)]}
-        self.parent_sel = {}   # level -> merged selected parent rows at level-1
-        self.parent_idx = {}   # level -> merged parent row per row at level
-        self.batch_size = batch_size
+        # every sample's full grid at the coarsest level: key | b << 3*coarsest
+        self.keys = {coarsest: np.arange(batch_size * 8**coarsest, dtype=np.uint64)}
+        self.parent_sel = {}   # level -> selected parent rows at level-1
+        self.parent_idx = {}   # level -> parent row per row at level
         self._nbr = {}
 
-    def offsets(self, level):
-        lens = [len(k) for k in self.keys[level]]
-        return np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
-
     def rows(self, level):
-        return int(sum(len(k) for k in self.keys[level]))
-
-    def split(self, level, merged_vec):
-        off = self.offsets(level)
-        return [merged_vec[off[b] : off[b + 1]] for b in range(self.batch_size)]
+        return len(self.keys[level])
 
     def subdivide(self, level, expand_mask):
         """Grow level+1 from the rows of `level` flagged in expand_mask."""
-        off = self.offsets(level)
-        masks = self.split(level, np.asarray(expand_mask) != 0)
-        child_keys, sel, pidx = [], [], []
-        for b, m in enumerate(masks):
-            rows = np.flatnonzero(m)
-            keys = (
-                (self.keys[level][b][rows][:, None] << np.uint64(3))
-                + np.arange(8, dtype=np.uint64)[None, :]
-            ).ravel()
-            child_keys.append(keys)
-            sel.append(rows + off[b])
-            pidx.append(np.repeat(rows + off[b], 8))
-        self.keys[level + 1] = child_keys
-        self.parent_sel[level + 1] = np.concatenate(sel) if sel else np.zeros(0, np.int64)
-        self.parent_idx[level + 1] = (
-            np.concatenate(pidx) if pidx else np.zeros(0, np.int64)
-        )
+        rows = np.flatnonzero(np.asarray(expand_mask) != 0)
+        self.keys[level + 1] = (
+            (self.keys[level][rows][:, None] << np.uint64(3))
+            + np.arange(8, dtype=np.uint64)[None, :]
+        ).ravel()
+        self.parent_sel[level + 1] = rows
+        self.parent_idx[level + 1] = np.repeat(rows, 8)
 
     def nbr_table(self, level):
         # decoder stencils treat every stored row as valid: statuses are not
         # known yet when the level's convolutions run
         if level not in self._nbr:
-            off = self.offsets(level)
-            merged = []
-            for b, keys in enumerate(self.keys[level]):
-                tab = neighbor_table(keys, np.ones(len(keys), dtype=np.uint8), level)
-                tab[tab >= 0] += off[b]
-                merged.append(tab)
-            self._nbr[level] = np.vstack(merged)
+            keys = self.keys[level]
+            self._nbr[level] = neighbor_table(keys, np.ones(len(keys), dtype=np.uint8), level)
         return self._nbr[level]
 
     def align_to_encoder(self, enc_batch, level):
-        eoff = enc_batch.offsets(level)
-        out = []
-        for b, keys in enumerate(self.keys[level]):
-            idx = align_encoder_rows(enc_batch.octrees[b], keys, level)
-            idx[idx >= 0] += eoff[b]
-            out.append(idx)
-        return np.concatenate(out)
+        return align_encoder_rows(enc_batch, self.keys[level], level)
 
     def gt_status(self, gt_batch, level):
-        out = []
-        for b, keys in enumerate(self.keys[level]):
-            lv = gt_batch.octrees[b].levels[level]
-            idx = find_in_sorted(lv.keys, keys)
-            st = np.zeros(len(keys), dtype=np.float64)
-            found = idx >= 0
-            st[found] = lv.status[idx[found]]
-            out.append(st)
-        return np.concatenate(out)
+        lv = gt_batch.levels[level]
+        idx = find_in_sorted(lv.keys, self.keys[level])
+        st = np.zeros(len(idx), dtype=np.float64)
+        found = idx >= 0
+        st[found] = lv.status[idx[found]]
+        return st
 
 
 @dataclass
@@ -447,8 +418,8 @@ class CompletionNet:
                 octree=None,
                 leaf_codes=np.zeros(0, dtype=np.uint64),
             )
-        keys = res.state.keys[d][0]
-        leaf_codes = keys[res.head_rows]
+        # sample 0 carries no id bits
+        leaf_codes = res.state.keys[d][res.head_rows]
         shape = PredictedShape(
             depth=d,
             octree=octree_from_codes(leaf_codes, d),

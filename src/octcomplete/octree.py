@@ -96,8 +96,14 @@ def neighbor_keys(code, depth):
 
 
 def neighbor_codes(codes, depth):
-    """(n, 27) neighbor key codes as int64, -1 where outside the grid."""
-    x, y, z = coords_from_keys(codes)
+    """(n, 27) neighbor key codes as int64, -1 where outside the grid.
+
+    Only the low 3 * depth bits are the cell; bits above them (a batch's
+    sample id, see network.OctreeBatch) are kept on every in-grid neighbor.
+    """
+    codes = np.asarray(codes, dtype=np.uint64)
+    cell_bits = np.uint64((1 << (3 * depth)) - 1)
+    x, y, z = coords_from_keys(codes & cell_bits)
     n = 1 << depth
     xs = x.astype(np.int64)[:, None] + _NEIGHBOR_OFFSETS[:, 0][None, :]
     ys = y.astype(np.int64)[:, None] + _NEIGHBOR_OFFSETS[:, 1][None, :]
@@ -109,7 +115,8 @@ def neighbor_codes(codes, depth):
         np.clip(xs, 0, None).ravel(),
         np.clip(ys, 0, None).ravel(),
         np.clip(zs, 0, None).ravel(),
-    ).astype(np.int64).reshape(xs.shape)
+    ).reshape(xs.shape)
+    codes27 = (codes27 | (codes & ~cell_bits)[:, None]).astype(np.int64)
     codes27[~valid] = -1
     return codes27
 
@@ -135,6 +142,11 @@ class PointSet:
     def validate(self):
         if self.positions.shape != self.normals.shape:
             raise DomainError("positions/normals length mismatch")
+        # NaN fails every comparison below, so non-finite values are caught here
+        if not np.isfinite(self.positions).all():
+            raise DomainError("non-finite position")
+        if not np.isfinite(self.normals).all():
+            raise DomainError("non-finite normal")
         norms = np.linalg.norm(self.normals, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-5):
             raise DomainError("normals are not unit length")
@@ -259,15 +271,8 @@ def build_levels(finest_codes, depth):
     for l in range(depth - 1, -1, -1):
         nonempty[l] = np.unique(nonempty[l + 1] >> np.uint64(3))
 
-    levels = []
     root_status = np.array([1 if len(nonempty[depth]) else 0], dtype=np.uint8)
-    levels.append(
-        OctreeLevel(
-            keys=np.array([0], dtype=np.uint64),
-            status=root_status,
-            child_start=np.full(1, -1, dtype=np.int64),
-        )
-    )
+    levels = [make_level(np.array([0], dtype=np.uint64), root_status, depth > 0)]
     for l in range(1, depth + 1):
         parents = nonempty[l - 1]
         keys = (
@@ -275,19 +280,19 @@ def build_levels(finest_codes, depth):
             + np.arange(8, dtype=np.uint64)[None, :]
         ).ravel()
         status = (find_in_sorted(nonempty[l], keys) >= 0).astype(np.uint8)
-        levels.append(
-            OctreeLevel(
-                keys=keys,
-                status=status,
-                child_start=np.full(len(keys), -1, dtype=np.int64),
-            )
-        )
-    # child_start: 8 * rank among nonempty stored nodes
-    for l in range(depth):
-        lv = levels[l]
-        ranks = np.cumsum(lv.status) - lv.status
-        lv.child_start = np.where(lv.status == 1, 8 * ranks.astype(np.int64), -1)
+        levels.append(make_level(keys, status, l < depth))
     return levels
+
+
+def make_level(keys, status, has_children):
+    """An OctreeLevel whose nonempty nodes, in key order, own consecutive
+    blocks of 8 rows in the next level (none when not has_children)."""
+    child_start = np.full(len(keys), -1, dtype=np.int64)
+    if has_children:
+        # 8 * rank among nonempty stored nodes
+        ranks = np.cumsum(status) - status
+        child_start = np.where(status == 1, 8 * ranks.astype(np.int64), -1)
+    return OctreeLevel(keys=keys, status=status, child_start=child_start)
 
 
 def build_octree(points: PointSet, depth: int) -> Octree:

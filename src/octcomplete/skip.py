@@ -30,7 +30,9 @@ class StatusMask:
 def align_encoder_rows(encoder_octree, decoder_keys, level):
     """Per decoder key, the stored encoder row at `level`, -1 when absent.
 
-    Encoder slots flagged empty count as absent (their features are padding).
+    `encoder_octree` is an Octree or a network.OctreeBatch, whose keys carry
+    the sample id that the decoder keys carry too. Encoder slots flagged
+    empty count as absent (their features are padding).
     """
     lv = encoder_octree.levels[level]
     idx = find_in_sorted(lv.keys, np.asarray(decoder_keys, dtype=np.uint64))

@@ -84,23 +84,17 @@ def prepare_sample(pair: SamplePair, spec: NetworkSpec) -> TrainSample:
     return TrainSample(partial, gt, labels=majority_labels(gt, pair.complete))
 
 
-def _head_targets(sample: TrainSample, keys, task):
-    """Targets aligned with the decoder's finest-level keys for one sample."""
-    lv = sample.gt.levels[sample.gt.depth]
+def _head_targets(samples, gt_batch, keys, task):
+    """Targets of the decoder's finest-level `keys`, all of them nonempty
+    ground-truth nodes of `gt_batch` (built from `samples`, in order)."""
+    lv = gt_batch.levels[gt_batch.depth]
     rows = find_in_sorted(lv.keys, keys)
     if task == "completion":
-        # targets are stored in nonempty-rank order
+        # each sample's targets are in nonempty-rank order, so the batch's
+        # are in the merged level's nonempty-rank order
         rank = np.cumsum(lv.status.astype(np.int64)) - 1
-        out = np.zeros((len(keys), 4))
-        ok = rows >= 0
-        sel = rows[ok]
-        nonempty = lv.status[sel] == 1
-        out[np.flatnonzero(ok)[nonempty]] = sample.targets[rank[sel[nonempty]]]
-        return out
-    out = np.full(len(keys), -1, dtype=np.int64)
-    ok = rows >= 0
-    out[ok] = sample.labels[rows[ok]]
-    return out
+        return np.concatenate([s.targets for s in samples])[rank[rows]]
+    return np.concatenate([s.labels for s in samples])[rows]
 
 
 class SGD:
@@ -165,17 +159,13 @@ class Trainer:
             d = net.spec.output_depth
             if res.head_out is None:
                 raise NumericalError("teacher-forced decode produced no output nodes")
-            tparts = []
-            for b, s in enumerate(batch):
-                tparts.append(_head_targets(s, res.state.keys[d][b], task))
-            merged = np.concatenate(tparts)
+            targets = _head_targets(batch, gt_batch, res.state.keys[d][res.head_rows], task)
             if task == "completion":
-                task_l = completion_task_loss(res.head_out, merged[res.head_rows])
+                task_l = completion_task_loss(res.head_out, targets)
             else:
-                labels = merged[res.head_rows]
-                if np.any(labels < 0):
+                if np.any(targets < 0):
                     raise DomainError("unlabeled ground-truth node reached the head")
-                task_l = semantic_task_loss(res.head_out, labels)
+                task_l = semantic_task_loss(res.head_out, targets)
             loss, report = total_loss(
                 struct, task_l, d, w=self.cfg.task_weight, start_level=net.spec.coarsest + 1
             )

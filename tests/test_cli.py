@@ -164,3 +164,20 @@ def test_complete_truncated_checkpoint_is_data_error(tmp_path):
     for size in (len(raw) // 3, len(raw) - 1):
         cut.write_bytes(raw[:size])
         assert run(["complete", "--ckpt", str(cut), "--in", scan, "--out", out]) == EXIT_DATA
+
+
+MALFORMED_POINTS = {
+    "token.ply": "ply\nformat ascii 1.0\nelement vertex 1\nend_header\n0.1 abc 0.3 0 0 1\n",
+    "count.ply": "ply\nformat ascii 1.0\nelement vertex two\nend_header\n0.1 0.2 0.3 0 0 1\n",
+    "token.xyz": "0.1 abc 0.3 0 0 1\n",
+    "nan_position.xyz": "0.1 nan 0.3 0 0 1\n",
+    "nan_normal.xyz": "0.1 0.2 0.3 0 0 nan\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_POINTS))
+def test_build_octree_malformed_points_is_data_error(tmp_path, name):
+    path = tmp_path / name
+    path.write_text(MALFORMED_POINTS[name])
+    out = str(tmp_path / "o.octc")
+    assert run(["build-octree", "--in", str(path), "--depth", "4", "--out", out]) == EXIT_DATA

@@ -50,6 +50,46 @@ def test_ply_bad_magic(tmp_path):
         fileio.read_ply(path)
 
 
+PLY_HEADER = (
+    "ply\nformat ascii 1.0\nelement vertex {count}\n"
+    + "".join(f"property float {p}\n" for p in ("x", "y", "z", "nx", "ny", "nz"))
+    + "{extra}end_header\n"
+)
+
+
+@pytest.mark.parametrize(
+    "count, extra, body",
+    [
+        ("1", "", "0.1 abc 0.3 0 0 1\n"),                 # non-numeric token
+        ("two", "", "0.1 0.2 0.3 0 0 1\n"),               # non-numeric count
+        ("-3", "", "0.1 0.2 0.3 0 0 1\n"),                # negative count
+        ("2", "", "0.1 0.2\n0.1 0.2 0.3 0 0 1\n"),        # ragged rows
+        ("1", "property int label\n", "0.1 0.2 0.3 0 0 1\n"),  # label column missing
+    ],
+    ids=["token", "count-word", "count-negative", "ragged", "no-label-column"],
+)
+def test_malformed_ply_is_data_error(tmp_path, count, extra, body):
+    path = tmp_path / "bad.ply"
+    path.write_text(PLY_HEADER.format(count=count, extra=extra) + body)
+    with pytest.raises(fileio.DataError):
+        fileio.read_ply(path)
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["0.1 abc 0.3 0 0 1\n", "0.1 0.2 0.3 0 0 1\n0.1 0.2\n", b"\xff\xfe 0.2 0.3 0 0 1\n"],
+    ids=["token", "ragged", "undecodable"],
+)
+def test_malformed_xyz_is_data_error(tmp_path, body):
+    path = tmp_path / "bad.xyz"
+    if isinstance(body, bytes):
+        path.write_bytes(body)
+    else:
+        path.write_text(body)
+    with pytest.raises(fileio.DataError):
+        fileio.read_xyz(path)
+
+
 def test_read_points_dispatch(tmp_path, rng):
     pts = random_points(rng)
     fileio.write_ply(tmp_path / "a.ply", pts)
@@ -182,4 +222,3 @@ def test_metrics_json(tmp_path):
 
     got = json.loads((tmp_path / "m.json").read_text())
     assert got == {"a": 1.5, "nested": {"b": 2}}
-    assert fileio.metrics_lines({"a": 1, "n": {"b": 2}}) == ["a=1", "n.b=2"]

@@ -81,8 +81,8 @@ def test_teacher_forced_decode_follows_gt():
         code, feats = net.encode(ib, train=True)
         res = net.decode(code, ib, feats, gt_batch=gb, train=True)
     # the first decoder level is fully expanded; deeper levels follow gt
-    assert len(res.state.keys[3][0]) == 512
-    assert np.array_equal(res.state.keys[4][0], gt.levels[4].keys)
+    assert len(res.state.keys[3]) == 512
+    assert np.array_equal(res.state.keys[4], gt.levels[4].keys)
     # head rows are the gt-nonempty finest rows
     assert np.array_equal(res.head_rows, np.flatnonzero(gt.levels[4].status == 1))
     # skip applied at every decoder level
@@ -141,6 +141,39 @@ def test_batched_matches_single_forward():
         c1, _ = net.encode(OctreeBatch([p1]), train=False)
     merged = np.vstack([c0.values, c1.values])
     assert np.allclose(code.values, merged, atol=1e-5)
+
+
+def test_batched_matches_single_decode():
+    p0, _ = sphere_octree(seed=0)
+    p1, _ = sphere_octree(seed=1, views=3)
+    net = CompletionNet(small_spec(), seed=3)
+
+    def decode(octrees):
+        # eval mode; the explosion guard counts the whole batch's input
+        # nodes, so its cap is set out of reach of both runs
+        batch = OctreeBatch(octrees)
+        code, feats = net.encode(batch, train=False)
+        return net.decode(code, batch, feats, train=False, expand_cap=1e6)
+
+    both, singles = decode([p0, p1]), [decode([p0]), decode([p1])]
+    assert sorted(both.logits) == sorted(singles[0].logits) == sorted(singles[1].logits) == [3, 4]
+    for l in both.logits:
+        keys = both.state.keys[l]
+        ids = keys >> np.uint64(3 * l)
+        cells = keys & np.uint64((1 << 3 * l) - 1)
+        assert np.array_equal(np.unique(ids), [0, 1])
+        for b, one in enumerate(singles):
+            own = ids == b
+            assert np.array_equal(cells[own], one.state.keys[l])
+            assert np.array_equal(both.pred_status[l][own], one.pred_status[l])
+            assert np.allclose(both.logits[l].values[own], one.logits[l].values, atol=1e-5)
+    head_ids = ids[both.head_rows]
+    for b, one in enumerate(singles):
+        assert len(one.head_rows) > 0
+        own = head_ids == b
+        first = np.searchsorted(ids, b)  # this sample's first finest row
+        assert np.array_equal(both.head_rows[own] - first, one.head_rows)
+        assert np.allclose(both.head_out.values[own], one.head_out.values, atol=1e-5)
 
 
 def test_mixed_depth_batch_rejected():

@@ -20,7 +20,9 @@ from octcomplete.octree import (
     key_to_coords,
     keys_from_coords,
     majority_labels,
+    neighbor_codes,
     neighbor_keys,
+    neighbor_table,
     octree_from_codes,
     parent_key,
     points_to_cells,
@@ -210,6 +212,20 @@ def test_build_octree_normal_sums_match_add_at(rng):
     assert np.array_equal(o.signal[rows, :3], ref.astype(np.float32))
 
 
+@pytest.mark.parametrize("field", ["positions", "normals"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_points_rejected(rng, field, bad):
+    pts = rng.random((50, 3))
+    nrm = rng.normal(size=(50, 3))
+    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    points = PointSet(positions=pts, normals=nrm)
+    getattr(points, field)[7, 1] = bad
+    with pytest.raises(DomainError):
+        points.validate()
+    with pytest.raises(DomainError):
+        build_octree(points, 4)
+
+
 def test_points_to_cells_boundary():
     cells = points_to_cells(np.array([[0.0, 0.5, 1.0]]), 3)
     assert cells.tolist() == [[0, 4, 7]]
@@ -235,6 +251,41 @@ def test_neighbor_table_oracle(rng):
             if i >= 0 and lv.status[i] == 0:
                 i = -1  # empty siblings read as zeros
             assert tab[r, t] == i
+
+
+def test_neighbor_table_on_batch_keys(rng):
+    """Keys with a sample id above the 3 * level Morton bits, as a batch stores
+    them: the merged table is each sample's table shifted by its row offset,
+    and the scalar oracle holds for a sample with id > 0."""
+    depth = 3
+    octs = [
+        octree_from_codes(rng.choice(1 << (3 * depth), size=n, replace=False).astype(np.uint64), depth)
+        for n in (25, 40, 12)
+    ]
+    for l in range(depth + 1):
+        lvs = [o.levels[l] for o in octs]
+        keys = np.concatenate([lv.keys | np.uint64(b << 3 * l) for b, lv in enumerate(lvs)])
+        status = np.concatenate([lv.status for lv in lvs])
+        tab = neighbor_table(keys, status, l)
+        off = np.cumsum([0] + [lv.num_nodes for lv in lvs])
+        want = [np.where(o.neighbor_table(l) >= 0, o.neighbor_table(l) + off[b], -1)
+                for b, o in enumerate(octs)]
+        assert np.array_equal(tab, np.vstack(want))
+
+    # finest level of sample 2, against neighbor_keys and a dict lookup
+    b, lv = 2, octs[2].levels[depth]
+    codes27 = neighbor_codes(keys, depth)
+    lookup = {int(k): i for i, k in enumerate(keys)}
+    for r in range(lv.num_nodes):
+        row = off[b] + r
+        assert int(keys[row]) >> 3 * depth == b
+        for t, nk in enumerate(neighbor_keys(int(lv.keys[r]), depth)):
+            code = -1 if nk is None else nk | b << 3 * depth
+            assert codes27[row, t] == code
+            i = lookup.get(code, -1)
+            if i >= 0 and status[i] == 0:
+                i = -1  # empty siblings read as zeros
+            assert tab[row, t] == i
 
 
 def test_child_table(rng):

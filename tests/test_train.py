@@ -5,12 +5,13 @@ import pytest
 
 from octcomplete import data as dt
 from octcomplete.errors import NumericalError
-from octcomplete.network import CompletionNet, NetworkSpec
+from octcomplete.network import CompletionNet, NetworkSpec, OctreeBatch
 from octcomplete.nn import Parameters
 from octcomplete.train import (
     SGD,
     TrainConfig,
     Trainer,
+    _head_targets,
     lr_at_epoch,
     net_from_checkpoint,
     prepare_sample,
@@ -113,6 +114,33 @@ def test_step_decreases_loss_and_reports():
     assert last.total < first.total
     assert set(last.metrics["status_accuracy"]) == {3, 4}
     assert last.structure.keys() == {3, 4}
+
+
+@pytest.mark.parametrize("task", ["completion", "semantic"])
+def test_head_targets_follow_each_sample(task):
+    """Batched head targets against a lookup in each key's own sample."""
+    spec = NetworkSpec(input_depth=4, output_depth=4, task=task, num_classes=4)
+    samples = []
+    for i in range(3):
+        if task == "completion":
+            points = dt.make_shape(("sphere", "box", "cylinder")[i], density=1200, seed=i)
+        else:
+            points, _ = dt.make_scene(dt.SceneConfig(seed=i))
+        scan = dt.virtual_scan(points, dt.ScanConfig(num_views=2, seed=i))
+        samples.append(prepare_sample(dt.SamplePair(scan, points), spec))
+    gt_batch = OctreeBatch([s.gt for s in samples])
+    lv = gt_batch.levels[4]
+    keys = np.random.default_rng(0).permutation(lv.keys[lv.status == 1])
+    got = _head_targets(samples, gt_batch, keys, task)
+    for key, value in zip(keys, got):
+        b, cell = int(key) >> 12, int(key) & 0xFFF  # the id sits above level 4's 12 bits
+        own = samples[b].gt.levels[4]
+        row = int(np.searchsorted(own.keys, cell))
+        assert own.keys[row] == cell and own.status[row] == 1
+        if task == "completion":
+            assert np.array_equal(value, samples[b].targets[int(own.status[:row].sum())])
+        else:
+            assert value == samples[b].labels[row]
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
