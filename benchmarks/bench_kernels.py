@@ -5,8 +5,10 @@ Run directly:
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--n 2000000] [--repeats 5]
 
 `n` is the element count of the Morton and row kernels; the convolution
-runs 27 taps over n // 8 rows at 32 channels, forward and backward, and
-`sample_points` draws 4 points on each of n // 8 random planar patches.
+runs 27 taps over n // 8 rows at 32 channels, forward and backward; the
+downsample reads n // 8 child rows (3 in 10 empty) at 32 channels as blocks
+of 8 under half as many parents, forward and backward; and `sample_points`
+draws 4 points on each of n // 8 random planar patches.
 """
 
 import argparse
@@ -43,6 +45,24 @@ def conv_step(feats, table, weight):
         ad.backward(ad.sum_all(y))
 
 
+def down_step(feats, status, child_status, weight):
+    x = ad.parameter(feats)
+    w = ad.parameter(weight)
+    with ad.Tape():
+        y = nn.downsample(x, status, child_status, nn.ConvParams(x.channels, w.rows, 2, 2, w))
+        ad.backward(ad.sum_all(y))
+
+
+def random_blocks(rng, children):
+    """Parent and child statuses for `children` rows (a multiple of 8): half
+    the parents own a block of 8 children, 3 in 10 children are empty."""
+    owners = children // 8
+    status = np.zeros(2 * owners, dtype=np.uint8)
+    status[rng.choice(2 * owners, size=owners, replace=False)] = 1
+    child_status = (rng.random(children) >= 0.3).astype(np.uint8)
+    return status, child_status
+
+
 def random_patches(rng, leaves, depth):
     """A predicted shape with `leaves` distinct cells, each cut by a random plane."""
     cells = rng.choice(1 << (3 * depth), size=leaves, replace=False)
@@ -64,6 +84,9 @@ def bench(n, repeats):
     rows = rng.standard_normal((n, 32)).astype(np.float32)
     table = random_stencil(rng, feats.shape[0], 27)
     weight = rng.standard_normal((32, 27 * 32)).astype(np.float32)
+    children = feats[: 8 * (feats.shape[0] // 8)]
+    status, child_status = random_blocks(rng, len(children))
+    down_weight = rng.standard_normal((32, 8 * 32)).astype(np.float32)
     shape = random_patches(rng, n // 8, depth=8)
 
     cases = [
@@ -73,6 +96,7 @@ def bench(n, repeats):
         ("scatter_add", lambda: kernels.scatter_add(np.zeros_like(feats), idx, rows)),
         ("invert_table", lambda: kernels.invert_table(table, feats.shape[0])),
         ("conv fwd+bwd", lambda: conv_step(feats, table, weight)),
+        ("downsample fwd+bwd", lambda: down_step(children, status, child_status, down_weight)),
         ("sample_points", lambda: network.sample_points(shape, samples_per_node=4)),
     ]
     table_rows = [(name, f"{timeit(call, repeats):.4f}") for name, call in cases]

@@ -58,9 +58,6 @@ class FeatureMap:
     def channels(self):
         return self.values.shape[1]
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"FeatureMap({self.values.shape}, level={self.level})"
 

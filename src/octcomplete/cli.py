@@ -125,9 +125,7 @@ def _load_pairs(manifest_path):
 def cmd_train(args):
     values = fileio.read_config(args.config)
     spec = spec_from_config_values(values)
-    tcfg = TrainConfig.from_dict(
-        {k.split(".", 1)[1]: v for k, v in values.items() if k.startswith("train.")}
-    )
+    tcfg = TrainConfig.from_dict(values, prefix="train.")
     pairs = _load_pairs(args.data)
     samples = [prepare_sample(p, spec) for p in pairs]
     net = CompletionNet(spec, seed=tcfg.seed)

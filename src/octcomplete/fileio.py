@@ -2,14 +2,14 @@
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
 
 import numpy as np
 
-from .errors import DomainError
-from .octree import Octree, PointSet, build_levels
+from .octree import MAX_DEPTH, Octree, PointSet, build_levels
 
 OCTC_MAGIC = b"OCTC"
 OCKP_MAGIC = b"OCKP"
@@ -110,7 +110,7 @@ def save_octree(path, octree: Octree):
     with open(path, "wb") as f:
         f.write(OCTC_MAGIC)
         f.write(struct.pack("<II", FORMAT_VERSION, octree.depth))
-        counts = octree.node_counts()
+        counts = [lv.num_nodes for lv in octree.levels]
         f.write(struct.pack(f"<{len(counts)}I", *counts))
         for lv in octree.levels:
             f.write(lv.keys.astype("<u8").tobytes())
@@ -120,31 +120,38 @@ def save_octree(path, octree: Octree):
 
 
 def load_octree(path) -> Octree:
+    """Read an octree container, checking it against the octree its finest
+    nonempty keys build: every stored key and status must match."""
     try:
         with open(path, "rb") as f:
-            if f.read(4) != OCTC_MAGIC:
-                raise DataError(f"{path}: bad magic")
-            version, depth = struct.unpack("<II", f.read(8))
-            if version != FORMAT_VERSION:
-                raise DataError(f"{path}: unsupported version {version}")
-            counts = struct.unpack(f"<{depth + 1}I", f.read(4 * (depth + 1)))
-            keys = [
-                np.frombuffer(f.read(8 * c), dtype="<u8").astype(np.uint64)
-                for c in counts
-            ]
-            status = [
-                np.frombuffer(f.read(c), dtype=np.uint8).copy() for c in counts
-            ]
-            signal = np.frombuffer(f.read(4 * 4 * counts[-1]), dtype="<f4")
-            signal = signal.reshape(counts[-1], 4).astype(np.float32)
+            raw = f.read()
     except OSError as e:
         raise DataError(f"{path}: {e}") from e
-    finest = keys[depth][status[depth] == 1]
-    levels = build_levels(finest, depth)
+    if raw[:4] != OCTC_MAGIC:
+        raise DataError(f"{path}: bad magic")
+    try:
+        version, depth = struct.unpack_from("<II", raw, 4)
+        if version != FORMAT_VERSION:
+            raise DataError(f"{path}: unsupported version {version}")
+        if depth > MAX_DEPTH:
+            raise DataError(f"{path}: depth {depth} exceeds {MAX_DEPTH}")
+        counts = struct.unpack_from(f"<{depth + 1}I", raw, 12)
+    except struct.error as e:
+        raise DataError(f"{path}: truncated header: {e}") from e
+    # keys, then statuses, then the finest level's 4-channel signal
+    head, n, m = 16 + 4 * depth, sum(counts), counts[-1]
+    if len(raw) != head + 9 * n + 16 * m:
+        raise DataError(f"{path}: {len(raw) - head} data bytes for {n} nodes")
+    split = np.cumsum(counts)[:-1]
+    keys = np.split(np.frombuffer(raw, "<u8", n, head).astype(np.uint64), split)
+    status = np.split(np.frombuffer(raw, np.uint8, n, head + 8 * n), split)
+    signal = np.frombuffer(raw, "<f4", 4 * m, head + 9 * n).reshape(m, 4).astype(np.float32)
+    levels = build_levels(keys[depth][status[depth] == 1], depth)
     for l, lv in enumerate(levels):
-        if len(lv.keys) != counts[l] or not np.array_equal(lv.keys, keys[l]):
+        if not np.array_equal(lv.keys, keys[l]):
             raise DataError(f"{path}: inconsistent level {l} keys")
-        lv.status = status[l]
+        if not np.array_equal(lv.status, status[l]):
+            raise DataError(f"{path}: level {l} status does not match the finest level")
     return Octree(depth=depth, levels=levels, signal=signal)
 
 
@@ -242,10 +249,18 @@ def load_sgrid(path):
             runs = np.loadtxt(f, dtype=np.int64, ndmin=2)
     except OSError as e:
         raise DataError(f"{path}: {e}") from e
-    flat = np.repeat(runs[:, 0], runs[:, 1]).astype(np.int32)
-    if flat.size != int(np.prod(dims)):
+    except ValueError as e:  # non-integer dims or runs, ragged rows, bad text
+        raise DataError(f"{path}: malformed SGRID: {e}") from e
+    if min(dims) < 0:
+        raise DataError(f"{path}: negative grid dimension")
+    if runs.shape[1] != 2:
+        raise DataError(f"{path}: expected 'label length' runs")
+    if np.any(runs[:, 1] < 0):
+        raise DataError(f"{path}: negative run length")
+    cells = math.prod(dims)
+    if np.any(runs[:, 1] > cells) or runs[:, 1].sum() != cells:
         raise DataError(f"{path}: run lengths do not fill the grid")
-    return flat.reshape(dims)
+    return np.repeat(runs[:, 0], runs[:, 1]).astype(np.int32).reshape(dims)
 
 
 # -- dataset manifest -------------------------------------------------------
@@ -279,6 +294,8 @@ def read_manifest(path):
                 )
     except OSError as e:
         raise DataError(f"{path}: {e}") from e
+    except ValueError as e:  # a non-integer seed, undecodable text
+        raise DataError(f"{path}: malformed manifest: {e}") from e
     return entries
 
 

@@ -92,7 +92,7 @@ def invert_table(table, rows):
     """Inverse of a column-injective (m, k) index table over `rows` targets.
 
     Returns a (rows, k) table with inv[table[i, t], t] = i and -1 where no
-    entry of column t points at a row. Every column of a stencil or child
+    entry of column t points at a row. Every column of a neighbor stencil
     table names each target row at most once, so plain assignment suffices.
     Each column of the result is contiguous, for per-column gathers.
     """

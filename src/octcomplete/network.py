@@ -81,9 +81,12 @@ class OctreeBatch:
     batch with rows in batch order, and ``>> 3`` and ``<< 3`` move the id
     along with the key. ``levels`` is shaped like ``Octree.levels``.
 
-    The encoder's stencil tables are each octree's own cached tables shifted
-    by row offsets, not tables computed from the merged keys: an Octree
-    keeps its tables across steps and epochs, while a batch lives one step.
+    The encoder's neighbor tables are each octree's own cached tables
+    shifted by row offsets, not tables computed from the merged keys: an
+    Octree keeps its tables across steps and epochs, while a batch lives one
+    step. Moving between levels needs no table: the merged levels keep the
+    full-sibling layout, the k-th nonempty row of a level owning rows
+    8k..8k+7 of the next.
     """
 
     def __init__(self, octrees: List[Octree]):
@@ -99,7 +102,7 @@ class OctreeBatch:
             keys = [lv.keys | np.uint64(b << 3 * l) for b, lv in enumerate(lvs)]
             status = np.concatenate([lv.status for lv in lvs])
             self.levels.append(make_level(np.concatenate(keys), status, l < self.depth))
-        self._cache = {}
+        self._nbr = {}
 
     @property
     def size(self):
@@ -112,26 +115,16 @@ class OctreeBatch:
         sig = np.vstack([o.signal for o in self.octrees])
         return FeatureMap(sig, level=self.depth)
 
-    def _merge_tables(self, tables, level_of_targets):
-        lens = [o.levels[level_of_targets].num_nodes for o in self.octrees]
+    def _merge_tables(self, level):
+        lens = [o.levels[level].num_nodes for o in self.octrees]
         off = np.cumsum([0] + lens[:-1])
+        tables = [o.neighbor_table(level) for o in self.octrees]
         return np.vstack([np.where(t >= 0, t + o, -1) for t, o in zip(tables, off)])
 
     def nbr_table(self, level):
-        key = ("nbr", level)
-        if key not in self._cache:
-            self._cache[key] = self._merge_tables(
-                [o.neighbor_table(level) for o in self.octrees], level
-            )
-        return self._cache[key]
-
-    def child_table(self, level):
-        key = ("child", level)
-        if key not in self._cache:
-            self._cache[key] = self._merge_tables(
-                [o.child_table(level) for o in self.octrees], level + 1
-            )
-        return self._cache[key]
+        if level not in self._nbr:
+            self._nbr[level] = self._merge_tables(level)
+        return self._nbr[level]
 
 
 class DecoderState:
@@ -293,11 +286,12 @@ class CompletionNet:
         hl = self.head_layers
         x = batch.signal_fm()
         x = hl["conv8"].forward(x, batch.nbr_table(8), train)
-        x = nn.max_pool(x, batch.child_table(7))
+        st = [lv.status for lv in batch.levels]
+        x = nn.max_pool(x, st[7], st[8])
         x.level = 7
         x = hl["conv7"].forward(x, batch.nbr_table(7), train)
         x = hl["rb7"].forward(x, batch.nbr_table(7), train)
-        x = hl["down7"].forward(x, batch.child_table(6), train)
+        x = hl["down7"].forward(x, (st[6], st[7]), train)
         x.level = 6
         return x
 
@@ -315,10 +309,11 @@ class CompletionNet:
             if self.lift is not None:
                 x = self.lift.forward(x, batch.nbr_table(spec.core_depth), train)
         feats = {}
+        st = [lv.status for lv in batch.levels]
         for l in range(spec.core_depth, spec.coarsest, -1):
             x = self.enc_rb[l].forward(x, batch.nbr_table(l), train)
             feats[l] = x
-            x = self.enc_down[l].forward(x, batch.child_table(l - 1), train)
+            x = self.enc_down[l].forward(x, (st[l - 1], st[l]), train)
             x.level = l - 1
         return x, feats
 

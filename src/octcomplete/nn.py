@@ -1,13 +1,13 @@
 """Octree-restricted neural operators.
 
-All operators act on node-major FeatureMaps and receive precomputed index
-tables (27-stencil neighborhoods, child slots) from the octree they run on.
-Empty sibling slots are stored rows: they read as zeros inside convolution
-stencils but participate in batch-norm statistics.
+All operators act on node-major FeatureMaps. Convolution receives a
+precomputed 27-stencil neighbor table from the octree it runs on; the ops
+that change level read its full-sibling layout directly. Empty sibling
+slots are stored rows: they read as zeros inside convolution stencils but
+participate in batch-norm statistics.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class ConvParams:
     kernel: int           # 1, 2 or 3
     stride: int           # 1 or 2
     weight: FeatureMap    # (out, in * kernel^3) for k=3/1, (out, 8*in) or (8*out, in) for k=2
-    bias: Optional[FeatureMap] = None
 
 
 @dataclass
@@ -77,129 +76,146 @@ class BNParams:
     momentum: float = 0.9
 
 
-def _stencil_conv(x, table, weight, bias, out_level):
-    """Kernel-map convolution over a (rows, taps) stencil or child table.
+def octree_conv(x, nbr_table, params):
+    """3x3x3 convolution over the stored nodes of one level.
 
-    Tap t gathers the input rows named by column t and multiplies them by
-    its weight block W_t = weight[:, t*c:(t+1)*c], accumulating in place; no
-    (rows, taps*c) buffer is built. Backward gathers the output gradient
-    through the inverted table instead, g_t[j] = g[i] where table[i, t] = j:
-    W_t's gradient is g_t.T @ x and the input gradient accumulates
-    g_t @ W_t, so backward neither scatters nor regathers x.
+    Absent or empty neighbors contribute zero rows; the output keeps the
+    row count of the input. kernel=1 degenerates to a per-node linear map.
+
+    A kernel map: tap t gathers the input rows named by column t of the
+    (rows, 27) stencil table and multiplies them by its weight block
+    W_t = weight[:, t*c:(t+1)*c], accumulating in place; no (rows, 27*c)
+    buffer is built. Backward gathers the output gradient through the
+    inverted table instead, g_t[j] = g[i] where table[i, t] = j: W_t's
+    gradient is g_t.T @ x and the input gradient accumulates g_t @ W_t, so
+    backward neither scatters nor regathers x.
     """
+    if x.channels != params.in_channels:
+        raise DomainError("conv channel mismatch")
+    if params.kernel == 1:
+        return ad.linear(x, params.weight)
+    if params.kernel != 3 or params.stride != 1:
+        raise DomainError("octree_conv expects kernel 3, stride 1")
+    if nbr_table.shape[0] != x.rows:
+        raise DomainError("neighbor table row mismatch")
     c = x.channels
-    taps = table.shape[1]
-    w = weight.values.reshape(-1, taps, c)  # (out, taps, in) view
-    cols = np.ascontiguousarray(table.T)
-    out = np.zeros((table.shape[0], w.shape[0]), dtype=np.result_type(x.values, w))
+    taps = nbr_table.shape[1]
+    w = params.weight.values.reshape(-1, taps, c)  # (out, taps, in) view
+    cols = np.ascontiguousarray(nbr_table.T)
+    out = np.zeros((x.rows, w.shape[0]), dtype=np.result_type(x.values, w))
     for t in range(taps):
         kernels.matmul_add(out, kernels.gather_rows(x.values, cols[t]), w[:, t].T)
-    if bias is not None:
-        out = out + bias.values
 
     def back(g):
-        inv = kernels.invert_table(table, x.rows)
+        inv = kernels.invert_table(nbr_table, x.rows)
         gw = np.empty_like(w)
         gx = np.zeros_like(x.values)
         for t in range(taps):
             g_t = kernels.gather_rows(g, inv[:, t])
             gw[:, t] = g_t.T @ x.values
             kernels.matmul_add(gx, g_t, w[:, t])
-        gs = [gx, gw.reshape(weight.values.shape)]
-        if bias is not None:
-            gs.append(g.sum(axis=0, keepdims=True))
-        return gs
+        return gx, gw.reshape(params.weight.values.shape)
 
-    inputs = [x, weight] if bias is None else [x, weight, bias]
-    return ad.custom_op(out, inputs, back, level=out_level)
+    return ad.custom_op(out, [x, params.weight], back, level=x.level)
 
 
-def octree_conv(x, nbr_table, params):
-    """3x3x3 convolution over the stored nodes of one level.
+def _child_blocks(status, child_status, rows):
+    """Owner rows and empty-child mask of a level's full-sibling blocks.
 
-    Absent or empty neighbors contribute zero rows; the output keeps the
-    row count of the input. kernel=1 degenerates to a per-node linear map.
+    The k-th nonempty row of `status` (the coarser level) owns rows
+    8k..8k+7 of the finer level, whose per-row status is `child_status`.
     """
-    if x.channels != params.in_channels:
-        raise DomainError("conv channel mismatch")
-    if params.kernel == 1:
-        return ad.linear(x, params.weight, params.bias)
-    if params.kernel != 3 or params.stride != 1:
-        raise DomainError("octree_conv expects kernel 3, stride 1")
-    if nbr_table.shape[0] != x.rows:
-        raise DomainError("neighbor table row mismatch")
-    return _stencil_conv(x, nbr_table, params.weight, params.bias, x.level)
+    owners = np.flatnonzero(status == 1)
+    if 8 * len(owners) != rows or len(child_status) != rows:
+        raise DomainError(f"{len(owners)} nonempty parents cannot own {rows} child rows")
+    return owners, child_status == 0
 
 
-def downsample(x, child_table, params):
-    """conv(c, 2, 2): strided conv over each node's 8 children -> level-1 rows."""
+def downsample(x, status, child_status, params):
+    """conv(c, 2, 2): strided conv over each node's 8 children -> level-1 rows.
+
+    `status` is the per-row status of the coarser level, `child_status`
+    that of x's level. One gemm of the (parents, 8*c) block view with the
+    weight; empty children read as zeros, childless parents get zero rows.
+    """
     if params.kernel != 2 or params.stride != 2:
         raise DomainError("downsample expects kernel 2, stride 2")
     if x.channels != params.in_channels:
         raise DomainError("downsample channel mismatch")
     if x.level is not None and x.level < 1:
         raise DomainError("cannot downsample the root level")
+    owners, empty = _child_blocks(status, child_status, x.rows)
+    c = x.channels
+    w = params.weight.values
+    blocks = np.where(empty[:, None], 0, x.values).reshape(len(owners), 8 * c)
+    out = np.zeros((len(status), w.shape[0]), dtype=np.result_type(x.values, w))
+    out[owners] = blocks @ w.T
+
+    def back(g):
+        go = g[owners]
+        gx = (go @ w).reshape(x.rows, c)
+        gx[empty] = 0
+        return gx, go.T @ blocks
+
     out_level = None if x.level is None else x.level - 1
-    return _stencil_conv(x, child_table, params.weight, params.bias, out_level)
+    return ad.custom_op(out, [x, params.weight], back, level=out_level)
 
 
-def split_rows(a, factor):
-    """(m, factor*c) -> (m*factor, c), row-major; taped."""
-    m, fc = a.values.shape
-    c = fc // factor
-    out = a.values.reshape(m * factor, c)
-    return ad.custom_op(out, [a], lambda g: (g.reshape(m, fc),), level=a.level)
-
-
-def upsample(x, parent_rows, params):
+def upsample(x, rows, params):
     """Deconvolution with kernel 2, stride 2.
 
     Projects each selected parent row to its 8 child slots; weight layout is
-    (8*out, in), child slot t using the t-th block of rows.
+    (8*out, in), child slot t using the t-th block of rows. `rows` must be
+    distinct: backward assigns the input gradient rows.
     """
     if params.kernel != 2 or params.stride != 2:
         raise DomainError("upsample expects kernel 2, stride 2")
     if x.channels != params.in_channels:
         raise DomainError("upsample channel mismatch")
-    sel = ad.row_gather(x, np.asarray(parent_rows, dtype=np.int64))
-    proj = ad.linear(sel, params.weight, params.bias)  # (k, 8*out)
-    out = split_rows(proj, 8)
-    out.level = None if x.level is None else x.level + 1
-    return out
+    rows = np.asarray(rows, dtype=np.int64)
+    w = params.weight.values
+    sel = x.values[rows]
+    out = (sel @ w.T).reshape(8 * len(rows), -1)
+
+    def back(g):
+        gb = g.reshape(len(rows), w.shape[0])
+        gx = np.zeros_like(x.values)
+        gx[rows] = gb @ w
+        return gx, gb.T @ sel
+
+    out_level = None if x.level is None else x.level + 1
+    return ad.custom_op(out, [x, params.weight], back, level=out_level)
 
 
-def max_pool(x, child_table):
+def max_pool(x, status, child_status):
     """Per-channel max over each node's 8 children.
 
-    Children flagged empty count as -inf; nodes whose children are all
-    empty (or that have none) produce zero rows. The gradient routes to the
-    argmax child only.
+    The arguments are as for downsample. Children flagged empty count as
+    -inf; nodes whose children are all empty (or that have none) produce
+    zero rows. The gradient routes to the argmax child only.
     """
     if x.level is not None and x.level < 1:
         raise DomainError("cannot pool the root level")
-    p = child_table.shape[0]
+    owners, empty = _child_blocks(status, child_status, x.rows)
     c = x.channels
-    vals = kernels.gather_rows(x.values, child_table.ravel()).reshape(p, 8, c)
-    absent = (child_table < 0)[:, :, None]
-    vals = np.where(absent, -np.inf, vals)
-    arg = vals.argmax(axis=1)  # (p, c)
-    out = np.take_along_axis(vals, arg[:, None, :], axis=1)[:, 0, :]
-    dead = absent.all(axis=1)  # (p, 1)
-    out = np.where(dead, 0.0, out).astype(x.values.dtype)
-
-    rows_sel = np.take_along_axis(child_table, arg, axis=1)  # (p, c) source rows
+    vals = np.where(empty[:, None], -np.inf, x.values).reshape(len(owners), 8, c)
+    arg = vals.argmax(axis=1)  # (owners, c)
+    best = np.take_along_axis(vals, arg[:, None, :], axis=1)[:, 0, :]
+    dead = empty.reshape(len(owners), 8).all(axis=1)[:, None]
+    out = np.zeros((len(status), c), dtype=x.values.dtype)
+    out[owners] = np.where(dead, 0.0, best)
+    src = 8 * np.arange(len(owners))[:, None] + arg  # (owners, c) argmax child rows
 
     def back(g):
         # each child row has one parent and each (parent, channel) one argmax,
         # so the (row, channel) targets are unique: assignment, not a scatter
         ga = np.zeros_like(x.values)
-        valid = rows_sel >= 0
-        cols = np.broadcast_to(np.arange(c), (p, c))
-        ga[rows_sel[valid], cols[valid]] = g[valid]
+        valid = ~empty[src]
+        cols = np.broadcast_to(np.arange(c), src.shape)
+        ga[src[valid], cols[valid]] = g[owners][valid]
         return (ga,)
 
-    out_fm = ad.custom_op(out, [x], back, level=None if x.level is None else x.level - 1)
-    return out_fm
+    return ad.custom_op(out, [x], back, level=None if x.level is None else x.level - 1)
 
 
 def batch_norm(x, params, train):
@@ -266,22 +282,19 @@ class ConvBnRelu:
     """conv(c, k, s) in the Fig.-style notation: conv + BN + ReLU, no bias."""
 
     def __init__(self, params, prefix, in_c, out_c, kernel=3, stride=1, rng=None):
-        self.in_c = in_c
-        self.out_c = out_c
         self.kernel = kernel
-        self.stride = stride
         taps = {3: 27, 2: 8, 1: 1}[kernel]
         w = params.create(f"{prefix}.w", he_init(rng, out_c, in_c * taps))
         self.conv = ConvParams(in_c, out_c, kernel, stride, w)
         self.bn = make_bn(params, f"{prefix}.bn", out_c)
 
     def forward(self, x, table, train):
-        if self.kernel == 3:
-            y = octree_conv(x, table, self.conv)
-        elif self.kernel == 2:
-            y = downsample(x, table, self.conv)
+        """`table` is the neighbor table for kernel 3 and the (status,
+        child status) pair of downsample for kernel 2."""
+        if self.kernel == 2:
+            y = downsample(x, *table, self.conv)
         else:
-            y = octree_conv(x, None, self.conv)
+            y = octree_conv(x, table, self.conv)
         return ad.relu(batch_norm(y, self.bn, train))
 
     def layer_count(self):
@@ -292,8 +305,6 @@ class Deconv:
     """Upsample(c): deconvolution (k=2, s=2) + BN + ReLU."""
 
     def __init__(self, params, prefix, in_c, out_c, rng=None):
-        self.in_c = in_c
-        self.out_c = out_c
         w = params.create(f"{prefix}.w", he_init(rng, 8 * out_c, in_c))
         self.conv = ConvParams(in_c, out_c, 2, 2, w)
         self.bn = make_bn(params, f"{prefix}.bn", out_c)

@@ -181,39 +181,12 @@ class Octree:
     signal: np.ndarray  # finest-level node-major input features (rows x 4)
     _tables: dict = field(default_factory=dict, repr=False)
 
-    def node_counts(self):
-        return [lv.num_nodes for lv in self.levels]
-
-    def nonempty_counts(self):
-        return [lv.num_nonempty for lv in self.levels]
-
     def neighbor_table(self, level):
         """(rows, 27) stored-row indices; -1 for absent or empty neighbors."""
-        key = ("nbr", level)
-        if key not in self._tables:
+        if level not in self._tables:
             lv = self.levels[level]
-            self._tables[key] = neighbor_table(lv.keys, lv.status, level)
-        return self._tables[key]
-
-    def child_table(self, level):
-        """(rows, 8) indices into level+1 for each stored node at `level`.
-
-        Empty children and children of empty nodes are -1.
-        """
-        key = ("child", level)
-        if key not in self._tables:
-            lv = self.levels[level]
-            nxt = self.levels[level + 1]
-            tab = np.full((lv.num_nodes, 8), -1, dtype=np.int64)
-            has = lv.child_start >= 0
-            tab[has] = lv.child_start[has, None] + np.arange(8)[None, :]
-            flat = tab.ravel()
-            ok = flat >= 0
-            drop = np.zeros_like(ok)
-            drop[ok] = nxt.status[flat[ok]] == 0
-            flat[drop] = -1
-            self._tables[key] = tab
-        return self._tables[key]
+            self._tables[level] = neighbor_table(lv.keys, lv.status, level)
+        return self._tables[level]
 
 
 def neighbor_table(keys, status, level):

@@ -1,6 +1,6 @@
 """SGD training loop with teacher forcing, checkpoints and resume."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -40,23 +40,42 @@ class TrainConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d):
-        kw = {}
-        for f_ in cls.__dataclass_fields__.values():
-            if f_.name not in d:
-                continue
-            v = d[f_.name]
-            if f_.name == "lr_drop_epochs":
-                kw[f_.name] = tuple(int(x) for x in str(v).split(",") if x != "")
-            elif f_.type in ("int", int):
-                kw[f_.name] = int(v)
-            elif f_.type in ("float", float):
-                kw[f_.name] = float(v)
-            elif f_.type in ("bool", bool):
-                kw[f_.name] = str(v) in ("True", "true", "1")
-            else:
-                kw[f_.name] = v
-        return cls(**kw)
+    def from_dict(cls, d, prefix=""):
+        return cls(**parse_fields(cls, d, prefix))
+
+
+def _parse_bool(v):
+    if str(v) not in ("True", "true", "1", "False", "false", "0"):
+        raise ValueError(f"{v!r} is not one of True, true, 1, False, false, 0")
+    return str(v) in ("True", "true", "1")
+
+
+def _parse_ints(v):
+    """Comma-separated integers, as TrainConfig.to_dict writes lr_drop_epochs."""
+    return tuple(int(x) for x in str(v).split(",") if x != "")
+
+
+_PARSERS = {int: int, float: float, bool: _parse_bool, tuple: _parse_ints}
+
+
+def parse_fields(cls, values, prefix=""):
+    """Keyword arguments for the dataclass `cls` from the `values` keyed
+    prefix + field name, for the fields present.
+
+    int, float, bool and tuple fields are parsed; other fields pass through.
+    A value that does not parse raises DataError naming its key.
+    """
+    kw = {}
+    for f_ in fields(cls):
+        key = prefix + f_.name
+        if key not in values:
+            continue
+        parse = _PARSERS.get(f_.type)
+        try:
+            kw[f_.name] = values[key] if parse is None else parse(values[key])
+        except ValueError as e:
+            raise fileio.DataError(f"config value {key}: {e}") from e
+    return kw
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch):
@@ -269,16 +288,4 @@ def net_from_checkpoint(path):
 
 
 def spec_from_config_values(values):
-    kw = {}
-    for f_ in NetworkSpec.__dataclass_fields__.values():
-        key = f"net.{f_.name}"
-        if key not in values:
-            continue
-        v = values[key]
-        if f_.type in ("int", int):
-            kw[f_.name] = int(v)
-        elif f_.type in ("bool", bool):
-            kw[f_.name] = str(v) in ("True", "true", "1")
-        else:
-            kw[f_.name] = v
-    return NetworkSpec(**kw)
+    return NetworkSpec(**parse_fields(NetworkSpec, values, "net."))

@@ -44,3 +44,23 @@ def check_grads(build, arrays, rtol=1e-4, h=1e-5):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def child_table(octree, level):
+    """(rows, 8) indices into level + 1 for each stored node at `level`.
+
+    Empty children and children of empty nodes are -1. This is the oracle
+    of the full-sibling block layout that downsample and max_pool read
+    directly; it works on an Octree and on an OctreeBatch alike.
+    """
+    lv = octree.levels[level]
+    nxt = octree.levels[level + 1]
+    tab = np.full((lv.num_nodes, 8), -1, dtype=np.int64)
+    has = lv.child_start >= 0
+    tab[has] = lv.child_start[has, None] + np.arange(8)[None, :]
+    flat = tab.ravel()
+    ok = flat >= 0
+    drop = np.zeros_like(ok)
+    drop[ok] = nxt.status[flat[ok]] == 0
+    flat[drop] = -1
+    return tab

@@ -9,6 +9,7 @@ from octcomplete import data as dt
 from octcomplete import fileio
 from octcomplete.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from octcomplete.network import CompletionNet, NetworkSpec
+from octcomplete.octree import build_octree
 from octcomplete.train import spec_config_values
 
 
@@ -181,3 +182,59 @@ def test_build_octree_malformed_points_is_data_error(tmp_path, name):
     path.write_text(MALFORMED_POINTS[name])
     out = str(tmp_path / "o.octc")
     assert run(["build-octree", "--in", str(path), "--depth", "4", "--out", out]) == EXIT_DATA
+
+
+def test_inspect_corrupt_octree_is_data_error(tmp_path, capsys):
+    o = build_octree(dt.make_shape("sphere", density=2000, seed=1), 4)
+    octc = tmp_path / "s.octc"
+    fileio.save_octree(octc, o)
+    raw = octc.read_bytes()
+    bad = tmp_path / "bad.octc"
+    for size in (10, 30, len(raw) // 2, len(raw) - 1):  # header, counts, keys, signal
+        bad.write_bytes(raw[:size])
+        assert run(["inspect", "--in", str(bad)]) == EXIT_DATA
+    counts = [lv.num_nodes for lv in o.levels]
+    flipped = bytearray(raw)
+    # the first level-2 status byte, after the header, counts and keys
+    flipped[16 + 4 * 4 + 8 * sum(counts) + counts[0] + counts[1]] ^= 1
+    bad.write_bytes(bytes(flipped))
+    assert run(["inspect", "--in", str(bad)]) == EXIT_DATA
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def tiny_shape_manifest(tmp_path):
+    data = str(tmp_path / "data")
+    assert run(["gen", "--task", "shape", "--count", "1", "--seed", "5", "--out", data]) == EXIT_OK
+    return tmp_path / "data" / "manifest.txt"
+
+
+def test_eval_malformed_manifest_or_grid_is_data_error(tmp_path):
+    ckpt, _ = untrained_checkpoint_and_scan(tmp_path)
+    manifest = tiny_shape_manifest(tmp_path)
+    partial, complete, _, seed = manifest.read_text().split()
+    grid = tmp_path / "bad.sgrid"
+    grid.write_text("SGRID 2 2 2\n0 abc\n")
+    for line in (f"{partial} {complete} {grid} {seed}", f"{partial} {complete} - x{seed}"):
+        manifest.write_text(line + "\n")
+        argv = ["eval", "--ckpt", ckpt, "--data", str(manifest), "--metric", "iou"]
+        assert run(argv) == EXIT_DATA
+
+
+BAD_CONFIG_VALUES = {
+    "net.c0": "abc",
+    "net.scene_head": "maybe",
+    "train.lr": "fast",
+    "train.epochs": "1.5",
+    "train.shuffle": "yes",
+    "train.lr_drop_epochs": "6,x",
+}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_CONFIG_VALUES))
+def test_train_bad_config_value_is_data_error(tmp_path, capsys, key):
+    manifest = tiny_shape_manifest(tmp_path)
+    cfg = str(tmp_path / "cfg")
+    write_tiny_config(cfg, {key: BAD_CONFIG_VALUES[key]})
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", cfg, "--data", str(manifest), "--out", out]) == EXIT_DATA
+    assert key in capsys.readouterr().err

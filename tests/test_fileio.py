@@ -5,7 +5,7 @@ import pytest
 
 from octcomplete import data as dt
 from octcomplete import fileio
-from octcomplete.octree import PointSet, build_octree
+from octcomplete.octree import MAX_DEPTH, PointSet, build_octree
 
 
 def random_points(rng, n=50, labels=False):
@@ -119,6 +119,61 @@ def test_octree_bad_magic(tmp_path):
         fileio.load_octree(path)
 
 
+def small_octree_bytes(tmp_path, rng):
+    o = build_octree(random_points(rng, n=40), 3)
+    o.signal[:] = rng.normal(size=o.signal.shape)
+    path = tmp_path / "s.octc"
+    fileio.save_octree(path, o)
+    return o, path.read_bytes()
+
+
+def status_offset(o, level):
+    """Byte offset of `level`'s first status byte in a saved container."""
+    counts = [lv.num_nodes for lv in o.levels]
+    return 16 + 4 * o.depth + 8 * sum(counts) + sum(counts[:level])
+
+
+def test_octree_truncated_at_every_offset_is_data_error(tmp_path, rng):
+    o, raw = small_octree_bytes(tmp_path, rng)
+    cut = tmp_path / "cut.octc"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(fileio.DataError):
+            fileio.load_octree(cut)
+    cut.write_bytes(raw + b"\0")
+    with pytest.raises(fileio.DataError):
+        fileio.load_octree(cut)
+    cut.write_bytes(raw)
+    assert np.array_equal(fileio.load_octree(cut).signal, o.signal)
+
+
+# (level, new status byte); at the finest level only a byte other than 0
+# and 1 shows, since the finest statuses are what the check builds from
+@pytest.mark.parametrize("level,value", [(1, 0), (2, 0), (2, 1), (1, 7), (2, 7), (3, 7)])
+def test_octree_status_not_matching_the_finest_level_is_data_error(tmp_path, rng, level, value):
+    o, raw = small_octree_bytes(tmp_path, rng)
+    st = o.levels[level].status
+    # an empty node where there is one: a changed nonempty finest status can
+    # change the key arrays the finest level builds, which is another error
+    r = min(np.flatnonzero(st != value), key=lambda i: st[i])
+    bad = bytearray(raw)
+    bad[status_offset(o, level) + r] = value
+    path = tmp_path / "bad.octc"
+    path.write_bytes(bytes(bad))
+    with pytest.raises(fileio.DataError, match="status"):
+        fileio.load_octree(path)
+
+
+def test_octree_depth_beyond_max_is_data_error(tmp_path, rng):
+    _, raw = small_octree_bytes(tmp_path, rng)
+    bad = bytearray(raw)
+    bad[8:12] = (MAX_DEPTH + 1).to_bytes(4, "little")
+    path = tmp_path / "deep.octc"
+    path.write_bytes(bytes(bad))
+    with pytest.raises(fileio.DataError, match="depth"):
+        fileio.load_octree(path)
+
+
 def test_checkpoint_roundtrip_bitwise(tmp_path, rng):
     arrays = {
         "w1": rng.normal(size=(4, 7)).astype(np.float32),
@@ -196,6 +251,33 @@ def test_sgrid_bad_header(tmp_path):
     path.write_text("GRID 2 2 2\n0 8\n")
     with pytest.raises(fileio.DataError):
         fileio.load_sgrid(path)
+
+
+MALFORMED_SGRID = {
+    "dims": "SGRID 2 2 x\n0 8\n",
+    "negative_dims": "SGRID -2 -2 2\n0 8\n",
+    "run_value": "SGRID 2 2 2\n0 abc\n",
+    "run_float": "SGRID 2 2 2\n0 8.5\n",
+    "negative_run": "SGRID 2 2 2\n0 10\n1 -2\n",
+    "ragged": "SGRID 2 2 2\n0 4\n1 4 9\n",
+    "one_column": "SGRID 2 2 2\n0\n1\n",
+    "short": "SGRID 2 2 2\n0 4\n1 3\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SGRID))
+def test_malformed_sgrid_is_data_error(tmp_path, name):
+    path = tmp_path / "bad.sgrid"
+    path.write_text(MALFORMED_SGRID[name])
+    with pytest.raises(fileio.DataError):
+        fileio.load_sgrid(path)
+
+
+def test_manifest_non_integer_seed_is_data_error(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("a.ply b.ply - 3\nc.ply d.ply - four\n")
+    with pytest.raises(fileio.DataError):
+        fileio.read_manifest(path)
 
 
 def test_manifest_roundtrip(tmp_path):

@@ -8,9 +8,10 @@ from octcomplete import data as dt
 from octcomplete import kernels, nn
 from octcomplete.autodiff import FeatureMap
 from octcomplete.errors import DomainError
+from octcomplete.network import OctreeBatch
 from octcomplete.octree import build_octree, coords_from_keys, octree_from_codes
 
-from conftest import numeric_grad
+from conftest import child_table, numeric_grad
 
 
 def complete_octree(depth):
@@ -79,7 +80,8 @@ def test_downsample_matches_dense(depth, rng):
     feats = rng.normal(size=(o.levels[depth].num_nodes, cin)).astype(np.float32)
     w = rng.normal(size=(cout, 8 * cin)).astype(np.float32)
     params = nn.ConvParams(cin, cout, 2, 2, FeatureMap(w))
-    y = nn.downsample(FeatureMap(feats, level=depth), o.child_table(depth - 1), params)
+    st = o.levels[depth - 1].status, o.levels[depth].status
+    y = nn.downsample(FeatureMap(feats, level=depth), *st, params)
     want = dense_down(to_grid(o, depth, feats), w, cin, cout)
     assert np.abs(to_grid(o, depth - 1, y.values) - want).max() < 1e-5
 
@@ -89,7 +91,8 @@ def test_max_pool_matches_dense(depth, rng):
     c = 3
     o = complete_octree(depth)
     feats = rng.normal(size=(o.levels[depth].num_nodes, c)).astype(np.float32)
-    y = nn.max_pool(FeatureMap(feats, level=depth), o.child_table(depth - 1))
+    st = o.levels[depth - 1].status, o.levels[depth].status
+    y = nn.max_pool(FeatureMap(feats, level=depth), *st)
     grid = to_grid(o, depth, feats)
     n = grid.shape[0] // 2
     want = grid.reshape(n, 2, n, 2, n, 2, c).max(axis=(1, 3, 5))
@@ -135,7 +138,10 @@ def test_upsample_is_downsample_adjoint(rng):
         wu[t * cin : (t + 1) * cin] = wd[:, t * cin : (t + 1) * cin].T
 
     down = nn.downsample(
-        FeatureMap(x, level=2), o.child_table(1), nn.ConvParams(cin, cout, 2, 2, FeatureMap(wd))
+        FeatureMap(x, level=2),
+        o.levels[1].status,
+        o.levels[2].status,
+        nn.ConvParams(cin, cout, 2, 2, FeatureMap(wd)),
     )
     up = nn.upsample(
         FeatureMap(y, level=1),
@@ -146,14 +152,6 @@ def test_upsample_is_downsample_adjoint(rng):
     lhs = float((down.values * y).sum())
     rhs = float((up.values * x).sum())
     assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
-
-
-def test_split_rows_layout(rng):
-    a = FeatureMap(rng.normal(size=(3, 8)))
-    out = nn.split_rows(a, 4)
-    assert out.values.shape == (12, 2)
-    assert np.array_equal(out.values[0], a.values[0, :2])
-    assert np.array_equal(out.values[3], a.values[0, 6:])
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -185,6 +183,7 @@ def test_grad_down_up_pool(seed):
     o = octree_from_codes(rng.choice(64, size=5, replace=False).astype(np.uint64), 2)
     m = o.levels[2].num_nodes
     p = o.levels[1].num_nodes
+    st = [lv.status for lv in o.levels]
     cin, cout = 2, 3
     cases = []
 
@@ -193,7 +192,7 @@ def test_grad_down_up_pool(seed):
     x, w = ad.parameter(xv), ad.parameter(wv)
     down = nn.ConvParams(cin, cout, 2, 2, w)
     cases.append(
-        (lambda: nn.downsample(x, o.child_table(1), down), [(x, xv), (w, wv)])
+        (lambda: nn.downsample(x, st[1], st[2], down), [(x, xv), (w, wv)])
     )
 
     yv = rng.normal(size=(p, cout))
@@ -205,7 +204,7 @@ def test_grad_down_up_pool(seed):
 
     pv = rng.normal(size=(m, cin))
     pool_in = ad.parameter(pv)
-    cases.append((lambda: nn.max_pool(pool_in, o.child_table(1)), [(pool_in, pv)]))
+    cases.append((lambda: nn.max_pool(pool_in, st[1], st[2]), [(pool_in, pv)]))
 
     for build, leaves in cases:
         def run():
@@ -245,15 +244,17 @@ def test_kernel_map_conv_grads_match_add_at(kernel, rng):
     o = scan_octree()
     cin, cout = 5, 7
     if kernel == 3:
-        table, op, stride = o.neighbor_table(4), nn.octree_conv, 1
+        table, stride = o.neighbor_table(4), 1
+        op = lambda x, p: nn.octree_conv(x, table, p)
     else:
-        table, op, stride = o.child_table(3), nn.downsample, 2
+        table, stride = child_table(o, 3), 2
+        op = lambda x, p: nn.downsample(x, o.levels[3].status, o.levels[4].status, p)
     assert np.any(table < 0)
     taps = table.shape[1]
     xv = rng.normal(size=(o.levels[4].num_nodes, cin)).astype(np.float32)
     wv = rng.normal(size=(cout, taps * cin)).astype(np.float32)
     g = rng.normal(size=(table.shape[0], cout)).astype(np.float32)
-    conv = lambda x, w: op(x, table, nn.ConvParams(cin, cout, kernel, stride, w))
+    conv = lambda x, w: op(x, nn.ConvParams(cin, cout, kernel, stride, w))
 
     cols = kernels.gather_concat(xv, table)  # (rows, taps * cin)
     assert_close_f32(conv(FeatureMap(xv), FeatureMap(wv)).values, cols @ wv.T)
@@ -267,11 +268,12 @@ def test_kernel_map_conv_grads_match_add_at(kernel, rng):
 
 def test_max_pool_grad_matches_add_at(rng):
     o = scan_octree()
-    table = o.child_table(3)
+    table = child_table(o, 3)
     c = 6
     xv = rng.normal(size=(o.levels[4].num_nodes, c)).astype(np.float32)
     g = rng.normal(size=(table.shape[0], c)).astype(np.float32)
-    gx, _ = taped_grads(lambda x, w: nn.max_pool(x, table), ad.parameter(xv.copy()), None, g)
+    pool = lambda x, w: nn.max_pool(x, o.levels[3].status, o.levels[4].status)
+    gx, _ = taped_grads(pool, ad.parameter(xv.copy()), None, g)
     vals = kernels.gather_rows(xv, table.ravel()).reshape(-1, 8, c)
     vals[table < 0] = -np.inf
     src = np.take_along_axis(table, vals.argmax(axis=1), axis=1)  # argmax child rows
@@ -280,6 +282,116 @@ def test_max_pool_grad_matches_add_at(rng):
     want = np.zeros_like(xv)
     np.add.at(want, (src[ok], chans[ok]), g[ok])
     assert np.array_equal(gx, want)
+
+
+def scan_batch():
+    """Two scan octrees of different shapes, merged into one OctreeBatch."""
+    octrees = []
+    for seed, kind in enumerate(("cylinder", "box")):
+        shape = dt.make_shape(kind, density=2500, seed=seed)
+        scan = dt.virtual_scan(shape, dt.ScanConfig(num_views=2, seed=seed))
+        octrees.append(build_octree(scan, 4))
+    return OctreeBatch(octrees)
+
+
+def merged_child_table(batch, level):
+    """Each sample's own child table, shifted by its row offsets."""
+    parts, off = [], 0
+    for o in batch.octrees:
+        t = child_table(o, level)
+        parts.append(np.where(t >= 0, t + off, -1))
+        off += o.levels[level + 1].num_nodes
+    return np.vstack(parts)
+
+
+def test_downsample_on_batch_matches_child_table_oracle(rng):
+    """The blocks line up with each sample's children at merged ranks."""
+    batch = scan_batch()
+    table = merged_child_table(batch, 3)
+    assert np.any(table < 0) and np.any(batch.levels[3].status == 0)
+    cin, cout = 5, 7
+    xv = rng.normal(size=(batch.levels[4].num_nodes, cin)).astype(np.float32)
+    wv = rng.normal(size=(cout, 8 * cin)).astype(np.float32)
+    g = rng.normal(size=(table.shape[0], cout)).astype(np.float32)
+    st = batch.levels[3].status, batch.levels[4].status
+    down = lambda x, w: nn.downsample(x, *st, nn.ConvParams(cin, cout, 2, 2, w))
+
+    cols = kernels.gather_concat(xv, table)  # (rows, 8 * cin) im2col
+    assert_close_f32(down(FeatureMap(xv), FeatureMap(wv)).values, cols @ wv.T)
+    want_gx = np.zeros_like(xv)
+    flat, gx_flat = table.ravel(), (g @ wv).reshape(-1, cin)
+    np.add.at(want_gx, flat[flat >= 0], gx_flat[flat >= 0])
+    gx, gw = taped_grads(down, ad.parameter(xv.copy()), ad.parameter(wv.copy()), g)
+    assert_close_f32(gx, want_gx)
+    assert_close_f32(gw, g.T @ cols)
+
+
+def test_max_pool_on_batch_matches_child_table_oracle(rng):
+    batch = scan_batch()
+    table = merged_child_table(batch, 3)
+    c = 6
+    xv = rng.normal(size=(batch.levels[4].num_nodes, c)).astype(np.float32)
+    g = rng.normal(size=(table.shape[0], c)).astype(np.float32)
+    pool = lambda x, w: nn.max_pool(x, batch.levels[3].status, batch.levels[4].status)
+
+    vals = kernels.gather_rows(xv, table.ravel()).reshape(-1, 8, c)
+    vals[table < 0] = -np.inf
+    want = np.where((table < 0).all(axis=1)[:, None], 0.0, vals.max(axis=1))
+    assert np.array_equal(pool(FeatureMap(xv), None).values, want.astype(np.float32))
+    gx, _ = taped_grads(pool, ad.parameter(xv.copy()), None, g)
+    src = np.take_along_axis(table, vals.argmax(axis=1), axis=1)  # argmax child rows
+    chans = np.broadcast_to(np.arange(c), src.shape)
+    ok = src >= 0
+    want_gx = np.zeros_like(xv)
+    np.add.at(want_gx, (src[ok], chans[ok]), g[ok])
+    assert np.array_equal(gx, want_gx)
+
+
+def test_upsample_matches_composed_ops(rng):
+    """One taped op, bit-identical to row_gather -> linear -> reshape."""
+    o = scan_octree()
+    rows = np.flatnonzero(o.levels[3].status == 1)
+    cin, cout = 6, 5
+    xv = rng.normal(size=(o.levels[3].num_nodes, cin)).astype(np.float32)
+    wv = rng.normal(size=(8 * cout, cin)).astype(np.float32)
+    g = rng.normal(size=(8 * len(rows), cout)).astype(np.float32)
+
+    def composed(x, w):
+        proj = ad.linear(ad.row_gather(x, rows), w)  # (k, 8 * cout)
+        out = proj.values.reshape(8 * len(rows), cout)
+        return ad.custom_op(out, [proj], lambda gr: (gr.reshape(proj.values.shape),))
+
+    up = lambda x, w: nn.upsample(x, rows, nn.ConvParams(cin, cout, 2, 2, w))
+    assert np.array_equal(
+        up(FeatureMap(xv), FeatureMap(wv)).values, composed(FeatureMap(xv), FeatureMap(wv)).values
+    )
+    got = taped_grads(up, ad.parameter(xv.copy()), ad.parameter(wv.copy()), g)
+    want = taped_grads(composed, ad.parameter(xv.copy()), ad.parameter(wv.copy()), g)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_block_ops_reject_mismatched_child_rows(rng):
+    o = scan_octree()
+    status, child_status = o.levels[3].status, o.levels[4].status
+    c = 3
+    x = FeatureMap(rng.normal(size=(len(child_status), c)), level=4)
+    short = FeatureMap(x.values[:-8], level=4)
+    params = nn.ConvParams(c, 2, 2, 2, FeatureMap(rng.normal(size=(2, 8 * c))))
+    one_less = status.copy()
+    one_less[np.flatnonzero(status)[0]] = 0
+    cases = (
+        (status, child_status, short),  # 8 child rows too few
+        (one_less, child_status, x),  # one nonempty parent too few
+        (status, child_status[:-8], x),  # a child status 8 rows short
+    )
+    for st, cst, fm in cases:
+        with pytest.raises(DomainError):
+            nn.downsample(fm, st, cst, params)
+        with pytest.raises(DomainError):
+            nn.max_pool(fm, st, cst)
+    assert nn.downsample(x, status, child_status, params).rows == len(status)
+    assert nn.max_pool(x, status, child_status).rows == len(status)
 
 
 @pytest.mark.parametrize("train", [True, False])
@@ -345,10 +457,15 @@ def test_batch_norm_eval_uses_running_stats(rng):
 
 
 def test_max_pool_all_empty_children_zero(rng):
-    x = FeatureMap(rng.normal(size=(4, 2)), level=1)
-    table = np.array([[0, 1, -1, -1, -1, -1, -1, -1], [-1] * 8])
-    y = nn.max_pool(x, table)
+    x = FeatureMap(rng.normal(size=(16, 2)), level=1)
+    # parent 0 owns rows 0..7 (two nonempty), parent 1 is empty, parent 2
+    # owns rows 8..15, all empty
+    status = np.array([1, 0, 1], dtype=np.uint8)
+    child_status = np.zeros(16, dtype=np.uint8)
+    child_status[:2] = 1
+    y = nn.max_pool(x, status, child_status)
     assert np.array_equal(y.values[1], np.zeros(2))
+    assert np.array_equal(y.values[2], np.zeros(2))
     assert np.allclose(y.values[0], np.maximum(x.values[0], x.values[1]))
 
 

@@ -30,6 +30,8 @@ from octcomplete.octree import (
     PointSet,
 )
 
+from conftest import child_table
+
 
 def brute_key(x, y, z, depth):
     code = 0
@@ -293,7 +295,7 @@ def test_child_table(rng):
     codes = rng.choice(1 << (3 * depth), size=20, replace=False).astype(np.uint64)
     o = octree_from_codes(codes, depth)
     for l in range(depth):
-        tab = o.child_table(l)
+        tab = child_table(o, l)
         lv, nxt = o.levels[l], o.levels[l + 1]
         for r in range(lv.num_nodes):
             for t in range(8):
@@ -364,7 +366,7 @@ def test_invert_table_matches_brute_force():
         rows = o.levels[l].num_nodes
         assert np.array_equal(kernels.invert_table(tab, rows), brute_invert(tab, rows))
         # child tables: rows of level l indexed from level l - 1
-        tab = o.child_table(l - 1)
+        tab = child_table(o, l - 1)
         assert np.array_equal(kernels.invert_table(tab, rows), brute_invert(tab, rows))
 
 
