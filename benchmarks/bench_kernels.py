@@ -7,8 +7,10 @@ Run directly:
 `n` is the element count of the Morton and row kernels; the convolution
 runs 27 taps over n // 8 rows at 32 channels, forward and backward; the
 downsample reads n // 8 child rows (3 in 10 empty) at 32 channels as blocks
-of 8 under half as many parents, forward and backward; and `sample_points`
-draws 4 points on each of n // 8 random planar patches.
+of 8 under half as many parents, forward and backward; the depth-8 level of
+an octree over n // 32 points on a sphere gets its neighbor table once by
+key search and once derived from its parent level's table; and
+`sample_points` draws 4 points on each of n // 8 random planar patches.
 """
 
 import argparse
@@ -41,7 +43,7 @@ def conv_step(feats, table, weight):
     x = ad.parameter(feats)
     w = ad.parameter(weight)
     with ad.Tape():
-        y = nn.octree_conv(x, table, nn.ConvParams(x.channels, w.rows, 3, 1, w))
+        y = nn.octree_conv(x, table, nn.ConvParams(x.channels, 3, 1, w))
         ad.backward(ad.sum_all(y))
 
 
@@ -49,7 +51,7 @@ def down_step(feats, status, child_status, weight):
     x = ad.parameter(feats)
     w = ad.parameter(weight)
     with ad.Tape():
-        y = nn.downsample(x, status, child_status, nn.ConvParams(x.channels, w.rows, 2, 2, w))
+        y = nn.downsample(x, status, child_status, nn.ConvParams(x.channels, 2, 2, w))
         ad.backward(ad.sum_all(y))
 
 
@@ -61,6 +63,14 @@ def random_blocks(rng, children):
     status[rng.choice(2 * owners, size=owners, replace=False)] = 1
     child_status = (rng.random(children) >= 0.3).astype(np.uint8)
     return status, child_status
+
+
+def shell_octree(rng, points, depth):
+    """An octree over `points` random points on a sphere, a surface like a scan's."""
+    p = rng.standard_normal((points, 3))
+    p = 0.5 + 0.45 * p / np.linalg.norm(p, axis=1, keepdims=True)
+    cells = octree.points_to_cells(p, depth)
+    return octree.octree_from_codes(octree.keys_from_coords(*cells.T), depth)
 
 
 def random_patches(rng, leaves, depth):
@@ -88,6 +98,9 @@ def bench(n, repeats):
     status, child_status = random_blocks(rng, len(children))
     down_weight = rng.standard_normal((32, 8 * 32)).astype(np.float32)
     shape = random_patches(rng, n // 8, depth=8)
+    shell = shell_octree(rng, n // 32, depth=8)
+    up, fine = shell.levels[7], shell.levels[8]
+    up_table = octree.neighbor_table(up.keys, up.status, 7)
 
     cases = [
         ("interleave3", lambda: kernels.interleave3(x, y, z)),
@@ -95,6 +108,8 @@ def bench(n, repeats):
         ("gather_rows", lambda: kernels.gather_rows(feats, idx)),
         ("scatter_add", lambda: kernels.scatter_add(np.zeros_like(feats), idx, rows)),
         ("invert_table", lambda: kernels.invert_table(table, feats.shape[0])),
+        ("neighbor_table", lambda: octree.neighbor_table(fine.keys, fine.status, 8)),
+        ("child_neighbor_table", lambda: octree.child_neighbor_table(up, up_table, fine.status)),
         ("conv fwd+bwd", lambda: conv_step(feats, table, weight)),
         ("downsample fwd+bwd", lambda: down_step(children, status, child_status, down_weight)),
         ("sample_points", lambda: network.sample_points(shape, samples_per_node=4)),

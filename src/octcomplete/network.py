@@ -23,8 +23,10 @@ from .errors import DomainError, NumericalError
 from .octree import (
     Octree,
     PointSet,
+    child_neighbor_table,
+    child_rows,
     coords_from_keys,
-    find_in_sorted,
+    find_in_sorted,  # not called here; perfbench/spans.py probes network.find_in_sorted
     make_level,
     neighbor_table,
     octree_from_codes,
@@ -81,12 +83,9 @@ class OctreeBatch:
     batch with rows in batch order, and ``>> 3`` and ``<< 3`` move the id
     along with the key. ``levels`` is shaped like ``Octree.levels``.
 
-    The encoder's neighbor tables are each octree's own cached tables
-    shifted by row offsets, not tables computed from the merged keys: an
-    Octree keeps its tables across steps and epochs, while a batch lives one
-    step. Moving between levels needs no table: the merged levels keep the
-    full-sibling layout, the k-th nonempty row of a level owning rows
-    8k..8k+7 of the next.
+    The merged levels keep the full-sibling layout (the k-th nonempty row of
+    a level owns rows 8k..8k+7 of the next): moving between levels needs no
+    table, and a level's neighbor table follows from its parent level's.
     """
 
     def __init__(self, octrees: List[Octree]):
@@ -115,15 +114,15 @@ class OctreeBatch:
         sig = np.vstack([o.signal for o in self.octrees])
         return FeatureMap(sig, level=self.depth)
 
-    def _merge_tables(self, level):
-        lens = [o.levels[level].num_nodes for o in self.octrees]
-        off = np.cumsum([0] + lens[:-1])
-        tables = [o.neighbor_table(level) for o in self.octrees]
-        return np.vstack([np.where(t >= 0, t + o, -1) for t, o in zip(tables, off)])
-
     def nbr_table(self, level):
+        """(rows, 27) neighbor table of `level`; -1 for absent or empty."""
         if level not in self._nbr:
-            self._nbr[level] = self._merge_tables(level)
+            lv = self.levels[level]
+            if level == 0:
+                self._nbr[0] = neighbor_table(lv.keys, lv.status, 0)
+            else:
+                up = self.levels[level - 1]
+                self._nbr[level] = child_neighbor_table(up, self.nbr_table(level - 1), lv.status)
         return self._nbr[level]
 
 
@@ -131,48 +130,48 @@ class DecoderState:
     """Dynamically grown output structure for a batch of samples.
 
     ``keys[level]`` is one sorted key array for the whole batch, with the
-    sample id above the Morton bits as in OctreeBatch.
+    sample id above the Morton bits as in OctreeBatch; ``table``, and the
+    ``enc_rows`` and ``gt_rows`` aligned in `enc_batch` and `gt_batch` (-1
+    where absent or empty), are searched only at the coarsest level, every
+    sample's full grid. `subdivide` derives them from the parent level's.
     """
 
-    def __init__(self, batch_size, coarsest):
+    def __init__(self, enc_batch, coarsest, gt_batch=None):
         self.coarsest = coarsest
+        self.enc_batch = enc_batch
+        self.gt_batch = gt_batch
         # every sample's full grid at the coarsest level: key | b << 3*coarsest
-        self.keys = {coarsest: np.arange(batch_size * 8**coarsest, dtype=np.uint64)}
+        keys = np.arange(enc_batch.size * 8**coarsest, dtype=np.uint64)
+        self.keys = {coarsest: keys}
+        # decoder stencils treat every stored row as valid: statuses are not
+        # known yet when the level's convolutions run
+        self.table = {coarsest: neighbor_table(keys, np.ones(len(keys), np.uint8), coarsest)}
+        self.enc_rows = {coarsest: align_encoder_rows(enc_batch, keys, coarsest)}
+        self.gt_rows = {}
+        if gt_batch is not None:
+            self.gt_rows[coarsest] = align_encoder_rows(gt_batch, keys, coarsest)
         self.parent_sel = {}   # level -> selected parent rows at level-1
         self.parent_idx = {}   # level -> parent row per row at level
-        self._nbr = {}
 
     def rows(self, level):
         return len(self.keys[level])
 
     def subdivide(self, level, expand_mask):
         """Grow level+1 from the rows of `level` flagged in expand_mask."""
-        rows = np.flatnonzero(np.asarray(expand_mask) != 0)
-        self.keys[level + 1] = (
-            (self.keys[level][rows][:, None] << np.uint64(3))
-            + np.arange(8, dtype=np.uint64)[None, :]
-        ).ravel()
+        keys = self.keys[level]
+        expand = (np.asarray(expand_mask) != 0).astype(np.uint8)
+        rows = np.flatnonzero(expand)
+        parent_idx = np.repeat(rows, 8)
+        slots = np.tile(np.arange(8), len(rows))
+        self.keys[level + 1] = (keys[parent_idx] << np.uint64(3)) | slots.astype(np.uint64)
         self.parent_sel[level + 1] = rows
-        self.parent_idx[level + 1] = np.repeat(rows, 8)
-
-    def nbr_table(self, level):
-        # decoder stencils treat every stored row as valid: statuses are not
-        # known yet when the level's convolutions run
-        if level not in self._nbr:
-            keys = self.keys[level]
-            self._nbr[level] = neighbor_table(keys, np.ones(len(keys), dtype=np.uint8), level)
-        return self._nbr[level]
-
-    def align_to_encoder(self, enc_batch, level):
-        return align_encoder_rows(enc_batch, self.keys[level], level)
-
-    def gt_status(self, gt_batch, level):
-        lv = gt_batch.levels[level]
-        idx = find_in_sorted(lv.keys, self.keys[level])
-        st = np.zeros(len(idx), dtype=np.float64)
-        found = idx >= 0
-        st[found] = lv.status[idx[found]]
-        return st
+        self.parent_idx[level + 1] = parent_idx
+        grown = make_level(keys, expand, True)  # the expanded rows own the new blocks
+        self.table[level + 1] = child_neighbor_table(grown, self.table[level])
+        for aligned, batch in ((self.enc_rows, self.enc_batch), (self.gt_rows, self.gt_batch)):
+            if batch is not None:
+                lv, nxt = batch.levels[level : level + 2]
+                aligned[level + 1] = child_rows(lv, aligned[level][parent_idx], slots, nxt.status)
 
 
 @dataclass
@@ -340,10 +339,10 @@ class CompletionNet:
         d = spec.output_depth
         if train and gt_batch is None:
             raise DomainError("train-mode decode needs the ground-truth batch")
-        res = DecodeResult(state=DecoderState(enc_batch.size, co))
+        res = DecodeResult(state=DecoderState(enc_batch, co, gt_batch))
         ds = res.state
 
-        x = ad.row_gather(code, ds.align_to_encoder(enc_batch, co))
+        x = ad.row_gather(code, ds.enc_rows[co])
         x.level = co
 
         for l in range(co + 1, d + 1):
@@ -365,7 +364,6 @@ class CompletionNet:
             x = self.dec_up[l].forward(x, ds.parent_sel[l], train)
 
             if spec.skip_mode != "off":
-                align = ds.align_to_encoder(enc_batch, l)
                 if spec.skip_mode == "full" or l == co + 1:
                     mask_vals = np.ones(ds.rows(l - 1), dtype=np.float64)
                 elif spec.mask_mode == "soft":
@@ -375,19 +373,19 @@ class CompletionNet:
                 x = guided_skip_add(
                     x,
                     enc_feats[l],
-                    align,
+                    ds.enc_rows[l],
                     ds.parent_idx[l],
                     StatusMask(l - 1, mask_vals),
                 )
                 res.skip_levels.append(l)
 
-            x = self.dec_rb[l].forward(x, ds.nbr_table(l), train)
+            x = self.dec_rb[l].forward(x, ds.table[l], train)
             logits, probs = nn.predict_status(x, self.pred[l])
             res.logits[l] = logits
             res.probs[l] = probs
             res.pred_status[l] = nn.round_status(probs)
             if gt_batch is not None:
-                res.gt_status[l] = ds.gt_status(gt_batch, l)
+                res.gt_status[l] = (ds.gt_rows[l] >= 0).astype(np.float64)
 
         rows_sel = np.flatnonzero(
             (res.gt_status[d] if train else res.pred_status[d]) > 0

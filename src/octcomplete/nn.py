@@ -60,7 +60,6 @@ def he_init(rng, out_c, fan_in):
 @dataclass
 class ConvParams:
     in_channels: int
-    out_channels: int
     kernel: int           # 1, 2 or 3
     stride: int           # 1 or 2
     weight: FeatureMap    # (out, in * kernel^3) for k=3/1, (out, 8*in) or (8*out, in) for k=2
@@ -155,7 +154,8 @@ def downsample(x, status, child_status, params):
         go = g[owners]
         gx = (go @ w).reshape(x.rows, c)
         gx[empty] = 0
-        return gx, go.T @ blocks
+        # the block view again: the closure keeps no masked copy of x
+        return gx, go.T @ np.where(empty[:, None], 0, x.values).reshape(len(owners), 8 * c)
 
     out_level = None if x.level is None else x.level - 1
     return ad.custom_op(out, [x, params.weight], back, level=out_level)
@@ -285,7 +285,7 @@ class ConvBnRelu:
         self.kernel = kernel
         taps = {3: 27, 2: 8, 1: 1}[kernel]
         w = params.create(f"{prefix}.w", he_init(rng, out_c, in_c * taps))
-        self.conv = ConvParams(in_c, out_c, kernel, stride, w)
+        self.conv = ConvParams(in_c, kernel, stride, w)
         self.bn = make_bn(params, f"{prefix}.bn", out_c)
 
     def forward(self, x, table, train):
@@ -306,7 +306,7 @@ class Deconv:
 
     def __init__(self, params, prefix, in_c, out_c, rng=None):
         w = params.create(f"{prefix}.w", he_init(rng, 8 * out_c, in_c))
-        self.conv = ConvParams(in_c, out_c, 2, 2, w)
+        self.conv = ConvParams(in_c, 2, 2, w)
         self.bn = make_bn(params, f"{prefix}.bn", out_c)
 
     def forward(self, x, parent_rows, train):
@@ -345,12 +345,12 @@ class ResBlockStack:
         self.projection = None
         if in_c != c:
             w = params.create(f"{prefix}.proj.w", he_init(rng, c, in_c))
-            self.projection = ConvParams(in_c, c, 1, 1, w)
+            self.projection = ConvParams(in_c, 1, 1, w)
             self.proj_bn = make_bn(params, f"{prefix}.proj.bn", c)
         for i in range(n):
             c1 = ConvBnRelu(params, f"{prefix}.b{i}.conv1", c, c // 4, 3, 1, rng=rng)
             w2 = params.create(f"{prefix}.b{i}.conv2.w", he_init(rng, c, (c // 4) * 27))
-            conv2 = ConvParams(c // 4, c, 3, 1, w2)
+            conv2 = ConvParams(c // 4, 3, 1, w2)
             bn2 = make_bn(params, f"{prefix}.b{i}.conv2.bn", c)
             self.blocks.append((c1, conv2, bn2))
 

@@ -9,7 +9,7 @@ Key convention: the 3-bit child digit at every level is ``x<<2 | y<<1 | z``
 (x in the high bit), most significant level first.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -179,18 +179,11 @@ class Octree:
     depth: int
     levels: list
     signal: np.ndarray  # finest-level node-major input features (rows x 4)
-    _tables: dict = field(default_factory=dict, repr=False)
-
-    def neighbor_table(self, level):
-        """(rows, 27) stored-row indices; -1 for absent or empty neighbors."""
-        if level not in self._tables:
-            lv = self.levels[level]
-            self._tables[level] = neighbor_table(lv.keys, lv.status, level)
-        return self._tables[level]
 
 
 def neighbor_table(keys, status, level):
-    """Stencil index table for an arbitrary sorted key array at `level`."""
+    """(rows, 27) stored-row indices of the 3x3x3 stencil of every key at
+    `level`, by binary search; -1 for absent or empty neighbors."""
     if len(keys) == 0:
         return np.zeros((0, 27), dtype=np.int64)
     codes27 = neighbor_codes(keys, level)
@@ -215,16 +208,8 @@ def find_in_sorted(keys, queries):
     return out.astype(np.int64)
 
 
-def find_node(octree, level, code):
-    """Index of `code` among the stored keys of `level`, or None."""
-    if level > octree.depth:
-        raise DomainError("level beyond octree depth")
-    idx = find_in_sorted(octree.levels[level].keys, np.array([code], dtype=np.uint64))
-    return int(idx[0]) if idx[0] >= 0 else None
-
-
 def find_nodes(octree, level, codes):
-    """Batched find_node; -1 where absent."""
+    """Index of each of `codes` among the stored keys of `level`; -1 where absent."""
     if level > octree.depth:
         raise DomainError("level beyond octree depth")
     return find_in_sorted(octree.levels[level].keys, np.asarray(codes, dtype=np.uint64))
@@ -266,6 +251,35 @@ def make_level(keys, status, has_children):
         ranks = np.cumsum(status) - status
         child_start = np.where(status == 1, 8 * ranks.astype(np.int64), -1)
     return OctreeLevel(keys=keys, status=status, child_start=child_start)
+
+
+# The neighbor at tap t of the child in slot s is child slot _CHILD_SLOT[s, t]
+# of its parent's neighbor at tap _PARENT_TAP[s, t]: per axis (x, y, z), the
+# slot's digit plus the tap's offset splits into a parent step and a digit.
+_NBR_XYZ = [(np.arange(8)[:, None] >> (2 - a) & 1) + _NEIGHBOR_OFFSETS[:, a] for a in range(3)]
+_PARENT_TAP = sum(((_NBR_XYZ[a] >> 1) + 1) * 3**a for a in range(3))  # (8, 27)
+_CHILD_SLOT = sum((_NBR_XYZ[a] & 1) << (2 - a) for a in range(3))
+
+
+def child_rows(level, rows, slots, next_status=None):
+    """Next-level row of child `slots` of `level`'s `rows`; -1 where the row
+    is -1 or has no children or, given `next_status`, the child is empty."""
+    # row -1 reads the appended -1 (and status 0) sentinel
+    start = np.append(level.child_start, -1)[rows]
+    out = start + slots
+    out[start < 0] = -1
+    if next_status is not None:
+        out[np.append(next_status, 0)[out] != 1] = -1
+    return out
+
+
+def child_neighbor_table(level, table, next_status=None):
+    """The next level's (rows, 27) neighbor table from `level`'s `table`,
+    masked as child_rows is: every neighbor of a child is a child of one of
+    its parent's neighbors, so no key is searched."""
+    parent_nbrs = table[level.child_start >= 0]  # in child block order
+    out = child_rows(level, parent_nbrs[:, _PARENT_TAP], _CHILD_SLOT, next_status)
+    return out.reshape(-1, 27)
 
 
 def build_octree(points: PointSet, depth: int) -> Octree:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from octcomplete import autodiff as ad
+from octcomplete.octree import neighbor_table
 
 
 def numeric_grad(f, arrays, which, h=1e-5):
@@ -44,6 +45,12 @@ def check_grads(build, arrays, rtol=1e-4, h=1e-5):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def nbr_table(octree, level):
+    """The search oracle's (rows, 27) neighbor table of an Octree's `level`."""
+    lv = octree.levels[level]
+    return neighbor_table(lv.keys, lv.status, level)
 
 
 def child_table(octree, level):

@@ -7,9 +7,11 @@ import pytest
 
 from octcomplete import autodiff as ad
 from octcomplete import data as dt
+from octcomplete import network
 from octcomplete.errors import DomainError, NumericalError
 from octcomplete.network import (
     CompletionNet,
+    DecoderState,
     NetworkSpec,
     OctreeBatch,
     PredictedShape,
@@ -19,9 +21,13 @@ from octcomplete.octree import (
     PointSet,
     build_octree,
     coords_from_keys,
+    find_in_sorted,
     keys_from_coords,
+    neighbor_table,
     octree_from_codes,
 )
+from octcomplete.skip import align_encoder_rows
+from octcomplete.train import TrainConfig, Trainer, prepare_sample
 
 
 def small_spec(**kw):
@@ -174,6 +180,58 @@ def test_batched_matches_single_decode():
         first = np.searchsorted(ids, b)  # this sample's first finest row
         assert np.array_equal(both.head_rows[own] - first, one.head_rows)
         assert np.allclose(both.head_out.values[own], one.head_out.values, atol=1e-5)
+
+
+def test_decoder_rows_derived_from_parent_match_search():
+    """Grown along random expand masks, every level's neighbor table,
+    encoder rows and ground-truth rows equal the search oracles on its keys."""
+    rng = np.random.default_rng(7)
+    pairs = [sphere_octree(depth=5, seed=s) for s in (0, 1, 2)]
+    enc = OctreeBatch([p for p, _ in pairs])
+    gt = OctreeBatch([g for _, g in pairs])
+    ds = DecoderState(enc, 2, gt)
+    for l in range(2, 6):
+        keys = ds.keys[l]
+        ones = np.ones(len(keys), dtype=np.uint8)
+        assert np.array_equal(ds.table[l], neighbor_table(keys, ones, l))
+        assert np.array_equal(ds.enc_rows[l], align_encoder_rows(enc, keys, l))
+        lv = gt.levels[l]
+        idx = find_in_sorted(lv.keys, keys)
+        want = np.where((idx >= 0) & (lv.status[idx] == 1), idx, -1)
+        assert np.array_equal(ds.gt_rows[l], want)
+        if l > 2:
+            for rows in (ds.enc_rows[l], ds.gt_rows[l]):
+                assert np.any(rows >= 0) and np.any(rows < 0)
+        if l < 5:
+            # random rows plus the gt-nonempty ones, so deep levels keep
+            # aligned rows next to unaligned ones
+            ds.subdivide(l, (rng.random(len(keys)) < 0.3) | (ds.gt_rows[l] >= 0))
+
+
+def test_search_runs_only_on_base_levels(monkeypatch):
+    """A train step and a complete search neighbor keys only at level 0 of
+    the input batch and at the decoder's coarsest level; every finer table
+    is derived from its parent level's."""
+    spec = small_spec()
+    samples = []
+    for i in range(2):
+        shape = dt.make_shape("sphere", density=1200, seed=i)
+        scan = dt.virtual_scan(shape, dt.ScanConfig(num_views=2, seed=i))
+        samples.append(prepare_sample(dt.SamplePair(scan, shape), spec))
+    net = CompletionNet(spec, seed=0)
+    trainer = Trainer(net, TrainConfig(batch_size=2), samples)
+    seen = []
+    search = network.neighbor_table
+
+    def spy(keys, status, level):
+        seen.append((level, len(keys)))
+        return search(keys, status, level)
+
+    monkeypatch.setattr(network, "neighbor_table", spy)
+    trainer.step([0, 1], 0.01)
+    net.complete(samples[0].partial)
+    co = spec.coarsest
+    assert seen == [(0, 2), (co, 2 * 8**co), (0, 1), (co, 8**co)]
 
 
 def test_mixed_depth_batch_rejected():

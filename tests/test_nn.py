@@ -11,7 +11,7 @@ from octcomplete.errors import DomainError
 from octcomplete.network import OctreeBatch
 from octcomplete.octree import build_octree, coords_from_keys, octree_from_codes
 
-from conftest import child_table, numeric_grad
+from conftest import child_table, nbr_table, numeric_grad
 
 
 def complete_octree(depth):
@@ -67,8 +67,8 @@ def test_conv_matches_dense(depth, rng):
     o = complete_octree(depth)
     feats = rng.normal(size=(o.levels[depth].num_nodes, cin)).astype(np.float32)
     w = rng.normal(size=(cout, 27 * cin)).astype(np.float32)
-    params = nn.ConvParams(cin, cout, 3, 1, FeatureMap(w))
-    y = nn.octree_conv(FeatureMap(feats, level=depth), o.neighbor_table(depth), params)
+    params = nn.ConvParams(cin, 3, 1, FeatureMap(w))
+    y = nn.octree_conv(FeatureMap(feats, level=depth), nbr_table(o, depth), params)
     want = dense_conv3(to_grid(o, depth, feats), w, cin, cout)
     assert np.abs(to_grid(o, depth, y.values) - want).max() < 1e-5
 
@@ -79,7 +79,7 @@ def test_downsample_matches_dense(depth, rng):
     o = complete_octree(depth)
     feats = rng.normal(size=(o.levels[depth].num_nodes, cin)).astype(np.float32)
     w = rng.normal(size=(cout, 8 * cin)).astype(np.float32)
-    params = nn.ConvParams(cin, cout, 2, 2, FeatureMap(w))
+    params = nn.ConvParams(cin, 2, 2, FeatureMap(w))
     st = o.levels[depth - 1].status, o.levels[depth].status
     y = nn.downsample(FeatureMap(feats, level=depth), *st, params)
     want = dense_down(to_grid(o, depth, feats), w, cin, cout)
@@ -104,12 +104,11 @@ def test_identity_kernel_preserves_input(rng):
     o = octree_from_codes(rng.choice(512, size=30, replace=False).astype(np.uint64), 3)
     # make all stored rows nonempty so the center tap always hits
     o.levels[3].status[:] = 1
-    o._tables.clear()
     feats = rng.normal(size=(o.levels[3].num_nodes, c)).astype(np.float32)
     w = np.zeros((c, 27 * c), dtype=np.float32)
     w[:, 13 * c : 14 * c] = np.eye(c)  # center of the dz/dy/dx stencil
-    params = nn.ConvParams(c, c, 3, 1, FeatureMap(w))
-    y = nn.octree_conv(FeatureMap(feats, level=3), o.neighbor_table(3), params)
+    params = nn.ConvParams(c, 3, 1, FeatureMap(w))
+    y = nn.octree_conv(FeatureMap(feats, level=3), nbr_table(o, 3), params)
     assert np.array_equal(y.values, feats)
 
 
@@ -119,8 +118,8 @@ def test_empty_neighbors_read_as_zero(rng):
     # only one nonempty node; its 26 real neighbors are empty siblings or absent
     feats = rng.normal(size=(o.levels[2].num_nodes, c)).astype(np.float32)
     w = rng.normal(size=(c, 27 * c)).astype(np.float32)
-    params = nn.ConvParams(c, c, 3, 1, FeatureMap(w))
-    y = nn.octree_conv(FeatureMap(feats, level=2), o.neighbor_table(2), params)
+    params = nn.ConvParams(c, 3, 1, FeatureMap(w))
+    y = nn.octree_conv(FeatureMap(feats, level=2), nbr_table(o, 2), params)
     row = int(np.flatnonzero(o.levels[2].keys == 0)[0])
     want = w[:, 13 * c : 14 * c] @ feats[row]
     assert np.allclose(y.values[row], want, atol=1e-5)
@@ -141,12 +140,12 @@ def test_upsample_is_downsample_adjoint(rng):
         FeatureMap(x, level=2),
         o.levels[1].status,
         o.levels[2].status,
-        nn.ConvParams(cin, cout, 2, 2, FeatureMap(wd)),
+        nn.ConvParams(cin, 2, 2, FeatureMap(wd)),
     )
     up = nn.upsample(
         FeatureMap(y, level=1),
         np.arange(8),
-        nn.ConvParams(cout, cin, 2, 2, FeatureMap(wu)),
+        nn.ConvParams(cout, 2, 2, FeatureMap(wu)),
     )
     # child rows emitted parent-major in child-digit order = stored key order
     lhs = float((down.values * y).sum())
@@ -163,10 +162,10 @@ def test_grad_conv_ops(seed):
     xv = rng.normal(size=(m, cin))
     wv = rng.normal(size=(cout, 27 * cin))
     x, w = ad.parameter(xv), ad.parameter(wv)
-    conv = nn.ConvParams(cin, cout, 3, 1, w)
+    conv = nn.ConvParams(cin, 3, 1, w)
 
     def run():
-        y = nn.octree_conv(x, o.neighbor_table(2), conv)
+        y = nn.octree_conv(x, nbr_table(o, 2), conv)
         return ad.sum_all(ad.mul(y, y))
 
     with ad.Tape():
@@ -190,7 +189,7 @@ def test_grad_down_up_pool(seed):
     xv = rng.normal(size=(m, cin))
     wv = rng.normal(size=(cout, 8 * cin))
     x, w = ad.parameter(xv), ad.parameter(wv)
-    down = nn.ConvParams(cin, cout, 2, 2, w)
+    down = nn.ConvParams(cin, 2, 2, w)
     cases.append(
         (lambda: nn.downsample(x, st[1], st[2], down), [(x, xv), (w, wv)])
     )
@@ -198,7 +197,7 @@ def test_grad_down_up_pool(seed):
     yv = rng.normal(size=(p, cout))
     wuv = rng.normal(size=(8 * cin, cout))
     yfm, wu = ad.parameter(yv), ad.parameter(wuv)
-    upp = nn.ConvParams(cout, cin, 2, 2, wu)
+    upp = nn.ConvParams(cout, 2, 2, wu)
     sel = np.flatnonzero(o.levels[1].status == 1)
     cases.append((lambda: nn.upsample(yfm, sel, upp), [(yfm, yv), (wu, wuv)]))
 
@@ -244,7 +243,7 @@ def test_kernel_map_conv_grads_match_add_at(kernel, rng):
     o = scan_octree()
     cin, cout = 5, 7
     if kernel == 3:
-        table, stride = o.neighbor_table(4), 1
+        table, stride = nbr_table(o, 4), 1
         op = lambda x, p: nn.octree_conv(x, table, p)
     else:
         table, stride = child_table(o, 3), 2
@@ -254,7 +253,7 @@ def test_kernel_map_conv_grads_match_add_at(kernel, rng):
     xv = rng.normal(size=(o.levels[4].num_nodes, cin)).astype(np.float32)
     wv = rng.normal(size=(cout, taps * cin)).astype(np.float32)
     g = rng.normal(size=(table.shape[0], cout)).astype(np.float32)
-    conv = lambda x, w: op(x, nn.ConvParams(cin, cout, kernel, stride, w))
+    conv = lambda x, w: op(x, nn.ConvParams(cin, kernel, stride, w))
 
     cols = kernels.gather_concat(xv, table)  # (rows, taps * cin)
     assert_close_f32(conv(FeatureMap(xv), FeatureMap(wv)).values, cols @ wv.T)
@@ -314,7 +313,7 @@ def test_downsample_on_batch_matches_child_table_oracle(rng):
     wv = rng.normal(size=(cout, 8 * cin)).astype(np.float32)
     g = rng.normal(size=(table.shape[0], cout)).astype(np.float32)
     st = batch.levels[3].status, batch.levels[4].status
-    down = lambda x, w: nn.downsample(x, *st, nn.ConvParams(cin, cout, 2, 2, w))
+    down = lambda x, w: nn.downsample(x, *st, nn.ConvParams(cin, 2, 2, w))
 
     cols = kernels.gather_concat(xv, table)  # (rows, 8 * cin) im2col
     assert_close_f32(down(FeatureMap(xv), FeatureMap(wv)).values, cols @ wv.T)
@@ -361,7 +360,7 @@ def test_upsample_matches_composed_ops(rng):
         out = proj.values.reshape(8 * len(rows), cout)
         return ad.custom_op(out, [proj], lambda gr: (gr.reshape(proj.values.shape),))
 
-    up = lambda x, w: nn.upsample(x, rows, nn.ConvParams(cin, cout, 2, 2, w))
+    up = lambda x, w: nn.upsample(x, rows, nn.ConvParams(cin, 2, 2, w))
     assert np.array_equal(
         up(FeatureMap(xv), FeatureMap(wv)).values, composed(FeatureMap(xv), FeatureMap(wv)).values
     )
@@ -377,7 +376,7 @@ def test_block_ops_reject_mismatched_child_rows(rng):
     c = 3
     x = FeatureMap(rng.normal(size=(len(child_status), c)), level=4)
     short = FeatureMap(x.values[:-8], level=4)
-    params = nn.ConvParams(c, 2, 2, 2, FeatureMap(rng.normal(size=(2, 8 * c))))
+    params = nn.ConvParams(c, 2, 2, FeatureMap(rng.normal(size=(2, 8 * c))))
     one_less = status.copy()
     one_less[np.flatnonzero(status)[0]] = 0
     cases = (

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from octcomplete import data as dt
 from octcomplete import kernels
 from octcomplete.errors import DomainError
+from octcomplete.network import OctreeBatch
 from octcomplete.octree import (
     MAX_DEPTH,
     build_octree,
@@ -16,7 +17,7 @@ from octcomplete.octree import (
     coords_from_keys,
     estimate_normals,
     find_in_sorted,
-    find_node,
+    find_nodes,
     key_to_coords,
     keys_from_coords,
     majority_labels,
@@ -30,7 +31,7 @@ from octcomplete.octree import (
     PointSet,
 )
 
-from conftest import child_table
+from conftest import child_table, nbr_table
 
 
 def brute_key(x, y, z, depth):
@@ -194,7 +195,7 @@ def test_build_octree_signal(rng):
     members = codes == target
     want = nrm[members].sum(axis=0)
     want /= np.linalg.norm(want)
-    row = find_node(o, 4, int(target))
+    row = find_nodes(o, 4, [target])[0]
     assert np.allclose(o.signal[row, :3], want, atol=1e-5)
 
 
@@ -244,7 +245,7 @@ def test_neighbor_table_oracle(rng):
     codes = rng.choice(1 << (3 * depth), size=25, replace=False).astype(np.uint64)
     o = octree_from_codes(codes, depth)
     lv = o.levels[depth]
-    tab = o.neighbor_table(depth)
+    tab = nbr_table(o, depth)
     lookup = {int(k): i for i, k in enumerate(lv.keys)}
     for r in range(lv.num_nodes):
         nbrs = neighbor_keys(int(lv.keys[r]), depth)
@@ -270,7 +271,7 @@ def test_neighbor_table_on_batch_keys(rng):
         status = np.concatenate([lv.status for lv in lvs])
         tab = neighbor_table(keys, status, l)
         off = np.cumsum([0] + [lv.num_nodes for lv in lvs])
-        want = [np.where(o.neighbor_table(l) >= 0, o.neighbor_table(l) + off[b], -1)
+        want = [np.where(nbr_table(o, l) >= 0, nbr_table(o, l) + off[b], -1)
                 for b, o in enumerate(octs)]
         assert np.array_equal(tab, np.vstack(want))
 
@@ -288,6 +289,26 @@ def test_neighbor_table_on_batch_keys(rng):
             if i >= 0 and status[i] == 0:
                 i = -1  # empty siblings read as zeros
             assert tab[row, t] == i
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5, 6])
+def test_batch_tables_derived_from_parent_match_search(depth):
+    """Each level's table follows from its parent level's by the
+    full-sibling rule: equal to the search over the merged keys at every
+    level, for a scan, a single nonempty leaf and a fully occupied octree."""
+    shape = dt.make_shape("box", density=2500, seed=depth)
+    scan = dt.virtual_scan(shape, dt.ScanConfig(num_views=2, seed=depth))
+    batch = OctreeBatch([
+        build_octree(scan, depth),
+        octree_from_codes(np.array([1 << 3 * depth - 1], dtype=np.uint64), depth),
+        octree_from_codes(np.arange(1 << 3 * depth, dtype=np.uint64), depth),
+    ])
+    for l in range(depth + 1):
+        lv = batch.levels[l]
+        tab = batch.nbr_table(l)
+        assert np.array_equal(tab, neighbor_table(lv.keys, lv.status, l))
+        if l >= 2:
+            assert np.any(tab < 0) and np.any(tab >= 0)
 
 
 def test_child_table(rng):
@@ -361,7 +382,7 @@ def test_invert_table_matches_brute_force():
     o = build_octree(scan, 4)
     for l in range(1, 5):
         # neighbor tables with status holes: empty siblings read as -1
-        tab = o.neighbor_table(l)
+        tab = nbr_table(o, l)
         assert np.any(tab < 0)
         rows = o.levels[l].num_nodes
         assert np.array_equal(kernels.invert_table(tab, rows), brute_invert(tab, rows))
