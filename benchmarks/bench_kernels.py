@@ -5,9 +5,12 @@ Run directly:
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--n 2000000] [--repeats 5]
 
 `n` is the element count of the Morton and row kernels; the convolution
-runs 27 taps over n // 8 rows at 32 channels, forward and backward; the
-downsample reads n // 8 child rows (3 in 10 empty) at 32 channels as blocks
-of 8 under half as many parents, forward and backward; the depth-8 level of
+runs 27 taps at 32 channels, forward and backward, once over n // 8 rows
+of a random stencil with 70 % of its entries valid and once ("sparse") over
+the depth-8 level of an octree over n // 256 points on a sphere, whose table
+is about 5 % valid, like the scene input's finest level; the downsample
+reads n // 8 child rows (3 in 10 empty) at 32 channels as blocks of 8
+under half as many parents, forward and backward; the depth-8 level of
 an octree over n // 32 points on a sphere gets its neighbor table once by
 key search and once derived from its parent level's table; and
 `sample_points` draws 4 points on each of n // 8 random planar patches.
@@ -101,6 +104,9 @@ def bench(n, repeats):
     shell = shell_octree(rng, n // 32, depth=8)
     up, fine = shell.levels[7], shell.levels[8]
     up_table = octree.neighbor_table(up.keys, up.status, 7)
+    sparse = shell_octree(rng, n // 256, depth=8).levels[8]
+    sparse_table = octree.neighbor_table(sparse.keys, sparse.status, 8)
+    sparse_feats = rng.standard_normal((len(sparse_table), 32)).astype(np.float32)
 
     cases = [
         ("interleave3", lambda: kernels.interleave3(x, y, z)),
@@ -111,6 +117,7 @@ def bench(n, repeats):
         ("neighbor_table", lambda: octree.neighbor_table(fine.keys, fine.status, 8)),
         ("child_neighbor_table", lambda: octree.child_neighbor_table(up, up_table, fine.status)),
         ("conv fwd+bwd", lambda: conv_step(feats, table, weight)),
+        ("conv fwd+bwd sparse", lambda: conv_step(sparse_feats, sparse_table, weight)),
         ("downsample fwd+bwd", lambda: down_step(children, status, child_status, down_weight)),
         ("sample_points", lambda: network.sample_points(shape, samples_per_node=4)),
     ]

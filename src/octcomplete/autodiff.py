@@ -66,8 +66,10 @@ def _accum(fm, g):
     if not fm._tracked:
         return
     if fm.grad is None:
-        fm.grad = np.zeros_like(fm.values)
-    fm.grad += g
+        # a copy: ops such as `add` hand the same g to several inputs
+        fm.grad = np.array(g, dtype=fm.values.dtype)
+    else:
+        fm.grad += g
 
 
 def custom_op(values, inputs, backward_fn, level=None):

@@ -50,13 +50,23 @@ def deinterleave3(codes):
     return x, y, z
 
 
-def gather_rows(src, idx):
-    """Gather rows of src by index; idx == -1 yields a zero row.
+def padded(src):
+    """src with one zero row appended, which index -1 then reads."""
+    return np.concatenate([src, np.zeros((1,) + src.shape[1:], dtype=src.dtype)])
 
-    The source is padded with one zero row, which index -1 then reads.
+
+def gather_rows(src, idx):
+    """Gather rows of src by index; idx == -1 yields a zero row."""
+    return np.take(padded(src), idx, axis=0)
+
+
+def gather_padded(src, idx, out):
+    """out[k] = src[idx[k]] for a source from `padded`, so -1 reads its zero row.
+
+    mode="wrap" sends -1 to the last row and, unlike the default mode, lets
+    np.take write straight into `out`, which callers reuse across gathers.
     """
-    padded = np.concatenate([src, np.zeros((1,) + src.shape[1:], dtype=src.dtype)])
-    return np.take(padded, idx, axis=0)
+    return np.take(src, idx, axis=0, out=out, mode="wrap")
 
 
 def gather_concat(src, idx2d):

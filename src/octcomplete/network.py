@@ -86,6 +86,7 @@ class OctreeBatch:
     The merged levels keep the full-sibling layout (the k-th nonempty row of
     a level owns rows 8k..8k+7 of the next): moving between levels needs no
     table, and a level's neighbor table follows from its parent level's.
+    A level's convolutions share its ``kernel_map``.
     """
 
     def __init__(self, octrees: List[Octree]):
@@ -102,6 +103,7 @@ class OctreeBatch:
             status = np.concatenate([lv.status for lv in lvs])
             self.levels.append(make_level(np.concatenate(keys), status, l < self.depth))
         self._nbr = {}
+        self._maps = {}
 
     @property
     def size(self):
@@ -125,6 +127,12 @@ class OctreeBatch:
                 self._nbr[level] = child_neighbor_table(up, self.nbr_table(level - 1), lv.status)
         return self._nbr[level]
 
+    def kernel_map(self, level):
+        """The nn.KernelMap of `level`'s neighbor table, built on first use."""
+        if level not in self._maps:
+            self._maps[level] = nn.KernelMap(self.nbr_table(level))
+        return self._maps[level]
+
 
 class DecoderState:
     """Dynamically grown output structure for a batch of samples.
@@ -133,7 +141,9 @@ class DecoderState:
     sample id above the Morton bits as in OctreeBatch; ``table``, and the
     ``enc_rows`` and ``gt_rows`` aligned in `enc_batch` and `gt_batch` (-1
     where absent or empty), are searched only at the coarsest level, every
-    sample's full grid. `subdivide` derives them from the parent level's.
+    sample's full grid. `subdivide` derives them from the parent level's,
+    and builds ``kmap[level]``, the nn.KernelMap the level's convolutions
+    share.
     """
 
     def __init__(self, enc_batch, coarsest, gt_batch=None):
@@ -152,6 +162,7 @@ class DecoderState:
             self.gt_rows[coarsest] = align_encoder_rows(gt_batch, keys, coarsest)
         self.parent_sel = {}   # level -> selected parent rows at level-1
         self.parent_idx = {}   # level -> parent row per row at level
+        self.kmap = {}
 
     def rows(self, level):
         return len(self.keys[level])
@@ -168,6 +179,7 @@ class DecoderState:
         self.parent_idx[level + 1] = parent_idx
         grown = make_level(keys, expand, True)  # the expanded rows own the new blocks
         self.table[level + 1] = child_neighbor_table(grown, self.table[level])
+        self.kmap[level + 1] = nn.KernelMap(self.table[level + 1])
         for aligned, batch in ((self.enc_rows, self.enc_batch), (self.gt_rows, self.gt_batch)):
             if batch is not None:
                 lv, nxt = batch.levels[level : level + 2]
@@ -284,12 +296,12 @@ class CompletionNet:
             raise DomainError("scene input head expects depth-8 octrees")
         hl = self.head_layers
         x = batch.signal_fm()
-        x = hl["conv8"].forward(x, batch.nbr_table(8), train)
+        x = hl["conv8"].forward(x, batch.kernel_map(8), train)
         st = [lv.status for lv in batch.levels]
         x = nn.max_pool(x, st[7], st[8])
         x.level = 7
-        x = hl["conv7"].forward(x, batch.nbr_table(7), train)
-        x = hl["rb7"].forward(x, batch.nbr_table(7), train)
+        x = hl["conv7"].forward(x, batch.kernel_map(7), train)
+        x = hl["rb7"].forward(x, batch.kernel_map(7), train)
         x = hl["down7"].forward(x, (st[6], st[7]), train)
         x.level = 6
         return x
@@ -306,11 +318,11 @@ class CompletionNet:
         else:
             x = batch.signal_fm()
             if self.lift is not None:
-                x = self.lift.forward(x, batch.nbr_table(spec.core_depth), train)
+                x = self.lift.forward(x, batch.kernel_map(spec.core_depth), train)
         feats = {}
         st = [lv.status for lv in batch.levels]
         for l in range(spec.core_depth, spec.coarsest, -1):
-            x = self.enc_rb[l].forward(x, batch.nbr_table(l), train)
+            x = self.enc_rb[l].forward(x, batch.kernel_map(l), train)
             feats[l] = x
             x = self.enc_down[l].forward(x, (st[l - 1], st[l]), train)
             x.level = l - 1
@@ -379,7 +391,7 @@ class CompletionNet:
                 )
                 res.skip_levels.append(l)
 
-            x = self.dec_rb[l].forward(x, ds.table[l], train)
+            x = self.dec_rb[l].forward(x, ds.kmap[l], train)
             logits, probs = nn.predict_status(x, self.pred[l])
             res.logits[l] = logits
             res.probs[l] = probs

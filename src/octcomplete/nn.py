@@ -75,19 +75,79 @@ class BNParams:
     momentum: float = 0.9
 
 
+# A tap whose share of valid rows is below this runs on its compacted
+# (out row, in row) pairs; at or above it, one gather of the padded source
+# over the whole column costs less than fancy-indexing the pairs. In
+# benchmarks/bench_kernels.py (2-core x86, one BLAS thread, best of 5),
+# "conv fwd+bwd" (70 % valid) takes 1.60 s under this rule, 1.66 s with
+# every tap dense and 2.97 s with every tap sparse; "conv fwd+bwd sparse"
+# (5 % valid) takes 0.044 s, 0.23 s and 0.050 s. Single taps at 4 to 32
+# channels over 5k and 50k rows cross over between 0.2 and 0.4 valid (at
+# 128 channels, above 0.5).
+SPARSE_BELOW = 0.3
+
+IDENTITY, DENSE, SPARSE = "identity", "dense", "sparse"
+
+
+class KernelMap:
+    """How octree_conv reads one level's (rows, taps) neighbor table.
+
+    Built once per level and shared by that level's convolutions, forward
+    and backward. ``cols`` is the table in column order, tap t's column
+    being cols[t]: a view of a table stored so, as
+    octree.child_neighbor_table returns it, else a copy. ``taps[t]`` is
+    - (IDENTITY, None, None): the column is arange(rows), as a decoder
+      level's center tap is; the tap reads the source itself, no gather;
+    - (DENSE, col, k): the column is gathered from the source padded once
+      per call (-1 reads the zero row); k is the tap's row of `inverse()`;
+    - (SPARSE, o, i): fewer than SPARSE_BELOW of the column is valid;
+      output row o[j] reads input row i[j], and the holes cost nothing.
+    A stencil column names each row at most once, so a sparse tap updates
+    out[o] and the input gradient's rows i by plain fancy-index assignment.
+    """
+
+    def __init__(self, table):
+        self.cols = np.ascontiguousarray(table.T)
+        self.rows = table.shape[0]
+        valid = self.cols >= 0
+        counts = np.count_nonzero(valid, axis=1)
+        self.taps = []
+        self.dense = []  # dense taps, in tap order
+        for t, col in enumerate(self.cols):
+            if counts[t] == self.rows and np.array_equal(col, np.arange(self.rows)):
+                self.taps.append((IDENTITY, None, None))
+            elif counts[t] < SPARSE_BELOW * self.rows:
+                o = np.flatnonzero(valid[t])
+                self.taps.append((SPARSE, o, col[o]))
+            else:
+                self.taps.append((DENSE, col, len(self.dense)))
+                self.dense.append(t)
+        self._inverse = None
+
+    def inverse(self):
+        """(dense taps, rows) inverse of the dense columns: row k names, for
+        each input row j, the output row whose tap reads j, or -1. Built on
+        first use, by the level's first backward, and kept."""
+        if self._inverse is None:
+            self._inverse = kernels.invert_table(self.cols[self.dense].T, self.rows).T
+        return self._inverse
+
+
 def octree_conv(x, nbr_table, params):
     """3x3x3 convolution over the stored nodes of one level.
 
     Absent or empty neighbors contribute zero rows; the output keeps the
     row count of the input. kernel=1 degenerates to a per-node linear map.
+    `nbr_table` is the level's (rows, 27) stencil table or its KernelMap
+    (the network passes the map its batch built once for the level).
 
-    A kernel map: tap t gathers the input rows named by column t of the
-    (rows, 27) stencil table and multiplies them by its weight block
-    W_t = weight[:, t*c:(t+1)*c], accumulating in place; no (rows, 27*c)
-    buffer is built. Backward gathers the output gradient through the
-    inverted table instead, g_t[j] = g[i] where table[i, t] = j: W_t's
-    gradient is g_t.T @ x and the input gradient accumulates g_t @ W_t, so
-    backward neither scatters nor regathers x.
+    Tap t multiplies the input rows its column names by its weight block
+    W_t = weight[:, t*c:(t+1)*c], accumulating in place in tap order; no
+    (rows, 27*c) buffer is built. Backward reads the output gradient through
+    the same taps reversed: an identity tap reads g itself, a dense tap
+    gathers g through the map's inverse, and a sparse tap swaps its pairs.
+    W_t's gradient is g_t.T @ x and the input gradient accumulates g_t @ W_t,
+    so backward never scatters.
     """
     if x.channels != params.in_channels:
         raise DomainError("conv channel mismatch")
@@ -95,23 +155,34 @@ def octree_conv(x, nbr_table, params):
         return ad.linear(x, params.weight)
     if params.kernel != 3 or params.stride != 1:
         raise DomainError("octree_conv expects kernel 3, stride 1")
-    if nbr_table.shape[0] != x.rows:
+    kmap = nbr_table if isinstance(nbr_table, KernelMap) else KernelMap(nbr_table)
+    if kmap.rows != x.rows:
         raise DomainError("neighbor table row mismatch")
-    c = x.channels
-    taps = nbr_table.shape[1]
-    w = params.weight.values.reshape(-1, taps, c)  # (out, taps, in) view
-    cols = np.ascontiguousarray(nbr_table.T)
-    out = np.zeros((x.rows, w.shape[0]), dtype=np.result_type(x.values, w))
-    for t in range(taps):
-        kernels.matmul_add(out, kernels.gather_rows(x.values, cols[t]), w[:, t].T)
+    xv = x.values
+    w = params.weight.values.reshape(-1, len(kmap.taps), x.channels)  # (out, taps, in)
+    out = np.zeros((x.rows, w.shape[0]), dtype=np.result_type(xv, w))
+    if kmap.dense:
+        xp, buf = kernels.padded(xv), np.empty(xv.shape, xv.dtype)
+    for t, (kind, a, b) in enumerate(kmap.taps):
+        if kind == SPARSE:
+            out[a] += np.take(xv, b, axis=0) @ w[:, t].T
+            continue
+        src = xv if kind == IDENTITY else kernels.gather_padded(xp, a, buf)
+        kernels.matmul_add(out, src, w[:, t].T)
 
     def back(g):
-        inv = kernels.invert_table(nbr_table, x.rows)
         gw = np.empty_like(w)
-        gx = np.zeros_like(x.values)
-        for t in range(taps):
-            g_t = kernels.gather_rows(g, inv[:, t])
-            gw[:, t] = g_t.T @ x.values
+        gx = np.zeros_like(xv)
+        if kmap.dense:
+            gp, gbuf, inv = kernels.padded(g), np.empty(g.shape, g.dtype), kmap.inverse()
+        for t, (kind, a, b) in enumerate(kmap.taps):
+            if kind == SPARSE:
+                go = np.take(g, a, axis=0)
+                gw[:, t] = go.T @ np.take(xv, b, axis=0)
+                gx[b] += go @ w[:, t]
+                continue
+            g_t = g if kind == IDENTITY else kernels.gather_padded(gp, inv[b], gbuf)
+            gw[:, t] = g_t.T @ xv
             kernels.matmul_add(gx, g_t, w[:, t])
         return gx, gw.reshape(params.weight.values.shape)
 

@@ -276,10 +276,16 @@ def child_rows(level, rows, slots, next_status=None):
 def child_neighbor_table(level, table, next_status=None):
     """The next level's (rows, 27) neighbor table from `level`'s `table`,
     masked as child_rows is: every neighbor of a child is a child of one of
-    its parent's neighbors, so no key is searched."""
-    parent_nbrs = table[level.child_start >= 0]  # in child block order
-    out = child_rows(level, parent_nbrs[:, _PARENT_TAP], _CHILD_SLOT, next_status)
-    return out.reshape(-1, 27)
+    its parent's neighbors, so no key is searched.
+
+    The table is stored in column order, the transpose of a C-ordered
+    (27, rows) array, which is how convolutions read it (nn.KernelMap).
+    """
+    parent_nbrs = table.T[:, level.child_start >= 0]  # (27, parents), child block order
+    # [tap, parent, slot]: the parent's neighbor at the slot's parent tap
+    nbrs = parent_nbrs[_PARENT_TAP.T].transpose(0, 2, 1)
+    out = child_rows(level, nbrs, _CHILD_SLOT.T[:, None, :], next_status)
+    return out.reshape(27, -1).T
 
 
 def build_octree(points: PointSet, depth: int) -> Octree:

@@ -16,7 +16,11 @@ from .losses import (
     total_loss,
 )
 from .network import CompletionNet, NetworkSpec, OctreeBatch
-from .octree import build_octree, find_in_sorted, majority_labels
+from .octree import (
+    build_octree,
+    find_in_sorted,  # not called here; perfbench/spans.py probes train.find_in_sorted
+    majority_labels,
+)
 
 
 @dataclass
@@ -103,11 +107,10 @@ def prepare_sample(pair: SamplePair, spec: NetworkSpec) -> TrainSample:
     return TrainSample(partial, gt, labels=majority_labels(gt, pair.complete))
 
 
-def _head_targets(samples, gt_batch, keys, task):
-    """Targets of the decoder's finest-level `keys`, all of them nonempty
-    ground-truth nodes of `gt_batch` (built from `samples`, in order)."""
+def _head_targets(samples, gt_batch, rows, task):
+    """Targets of the finest-level `rows` of `gt_batch` (built from
+    `samples`, in order), all of them nonempty."""
     lv = gt_batch.levels[gt_batch.depth]
-    rows = find_in_sorted(lv.keys, keys)
     if task == "completion":
         # each sample's targets are in nonempty-rank order, so the batch's
         # are in the merged level's nonempty-rank order
@@ -178,7 +181,10 @@ class Trainer:
             d = net.spec.output_depth
             if res.head_out is None:
                 raise NumericalError("teacher-forced decode produced no output nodes")
-            targets = _head_targets(batch, gt_batch, res.state.keys[d][res.head_rows], task)
+            # teacher forcing: the head's rows are ground-truth nodes, found
+            # by DecoderState.subdivide
+            gt_rows = res.state.gt_rows[d][res.head_rows]
+            targets = _head_targets(batch, gt_batch, gt_rows, task)
             if task == "completion":
                 task_l = completion_task_loss(res.head_out, targets)
             else:

@@ -100,6 +100,18 @@ def test_gradient_accumulates_on_reuse():
     assert a.grad[0, 0] == 2.0
 
 
+def test_first_gradients_do_not_share_storage():
+    """`add` hands one gradient to both inputs; accumulating more into one
+    input's gradient must leave the other's as it was."""
+    x = ad.parameter(np.ones((2, 3)))
+    y = ad.parameter(np.ones((2, 3)))
+    with ad.Tape():
+        loss = ad.sum_all(ad.add(ad.add(x, y), x))
+        ad.backward(loss)
+    assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+    assert np.array_equal(y.grad, np.ones((2, 3)))
+
+
 def test_backward_errors():
     a = ad.parameter(np.ones((2, 2)))
     with pytest.raises(DomainError):

@@ -22,7 +22,8 @@ def test_bench_runs_every_case_at_tiny_size(capsys):
     names = [name for name, _ in rows]
     assert names == [
         "interleave3", "deinterleave3", "gather_rows", "scatter_add", "invert_table",
-        "neighbor_table", "child_neighbor_table", "conv fwd+bwd", "downsample fwd+bwd", "sample_points",
+        "neighbor_table", "child_neighbor_table", "conv fwd+bwd", "conv fwd+bwd sparse",
+        "downsample fwd+bwd", "sample_points",
     ]
     assert all(float(t) >= 0 for _, t in rows)
     assert "conv fwd+bwd" in capsys.readouterr().out

@@ -7,7 +7,7 @@ import pytest
 
 from octcomplete import autodiff as ad
 from octcomplete import data as dt
-from octcomplete import network
+from octcomplete import kernels, network, nn, train
 from octcomplete.errors import DomainError, NumericalError
 from octcomplete.network import (
     CompletionNet,
@@ -211,7 +211,8 @@ def test_decoder_rows_derived_from_parent_match_search():
 def test_search_runs_only_on_base_levels(monkeypatch):
     """A train step and a complete search neighbor keys only at level 0 of
     the input batch and at the decoder's coarsest level; every finer table
-    is derived from its parent level's."""
+    is derived from its parent level's, and the train step's head targets
+    are the rows DecoderState.subdivide derived, not searched."""
     spec = small_spec()
     samples = []
     for i in range(2):
@@ -228,10 +229,52 @@ def test_search_runs_only_on_base_levels(monkeypatch):
         return search(keys, status, level)
 
     monkeypatch.setattr(network, "neighbor_table", spy)
+    head_searches = []
+    monkeypatch.setattr(train, "find_in_sorted", lambda *a: head_searches.append(a))
     trainer.step([0, 1], 0.01)
     net.complete(samples[0].partial)
     co = spec.coarsest
     assert seen == [(0, 2), (co, 2 * 8**co), (0, 1), (co, 8**co)]
+    assert head_searches == []
+
+
+def test_kernel_maps_built_once_per_level_and_inverted_lazily(monkeypatch):
+    """A train step builds one kernel map per encoder and decoder level
+    with a convolution and inverts each at most once; complete, which runs
+    no backward, inverts none."""
+    spec = small_spec(n_res=2)
+    samples = []
+    for i in range(2):
+        shape = dt.make_shape("sphere", density=1200, seed=i)
+        scan = dt.virtual_scan(shape, dt.ScanConfig(num_views=2, seed=i))
+        samples.append(prepare_sample(dt.SamplePair(scan, shape), spec))
+    trainer = Trainer(CompletionNet(spec, seed=0), TrainConfig(batch_size=2), samples)
+    built, inverted = [], []
+    init, invert = nn.KernelMap.__init__, kernels.invert_table
+
+    def spy_init(self, table):
+        init(self, table)
+        built.append(self)
+
+    def spy_invert(table, rows):
+        inverted.append(rows)
+        return invert(table, rows)
+
+    monkeypatch.setattr(nn.KernelMap, "__init__", spy_init)
+    monkeypatch.setattr(kernels, "invert_table", spy_invert)
+    trainer.step([0, 1], 0.01)
+    conv_levels = spec.core_depth - spec.coarsest  # levels coarsest+1 .. core_depth
+    assert len(built) == 2 * conv_levels  # encoder, then decoder
+    # a map inverts at most once, so one inversion per map with dense taps,
+    # each of which ran backward, means exactly one each
+    with_dense = [m for m in built if m.dense]
+    assert len(inverted) == len(with_dense) > 0
+    assert all(m._inverse is not None for m in with_dense)
+    built.clear()
+    inverted.clear()
+    trainer.net.complete(samples[0].partial)
+    assert len(built) == 2 * conv_levels
+    assert inverted == []
 
 
 def test_mixed_depth_batch_rejected():

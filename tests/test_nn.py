@@ -61,16 +61,42 @@ def dense_down(grid, weight, cin, cout):
     return out
 
 
-@pytest.mark.parametrize("depth", [2, 3])
-def test_conv_matches_dense(depth, rng):
+def conv_case(case):
+    """An octree, a level, and the tap kinds of that level's KernelMap.
+
+    A depth ("2", "3"): the complete octree, every row nonempty, so the
+    center tap is the identity and the rest are dense. "leaf": one nonempty
+    leaf among its 7 empty siblings, every tap sparse. "scan": a scanned
+    cylinder's finest level, dense and sparse taps side by side.
+    """
+    if case == "leaf":
+        return octree_from_codes(np.array([100], dtype=np.uint64), 3), 3, {nn.SPARSE}
+    if case == "scan":
+        return scan_octree(), 4, {nn.DENSE, nn.SPARSE}
+    depth = int(case)
+    return complete_octree(depth), depth, {nn.IDENTITY, nn.DENSE}
+
+
+def kernel_map_of(o, level, kinds):
+    kmap = nn.KernelMap(nbr_table(o, level))
+    assert {kind for kind, _, _ in kmap.taps} == kinds
+    return kmap
+
+
+@pytest.mark.parametrize("case", ["2", "3", "leaf", "scan"])
+def test_conv_matches_dense(case, rng):
     cin, cout = 3, 5
-    o = complete_octree(depth)
-    feats = rng.normal(size=(o.levels[depth].num_nodes, cin)).astype(np.float32)
+    o, level, kinds = conv_case(case)
+    lv = o.levels[level]
+    feats = rng.normal(size=(lv.num_nodes, cin)).astype(np.float32)
     w = rng.normal(size=(cout, 27 * cin)).astype(np.float32)
     params = nn.ConvParams(cin, 3, 1, FeatureMap(w))
-    y = nn.octree_conv(FeatureMap(feats, level=depth), nbr_table(o, depth), params)
-    want = dense_conv3(to_grid(o, depth, feats), w, cin, cout)
-    assert np.abs(to_grid(o, depth, y.values) - want).max() < 1e-5
+    kmap = kernel_map_of(o, level, kinds)
+    y = nn.octree_conv(FeatureMap(feats, level=level), kmap, params)
+    # empty rows read as zeros inside the stencil; compare at stored cells
+    grid = to_grid(o, level, feats * lv.status[:, None])
+    want = from_grid(o, level, dense_conv3(grid, w, cin, cout))
+    assert np.abs(y.values - want).max() < 1e-5
 
 
 @pytest.mark.parametrize("depth", [2, 3])
@@ -236,21 +262,30 @@ def assert_close_f32(got, want):
     assert np.abs(got - want).max() < 1e-5 * max(1.0, float(np.abs(want).max()))
 
 
-@pytest.mark.parametrize("kernel", [3, 2])
-def test_kernel_map_conv_grads_match_add_at(kernel, rng):
-    """Conv over a status-filtered stencil and downsample over a child table,
-    against the im2col form whose input gradient is scattered by np.add.at."""
-    o = scan_octree()
+@pytest.mark.parametrize(
+    "kernel, case",
+    [(3, "scan"), (2, "scan"), (3, "3"), (3, "leaf")],
+    ids=["3", "2", "3-full", "3-leaf"],
+)
+def test_kernel_map_conv_grads_match_add_at(kernel, case, rng):
+    """Conv over a status-filtered stencil, with each tap kind among the
+    cases, and downsample over a child table, against the im2col form whose
+    input gradient is scattered by np.add.at."""
     cin, cout = 5, 7
     if kernel == 3:
-        table, stride = nbr_table(o, 4), 1
-        op = lambda x, p: nn.octree_conv(x, table, p)
+        o, level, kinds = conv_case(case)
+        table, stride = nbr_table(o, level), 1
+        kmap = kernel_map_of(o, level, kinds)
+        op = lambda x, p: nn.octree_conv(x, kmap, p)
+        rows = o.levels[level].num_nodes
     else:
+        o = scan_octree()
         table, stride = child_table(o, 3), 2
         op = lambda x, p: nn.downsample(x, o.levels[3].status, o.levels[4].status, p)
+        rows = o.levels[4].num_nodes
     assert np.any(table < 0)
     taps = table.shape[1]
-    xv = rng.normal(size=(o.levels[4].num_nodes, cin)).astype(np.float32)
+    xv = rng.normal(size=(rows, cin)).astype(np.float32)
     wv = rng.normal(size=(cout, taps * cin)).astype(np.float32)
     g = rng.normal(size=(table.shape[0], cout)).astype(np.float32)
     conv = lambda x, w: op(x, nn.ConvParams(cin, kernel, stride, w))
@@ -263,6 +298,21 @@ def test_kernel_map_conv_grads_match_add_at(kernel, rng):
     gx, gw = taped_grads(conv, ad.parameter(xv.copy()), ad.parameter(wv.copy()), g)
     assert_close_f32(gx, want_gx)
     assert_close_f32(gw, g.T @ cols)
+
+
+def test_kernel_map_identity_needs_arange(rng):
+    """A full column is an identity tap only when it is arange(rows): a full
+    permutation stays dense. The three kinds together match im2col."""
+    rows, cin, cout = 40, 3, 4
+    sparse = np.full(rows, -1)
+    sparse[:5] = np.arange(7, 12)  # 5 of 40 rows valid
+    table = np.stack([np.arange(rows), rng.permutation(rows), sparse], axis=1)
+    kmap = nn.KernelMap(table)
+    assert [kind for kind, _, _ in kmap.taps] == [nn.IDENTITY, nn.DENSE, nn.SPARSE]
+    xv = rng.normal(size=(rows, cin)).astype(np.float32)
+    wv = rng.normal(size=(cout, 3 * cin)).astype(np.float32)
+    y = nn.octree_conv(FeatureMap(xv), kmap, nn.ConvParams(cin, 3, 1, FeatureMap(wv)))
+    assert_close_f32(y.values, kernels.gather_concat(xv, table) @ wv.T)
 
 
 def test_max_pool_grad_matches_add_at(rng):

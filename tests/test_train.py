@@ -7,6 +7,7 @@ from octcomplete import data as dt
 from octcomplete.errors import NumericalError
 from octcomplete.network import CompletionNet, NetworkSpec, OctreeBatch
 from octcomplete.nn import Parameters
+from octcomplete.octree import find_in_sorted
 from octcomplete.train import (
     SGD,
     TrainConfig,
@@ -131,7 +132,7 @@ def test_head_targets_follow_each_sample(task):
     gt_batch = OctreeBatch([s.gt for s in samples])
     lv = gt_batch.levels[4]
     keys = np.random.default_rng(0).permutation(lv.keys[lv.status == 1])
-    got = _head_targets(samples, gt_batch, keys, task)
+    got = _head_targets(samples, gt_batch, find_in_sorted(lv.keys, keys), task)
     for key, value in zip(keys, got):
         b, cell = int(key) >> 12, int(key) & 0xFFF  # the id sits above level 4's 12 bits
         own = samples[b].gt.levels[4]
