@@ -43,10 +43,11 @@ def random_stencil(rng, rows, taps):
 
 
 def conv_step(feats, table, weight):
+    """Kernel map build, convolution and backward (which inverts the map)."""
     x = ad.parameter(feats)
     w = ad.parameter(weight)
     with ad.Tape():
-        y = nn.octree_conv(x, table, nn.ConvParams(x.channels, 3, 1, w))
+        y = nn.octree_conv(x, nn.KernelMap(table), w)
         ad.backward(ad.sum_all(y))
 
 
@@ -54,7 +55,7 @@ def down_step(feats, status, child_status, weight):
     x = ad.parameter(feats)
     w = ad.parameter(weight)
     with ad.Tape():
-        y = nn.downsample(x, status, child_status, nn.ConvParams(x.channels, 2, 2, w))
+        y = nn.downsample(x, status, child_status, w)
         ad.backward(ad.sum_all(y))
 
 
@@ -81,7 +82,7 @@ def random_patches(rng, leaves, depth):
     cells = rng.choice(1 << (3 * depth), size=leaves, replace=False)
     codes = np.sort(octree.keys_from_coords(*np.unravel_index(cells, (1 << depth,) * 3)))
     patches = rng.uniform(-1.0, 1.0, size=(leaves, 4))
-    return network.PredictedShape(depth=depth, octree=None, leaf_codes=codes, patches=patches)
+    return network.PredictedShape(depth=depth, leaf_codes=codes, patches=patches)
 
 
 def bench(n, repeats):

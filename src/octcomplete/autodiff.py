@@ -110,14 +110,6 @@ def _check_same_shape(a, b):
 
 
 def add(a, b):
-    if b.values.shape[0] == 1 and a.values.shape[0] != 1:
-        # broadcast bias row
-        out = a.values + b.values
-
-        def back(g):
-            return g, g.sum(axis=0, keepdims=True)
-
-        return custom_op(out, [a, b], back, level=a.level)
     _check_same_shape(a, b)
     return custom_op(a.values + b.values, [a, b], lambda g: (g, g), level=a.level)
 

@@ -158,13 +158,9 @@ def cmd_complete(args):
     if net.spec.task == "completion":
         out = sample_points(shape, samples_per_node=args.samples_per_node)
     else:
+        # semantic leaves have no patches; emit their centers
         labels = np.argmax(shape.semantic_logits, axis=1).astype(np.int32)
-        out = sample_points(
-            # semantic nodes have no patches; emit node centers
-            _centers_as_shape(shape),
-            samples_per_node=1,
-        )
-        out.labels = labels
+        out = dt.leaf_center_points(shape.leaf_codes, labels, shape.depth)
     fileio.write_ply(args.out, out)
     if args.export_grid:
         if net.spec.task == "semantic":
@@ -178,17 +174,6 @@ def cmd_complete(args):
         fileio.save_sgrid(args.export_grid, grid)
     print(f"completed shape: {len(shape.leaf_codes)} leaves, {len(out)} points")
     return EXIT_OK
-
-
-def _centers_as_shape(shape):
-    """Give a semantic shape flat patches through node centers for sampling."""
-    patched = type(shape)(
-        depth=shape.depth,
-        octree=shape.octree,
-        leaf_codes=shape.leaf_codes,
-        patches=np.tile((0.0, 1.0, 0.0, 0.0), (len(shape.leaf_codes), 1)),
-    )
-    return patched
 
 
 def cmd_eval(args):

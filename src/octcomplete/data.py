@@ -8,7 +8,7 @@ import numpy as np
 from .errors import DomainError
 from .octree import (
     PointSet,
-    coords_from_keys,
+    cell_centers,
     estimate_normals,
     find_nodes,
     keys_from_coords,
@@ -296,16 +296,19 @@ def voxelize_labels(points: PointSet, dims=SCENE_GRID_DIMS):
     return grid
 
 
-def shape_to_label_grid(leaf_codes, labels, depth, dims=SCENE_GRID_DIMS):
-    """Map predicted finest octree nodes onto the scene label grid."""
-    xs, ys, zs = coords_from_keys(leaf_codes)
-    centers = (np.stack([xs, ys, zs], axis=1).astype(np.float64) + 0.5) / (1 << depth)
-    pts = PointSet(
+def leaf_center_points(leaf_codes, labels, depth):
+    """The leaves' centers with their labels, normals (0, 1, 0)."""
+    centers = cell_centers(leaf_codes, depth)
+    return PointSet(
         positions=centers,
         normals=np.tile((0.0, 1.0, 0.0), (len(centers), 1)),
         labels=np.asarray(labels, dtype=np.int32),
     )
-    return voxelize_labels(pts, dims)
+
+
+def shape_to_label_grid(leaf_codes, labels, depth, dims=SCENE_GRID_DIMS):
+    """Map predicted finest octree nodes onto the scene label grid."""
+    return voxelize_labels(leaf_center_points(leaf_codes, labels, depth), dims)
 
 
 # -- regression targets -----------------------------------------------------
@@ -346,8 +349,7 @@ def plane_fit_targets(gt_points: PointSet, octree):
 
     nonempty = np.flatnonzero(octree.levels[depth].status == 1)
     h = 0.5 / (1 << depth)
-    xs, ys, zs = coords_from_keys(octree.levels[depth].keys[nonempty])
-    centers = (np.stack([xs, ys, zs], axis=1).astype(np.float64) + 0.5) / (1 << depth)
+    centers = cell_centers(octree.levels[depth].keys[nonempty], depth)
 
     cnt = np.maximum(count[nonempty], 1.0)[:, None]
     mean = sums[nonempty] / cnt

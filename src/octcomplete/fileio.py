@@ -309,19 +309,27 @@ def write_config(path, values):
 
 
 def read_config(path):
-    out = {}
     try:
         with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise DataError(f"{path}: malformed config line: {line}")
-                k, v = line.split("=", 1)
-                out[k.strip()] = v.strip()
+            text = f.read()
     except OSError as e:
         raise DataError(f"{path}: {e}") from e
+    except ValueError as e:  # undecodable text
+        raise DataError(f"{path}: malformed config: {e}") from e
+    return parse_config(text, path)
+
+
+def parse_config(text, source):
+    """key=value lines -> dict; blank lines and # comments are skipped."""
+    out = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"{source}: malformed config line: {line}")
+        k, v = line.split("=", 1)
+        out[k.strip()] = v.strip()
     return out
 
 

@@ -25,11 +25,11 @@ from .octree import (
     PointSet,
     child_neighbor_table,
     child_rows,
-    coords_from_keys,
+    cell_centers,
     find_in_sorted,  # not called here; perfbench/spans.py probes network.find_in_sorted
     make_level,
     neighbor_table,
-    octree_from_codes,
+    octree_from_codes,  # not called here; perfbench/spans.py probes network.octree_from_codes
 )
 from .skip import StatusMask, align_encoder_rows, guided_skip_add
 
@@ -66,6 +66,8 @@ class NetworkSpec:
             raise DomainError(f"unknown task {self.task}")
         if self.skip_mode not in ("guided", "off", "full"):
             raise DomainError(f"unknown skip mode {self.skip_mode}")
+        if self.mask_mode not in ("rounded", "soft"):
+            raise DomainError(f"unknown mask mode {self.mask_mode}")
 
     def channels(self):
         """Per-level channel schedule, core_depth down to coarsest."""
@@ -189,7 +191,6 @@ class DecoderState:
 @dataclass
 class PredictedShape:
     depth: int
-    octree: Octree
     leaf_codes: np.ndarray
     patches: Optional[np.ndarray] = None          # raw (nx, ny, nz, d) per leaf
     semantic_logits: Optional[np.ndarray] = None
@@ -209,16 +210,15 @@ class DecodeResult:
     head_rows: Optional[np.ndarray] = None
     skip_levels: List[int] = field(default_factory=list)
     state: Optional[DecoderState] = None
-    shape: Optional[PredictedShape] = None
 
 
 class CompletionNet:
     """The full encoder-decoder with output-guided skips."""
 
-    def __init__(self, spec: NetworkSpec, seed=0, dtype=np.float32):
+    def __init__(self, spec: NetworkSpec, seed=0):
         spec.validate()
         self.spec = spec
-        self.params = nn.Parameters(dtype)
+        self.params = nn.Parameters()
         rng = np.random.default_rng(seed)
         p = self.params
         ch = spec.channels()
@@ -228,15 +228,15 @@ class CompletionNet:
         self.head_layers = None
         if spec.scene_head:
             self.head_layers = {
-                "conv8": nn.ConvBnRelu(p, "head.conv8", 4, 16, 3, 1, rng=rng),
-                "conv7": nn.ConvBnRelu(p, "head.conv7", 16, 16, 3, 1, rng=rng),
+                "conv8": nn.ConvBnRelu(p, "head.conv8", 4, 16, 3, rng=rng),
+                "conv7": nn.ConvBnRelu(p, "head.conv7", 16, 16, 3, rng=rng),
                 "rb7": nn.ResBlockStack(p, "head.rb7", 16, 32, 1, rng=rng),
-                "down7": nn.ConvBnRelu(p, "head.down7", 32, spec.c0, 2, 2, rng=rng),
+                "down7": nn.ConvBnRelu(p, "head.down7", 32, spec.c0, 2, rng=rng),
             }
 
         self.lift = None
         if not spec.scene_head and spec.n_res > 0:
-            self.lift = nn.ConvBnRelu(p, "enc.lift", 4, spec.c0, 3, 1, rng=rng)
+            self.lift = nn.ConvBnRelu(p, "enc.lift", 4, spec.c0, 3, rng=rng)
 
         self.enc_rb = {}
         self.enc_down = {}
@@ -247,9 +247,9 @@ class CompletionNet:
                 )
             else:
                 in_c = 4 if (l == d and not spec.scene_head) else ch[l]
-                self.enc_rb[l] = nn.ConvBnRelu(p, f"enc.conv{l}", in_c, ch[l], 3, 1, rng=rng)
+                self.enc_rb[l] = nn.ConvBnRelu(p, f"enc.conv{l}", in_c, ch[l], 3, rng=rng)
             self.enc_down[l] = nn.ConvBnRelu(
-                p, f"enc.down{l}", ch[l], ch[l - 1], 2, 2, rng=rng
+                p, f"enc.down{l}", ch[l], ch[l - 1], 2, rng=rng
             )
 
         self.dec_up = {}
@@ -262,7 +262,7 @@ class CompletionNet:
                     p, f"dec.rb{l}", ch[l], ch[l], spec.n_res, rng=rng
                 )
             else:
-                self.dec_rb[l] = nn.ConvBnRelu(p, f"dec.conv{l}", ch[l], ch[l], 3, 1, rng=rng)
+                self.dec_rb[l] = nn.ConvBnRelu(p, f"dec.conv{l}", ch[l], ch[l], 3, rng=rng)
             self.pred[l] = nn.MLPHead(p, f"dec.pred{l}", ch[l], spec.hidden, 1, rng=rng)
 
         out_c = 4 if spec.task == "completion" else spec.num_classes
@@ -418,24 +418,14 @@ class CompletionNet:
         res = self.decode(code, batch, feats, train=False, expand_cap=expand_cap)
         d = self.spec.output_depth
         if d not in res.pred_status or res.head_out is None:
-            return PredictedShape(
-                depth=d,
-                octree=None,
-                leaf_codes=np.zeros(0, dtype=np.uint64),
-            )
+            return PredictedShape(depth=d, leaf_codes=np.zeros(0, dtype=np.uint64))
         # sample 0 carries no id bits
-        leaf_codes = res.state.keys[d][res.head_rows]
-        shape = PredictedShape(
-            depth=d,
-            octree=octree_from_codes(leaf_codes, d),
-            leaf_codes=leaf_codes,
-        )
-        out = res.head_out.values
+        shape = PredictedShape(depth=d, leaf_codes=res.state.keys[d][res.head_rows])
+        out = np.asarray(res.head_out.values, dtype=np.float64)
         if self.spec.task == "completion":
-            shape.patches = np.asarray(out, dtype=np.float64)
+            shape.patches = out
         else:
-            shape.semantic_logits = np.asarray(out, dtype=np.float64)
-        res.shape = shape
+            shape.semantic_logits = out
         return shape
 
 
@@ -535,11 +525,8 @@ def sample_points(shape: PredictedShape, samples_per_node=4, seed=0) -> PointSet
         raise DomainError(f"samples_per_node must be >= 1, got {samples_per_node}")
     spn = samples_per_node
     rng = np.random.default_rng(seed)
-    n_cells = 1 << shape.depth
-    h = 0.5 / n_cells
-    xs, ys, zs = coords_from_keys(shape.leaf_codes)
-    centers = np.stack([xs, ys, zs], axis=1).astype(np.float64)
-    centers = (centers + 0.5) / n_cells
+    h = 0.5 / (1 << shape.depth)  # leaf half-width
+    centers = cell_centers(shape.leaf_codes, shape.depth)
 
     normals = shape.patches[:, :3].copy()
     with np.errstate(over="ignore"):  # an overflowing norm is rejected below

@@ -1,10 +1,11 @@
 """Octree-restricted neural operators.
 
-All operators act on node-major FeatureMaps. Convolution receives a
-precomputed 27-stencil neighbor table from the octree it runs on; the ops
-that change level read its full-sibling layout directly. Empty sibling
-slots are stored rows: they read as zeros inside convolution stencils but
-participate in batch-norm statistics.
+All operators act on node-major FeatureMaps. Convolution reads the
+KernelMap of its level, built once from the level's 27-stencil neighbor
+table; the ops that change level read the full-sibling layout directly.
+Each op takes its weight FeatureMap and checks the input channels against
+the weight's shape. Empty sibling slots are stored rows: they read as zeros
+inside convolution stencils but participate in batch-norm statistics.
 """
 
 from dataclasses import dataclass
@@ -55,14 +56,6 @@ class Parameters:
 
 def he_init(rng, out_c, fan_in):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(out_c, fan_in))
-
-
-@dataclass
-class ConvParams:
-    in_channels: int
-    kernel: int           # 1, 2 or 3
-    stride: int           # 1 or 2
-    weight: FeatureMap    # (out, in * kernel^3) for k=3/1, (out, 8*in) or (8*out, in) for k=2
 
 
 @dataclass
@@ -133,13 +126,13 @@ class KernelMap:
         return self._inverse
 
 
-def octree_conv(x, nbr_table, params):
+def octree_conv(x, kmap, weight):
     """3x3x3 convolution over the stored nodes of one level.
 
     Absent or empty neighbors contribute zero rows; the output keeps the
-    row count of the input. kernel=1 degenerates to a per-node linear map.
-    `nbr_table` is the level's (rows, 27) stencil table or its KernelMap
-    (the network passes the map its batch built once for the level).
+    row count of the input. `kmap` is the level's KernelMap, built once
+    per level by OctreeBatch.kernel_map or DecoderState.subdivide; `weight`
+    is (out, taps * in), one (out, in) block per tap of the map.
 
     Tap t multiplies the input rows its column names by its weight block
     W_t = weight[:, t*c:(t+1)*c], accumulating in place in tap order; no
@@ -149,17 +142,12 @@ def octree_conv(x, nbr_table, params):
     W_t's gradient is g_t.T @ x and the input gradient accumulates g_t @ W_t,
     so backward never scatters.
     """
-    if x.channels != params.in_channels:
+    if weight.values.shape[1] != len(kmap.taps) * x.channels:
         raise DomainError("conv channel mismatch")
-    if params.kernel == 1:
-        return ad.linear(x, params.weight)
-    if params.kernel != 3 or params.stride != 1:
-        raise DomainError("octree_conv expects kernel 3, stride 1")
-    kmap = nbr_table if isinstance(nbr_table, KernelMap) else KernelMap(nbr_table)
     if kmap.rows != x.rows:
         raise DomainError("neighbor table row mismatch")
     xv = x.values
-    w = params.weight.values.reshape(-1, len(kmap.taps), x.channels)  # (out, taps, in)
+    w = weight.values.reshape(-1, len(kmap.taps), x.channels)  # (out, taps, in)
     out = np.zeros((x.rows, w.shape[0]), dtype=np.result_type(xv, w))
     if kmap.dense:
         xp, buf = kernels.padded(xv), np.empty(xv.shape, xv.dtype)
@@ -184,9 +172,9 @@ def octree_conv(x, nbr_table, params):
             g_t = g if kind == IDENTITY else kernels.gather_padded(gp, inv[b], gbuf)
             gw[:, t] = g_t.T @ xv
             kernels.matmul_add(gx, g_t, w[:, t])
-        return gx, gw.reshape(params.weight.values.shape)
+        return gx, gw.reshape(weight.values.shape)
 
-    return ad.custom_op(out, [x, params.weight], back, level=x.level)
+    return ad.custom_op(out, [x, weight], back, level=x.level)
 
 
 def _child_blocks(status, child_status, rows):
@@ -201,22 +189,21 @@ def _child_blocks(status, child_status, rows):
     return owners, child_status == 0
 
 
-def downsample(x, status, child_status, params):
+def downsample(x, status, child_status, weight):
     """conv(c, 2, 2): strided conv over each node's 8 children -> level-1 rows.
 
     `status` is the per-row status of the coarser level, `child_status`
     that of x's level. One gemm of the (parents, 8*c) block view with the
-    weight; empty children read as zeros, childless parents get zero rows.
+    (out, 8*c) weight; empty children read as zeros, childless parents get
+    zero rows.
     """
-    if params.kernel != 2 or params.stride != 2:
-        raise DomainError("downsample expects kernel 2, stride 2")
-    if x.channels != params.in_channels:
+    if weight.values.shape[1] != 8 * x.channels:
         raise DomainError("downsample channel mismatch")
     if x.level is not None and x.level < 1:
         raise DomainError("cannot downsample the root level")
     owners, empty = _child_blocks(status, child_status, x.rows)
     c = x.channels
-    w = params.weight.values
+    w = weight.values
     blocks = np.where(empty[:, None], 0, x.values).reshape(len(owners), 8 * c)
     out = np.zeros((len(status), w.shape[0]), dtype=np.result_type(x.values, w))
     out[owners] = blocks @ w.T
@@ -229,22 +216,20 @@ def downsample(x, status, child_status, params):
         return gx, go.T @ np.where(empty[:, None], 0, x.values).reshape(len(owners), 8 * c)
 
     out_level = None if x.level is None else x.level - 1
-    return ad.custom_op(out, [x, params.weight], back, level=out_level)
+    return ad.custom_op(out, [x, weight], back, level=out_level)
 
 
-def upsample(x, rows, params):
+def upsample(x, rows, weight):
     """Deconvolution with kernel 2, stride 2.
 
     Projects each selected parent row to its 8 child slots; weight layout is
     (8*out, in), child slot t using the t-th block of rows. `rows` must be
     distinct: backward assigns the input gradient rows.
     """
-    if params.kernel != 2 or params.stride != 2:
-        raise DomainError("upsample expects kernel 2, stride 2")
-    if x.channels != params.in_channels:
+    if weight.values.shape[1] != x.channels:
         raise DomainError("upsample channel mismatch")
     rows = np.asarray(rows, dtype=np.int64)
-    w = params.weight.values
+    w = weight.values
     sel = x.values[rows]
     out = (sel @ w.T).reshape(8 * len(rows), -1)
 
@@ -255,7 +240,7 @@ def upsample(x, rows, params):
         return gx, gb.T @ sel
 
     out_level = None if x.level is None else x.level + 1
-    return ad.custom_op(out, [x, params.weight], back, level=out_level)
+    return ad.custom_op(out, [x, weight], back, level=out_level)
 
 
 def max_pool(x, status, child_status):
@@ -350,22 +335,25 @@ def batch_norm(x, params, train):
 
 
 class ConvBnRelu:
-    """conv(c, k, s) in the Fig.-style notation: conv + BN + ReLU, no bias."""
+    """conv(c, k, s) in the Fig.-style notation: conv + BN + ReLU, no bias.
 
-    def __init__(self, params, prefix, in_c, out_c, kernel=3, stride=1, rng=None):
+    Kernel 3 runs at stride 1 (octree_conv), kernel 2 at stride 2
+    (downsample).
+    """
+
+    def __init__(self, params, prefix, in_c, out_c, kernel=3, rng=None):
         self.kernel = kernel
-        taps = {3: 27, 2: 8, 1: 1}[kernel]
-        w = params.create(f"{prefix}.w", he_init(rng, out_c, in_c * taps))
-        self.conv = ConvParams(in_c, kernel, stride, w)
+        taps = {3: 27, 2: 8}[kernel]
+        self.w = params.create(f"{prefix}.w", he_init(rng, out_c, in_c * taps))
         self.bn = make_bn(params, f"{prefix}.bn", out_c)
 
     def forward(self, x, table, train):
-        """`table` is the neighbor table for kernel 3 and the (status,
+        """`table` is the level's KernelMap for kernel 3 and the (status,
         child status) pair of downsample for kernel 2."""
         if self.kernel == 2:
-            y = downsample(x, *table, self.conv)
+            y = downsample(x, *table, self.w)
         else:
-            y = octree_conv(x, table, self.conv)
+            y = octree_conv(x, table, self.w)
         return ad.relu(batch_norm(y, self.bn, train))
 
     def layer_count(self):
@@ -376,12 +364,11 @@ class Deconv:
     """Upsample(c): deconvolution (k=2, s=2) + BN + ReLU."""
 
     def __init__(self, params, prefix, in_c, out_c, rng=None):
-        w = params.create(f"{prefix}.w", he_init(rng, 8 * out_c, in_c))
-        self.conv = ConvParams(in_c, 2, 2, w)
+        self.w = params.create(f"{prefix}.w", he_init(rng, 8 * out_c, in_c))
         self.bn = make_bn(params, f"{prefix}.bn", out_c)
 
     def forward(self, x, parent_rows, train):
-        return ad.relu(batch_norm(upsample(x, parent_rows, self.conv), self.bn, train))
+        return ad.relu(batch_norm(upsample(x, parent_rows, self.w), self.bn, train))
 
     def layer_count(self):
         return 1
@@ -413,24 +400,22 @@ class ResBlockStack:
         self.n = n
         self.c = c
         self.blocks = []
-        self.projection = None
+        self.projection = None  # the 1x1 projection's weight, when in_c != c
         if in_c != c:
-            w = params.create(f"{prefix}.proj.w", he_init(rng, c, in_c))
-            self.projection = ConvParams(in_c, 1, 1, w)
+            self.projection = params.create(f"{prefix}.proj.w", he_init(rng, c, in_c))
             self.proj_bn = make_bn(params, f"{prefix}.proj.bn", c)
         for i in range(n):
-            c1 = ConvBnRelu(params, f"{prefix}.b{i}.conv1", c, c // 4, 3, 1, rng=rng)
+            c1 = ConvBnRelu(params, f"{prefix}.b{i}.conv1", c, c // 4, 3, rng=rng)
             w2 = params.create(f"{prefix}.b{i}.conv2.w", he_init(rng, c, (c // 4) * 27))
-            conv2 = ConvParams(c // 4, 3, 1, w2)
             bn2 = make_bn(params, f"{prefix}.b{i}.conv2.bn", c)
-            self.blocks.append((c1, conv2, bn2))
+            self.blocks.append((c1, w2, bn2))
 
-    def forward(self, x, table, train):
+    def forward(self, x, kmap, train):
         if self.projection is not None:
-            x = batch_norm(octree_conv(x, None, self.projection), self.proj_bn, train)
-        for c1, conv2, bn2 in self.blocks:
-            h = c1.forward(x, table, train)
-            h = batch_norm(octree_conv(h, table, conv2), bn2, train)
+            x = batch_norm(ad.linear(x, self.projection), self.proj_bn, train)
+        for c1, w2, bn2 in self.blocks:
+            h = c1.forward(x, kmap, train)
+            h = batch_norm(octree_conv(h, kmap, w2), bn2, train)
             x = ad.relu(ad.add(x, h))
         return x
 

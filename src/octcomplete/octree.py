@@ -60,6 +60,12 @@ def coords_from_keys(codes):
     return kernels.deinterleave3(np.asarray(codes, dtype=np.uint64))
 
 
+def cell_centers(codes, depth):
+    """(n, 3) centers in the unit cube of the depth-`depth` cells `codes`."""
+    xs, ys, zs = coords_from_keys(codes)
+    return (np.stack([xs, ys, zs], axis=1).astype(np.float64) + 0.5) / (1 << depth)
+
+
 def parent_key(code, depth):
     if depth < 1:
         raise DomainError("root has no parent")

@@ -283,11 +283,7 @@ def spec_config_values(spec: NetworkSpec):
 def net_from_checkpoint(path):
     """Rebuild the network a checkpoint was trained with and load its weights."""
     ck = fileio.load_checkpoint(path)
-    values = {}
-    for line in ck["config_text"].splitlines():
-        if "=" in line:
-            k, v = line.split("=", 1)
-            values[k] = v
+    values = fileio.parse_config(ck["config_text"], path)
     net = CompletionNet(spec_from_config_values(values))
     load_arrays(net.params, {k: v for k, v in ck["arrays"].items() if not k.startswith("opt.")})
     return net, ck

@@ -52,13 +52,6 @@ def test_grad_add_sub_mul(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_grad_bias_broadcast(seed):
-    rng = np.random.default_rng(seed)
-    a, b = leaf(rng, (5, 3)), leaf(rng, (1, 3))
-    fd_check(lambda: scalarize(ad.add(a, b)), [a, b])
-
-
-@pytest.mark.parametrize("seed", SEEDS)
 def test_grad_matmul_linear(seed):
     rng = np.random.default_rng(seed)
     x, m = leaf(rng, (4, 3)), leaf(rng, (3, 5))
@@ -121,6 +114,12 @@ def test_backward_errors():
         with pytest.raises(DomainError):
             ad.backward(y)  # not a scalar
         ad.backward(ad.sum_all(y))
+
+
+def test_add_needs_equal_shapes():
+    """A (1, c) row does not broadcast: ad.linear adds its own bias."""
+    with pytest.raises(DomainError, match="shape mismatch"):
+        ad.add(ad.constant(np.ones((5, 3))), ad.constant(np.ones((1, 3))))
 
 
 def test_nested_tape_rejected():

@@ -9,8 +9,8 @@ from octcomplete import data as dt
 from octcomplete import fileio
 from octcomplete.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from octcomplete.network import CompletionNet, NetworkSpec
-from octcomplete.octree import build_octree
-from octcomplete.train import spec_config_values
+from octcomplete.octree import build_octree, cell_centers
+from octcomplete.train import net_from_checkpoint, spec_config_values
 
 
 def run(argv):
@@ -134,9 +134,14 @@ def test_gen_scene_writes_grids(tmp_path):
     assert pts.labels is not None
 
 
-def untrained_checkpoint_and_scan(tmp_path):
-    """A checkpoint of an untrained net that predicts a nonempty shape for the scan."""
-    spec = NetworkSpec(input_depth=4, output_depth=4, n_res=1, c0=8, c_max=16, hidden=8)
+def untrained_checkpoint_and_scan(tmp_path, **spec_fields):
+    """A checkpoint of an untrained net that predicts a nonempty shape for the scan.
+
+    `spec_fields` override the completion spec; the output head is created
+    last, so a semantic net shares every other weight, and the structure.
+    """
+    fields = dict(input_depth=4, output_depth=4, n_res=1, c0=8, c_max=16, hidden=8)
+    spec = NetworkSpec(**{**fields, **spec_fields})
     net = CompletionNet(spec, seed=3)
     ckpt = str(tmp_path / "untrained.ockp")
     text = fileio.config_to_text(spec_config_values(spec))
@@ -155,6 +160,20 @@ def test_complete_samples_per_node_below_one_is_data_error(tmp_path):
     assert len(fileio.read_ply(out)) > 0
     assert run(base + ["--samples-per-node", "0"]) == EXIT_DATA
     assert run(base + ["--samples-per-node", "-1"]) == EXIT_DATA
+
+
+def test_complete_semantic_writes_labeled_leaf_centers(tmp_path):
+    ckpt, scan = untrained_checkpoint_and_scan(tmp_path, task="semantic", num_classes=3)
+    out = str(tmp_path / "out.ply")
+    assert run(["complete", "--ckpt", ckpt, "--in", scan, "--out", out]) == EXIT_OK
+    net, _ = net_from_checkpoint(ckpt)
+    shape = net.complete(build_octree(fileio.read_points(scan), 4))
+    assert not shape.empty
+    pts = fileio.read_ply(out)
+    assert len(pts) == len(shape.leaf_codes)
+    assert np.allclose(pts.positions, cell_centers(shape.leaf_codes, 4), rtol=0, atol=1e-6)
+    assert np.array_equal(pts.normals, np.tile((0.0, 1.0, 0.0), (len(pts), 1)))
+    assert np.array_equal(pts.labels, np.argmax(shape.semantic_logits, axis=1))
 
 
 def test_complete_truncated_checkpoint_is_data_error(tmp_path):
@@ -238,3 +257,13 @@ def test_train_bad_config_value_is_data_error(tmp_path, capsys, key):
     out = str(tmp_path / "run")
     assert run(["train", "--config", cfg, "--data", str(manifest), "--out", out]) == EXIT_DATA
     assert key in capsys.readouterr().err
+
+
+def test_train_undecodable_config_is_data_error(tmp_path, capsys):
+    manifest = tiny_shape_manifest(tmp_path)
+    cfg = tmp_path / "cfg"
+    write_tiny_config(str(cfg))
+    cfg.write_bytes(cfg.read_bytes() + b"net.c0=\xff\n")
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", str(cfg), "--data", str(manifest), "--out", out]) == EXIT_DATA
+    assert "Traceback" not in capsys.readouterr().err

@@ -76,6 +76,8 @@ def test_spec_validation():
         NetworkSpec(task="semantic", num_classes=1).validate()
     with pytest.raises(DomainError):
         NetworkSpec(skip_mode="sometimes").validate()
+    with pytest.raises(DomainError):
+        NetworkSpec(mask_mode="sofft").validate()
 
 
 def test_teacher_forced_decode_follows_gt():
@@ -292,7 +294,6 @@ def make_shape_with_patch(code_xyz, normal, disp, depth=4):
     patches = np.array([[*normal, disp]], dtype=np.float64)
     return PredictedShape(
         depth=depth,
-        octree=octree_from_codes(codes, depth),
         leaf_codes=codes,
         patches=patches,
     )
@@ -326,7 +327,7 @@ def test_sample_points_degenerate_plane_falls_back():
 
 
 def test_sample_points_errors():
-    shape = PredictedShape(depth=4, octree=None, leaf_codes=np.zeros(0, np.uint64))
+    shape = PredictedShape(depth=4, leaf_codes=np.zeros(0, np.uint64))
     with pytest.raises(DomainError):
         sample_points(shape)
 
@@ -461,7 +462,6 @@ def mixed_degenerate_shape(depth=4, seed=0):
     codes = np.sort(keys_from_coords(x, y, z))
     return PredictedShape(
         depth=depth,
-        octree=octree_from_codes(codes, depth),
         leaf_codes=codes,
         patches=np.array(patches, dtype=np.float64),
     )

@@ -90,9 +90,8 @@ def test_conv_matches_dense(case, rng):
     lv = o.levels[level]
     feats = rng.normal(size=(lv.num_nodes, cin)).astype(np.float32)
     w = rng.normal(size=(cout, 27 * cin)).astype(np.float32)
-    params = nn.ConvParams(cin, 3, 1, FeatureMap(w))
     kmap = kernel_map_of(o, level, kinds)
-    y = nn.octree_conv(FeatureMap(feats, level=level), kmap, params)
+    y = nn.octree_conv(FeatureMap(feats, level=level), kmap, FeatureMap(w))
     # empty rows read as zeros inside the stencil; compare at stored cells
     grid = to_grid(o, level, feats * lv.status[:, None])
     want = from_grid(o, level, dense_conv3(grid, w, cin, cout))
@@ -105,9 +104,8 @@ def test_downsample_matches_dense(depth, rng):
     o = complete_octree(depth)
     feats = rng.normal(size=(o.levels[depth].num_nodes, cin)).astype(np.float32)
     w = rng.normal(size=(cout, 8 * cin)).astype(np.float32)
-    params = nn.ConvParams(cin, 2, 2, FeatureMap(w))
     st = o.levels[depth - 1].status, o.levels[depth].status
-    y = nn.downsample(FeatureMap(feats, level=depth), *st, params)
+    y = nn.downsample(FeatureMap(feats, level=depth), *st, FeatureMap(w))
     want = dense_down(to_grid(o, depth, feats), w, cin, cout)
     assert np.abs(to_grid(o, depth - 1, y.values) - want).max() < 1e-5
 
@@ -133,8 +131,8 @@ def test_identity_kernel_preserves_input(rng):
     feats = rng.normal(size=(o.levels[3].num_nodes, c)).astype(np.float32)
     w = np.zeros((c, 27 * c), dtype=np.float32)
     w[:, 13 * c : 14 * c] = np.eye(c)  # center of the dz/dy/dx stencil
-    params = nn.ConvParams(c, 3, 1, FeatureMap(w))
-    y = nn.octree_conv(FeatureMap(feats, level=3), nbr_table(o, 3), params)
+    kmap = nn.KernelMap(nbr_table(o, 3))
+    y = nn.octree_conv(FeatureMap(feats, level=3), kmap, FeatureMap(w))
     assert np.array_equal(y.values, feats)
 
 
@@ -144,8 +142,8 @@ def test_empty_neighbors_read_as_zero(rng):
     # only one nonempty node; its 26 real neighbors are empty siblings or absent
     feats = rng.normal(size=(o.levels[2].num_nodes, c)).astype(np.float32)
     w = rng.normal(size=(c, 27 * c)).astype(np.float32)
-    params = nn.ConvParams(c, 3, 1, FeatureMap(w))
-    y = nn.octree_conv(FeatureMap(feats, level=2), nbr_table(o, 2), params)
+    kmap = nn.KernelMap(nbr_table(o, 2))
+    y = nn.octree_conv(FeatureMap(feats, level=2), kmap, FeatureMap(w))
     row = int(np.flatnonzero(o.levels[2].keys == 0)[0])
     want = w[:, 13 * c : 14 * c] @ feats[row]
     assert np.allclose(y.values[row], want, atol=1e-5)
@@ -166,12 +164,12 @@ def test_upsample_is_downsample_adjoint(rng):
         FeatureMap(x, level=2),
         o.levels[1].status,
         o.levels[2].status,
-        nn.ConvParams(cin, 2, 2, FeatureMap(wd)),
+        FeatureMap(wd),
     )
     up = nn.upsample(
         FeatureMap(y, level=1),
         np.arange(8),
-        nn.ConvParams(cout, 2, 2, FeatureMap(wu)),
+        FeatureMap(wu),
     )
     # child rows emitted parent-major in child-digit order = stored key order
     lhs = float((down.values * y).sum())
@@ -188,10 +186,10 @@ def test_grad_conv_ops(seed):
     xv = rng.normal(size=(m, cin))
     wv = rng.normal(size=(cout, 27 * cin))
     x, w = ad.parameter(xv), ad.parameter(wv)
-    conv = nn.ConvParams(cin, 3, 1, w)
+    kmap = nn.KernelMap(nbr_table(o, 2))
 
     def run():
-        y = nn.octree_conv(x, nbr_table(o, 2), conv)
+        y = nn.octree_conv(x, kmap, w)
         return ad.sum_all(ad.mul(y, y))
 
     with ad.Tape():
@@ -215,17 +213,15 @@ def test_grad_down_up_pool(seed):
     xv = rng.normal(size=(m, cin))
     wv = rng.normal(size=(cout, 8 * cin))
     x, w = ad.parameter(xv), ad.parameter(wv)
-    down = nn.ConvParams(cin, 2, 2, w)
     cases.append(
-        (lambda: nn.downsample(x, st[1], st[2], down), [(x, xv), (w, wv)])
+        (lambda: nn.downsample(x, st[1], st[2], w), [(x, xv), (w, wv)])
     )
 
     yv = rng.normal(size=(p, cout))
     wuv = rng.normal(size=(8 * cin, cout))
     yfm, wu = ad.parameter(yv), ad.parameter(wuv)
-    upp = nn.ConvParams(cout, 2, 2, wu)
     sel = np.flatnonzero(o.levels[1].status == 1)
-    cases.append((lambda: nn.upsample(yfm, sel, upp), [(yfm, yv), (wu, wuv)]))
+    cases.append((lambda: nn.upsample(yfm, sel, wu), [(yfm, yv), (wu, wuv)]))
 
     pv = rng.normal(size=(m, cin))
     pool_in = ad.parameter(pv)
@@ -274,21 +270,20 @@ def test_kernel_map_conv_grads_match_add_at(kernel, case, rng):
     cin, cout = 5, 7
     if kernel == 3:
         o, level, kinds = conv_case(case)
-        table, stride = nbr_table(o, level), 1
+        table = nbr_table(o, level)
         kmap = kernel_map_of(o, level, kinds)
-        op = lambda x, p: nn.octree_conv(x, kmap, p)
+        conv = lambda x, w: nn.octree_conv(x, kmap, w)
         rows = o.levels[level].num_nodes
     else:
         o = scan_octree()
-        table, stride = child_table(o, 3), 2
-        op = lambda x, p: nn.downsample(x, o.levels[3].status, o.levels[4].status, p)
+        table = child_table(o, 3)
+        conv = lambda x, w: nn.downsample(x, o.levels[3].status, o.levels[4].status, w)
         rows = o.levels[4].num_nodes
     assert np.any(table < 0)
     taps = table.shape[1]
     xv = rng.normal(size=(rows, cin)).astype(np.float32)
     wv = rng.normal(size=(cout, taps * cin)).astype(np.float32)
     g = rng.normal(size=(table.shape[0], cout)).astype(np.float32)
-    conv = lambda x, w: op(x, nn.ConvParams(cin, kernel, stride, w))
 
     cols = kernels.gather_concat(xv, table)  # (rows, taps * cin)
     assert_close_f32(conv(FeatureMap(xv), FeatureMap(wv)).values, cols @ wv.T)
@@ -311,7 +306,7 @@ def test_kernel_map_identity_needs_arange(rng):
     assert [kind for kind, _, _ in kmap.taps] == [nn.IDENTITY, nn.DENSE, nn.SPARSE]
     xv = rng.normal(size=(rows, cin)).astype(np.float32)
     wv = rng.normal(size=(cout, 3 * cin)).astype(np.float32)
-    y = nn.octree_conv(FeatureMap(xv), kmap, nn.ConvParams(cin, 3, 1, FeatureMap(wv)))
+    y = nn.octree_conv(FeatureMap(xv), kmap, FeatureMap(wv))
     assert_close_f32(y.values, kernels.gather_concat(xv, table) @ wv.T)
 
 
@@ -363,7 +358,7 @@ def test_downsample_on_batch_matches_child_table_oracle(rng):
     wv = rng.normal(size=(cout, 8 * cin)).astype(np.float32)
     g = rng.normal(size=(table.shape[0], cout)).astype(np.float32)
     st = batch.levels[3].status, batch.levels[4].status
-    down = lambda x, w: nn.downsample(x, *st, nn.ConvParams(cin, 2, 2, w))
+    down = lambda x, w: nn.downsample(x, *st, w)
 
     cols = kernels.gather_concat(xv, table)  # (rows, 8 * cin) im2col
     assert_close_f32(down(FeatureMap(xv), FeatureMap(wv)).values, cols @ wv.T)
@@ -410,7 +405,7 @@ def test_upsample_matches_composed_ops(rng):
         out = proj.values.reshape(8 * len(rows), cout)
         return ad.custom_op(out, [proj], lambda gr: (gr.reshape(proj.values.shape),))
 
-    up = lambda x, w: nn.upsample(x, rows, nn.ConvParams(cin, 2, 2, w))
+    up = lambda x, w: nn.upsample(x, rows, w)
     assert np.array_equal(
         up(FeatureMap(xv), FeatureMap(wv)).values, composed(FeatureMap(xv), FeatureMap(wv)).values
     )
@@ -426,7 +421,7 @@ def test_block_ops_reject_mismatched_child_rows(rng):
     c = 3
     x = FeatureMap(rng.normal(size=(len(child_status), c)), level=4)
     short = FeatureMap(x.values[:-8], level=4)
-    params = nn.ConvParams(c, 2, 2, FeatureMap(rng.normal(size=(2, 8 * c))))
+    w = FeatureMap(rng.normal(size=(2, 8 * c)))
     one_less = status.copy()
     one_less[np.flatnonzero(status)[0]] = 0
     cases = (
@@ -436,11 +431,32 @@ def test_block_ops_reject_mismatched_child_rows(rng):
     )
     for st, cst, fm in cases:
         with pytest.raises(DomainError):
-            nn.downsample(fm, st, cst, params)
+            nn.downsample(fm, st, cst, w)
         with pytest.raises(DomainError):
             nn.max_pool(fm, st, cst)
-    assert nn.downsample(x, status, child_status, params).rows == len(status)
+    assert nn.downsample(x, status, child_status, w).rows == len(status)
     assert nn.max_pool(x, status, child_status).rows == len(status)
+
+
+def test_ops_reject_weight_of_other_input_channels(rng):
+    """Each op reads the input channel count off its weight's columns:
+    27 * c for octree_conv, 8 * c for downsample, c for upsample."""
+    o = complete_octree(2)
+    c = 3
+    x = FeatureMap(rng.normal(size=(o.levels[2].num_nodes, c)), level=2)
+    kmap = nn.KernelMap(nbr_table(o, 2))
+    st = o.levels[1].status, o.levels[2].status
+    weight = lambda rows, cols: FeatureMap(rng.normal(size=(rows, cols)))
+    ops = (
+        lambda cin: nn.octree_conv(x, kmap, weight(2, 27 * cin)),
+        lambda cin: nn.downsample(x, *st, weight(2, 8 * cin)),
+        lambda cin: nn.upsample(x, np.arange(8), weight(8 * 2, cin)),
+    )
+    for op in ops:
+        assert op(c).channels == 2
+        for wrong in (c - 1, c + 1):
+            with pytest.raises(DomainError, match="channel mismatch"):
+                op(wrong)
 
 
 @pytest.mark.parametrize("train", [True, False])

@@ -1,5 +1,7 @@
 """Optimizer arithmetic, schedules, checkpoint resume, config round-trips."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,20 @@ from octcomplete.train import (
     spec_config_values,
     spec_from_config_values,
 )
+
+
+BENCH_WEIGHTS = os.path.join(
+    os.path.dirname(__file__), os.pardir, "perfbench", "weights", "shape_d5.ockp"
+)
+
+
+def test_committed_benchmark_weights_load():
+    """The infer-shape benchmark's weights match the network's parameter
+    names and shapes, so a renamed or reshaped parameter fails here too."""
+    net, ck = net_from_checkpoint(BENCH_WEIGHTS)
+    stored = {k for k in ck["arrays"] if not k.startswith("opt.")}
+    assert stored == set(net.params.names())
+    assert net.spec.task == "completion" and net.spec.input_depth == 5
 
 
 def one_param(value, decay=True):
