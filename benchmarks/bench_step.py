@@ -1,0 +1,69 @@
+"""Time and peak memory of teacher-forced train steps at the depth-6 spec.
+
+Run directly:
+
+    PYTHONPATH=src python3 benchmarks/bench_step.py [--steps 3]
+
+Every step is one Trainer.step over the same batch of 4 samples: the shape
+pairs cli.make_shape_pair(seed, views=3) for seeds 0-3, a completion net
+with input and output depth 6, c0=32, c_max=128, n_res=2, at lr 0.01, under
+one BLAS thread. For each step it prints the seconds, the total loss and
+the process's peak resident set so far (ru_maxrss, in MiB). The first
+step's peak includes set-up; later steps show whether the step itself sets
+the peak.
+"""
+
+import os
+
+if __name__ == "__main__":
+    # before numpy is first imported, or the setting has no effect; float
+    # sums in BLAS depend on the thread count, so losses repeat only with it
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+
+import argparse
+import resource
+import time
+
+import numpy as np
+
+from octcomplete import cli, train
+from octcomplete.network import CompletionNet, NetworkSpec
+
+SPEC = dict(input_depth=6, output_depth=6, c0=32, c_max=128, n_res=2)
+SEEDS = range(4)  # one batch
+VIEWS = 3
+LR = 0.01
+
+
+def peak_rss_mib():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+
+
+def bench(steps, spec=SPEC):
+    """Print one line per step; return the (seconds, loss, peak MiB) rows."""
+    spec = NetworkSpec(**spec)
+    samples = [train.prepare_sample(cli.make_shape_pair(s, views=VIEWS), spec) for s in SEEDS]
+    trainer = train.Trainer(CompletionNet(spec, seed=0), train.TrainConfig(lr=LR), samples)
+    batch = np.arange(len(samples))
+    rows = []
+    for k in range(steps):
+        t0 = time.perf_counter()
+        loss = trainer.step(batch, LR).total
+        secs, rss = time.perf_counter() - t0, peak_rss_mib()
+        rows.append((secs, loss, rss))
+        print(f"step {k}  s {secs:.3f}  loss {loss:.9g}  peak_rss_mib {rss:.1f}", flush=True)
+    return rows
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--steps", type=int, default=3)
+    args = ap.parse_args()
+    print(f"spec {SPEC}, batch {len(SEEDS)}, lr {LR}, "
+          f"BLAS threads {os.environ.get('OPENBLAS_NUM_THREADS')}")
+    bench(args.steps)
+
+
+if __name__ == "__main__":
+    main()

@@ -1,11 +1,20 @@
 """Reverse-mode autodiff over node-major feature matrices.
 
 A FeatureMap wraps a (rows, channels) matrix with an optional gradient slot.
-Operations executed while a Tape is active record backward closures; calling
-``backward(loss)`` replays them in reverse order, accumulating gradients with
-+= and clearing the tape afterwards. The graph is define-by-run: the decoder
-structure differs per sample, so no static graph is kept.
+Operations executed while a Tape is active record backward closures;
+``backward(loss)`` pops and runs them in reverse order, accumulating
+gradients with +=. A closure hands its output's gradient on and is dropped,
+so arrays only it kept alive are freed during the replay. Afterwards the
+tape is empty and only leaves (parameters) keep a ``.grad``. The graph is
+define-by-run: the decoder structure differs per sample, so no static graph
+is kept.
+
+Outputs refer to their tape weakly, so a tape nobody holds is freed at once
+with everything it recorded: ``backward`` must run while the tape is alive,
+inside its ``with`` block or while the caller holds it.
 """
+
+import weakref
 
 import numpy as np
 
@@ -78,30 +87,36 @@ def custom_op(values, inputs, backward_fn, level=None):
     tape = _ACTIVE_TAPE
     if tape is not None and any(inp._tracked for inp in inputs):
         out._tracked = True
-        out._tape = tape
+        # weak: the tape holds this closure, which holds out
+        out._tape = weakref.ref(tape)
 
         def _backward():
-            if out.grad is None:
+            g, out.grad = out.grad, None
+            if g is None:
                 return
-            for inp, g in zip(inputs, backward_fn(out.grad)):
-                if g is not None:
-                    _accum(inp, g)
+            for inp, gi in zip(inputs, backward_fn(g)):
+                if gi is not None:
+                    _accum(inp, gi)
 
         tape.ops.append(_backward)
     return out
 
 
 def backward(loss):
-    """Populate gradients of everything `loss` depends on; clears the tape."""
-    if loss._tape is None:
+    """Populate the leaf gradients of everything `loss` depends on.
+
+    Pops each closure off the tape as it replays it, so the tape ends empty
+    and every non-leaf ``.grad`` ends None.
+    """
+    tape = None if loss._tape is None else loss._tape()
+    if tape is None:
         raise DomainError("backward on a value detached from any tape")
     if loss.values.size != 1:
         raise DomainError("backward expects a scalar loss")
-    tape = loss._tape
     loss.grad = np.ones_like(loss.values)
-    for fn in reversed(tape.ops):
-        fn()
-    tape.ops.clear()
+    ops = tape.ops
+    while ops:
+        ops.pop()()
 
 
 def _check_same_shape(a, b):
@@ -152,14 +167,20 @@ def linear(x, w, bias=None):
     return custom_op(out, inputs, back, level=x.level)
 
 
+def relu_values(v, out=None):
+    """np.where(v > 0, v, 0) bit for bit, NaN mapping to 0 too, into `out`.
+
+    fmax drops the NaN without the where's per-element branch, and adding
+    0 turns a -0.0 that fmax may keep into +0.0.
+    """
+    out = np.fmax(v, 0, out=out)
+    out += 0
+    return out
+
+
 def relu(a):
     mask = a.values > 0
-    return custom_op(
-        np.where(mask, a.values, 0.0).astype(a.values.dtype),
-        [a],
-        lambda g: (g * mask,),
-        level=a.level,
-    )
+    return custom_op(relu_values(a.values), [a], lambda g: (g * mask,), level=a.level)
 
 
 def row_gather(a, idx):

@@ -274,19 +274,30 @@ def max_pool(x, status, child_status):
     return ad.custom_op(out, [x], back, level=None if x.level is None else x.level - 1)
 
 
-def batch_norm(x, params, train):
-    """Per-channel normalization over all stored rows of the map."""
+def batch_norm(x, params, train, relu=False):
+    """Per-channel normalization over all stored rows of the map.
+
+    Train mode keeps only the per-channel mean and inverse deviation:
+    backward recomputes xhat from x with the forward's expression. With
+    `relu`, the op is followed by ad.relu's rule (ad.relu_values) as one
+    op; backward masks the gradient by its own output being > 0, so neither
+    the normalized map nor a mask is kept.
+    """
     if x.rows == 0:
         raise DomainError("batch_norm on an empty feature map")
     if x.channels != params.gamma.values.shape[1]:
         raise DomainError("batch_norm channel mismatch")
     eps = params.epsilon
+    xv = x.values
+    gamma = params.gamma.values
     if train:
-        mu = x.values.mean(axis=0, keepdims=True)
-        var = x.values.var(axis=0, keepdims=True)
+        mu = xv.mean(axis=0, keepdims=True)
+        var = xv.var(axis=0, keepdims=True)
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x.values - mu) * inv
-        out = params.gamma.values * xhat + params.beta.values
+        xhat = xv - mu
+        xhat *= inv
+        out = gamma * xhat
+        out += params.beta.values
         m = params.momentum
         params.running_mean *= m
         params.running_mean += (1.0 - m) * mu
@@ -294,44 +305,40 @@ def batch_norm(x, params, train):
         params.running_var += (1.0 - m) * var
 
         def back(g):
-            gxhat = g * params.gamma.values
-            gx = (
-                inv
-                * (
-                    gxhat
-                    - gxhat.mean(axis=0, keepdims=True)
-                    - xhat * (gxhat * xhat).mean(axis=0, keepdims=True)
-                )
-            ).astype(x.values.dtype)
+            if relu:
+                g = g * (out > 0)
+            xhat = xv - mu
+            xhat *= inv
             ggamma = (g * xhat).sum(axis=0, keepdims=True)
             gbeta = g.sum(axis=0, keepdims=True)
-            return gx, ggamma, gbeta
+            # inv * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat)) in this
+            # operation order, reusing gxhat and t in place
+            gxhat = g * gamma
+            t = gxhat * xhat
+            m2 = t.mean(axis=0, keepdims=True)
+            gxhat -= gxhat.mean(axis=0, keepdims=True)
+            gxhat -= np.multiply(xhat, m2, out=t)
+            gxhat *= inv
+            return gxhat.astype(xv.dtype, copy=False), ggamma, gbeta
+    else:
+        inv = 1.0 / np.sqrt(params.running_var + eps)
+        scale_row = (gamma * inv).astype(xv.dtype)
+        shift = (params.beta.values - gamma * params.running_mean * inv).astype(xv.dtype)
+        out = xv * scale_row + shift
 
-        return ad.custom_op(
-            out.astype(x.values.dtype),
-            [x, params.gamma, params.beta],
-            back,
-            level=x.level,
-        )
-    inv = 1.0 / np.sqrt(params.running_var + eps)
-    scale_row = (params.gamma.values * inv).astype(x.values.dtype)
-    shift = (params.beta.values - params.gamma.values * params.running_mean * inv).astype(
-        x.values.dtype
-    )
+        def back(g):
+            if relu:
+                g = g * (out > 0)
+            return (
+                g * scale_row,
+                (g * ((xv - params.running_mean) * inv)).sum(axis=0, keepdims=True),
+                g.sum(axis=0, keepdims=True),
+            )
 
-    def back_eval(g):
-        return (
-            g * scale_row,
-            (g * ((x.values - params.running_mean) * inv)).sum(axis=0, keepdims=True),
-            g.sum(axis=0, keepdims=True),
-        )
-
-    return ad.custom_op(
-        x.values * scale_row + shift,
-        [x, params.gamma, params.beta],
-        back_eval,
-        level=x.level,
-    )
+    out = out.astype(xv.dtype, copy=False)
+    if relu:
+        ad.relu_values(out, out=out)
+    return ad.custom_op(out, [x, params.gamma, params.beta], back, level=x.level)
 
 
 class ConvBnRelu:
@@ -354,7 +361,7 @@ class ConvBnRelu:
             y = downsample(x, *table, self.w)
         else:
             y = octree_conv(x, table, self.w)
-        return ad.relu(batch_norm(y, self.bn, train))
+        return batch_norm(y, self.bn, train, relu=True)
 
     def layer_count(self):
         return 1
@@ -368,7 +375,7 @@ class Deconv:
         self.bn = make_bn(params, f"{prefix}.bn", out_c)
 
     def forward(self, x, parent_rows, train):
-        return ad.relu(batch_norm(upsample(x, parent_rows, self.w), self.bn, train))
+        return batch_norm(upsample(x, parent_rows, self.w), self.bn, train, relu=True)
 
     def layer_count(self):
         return 1

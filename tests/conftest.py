@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,18 @@ def check_grads(build, arrays, rtol=1e-4, h=1e-5):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def collector_off():
+    """Run the test with the cyclic collector off, so garbage that only the
+    collector can free stays countable by `gc.collect()`; restored after."""
+    was_on = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    yield
+    if was_on:
+        gc.enable()
 
 
 def nbr_table(octree, level):

@@ -1,5 +1,7 @@
 """Finite-difference checks for every taped primitive."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,23 @@ def test_grad_relu_sigmoid_scale(seed):
     a.values[np.abs(a.values) < 1e-2] += 0.1  # keep clear of the relu kink
     fd_check(lambda: scalarize(ad.relu(a)), [a])
     fd_check(lambda: scalarize(ad.scale(a, -2.5)), [a])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_values_is_where_bit_for_bit(dtype):
+    """NaN and -0.0 map to +0.0, +-inf and subnormals as np.where maps them,
+    in the vectorized body and the scalar tail of every length."""
+    rng = np.random.default_rng(0)
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, tiny, -tiny], dtype)
+    for n in [*range(1, 40), 1001]:
+        v = rng.normal(size=n).astype(dtype)
+        pos = rng.permutation(n)[: len(specials)]
+        v[pos] = specials[: len(pos)]
+        want = np.where(v > 0, v, 0).astype(dtype)
+        for got in (ad.relu_values(v), ad.relu(ad.constant(v)).values):
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -135,6 +154,59 @@ def test_tape_cleared_after_backward():
         loss = ad.sum_all(a)
         ad.backward(loss)
         assert t.ops == []
+
+
+def scale_by(a, factor):
+    """a * factor; only the op's backward keeps `factor`."""
+    return ad.custom_op(a.values * factor, [a], lambda g: (g * factor,))
+
+
+def test_backward_frees_each_closure_as_it_replays():
+    x = ad.parameter(np.ones((2, 2)))
+    factor = np.full((2, 2), 3.0)
+    factor_ref = weakref.ref(factor)
+    seen = []
+
+    def first_back(g):
+        seen.append(factor_ref())
+        return (g,)
+
+    with ad.Tape():
+        h = ad.custom_op(x.values * 2.0, [x], first_back)
+        y = scale_by(h, factor)
+        del factor
+        ad.backward(ad.sum_all(y))
+    assert seen == [None]
+    assert np.array_equal(x.grad, np.full((2, 2), 3.0))
+
+
+def test_backward_keeps_only_leaf_gradients():
+    rng = np.random.default_rng(0)
+    x = ad.parameter(rng.normal(size=(4, 3)))
+    w = ad.parameter(rng.normal(size=(2, 3)))
+    with ad.Tape() as tape:
+        h = ad.linear(x, w)
+        r = ad.relu(h)
+        sq = ad.mul(r, r)
+        loss = ad.sum_all(sq)
+        ad.backward(loss)
+    assert all(fm.grad is None for fm in (h, r, sq, loss))
+    assert x.grad.shape == (4, 3) and w.grad.shape == (2, 3)
+    assert tape.ops == []
+
+
+def test_backward_needs_a_live_tape():
+    a = ad.parameter(np.ones((2, 2)))
+    with ad.Tape():
+        loss = ad.sum_all(a)
+    with pytest.raises(DomainError, match="detached"):
+        ad.backward(loss)  # nothing held the tape past its block
+    assert a.grad is None
+    with ad.Tape() as tape:
+        loss = ad.sum_all(a)
+    ad.backward(loss)  # the caller holds it
+    assert np.array_equal(a.grad, np.ones((2, 2)))
+    assert tape.ops == []
 
 
 def test_untracked_inputs_stay_untracked():

@@ -1,5 +1,6 @@
 """Network assembly: schedules, layer counts, decoding behavior, sampling."""
 
+import gc
 import warnings
 
 import numpy as np
@@ -107,6 +108,19 @@ def test_decode_without_skip_has_no_skip_levels():
         code, feats = net.encode(ib, train=True)
         res = net.decode(code, ib, feats, gt_batch=gb, train=True)
     assert res.skip_levels == []
+
+
+def test_abandoned_taped_forward_leaves_no_cyclic_garbage(collector_off):
+    """A taped forward whose tape nobody keeps is freed by reference counts
+    alone: outputs refer to their tape weakly."""
+    partial, gt = sphere_octree()
+    net = CompletionNet(small_spec(), seed=0)
+    ib, gb = OctreeBatch([partial]), OctreeBatch([gt])
+    with ad.Tape():
+        code, feats = net.encode(ib, train=True)
+        net.decode(code, ib, feats, gt_batch=gb, train=True)
+    del code, feats
+    assert gc.collect() == 0
 
 
 def test_inference_deterministic():

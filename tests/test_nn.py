@@ -459,8 +459,12 @@ def test_ops_reject_weight_of_other_input_channels(rng):
                 op(wrong)
 
 
-@pytest.mark.parametrize("train", [True, False])
-def test_grad_batch_norm(train, rng):
+@pytest.mark.parametrize(
+    "train, relu",
+    [(True, False), (False, False), (True, True), (False, True)],
+    ids=["True", "False", "True-relu", "False-relu"],
+)
+def test_grad_batch_norm(train, relu, rng):
     m, c = 12, 3
     xv = rng.normal(size=(m, c))
     gv = rng.normal(size=(1, c)) + 1.0
@@ -477,7 +481,7 @@ def test_grad_batch_norm(train, rng):
     def run():
         # freeze running stats so repeated eval is consistent
         rm, rv = params.running_mean.copy(), params.running_var.copy()
-        out = nn.batch_norm(x, params, train)
+        out = nn.batch_norm(x, params, train, relu=relu)
         params.running_mean[...] = rm
         params.running_var[...] = rv
         return ad.sum_all(ad.mul(out, ad.constant(weights)))
@@ -488,6 +492,44 @@ def test_grad_batch_norm(train, rng):
         want = numeric_grad(lambda: float(run().values[0, 0]), {"a": arr}, "a")
         err = np.abs(leaf.grad - want) / np.maximum(np.abs(want), 1.0)
         assert err.max() < 1e-4
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_fused_batch_norm_relu_matches_relu_of_batch_norm(train, rng):
+    """Bit for bit, forward and all three gradients, float32, with exact
+    zeros (a constant channel, a zero gamma) and negatives in the BN output;
+    in eval mode a NaN input maps to 0, as ad.relu maps it."""
+    m, c = 16, 4
+    xv = rng.normal(size=(m, c)).astype(np.float32)
+    xv[:, 0] = 2.0
+    gv = (rng.normal(size=(1, c)) + 1.0).astype(np.float32)
+    gv[0, 1] = 0.0
+    bv = np.zeros((1, c), np.float32)
+    bv[0, 3] = 0.5
+    if not train:
+        xv[3, 2] = np.nan
+    upstream = ad.constant(rng.normal(size=(m, c)).astype(np.float32))
+    results = []
+    for fused in (True, False):
+        x, g, b = (ad.parameter(v.copy()) for v in (xv, gv, bv))
+        params = nn.BNParams(
+            gamma=g,
+            beta=b,
+            running_mean=np.full((1, c), 0.25, np.float32),
+            running_var=np.full((1, c), 1.5, np.float32),
+        )
+        with ad.Tape():
+            if fused:
+                out = nn.batch_norm(x, params, train, relu=True)
+            else:
+                out = ad.relu(nn.batch_norm(x, params, train))
+            ad.backward(ad.sum_all(ad.mul(out, upstream)))
+        results.append((out.values, x.grad, g.grad, b.grad))
+    fused, reference = results
+    assert np.count_nonzero(reference[0] == 0) > m  # the relu clips something
+    for got, want in zip(fused, reference):
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_batch_norm_train_statistics(rng):

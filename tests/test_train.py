@@ -1,11 +1,13 @@
 """Optimizer arithmetic, schedules, checkpoint resume, config round-trips."""
 
+import gc
 import os
 
 import numpy as np
 import pytest
 
 from octcomplete import data as dt
+from octcomplete import train
 from octcomplete.errors import NumericalError
 from octcomplete.network import CompletionNet, NetworkSpec, OctreeBatch
 from octcomplete.nn import Parameters
@@ -131,6 +133,24 @@ def test_step_decreases_loss_and_reports():
     assert last.total < first.total
     assert set(last.metrics["status_accuracy"]) == {3, 4}
     assert last.structure.keys() == {3, 4}
+
+
+def test_failed_step_leaves_no_cyclic_garbage(monkeypatch, collector_off):
+    """A step that raises inside its tape leaves no graph for the cyclic
+    collector: the tape and every activation it recorded die with the step."""
+    _, net, samples = tiny_setup()
+    tr = Trainer(net, TrainConfig(lr=0.01, batch_size=2), samples)
+    total_loss = train.total_loss
+
+    def nan_total(*args, **kwargs):
+        loss, report = total_loss(*args, **kwargs)
+        report.total = float("nan")
+        return loss, report
+
+    monkeypatch.setattr(train, "total_loss", nan_total)
+    with pytest.raises(NumericalError, match="non-finite loss"):
+        tr.step(np.arange(2), 0.01)
+    assert gc.collect() == 0
 
 
 @pytest.mark.parametrize("task", ["completion", "semantic"])
