@@ -7,10 +7,13 @@ Run directly:
 Every step is one Trainer.step over the same batch of 4 samples: the shape
 pairs cli.make_shape_pair(seed, views=3) for seeds 0-3, a completion net
 with input and output depth 6, c0=32, c_max=128, n_res=2, at lr 0.01, under
-one BLAS thread. For each step it prints the seconds, the total loss and
-the process's peak resident set so far (ru_maxrss, in MiB). The first
-step's peak includes set-up; later steps show whether the step itself sets
-the peak.
+one BLAS thread. For each step it prints the seconds, the total loss, the
+process's peak resident set so far (ru_maxrss, in MiB) and `params`, the
+first 16 hex digits of a sha256 over every parameter (running batch-norm
+statistics included) after the step. The first step's peak includes
+set-up; later steps show whether the step itself sets the peak. Two runs
+of equal code print equal losses and digests, so comparing them across two
+checkouts shows whether a change kept the arithmetic bit for bit.
 """
 
 import os
@@ -22,6 +25,7 @@ if __name__ == "__main__":
         os.environ[var] = "1"
 
 import argparse
+import hashlib
 import resource
 import time
 
@@ -40,8 +44,18 @@ def peak_rss_mib():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
 
 
+def params_digest(params):
+    """16 hex digits of a sha256 over every parameter, in name order."""
+    h = hashlib.sha256()
+    for name in params.names():
+        h.update(name.encode())
+        h.update(params[name].values.tobytes())
+    return h.hexdigest()[:16]
+
+
 def bench(steps, spec=SPEC):
-    """Print one line per step; return the (seconds, loss, peak MiB) rows."""
+    """Print one line per step; return the (seconds, loss, peak MiB,
+    parameter digest) rows."""
     spec = NetworkSpec(**spec)
     samples = [train.prepare_sample(cli.make_shape_pair(s, views=VIEWS), spec) for s in SEEDS]
     trainer = train.Trainer(CompletionNet(spec, seed=0), train.TrainConfig(lr=LR), samples)
@@ -51,8 +65,10 @@ def bench(steps, spec=SPEC):
         t0 = time.perf_counter()
         loss = trainer.step(batch, LR).total
         secs, rss = time.perf_counter() - t0, peak_rss_mib()
-        rows.append((secs, loss, rss))
-        print(f"step {k}  s {secs:.3f}  loss {loss:.9g}  peak_rss_mib {rss:.1f}", flush=True)
+        digest = params_digest(trainer.net.params)
+        rows.append((secs, loss, rss, digest))
+        print(f"step {k}  s {secs:.3f}  loss {loss:.9g}  peak_rss_mib {rss:.1f}  "
+              f"params {digest}", flush=True)
     return rows
 
 

@@ -75,14 +75,19 @@ def _accum(fm, g):
     if not fm._tracked:
         return
     if fm.grad is None:
-        # a copy: ops such as `add` hand the same g to several inputs
-        fm.grad = np.array(g, dtype=fm.values.dtype)
+        # no copy when the dtype matches: custom_op's contract makes g ours
+        fm.grad = np.asarray(g, dtype=fm.values.dtype)
     else:
         fm.grad += g
 
 
 def custom_op(values, inputs, backward_fn, level=None):
-    """Create a taped output; backward_fn(g) returns per-input gradients."""
+    """Create a taped output; backward_fn(g) returns per-input gradients.
+
+    Each returned gradient must be an array that no other input receives
+    and that nothing else keeps: an input's first gradient becomes its
+    ``.grad`` without a copy, and later ones are added into it in place.
+    """
     out = FeatureMap(values, level=level)
     tape = _ACTIVE_TAPE
     if tape is not None and any(inp._tracked for inp in inputs):
@@ -126,7 +131,7 @@ def _check_same_shape(a, b):
 
 def add(a, b):
     _check_same_shape(a, b)
-    return custom_op(a.values + b.values, [a, b], lambda g: (g, g), level=a.level)
+    return custom_op(a.values + b.values, [a, b], lambda g: (g, g.copy()), level=a.level)
 
 
 def sub(a, b):

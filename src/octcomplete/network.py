@@ -28,10 +28,11 @@ from .octree import (
     cell_centers,
     find_in_sorted,  # not called here; perfbench/spans.py probes network.find_in_sorted
     make_level,
-    neighbor_table,
+    neighbor_table,  # not called here; perfbench/spans.py probes network.neighbor_table
     octree_from_codes,  # not called here; perfbench/spans.py probes network.octree_from_codes
+    root_table,
 )
-from .skip import StatusMask, align_encoder_rows, guided_skip_add
+from .skip import StatusMask, guided_skip_add
 
 
 @dataclass
@@ -45,7 +46,6 @@ class NetworkSpec:
     num_classes: int = 0
     scene_head: bool = False
     skip_mode: str = "guided"      # guided | off | full
-    mask_mode: str = "rounded"     # rounded | soft
     hidden: int = 32
     coarsest: int = 2
 
@@ -66,8 +66,6 @@ class NetworkSpec:
             raise DomainError(f"unknown task {self.task}")
         if self.skip_mode not in ("guided", "off", "full"):
             raise DomainError(f"unknown skip mode {self.skip_mode}")
-        if self.mask_mode not in ("rounded", "soft"):
-            raise DomainError(f"unknown mask mode {self.mask_mode}")
 
     def channels(self):
         """Per-level channel schedule, core_depth down to coarsest."""
@@ -87,8 +85,9 @@ class OctreeBatch:
 
     The merged levels keep the full-sibling layout (the k-th nonempty row of
     a level owns rows 8k..8k+7 of the next): moving between levels needs no
-    table, and a level's neighbor table follows from its parent level's.
-    A level's convolutions share its ``kernel_map``.
+    table, and a level's neighbor table follows from its parent level's,
+    down from the roots' constant one (octree.root_table). A level's
+    convolutions share its ``kernel_map``.
     """
 
     def __init__(self, octrees: List[Octree]):
@@ -121,12 +120,12 @@ class OctreeBatch:
     def nbr_table(self, level):
         """(rows, 27) neighbor table of `level`; -1 for absent or empty."""
         if level not in self._nbr:
-            lv = self.levels[level]
+            status = self.levels[level].status
             if level == 0:
-                self._nbr[0] = neighbor_table(lv.keys, lv.status, 0)
+                self._nbr[0] = root_table(status)
             else:
                 up = self.levels[level - 1]
-                self._nbr[level] = child_neighbor_table(up, self.nbr_table(level - 1), lv.status)
+                self._nbr[level] = child_neighbor_table(up, self.nbr_table(level - 1), status)
         return self._nbr[level]
 
     def kernel_map(self, level):
@@ -140,31 +139,31 @@ class DecoderState:
     """Dynamically grown output structure for a batch of samples.
 
     ``keys[level]`` is one sorted key array for the whole batch, with the
-    sample id above the Morton bits as in OctreeBatch; ``table``, and the
-    ``enc_rows`` and ``gt_rows`` aligned in `enc_batch` and `gt_batch` (-1
-    where absent or empty), are searched only at the coarsest level, every
-    sample's full grid. `subdivide` derives them from the parent level's,
-    and builds ``kmap[level]``, the nn.KernelMap the level's convolutions
-    share.
+    sample id above the Morton bits as in OctreeBatch. Growth starts at the
+    batch's roots and `subdivide` derives each finer level's ``table`` and
+    its ``enc_rows`` and ``gt_rows``, the rows aligned in `enc_batch` and
+    `gt_batch` (-1 where absent or empty), from the parent level's; up to
+    `coarsest` every node is expanded, so that level is every sample's full
+    grid. No key is searched.
     """
 
     def __init__(self, enc_batch, coarsest, gt_batch=None):
         self.coarsest = coarsest
         self.enc_batch = enc_batch
         self.gt_batch = gt_batch
-        # every sample's full grid at the coarsest level: key | b << 3*coarsest
-        keys = np.arange(enc_batch.size * 8**coarsest, dtype=np.uint64)
-        self.keys = {coarsest: keys}
+        roots = np.arange(enc_batch.size)
+        self.keys = {0: roots.astype(np.uint64)}
         # decoder stencils treat every stored row as valid: statuses are not
         # known yet when the level's convolutions run
-        self.table = {coarsest: neighbor_table(keys, np.ones(len(keys), np.uint8), coarsest)}
-        self.enc_rows = {coarsest: align_encoder_rows(enc_batch, keys, coarsest)}
+        self.table = {0: root_table(np.ones(len(roots), np.uint8))}
+        self.enc_rows = {0: np.where(enc_batch.levels[0].status == 1, roots, -1)}
         self.gt_rows = {}
         if gt_batch is not None:
-            self.gt_rows[coarsest] = align_encoder_rows(gt_batch, keys, coarsest)
+            self.gt_rows[0] = np.where(gt_batch.levels[0].status == 1, roots, -1)
         self.parent_sel = {}   # level -> selected parent rows at level-1
         self.parent_idx = {}   # level -> parent row per row at level
-        self.kmap = {}
+        for l in range(coarsest):
+            self.subdivide(l, np.ones(self.rows(l), np.uint8))
 
     def rows(self, level):
         return len(self.keys[level])
@@ -181,7 +180,6 @@ class DecoderState:
         self.parent_idx[level + 1] = parent_idx
         grown = make_level(keys, expand, True)  # the expanded rows own the new blocks
         self.table[level + 1] = child_neighbor_table(grown, self.table[level])
-        self.kmap[level + 1] = nn.KernelMap(self.table[level + 1])
         for aligned, batch in ((self.enc_rows, self.enc_batch), (self.gt_rows, self.gt_batch)):
             if batch is not None:
                 lv, nxt = batch.levels[level : level + 2]
@@ -203,7 +201,6 @@ class PredictedShape:
 @dataclass
 class DecodeResult:
     logits: Dict[int, FeatureMap] = field(default_factory=dict)
-    probs: Dict[int, np.ndarray] = field(default_factory=dict)
     pred_status: Dict[int, np.ndarray] = field(default_factory=dict)
     gt_status: Dict[int, np.ndarray] = field(default_factory=dict)
     head_out: Optional[FeatureMap] = None
@@ -299,12 +296,9 @@ class CompletionNet:
         x = hl["conv8"].forward(x, batch.kernel_map(8), train)
         st = [lv.status for lv in batch.levels]
         x = nn.max_pool(x, st[7], st[8])
-        x.level = 7
         x = hl["conv7"].forward(x, batch.kernel_map(7), train)
         x = hl["rb7"].forward(x, batch.kernel_map(7), train)
-        x = hl["down7"].forward(x, (st[6], st[7]), train)
-        x.level = 6
-        return x
+        return hl["down7"].forward(x, (st[6], st[7]), train)
 
     def encode(self, batch: OctreeBatch, train=False):
         """Bottom-up pass; returns the latent code and per-level skip features."""
@@ -325,7 +319,6 @@ class CompletionNet:
             x = self.enc_rb[l].forward(x, batch.kernel_map(l), train)
             feats[l] = x
             x = self.enc_down[l].forward(x, (st[l - 1], st[l]), train)
-            x.level = l - 1
         return x, feats
 
     # -- decoder -----------------------------------------------------------
@@ -355,7 +348,6 @@ class CompletionNet:
         ds = res.state
 
         x = ad.row_gather(code, ds.enc_rows[co])
-        x.level = co
 
         for l in range(co + 1, d + 1):
             if l == co + 1:
@@ -378,8 +370,6 @@ class CompletionNet:
             if spec.skip_mode != "off":
                 if spec.skip_mode == "full" or l == co + 1:
                     mask_vals = np.ones(ds.rows(l - 1), dtype=np.float64)
-                elif spec.mask_mode == "soft":
-                    mask_vals = res.probs[l - 1]
                 else:
                     mask_vals = res.pred_status[l - 1]
                 x = guided_skip_add(
@@ -391,10 +381,9 @@ class CompletionNet:
                 )
                 res.skip_levels.append(l)
 
-            x = self.dec_rb[l].forward(x, ds.kmap[l], train)
+            x = self.dec_rb[l].forward(x, nn.KernelMap(ds.table[l]), train)
             logits, probs = nn.predict_status(x, self.pred[l])
             res.logits[l] = logits
-            res.probs[l] = probs
             res.pred_status[l] = nn.round_status(probs)
             if gt_batch is not None:
                 res.gt_status[l] = (ds.gt_rows[l] >= 0).astype(np.float64)

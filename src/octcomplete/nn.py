@@ -131,7 +131,7 @@ def octree_conv(x, kmap, weight):
 
     Absent or empty neighbors contribute zero rows; the output keeps the
     row count of the input. `kmap` is the level's KernelMap, built once
-    per level by OctreeBatch.kernel_map or DecoderState.subdivide; `weight`
+    per level by OctreeBatch.kernel_map or CompletionNet.decode; `weight`
     is (out, taps * in), one (out, in) block per tap of the map.
 
     Tap t multiplies the input rows its column names by its weight block

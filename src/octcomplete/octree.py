@@ -267,6 +267,15 @@ _PARENT_TAP = sum(((_NBR_XYZ[a] >> 1) + 1) * 3**a for a in range(3))  # (8, 27)
 _CHILD_SLOT = sum((_NBR_XYZ[a] & 1) << (2 - a) for a in range(3))
 
 
+def root_table(status):
+    """(B, 27) neighbor table of B roots with `status`, stored in column
+    order as child_neighbor_table's tables are: a nonempty root's only
+    neighbor is itself, at the center tap 13."""
+    out = np.full((27, len(status)), -1, dtype=np.int64)
+    out[13] = np.where(status == 1, np.arange(len(status)), -1)
+    return out.T
+
+
 def child_rows(level, rows, slots, next_status=None):
     """Next-level row of child `slots` of `level`'s `rows`; -1 where the row
     is -1 or has no children or, given `next_status`, the child is empty."""

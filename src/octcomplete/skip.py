@@ -13,34 +13,18 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DomainError
-from .octree import find_in_sorted
+from .octree import find_in_sorted  # not called here; perfbench/spans.py probes skip.find_in_sorted
 
 
 @dataclass
 class StatusMask:
-    """Per-node status values at one decoder level: {0,1} or [0,1] if soft."""
+    """Per-node status values at one decoder level, each 0 or 1."""
 
     level: int
     s: np.ndarray
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=np.float64).reshape(-1)
-
-
-def align_encoder_rows(encoder_octree, decoder_keys, level):
-    """Per decoder key, the stored encoder row at `level`, -1 when absent.
-
-    `encoder_octree` is an Octree or a network.OctreeBatch, whose keys carry
-    the sample id that the decoder keys carry too. Encoder slots flagged
-    empty count as absent (their features are padding).
-    """
-    lv = encoder_octree.levels[level]
-    idx = find_in_sorted(lv.keys, np.asarray(decoder_keys, dtype=np.uint64))
-    found = idx >= 0
-    keep = np.zeros_like(found)
-    keep[found] = lv.status[idx[found]] == 1
-    idx[~keep] = -1
-    return idx
 
 
 def guided_skip_add(d_map, e_map, align_idx, parent_index, mask: StatusMask):

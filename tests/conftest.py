@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from octcomplete import autodiff as ad
-from octcomplete.octree import neighbor_table
+from octcomplete.octree import find_in_sorted, neighbor_table
 
 
 def numeric_grad(f, arrays, which, h=1e-5):
@@ -65,6 +65,23 @@ def nbr_table(octree, level):
     """The search oracle's (rows, 27) neighbor table of an Octree's `level`."""
     lv = octree.levels[level]
     return neighbor_table(lv.keys, lv.status, level)
+
+
+def align_encoder_rows(encoder_octree, decoder_keys, level):
+    """The search oracle's encoder row of each decoder key at `level`, -1
+    when absent.
+
+    `encoder_octree` is an Octree or a network.OctreeBatch, whose keys carry
+    the sample id that the decoder keys carry too. Encoder slots flagged
+    empty count as absent (their features are padding).
+    """
+    lv = encoder_octree.levels[level]
+    idx = find_in_sorted(lv.keys, np.asarray(decoder_keys, dtype=np.uint64))
+    found = idx >= 0
+    keep = np.zeros_like(found)
+    keep[found] = lv.status[idx[found]] == 1
+    idx[~keep] = -1
+    return idx
 
 
 def child_table(octree, level):

@@ -124,6 +124,22 @@ def test_first_gradients_do_not_share_storage():
     assert np.array_equal(y.grad, np.ones((2, 3)))
 
 
+def test_first_gradient_is_kept_without_a_copy():
+    """A backward that returns a fresh array of the input's dtype hands
+    that very array on as the input's .grad."""
+    x = ad.parameter(np.ones((2, 3)))
+    returned = []
+
+    def back(g):
+        returned.append(np.full((2, 3), 3.0))
+        return (returned[0],)
+
+    with ad.Tape():
+        y = ad.custom_op(x.values * 3.0, [x], back)
+        ad.backward(ad.sum_all(y))
+    assert x.grad is returned[0]
+
+
 def test_backward_errors():
     a = ad.parameter(np.ones((2, 2)))
     with pytest.raises(DomainError):

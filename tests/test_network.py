@@ -8,7 +8,7 @@ import pytest
 
 from octcomplete import autodiff as ad
 from octcomplete import data as dt
-from octcomplete import kernels, network, nn, train
+from octcomplete import kernels, network, nn, octree, skip, train
 from octcomplete.errors import DomainError, NumericalError
 from octcomplete.network import (
     CompletionNet,
@@ -27,8 +27,9 @@ from octcomplete.octree import (
     neighbor_table,
     octree_from_codes,
 )
-from octcomplete.skip import align_encoder_rows
 from octcomplete.train import TrainConfig, Trainer, prepare_sample
+
+from conftest import align_encoder_rows
 
 
 def small_spec(**kw):
@@ -77,8 +78,6 @@ def test_spec_validation():
         NetworkSpec(task="semantic", num_classes=1).validate()
     with pytest.raises(DomainError):
         NetworkSpec(skip_mode="sometimes").validate()
-    with pytest.raises(DomainError):
-        NetworkSpec(mask_mode="sofft").validate()
 
 
 def test_teacher_forced_decode_follows_gt():
@@ -199,14 +198,18 @@ def test_batched_matches_single_decode():
 
 
 def test_decoder_rows_derived_from_parent_match_search():
-    """Grown along random expand masks, every level's neighbor table,
-    encoder rows and ground-truth rows equal the search oracles on its keys."""
+    """Grown from the roots, fully to the coarsest level and then along
+    random expand masks, every level's neighbor table, encoder rows and
+    ground-truth rows equal the search oracles on its keys. The last
+    sample is empty, so its root aligns nowhere."""
     rng = np.random.default_rng(7)
     pairs = [sphere_octree(depth=5, seed=s) for s in (0, 1, 2)]
-    enc = OctreeBatch([p for p, _ in pairs])
-    gt = OctreeBatch([g for _, g in pairs])
+    empty = octree_from_codes(np.zeros(0, np.uint64), 5)
+    enc = OctreeBatch([p for p, _ in pairs] + [empty])
+    gt = OctreeBatch([g for _, g in pairs] + [empty])
     ds = DecoderState(enc, 2, gt)
-    for l in range(2, 6):
+    assert sorted(ds.keys) == [0, 1, 2]
+    for l in range(6):
         keys = ds.keys[l]
         ones = np.ones(len(keys), dtype=np.uint8)
         assert np.array_equal(ds.table[l], neighbor_table(keys, ones, l))
@@ -218,17 +221,17 @@ def test_decoder_rows_derived_from_parent_match_search():
         if l > 2:
             for rows in (ds.enc_rows[l], ds.gt_rows[l]):
                 assert np.any(rows >= 0) and np.any(rows < 0)
-        if l < 5:
+        if 2 <= l < 5:
             # random rows plus the gt-nonempty ones, so deep levels keep
             # aligned rows next to unaligned ones
             ds.subdivide(l, (rng.random(len(keys)) < 0.3) | (ds.gt_rows[l] >= 0))
 
 
-def test_search_runs_only_on_base_levels(monkeypatch):
-    """A train step and a complete search neighbor keys only at level 0 of
-    the input batch and at the decoder's coarsest level; every finer table
-    is derived from its parent level's, and the train step's head targets
-    are the rows DecoderState.subdivide derived, not searched."""
+def test_no_key_is_searched_in_a_train_step_or_complete(monkeypatch):
+    """Every neighbor table, encoder row and ground-truth row of a train
+    step and of a complete is derived from the batch's roots down, and the
+    train step's head targets are rows DecoderState.subdivide derived: no
+    binary search runs in the network."""
     spec = small_spec()
     samples = []
     for i in range(2):
@@ -237,21 +240,19 @@ def test_search_runs_only_on_base_levels(monkeypatch):
         samples.append(prepare_sample(dt.SamplePair(scan, shape), spec))
     net = CompletionNet(spec, seed=0)
     trainer = Trainer(net, TrainConfig(batch_size=2), samples)
-    seen = []
-    search = network.neighbor_table
-
-    def spy(keys, status, level):
-        seen.append((level, len(keys)))
-        return search(keys, status, level)
-
-    monkeypatch.setattr(network, "neighbor_table", spy)
-    head_searches = []
-    monkeypatch.setattr(train, "find_in_sorted", lambda *a: head_searches.append(a))
+    calls = []
+    for owner, name in (
+        (octree, "find_in_sorted"),
+        (network, "neighbor_table"),
+        (skip, "find_in_sorted"),
+        (train, "find_in_sorted"),
+    ):
+        spied = f"{owner.__name__}.{name}"
+        monkeypatch.setattr(owner, name, lambda *a, _n=spied: calls.append(_n))
     trainer.step([0, 1], 0.01)
-    net.complete(samples[0].partial)
-    co = spec.coarsest
-    assert seen == [(0, 2), (co, 2 * 8**co), (0, 1), (co, 8**co)]
-    assert head_searches == []
+    shape = net.complete(samples[0].partial)
+    assert not shape.empty
+    assert calls == []
 
 
 def test_kernel_maps_built_once_per_level_and_inverted_lazily(monkeypatch):
@@ -569,6 +570,8 @@ def test_scene_head_shapes():
         code, feats = net.encode(ib, train=True)
         assert code.level == 2
         assert sorted(feats.keys()) == [3, 4, 5, 6]
+        assert all(f.level == l for l, f in feats.items())
         res = net.decode(code, ib, feats, gt_batch=gb, train=True)
+    assert all(res.logits[l].level == l for l in range(3, 7))
     assert res.head_out is not None
     assert res.head_out.values.shape[1] == 4

@@ -294,19 +294,23 @@ def test_neighbor_table_on_batch_keys(rng):
 @pytest.mark.parametrize("depth", [3, 4, 5, 6])
 def test_batch_tables_derived_from_parent_match_search(depth):
     """Each level's table follows from its parent level's by the
-    full-sibling rule: equal to the search over the merged keys at every
-    level, for a scan, a single nonempty leaf and a fully occupied octree."""
+    full-sibling rule, down from the roots' constant table: equal to the
+    search over the merged keys at every level, for a scan, a single
+    nonempty leaf, a fully occupied octree and an empty one."""
     shape = dt.make_shape("box", density=2500, seed=depth)
     scan = dt.virtual_scan(shape, dt.ScanConfig(num_views=2, seed=depth))
     batch = OctreeBatch([
         build_octree(scan, depth),
         octree_from_codes(np.array([1 << 3 * depth - 1], dtype=np.uint64), depth),
         octree_from_codes(np.arange(1 << 3 * depth, dtype=np.uint64), depth),
+        octree_from_codes(np.zeros(0, np.uint64), depth),
     ])
+    assert np.array_equal(batch.levels[0].status, [1, 1, 1, 0])
     for l in range(depth + 1):
         lv = batch.levels[l]
         tab = batch.nbr_table(l)
         assert np.array_equal(tab, neighbor_table(lv.keys, lv.status, l))
+        assert tab.T.flags.c_contiguous  # column order, as nn.KernelMap reads it
         if l >= 2:
             assert np.any(tab < 0) and np.any(tab >= 0)
 

@@ -6,7 +6,9 @@ import pytest
 from octcomplete import autodiff as ad
 from octcomplete.errors import DomainError
 from octcomplete.octree import find_in_sorted, octree_from_codes
-from octcomplete.skip import StatusMask, align_encoder_rows, guided_skip_add
+from octcomplete.skip import StatusMask, guided_skip_add
+
+from conftest import align_encoder_rows
 
 
 def random_pair(rng, depth, n_enc=None, n_dec_parents=None):
