@@ -4,7 +4,10 @@ Run directly:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--n 2000000] [--repeats 5]
 
-`n` is the element count of the Morton and row kernels; the convolution
+`n` is the element count of the Morton and row kernels; the guided skip
+adds n // 8 encoder rows at 32 channels into a decoder level of n // 8
+rows, about 36 % of them open (as on the depth-5 shape benchmark's
+decoder), forward and backward; the convolution
 runs 27 taps at 32 channels, forward and backward, once over n // 8 rows
 of a random stencil with 70 % of its entries valid and once ("sparse") over
 the depth-8 level of an octree over n // 256 points on a sphere, whose table
@@ -22,7 +25,7 @@ import time
 import numpy as np
 
 from octcomplete import autodiff as ad
-from octcomplete import kernels, network, nn, octree
+from octcomplete import kernels, network, nn, octree, skip
 
 
 def timeit(fn, repeats):
@@ -57,6 +60,27 @@ def down_step(feats, status, child_status, weight):
     with ad.Tape():
         y = nn.downsample(x, status, child_status, w)
         ad.backward(ad.sum_all(y))
+
+
+def skip_step(d_feats, e_feats, align, parent_index, status):
+    d = ad.parameter(d_feats)
+    e = ad.parameter(e_feats)
+    with ad.Tape():
+        y = skip.guided_skip_add(d, e, align, parent_index, skip.StatusMask(status))
+        ad.backward(ad.sum_all(y))
+
+
+def random_skip(rng, rows):
+    """Alignment and parent statuses for a decoder level of `rows` (a
+    multiple of 8) against as many encoder rows: 60 % of the rows have a
+    distinct encoder row and 60 % of the parents are open, so about 36 % of
+    the rows get an encoder row added."""
+    align = np.full(rows, -1, dtype=np.int64)
+    hit = rng.random(rows) < 0.6
+    align[hit] = rng.permutation(rows)[: np.count_nonzero(hit)]
+    parent_index = np.repeat(np.arange(rows // 8), 8)
+    status = (rng.random(rows // 8) < 0.6).astype(np.float64)
+    return align, parent_index, status
 
 
 def random_blocks(rng, children):
@@ -95,12 +119,13 @@ def bench(n, repeats):
     codes = kernels.interleave3(x, y, z)
     feats = rng.standard_normal((n // 8 + 1, 32)).astype(np.float32)
     idx = rng.integers(-1, feats.shape[0], size=n).astype(np.int64)
-    rows = rng.standard_normal((n, 32)).astype(np.float32)
     table = random_stencil(rng, feats.shape[0], 27)
     weight = rng.standard_normal((32, 27 * 32)).astype(np.float32)
     children = feats[: 8 * (feats.shape[0] // 8)]
     status, child_status = random_blocks(rng, len(children))
     down_weight = rng.standard_normal((32, 8 * 32)).astype(np.float32)
+    enc_feats = rng.standard_normal(children.shape).astype(np.float32)
+    skip_args = (children, enc_feats, *random_skip(rng, len(children)))
     shape = random_patches(rng, n // 8, depth=8)
     shell = shell_octree(rng, n // 32, depth=8)
     up, fine = shell.levels[7], shell.levels[8]
@@ -113,7 +138,7 @@ def bench(n, repeats):
         ("interleave3", lambda: kernels.interleave3(x, y, z)),
         ("deinterleave3", lambda: kernels.deinterleave3(codes)),
         ("gather_rows", lambda: kernels.gather_rows(feats, idx)),
-        ("scatter_add", lambda: kernels.scatter_add(np.zeros_like(feats), idx, rows)),
+        ("guided skip fwd+bwd", lambda: skip_step(*skip_args)),
         ("invert_table", lambda: kernels.invert_table(table, feats.shape[0])),
         ("neighbor_table", lambda: octree.neighbor_table(fine.keys, fine.status, 8)),
         ("child_neighbor_table", lambda: octree.child_neighbor_table(up, up_table, fine.status)),

@@ -189,7 +189,11 @@ def relu(a):
 
 
 def row_gather(a, idx):
-    """Gather rows by a 1-D index; -1 yields a zero row."""
+    """Gather rows by a 1-D index; -1 yields a zero row.
+
+    The rows named must be distinct: backward assigns the input gradient
+    rows.
+    """
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
         raise DomainError("row_gather index must be 1-D")
@@ -197,18 +201,11 @@ def row_gather(a, idx):
 
     def back(g):
         ga = np.zeros_like(a.values)
-        kernels.scatter_add(ga, idx, np.ascontiguousarray(g))
+        valid = idx >= 0
+        ga[idx[valid]] = g[valid]
         return (ga,)
 
     return custom_op(out, [a], back, level=a.level)
-
-
-def row_mask(a, mask):
-    """Multiply every channel by a constant per-row mask (no mask gradient)."""
-    mask = np.asarray(mask, dtype=a.values.dtype).reshape(-1, 1)
-    if mask.shape[0] != a.values.shape[0]:
-        raise DomainError("row_mask length mismatch")
-    return custom_op(a.values * mask, [a], lambda g: (g * mask,), level=a.level)
 
 
 def sum_all(a):

@@ -92,7 +92,10 @@ def matmul_add(out, a, b):
 
 
 def scatter_add(out, idx, rows):
-    """out[idx[i]] += rows[i] for idx[i] >= 0; deterministic order."""
+    """out[idx[i]] += rows[i] for idx[i] >= 0; deterministic order.
+
+    Not called in the package: perfbench/spans.py probes kernels.scatter_add.
+    """
     valid = idx >= 0
     np.add.at(out, idx[valid], rows[valid])
     return out

@@ -8,7 +8,7 @@ prediction and its loss start at level 3.
 
 Training uses teacher forcing: the decoder expands along the ground-truth
 structure while statuses and losses come from the predictions. Inference
-expands along the rounded predicted statuses.
+expands the nodes whose status logit is >= 0 (probability >= 0.5).
 """
 
 from dataclasses import dataclass, field
@@ -54,6 +54,9 @@ class NetworkSpec:
         return 6 if self.scene_head else self.input_depth
 
     def validate(self):
+        for name, low in (("c0", 1), ("c_max", 1), ("hidden", 1), ("n_res", 0), ("coarsest", 0)):
+            if getattr(self, name) < low:
+                raise DomainError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.scene_head and self.input_depth != 8:
             raise DomainError("scene head requires input depth 8")
         if self.output_depth != self.core_depth:
@@ -335,9 +338,9 @@ class CompletionNet:
         """Top-down growth of the output octree.
 
         Train mode (teacher forcing) expands along gt_batch structure while
-        statuses and losses come from predictions; inference expands along
-        the rounded predictions, guarded by `expand_cap` times the input's
-        nonempty count per level.
+        statuses and losses come from predictions; inference expands the
+        rows whose status logit is >= 0, guarded by `expand_cap` times the
+        input's nonempty count per level.
         """
         spec = self.spec
         co = spec.coarsest
@@ -373,18 +376,14 @@ class CompletionNet:
                 else:
                     mask_vals = res.pred_status[l - 1]
                 x = guided_skip_add(
-                    x,
-                    enc_feats[l],
-                    ds.enc_rows[l],
-                    ds.parent_idx[l],
-                    StatusMask(l - 1, mask_vals),
+                    x, enc_feats[l], ds.enc_rows[l], ds.parent_idx[l], StatusMask(mask_vals)
                 )
                 res.skip_levels.append(l)
 
             x = self.dec_rb[l].forward(x, nn.KernelMap(ds.table[l]), train)
-            logits, probs = nn.predict_status(x, self.pred[l])
-            res.logits[l] = logits
-            res.pred_status[l] = nn.round_status(probs)
+            res.logits[l] = self.pred[l].forward(x)
+            # sigmoid(z) >= 0.5 exactly where z >= 0
+            res.pred_status[l] = (res.logits[l].values.reshape(-1) >= 0).astype(np.float64)
             if gt_batch is not None:
                 res.gt_status[l] = (ds.gt_rows[l] >= 0).astype(np.float64)
 
@@ -399,12 +398,12 @@ class CompletionNet:
 
     # -- single-sample inference ------------------------------------------
 
-    def complete(self, octree, expand_cap=8.0):
+    def complete(self, octree):
         """Run the network on one input octree and build the predicted shape."""
         batch = OctreeBatch([octree])
         # no Tape: custom_op records nothing, so no backward closures are kept
         code, feats = self.encode(batch, train=False)
-        res = self.decode(code, batch, feats, train=False, expand_cap=expand_cap)
+        res = self.decode(code, batch, feats, train=False)
         d = self.spec.output_depth
         if d not in res.pred_status or res.head_out is None:
             return PredictedShape(depth=d, leaf_codes=np.zeros(0, dtype=np.uint64))

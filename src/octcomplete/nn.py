@@ -445,17 +445,3 @@ class MLPHead:
 
     def layer_count(self):
         return 2
-
-
-def predict_status(x, head):
-    """Per-node status logit and probability from a shared 2-layer MLP."""
-    logits = head.forward(x)
-    z = logits.values.astype(np.float64)
-    e = np.exp(-np.abs(z))
-    probs = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return logits, probs.reshape(-1)
-
-
-def round_status(probs):
-    """Probability >= 0.5 counts as nonempty."""
-    return (np.asarray(probs) >= 0.5).astype(np.float64)

@@ -3,8 +3,8 @@
 Encoder features are added to decoder features only at decoder nodes whose
 parent was predicted nonempty and that are co-located with a (nonempty)
 input octree node; everywhere else the encoder contribution is zero. The
-mask carries no gradient, so encoder gradients are scaled by the rounded
-parent status and nothing else.
+mask carries no gradient: an encoder row gets the gradient of the decoder
+row it was added to, or zero.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,6 @@ from .octree import find_in_sorted  # not called here; perfbench/spans.py probes
 class StatusMask:
     """Per-node status values at one decoder level, each 0 or 1."""
 
-    level: int
     s: np.ndarray
 
     def __post_init__(self):
@@ -32,7 +31,8 @@ def guided_skip_add(d_map, e_map, align_idx, parent_index, mask: StatusMask):
 
     `align_idx` maps decoder rows to encoder rows (-1 -> zero row) and
     `parent_index` maps each decoder row to its parent row at the level of
-    `mask`.
+    `mask`. The encoder rows named must be distinct, as those of distinct
+    decoder keys are: backward assigns their gradient rows.
     """
     if d_map.channels != e_map.channels:
         raise DomainError("skip channel mismatch between encoder and decoder")
@@ -42,6 +42,14 @@ def guided_skip_add(d_map, e_map, align_idx, parent_index, mask: StatusMask):
         raise DomainError("skip index length mismatch")
     if mask.s.shape[0] <= parent_index.max(initial=-1):
         raise DomainError("status mask shorter than parent index range")
-    row_mask_vals = mask.s[parent_index]
-    e_rows = ad.row_gather(e_map, align_idx)
-    return ad.add(d_map, ad.row_mask(e_rows, row_mask_vals))
+    open_rows = np.flatnonzero((align_idx >= 0) & (mask.s[parent_index] != 0))
+    e_rows = align_idx[open_rows]
+    out = d_map.values.copy()
+    out[open_rows] += e_map.values[e_rows]
+
+    def back(g):
+        ge = np.zeros_like(e_map.values)
+        ge[e_rows] = g[open_rows]
+        return g, ge
+
+    return ad.custom_op(out, [d_map, e_map], back, level=d_map.level)

@@ -38,6 +38,13 @@ class TrainConfig:
     max_steps: int = 0          # 0 means no cap
     log_every: int = 10
 
+    def validate(self):
+        for name in ("batch_size", "log_every"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.lr_drop_factor > 0:
+            raise DomainError(f"lr_drop_factor must be > 0, got {self.lr_drop_factor}")
+
     def to_dict(self):
         d = dict(self.__dict__)
         d["lr_drop_epochs"] = ",".join(str(e) for e in self.lr_drop_epochs)
@@ -155,6 +162,7 @@ class Trainer:
     def __init__(self, net: CompletionNet, cfg: TrainConfig, samples: List[TrainSample]):
         if not samples:
             raise DomainError("no training samples")
+        cfg.validate()
         self.net = net
         self.cfg = cfg
         self.samples = samples

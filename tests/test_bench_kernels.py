@@ -21,7 +21,7 @@ def test_bench_runs_every_case_at_tiny_size(capsys):
     rows = load_bench().bench(n=800, repeats=1)
     names = [name for name, _ in rows]
     assert names == [
-        "interleave3", "deinterleave3", "gather_rows", "scatter_add", "invert_table",
+        "interleave3", "deinterleave3", "gather_rows", "guided skip fwd+bwd", "invert_table",
         "neighbor_table", "child_neighbor_table", "conv fwd+bwd", "conv fwd+bwd sparse",
         "downsample fwd+bwd", "sample_points",
     ]

@@ -1,5 +1,6 @@
 """End-to-end command-line flows and exit codes."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -239,24 +240,43 @@ def test_eval_malformed_manifest_or_grid_is_data_error(tmp_path):
         assert run(argv) == EXIT_DATA
 
 
-BAD_CONFIG_VALUES = {
-    "net.c0": "abc",
-    "net.scene_head": "maybe",
-    "train.lr": "fast",
-    "train.epochs": "1.5",
-    "train.shuffle": "yes",
-    "train.lr_drop_epochs": "6,x",
-}
+# (key, value) pairs: values that do not parse, then values out of range
+UNPARSEABLE_CONFIG_VALUES = [
+    ("net.c0", "abc"),
+    ("net.scene_head", "maybe"),
+    ("train.lr", "fast"),
+    ("train.epochs", "1.5"),
+    ("train.shuffle", "yes"),
+    ("train.lr_drop_epochs", "6,x"),
+]
+OUT_OF_RANGE_CONFIG_VALUES = [
+    ("net.c0", "0"),
+    ("net.c_max", "0"),
+    ("net.hidden", "0"),
+    ("net.n_res", "-1"),
+    ("net.coarsest", "-1"),
+    ("train.batch_size", "0"),
+    ("train.log_every", "0"),
+    ("train.lr_drop_factor", "0"),
+]
+BAD_CONFIG_VALUES = UNPARSEABLE_CONFIG_VALUES + OUT_OF_RANGE_CONFIG_VALUES
 
 
-@pytest.mark.parametrize("key", sorted(BAD_CONFIG_VALUES))
-def test_train_bad_config_value_is_data_error(tmp_path, capsys, key):
+@pytest.mark.parametrize(
+    "key, value",
+    BAD_CONFIG_VALUES,
+    ids=[k for k, _ in UNPARSEABLE_CONFIG_VALUES]
+    + [f"{k}={v}" for k, v in OUT_OF_RANGE_CONFIG_VALUES],
+)
+def test_train_bad_config_value_is_data_error(tmp_path, capsys, key, value):
     manifest = tiny_shape_manifest(tmp_path)
     cfg = str(tmp_path / "cfg")
-    write_tiny_config(cfg, {key: BAD_CONFIG_VALUES[key]})
+    write_tiny_config(cfg, {key: value})
     out = str(tmp_path / "run")
     assert run(["train", "--config", cfg, "--data", str(manifest), "--out", out]) == EXIT_DATA
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert re.search(rf"\b{key.split('.')[1]}\b", err), err
+    assert "Traceback" not in err
 
 
 def test_train_undecodable_config_is_data_error(tmp_path, capsys):

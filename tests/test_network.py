@@ -197,6 +197,28 @@ def test_batched_matches_single_decode():
         assert np.allclose(both.head_out.values[own], one.head_out.values, atol=1e-5)
 
 
+def test_inference_expands_exactly_the_rows_with_nonnegative_logits(monkeypatch):
+    """A decoder row grows children, or reaches the head, iff its status
+    logit is >= 0: a logit of exactly 0 counts as nonempty, and one of
+    -1e-30, whose float64 sigmoid rounds to 0.5, as empty."""
+    pattern = np.array([1.0, 0.0, -1e-30, -1.0], dtype=np.float32)
+    net = CompletionNet(small_spec(), seed=0)
+    for head in net.pred.values():
+        monkeypatch.setattr(
+            head, "forward", lambda x: ad.constant(np.resize(pattern, (x.rows, 1)))
+        )
+    partial, _ = sphere_octree()
+    batch = OctreeBatch([partial])
+    code, feats = net.encode(batch, train=False)
+    res = net.decode(code, batch, feats, train=False, expand_cap=1e6)
+    assert sorted(res.logits) == [3, 4]
+    for l, logits in res.logits.items():
+        nonempty = np.arange(logits.rows) % 4 < 2  # the logits 1 and 0
+        assert np.array_equal(res.pred_status[l], nonempty * 1.0)
+        grown = res.state.parent_sel[l + 1] if l < 4 else res.head_rows
+        assert np.array_equal(grown, np.flatnonzero(nonempty))
+
+
 def test_decoder_rows_derived_from_parent_match_search():
     """Grown from the roots, fully to the coarsest level and then along
     random expand masks, every level's neighbor table, encoder rows and
@@ -231,7 +253,7 @@ def test_no_key_is_searched_in_a_train_step_or_complete(monkeypatch):
     """Every neighbor table, encoder row and ground-truth row of a train
     step and of a complete is derived from the batch's roots down, and the
     train step's head targets are rows DecoderState.subdivide derived: no
-    binary search runs in the network."""
+    binary search runs in the network, and nothing scatters."""
     spec = small_spec()
     samples = []
     for i in range(2):
@@ -246,6 +268,7 @@ def test_no_key_is_searched_in_a_train_step_or_complete(monkeypatch):
         (network, "neighbor_table"),
         (skip, "find_in_sorted"),
         (train, "find_in_sorted"),
+        (kernels, "scatter_add"),
     ):
         spied = f"{owner.__name__}.{name}"
         monkeypatch.setattr(owner, name, lambda *a, _n=spied: calls.append(_n))

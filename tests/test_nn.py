@@ -601,8 +601,3 @@ def test_mlp_head_shapes(rng):
     y = head.forward(x)
     assert y.values.shape == (5, 3)
     assert head.layer_count() == 2
-
-
-def test_round_status():
-    probs = np.array([0.49, 0.5, 0.51, 0.0, 1.0])
-    assert nn.round_status(probs).tolist() == [0.0, 1.0, 1.0, 0.0, 1.0]

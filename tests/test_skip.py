@@ -8,7 +8,7 @@ from octcomplete.errors import DomainError
 from octcomplete.octree import find_in_sorted, octree_from_codes
 from octcomplete.skip import StatusMask, guided_skip_add
 
-from conftest import align_encoder_rows
+from conftest import align_encoder_rows, check_grads
 
 
 def random_pair(rng, depth, n_enc=None, n_dec_parents=None):
@@ -46,7 +46,7 @@ def run_skip(enc, e_feats, d_feats, dec_keys, parent_index, status, depth):
     e = ad.constant(e_feats)
     align = align_encoder_rows(enc, dec_keys, depth)
     return guided_skip_add(
-        d, e, align, parent_index, StatusMask(depth - 1, status)
+        d, e, align, parent_index, StatusMask(status)
     ).values
 
 
@@ -129,24 +129,48 @@ def test_empty_status_encoder_slot_is_absent(rng):
 
 def test_mask_carries_no_gradient(rng):
     depth = 2
-    enc = octree_from_codes(np.arange(8, dtype=np.uint64), depth)
-    dec_keys = np.arange(8, dtype=np.uint64)
+    enc = octree_from_codes(np.arange(16, dtype=np.uint64), depth)
+    dec_keys = np.arange(16, dtype=np.uint64)
     e_vals = rng.normal(size=(enc.levels[2].num_nodes, 2))
-    d_vals = rng.normal(size=(8, 2))
-    status = np.array([1.0])
+    d_vals = rng.normal(size=(16, 2))
+    status = np.array([1.0, 0.0])  # the second parent's 8 children are gated shut
+    parent_index = np.repeat(np.arange(2), 8)
     e = ad.parameter(e_vals)
     d = ad.parameter(d_vals)
     align = align_encoder_rows(enc, dec_keys, depth)
+    assert (align >= 0).all()
     with ad.Tape():
-        out = guided_skip_add(d, e, align, np.zeros(8, np.int64), StatusMask(1, status))
+        out = guided_skip_add(d, e, align, parent_index, StatusMask(status))
         ad.backward(ad.sum_all(out))
     assert np.array_equal(d.grad, np.ones_like(d_vals))
     # encoder gradient is exactly the mask value routed through the alignment
     want = np.zeros_like(e_vals)
     for i, j in enumerate(align):
-        if j >= 0:
-            want[j] += 1.0
+        want[j] += status[parent_index[i]]
     assert np.array_equal(e.grad, want)
+    assert not e.grad[align[8:]].any()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_grad_guided_skip_add(seed):
+    """Finite differences of the one-op skip, with gated-shut parents and
+    decoder rows that have no encoder row."""
+    rng = np.random.default_rng(300 + seed)
+    n_dec, n_enc = 24, 20
+    align = np.full(n_dec, -1, dtype=np.int64)
+    hit = rng.choice(n_dec, size=16, replace=False)
+    align[hit] = rng.permutation(n_enc)[:16]
+    parent_index = np.repeat(np.arange(3), 8)
+    status = np.array([1.0, 0.0, 1.0])
+    d_arr = rng.normal(size=(n_dec, 3))
+    e_arr = rng.normal(size=(n_enc, 3))
+    d, e = ad.parameter(d_arr), ad.parameter(e_arr)
+
+    def build():
+        out = guided_skip_add(d, e, align, parent_index, StatusMask(status))
+        return ad.sum_all(ad.mul(out, out))
+
+    check_grads(build, {"d": (d, d_arr), "e": (e, e_arr)})
 
 
 def test_shape_errors(rng):
@@ -155,9 +179,9 @@ def test_shape_errors(rng):
     e = ad.constant(rng.normal(size=(enc.levels[2].num_nodes, 2)))
     align = align_encoder_rows(enc, np.arange(8, dtype=np.uint64), 2)
     with pytest.raises(DomainError):
-        guided_skip_add(d, e, align, np.zeros(8, np.int64), StatusMask(1, np.ones(1)))
+        guided_skip_add(d, e, align, np.zeros(8, np.int64), StatusMask(np.ones(1)))
     e3 = ad.constant(rng.normal(size=(enc.levels[2].num_nodes, 3)))
     with pytest.raises(DomainError):
-        guided_skip_add(d, e3, align[:4], np.zeros(8, np.int64), StatusMask(1, np.ones(1)))
+        guided_skip_add(d, e3, align[:4], np.zeros(8, np.int64), StatusMask(np.ones(1)))
     with pytest.raises(DomainError):
-        guided_skip_add(d, e3, align, np.full(8, 5, np.int64), StatusMask(1, np.ones(1)))
+        guided_skip_add(d, e3, align, np.full(8, 5, np.int64), StatusMask(np.ones(1)))
