@@ -259,23 +259,26 @@ OUT_OF_RANGE_CONFIG_VALUES = [
     ("train.log_every", "0"),
     ("train.lr_drop_factor", "0"),
 ]
-BAD_CONFIG_VALUES = UNPARSEABLE_CONFIG_VALUES + OUT_OF_RANGE_CONFIG_VALUES
+# a parse error names the whole dotted key; a range error names the field
+BAD_CONFIG_VALUES = [(k, v, re.escape(k)) for k, v in UNPARSEABLE_CONFIG_VALUES] + [
+    (k, v, rf"\b{k.split('.')[1]}\b") for k, v in OUT_OF_RANGE_CONFIG_VALUES
+]
 
 
 @pytest.mark.parametrize(
-    "key, value",
+    "key, value, named",
     BAD_CONFIG_VALUES,
     ids=[k for k, _ in UNPARSEABLE_CONFIG_VALUES]
     + [f"{k}={v}" for k, v in OUT_OF_RANGE_CONFIG_VALUES],
 )
-def test_train_bad_config_value_is_data_error(tmp_path, capsys, key, value):
+def test_train_bad_config_value_is_data_error(tmp_path, capsys, key, value, named):
     manifest = tiny_shape_manifest(tmp_path)
     cfg = str(tmp_path / "cfg")
     write_tiny_config(cfg, {key: value})
     out = str(tmp_path / "run")
     assert run(["train", "--config", cfg, "--data", str(manifest), "--out", out]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert re.search(rf"\b{key.split('.')[1]}\b", err), err
+    assert re.search(named, err), err
     assert "Traceback" not in err
 
 
