@@ -13,10 +13,13 @@ of a random stencil with 70 % of its entries valid and once ("sparse") over
 the depth-8 level of an octree over n // 256 points on a sphere, whose table
 is about 5 % valid, like the scene input's finest level; the downsample
 reads n // 8 child rows (3 in 10 empty) at 32 channels as blocks of 8
-under half as many parents, forward and backward; the depth-8 level of
-an octree over n // 32 points on a sphere gets its neighbor table once by
-key search and once derived from its parent level's table; and
-`sample_points` draws 4 points on each of n // 8 random planar patches.
+under half as many parents, forward and backward; train-mode batch norm
+with the fused relu runs forward and backward over a tall, narrow map of
+n // 20 rows at 4 channels and a wide one of n // 128 rows at 128
+channels; the depth-8 level of an octree over n // 32 points on a sphere
+gets its neighbor table once by key search and once derived from its
+parent level's table; and `sample_points` draws 4 points on each of n // 8
+random planar patches.
 """
 
 import argparse
@@ -59,6 +62,13 @@ def down_step(feats, status, child_status, weight):
     w = ad.parameter(weight)
     with ad.Tape():
         y = nn.downsample(x, status, child_status, w)
+        ad.backward(ad.sum_all(y))
+
+
+def bn_step(feats, params):
+    x = ad.parameter(feats)
+    with ad.Tape():
+        y = nn.batch_norm(x, params, True, relu=True)
         ad.backward(ad.sum_all(y))
 
 
@@ -133,6 +143,10 @@ def bench(n, repeats):
     sparse = shell_octree(rng, n // 256, depth=8).levels[8]
     sparse_table = octree.neighbor_table(sparse.keys, sparse.status, 8)
     sparse_feats = rng.standard_normal((len(sparse_table), 32)).astype(np.float32)
+    bn_maps = [
+        rng.normal(2.0, 3.0, size=(n // r, c)).astype(np.float32) for r, c in ((20, 4), (128, 128))
+    ]
+    bn_params = [nn.make_bn(nn.Parameters(), "bn", m.shape[1]) for m in bn_maps]
 
     cases = [
         ("interleave3", lambda: kernels.interleave3(x, y, z)),
@@ -145,6 +159,8 @@ def bench(n, repeats):
         ("conv fwd+bwd", lambda: conv_step(feats, table, weight)),
         ("conv fwd+bwd sparse", lambda: conv_step(sparse_feats, sparse_table, weight)),
         ("downsample fwd+bwd", lambda: down_step(children, status, child_status, down_weight)),
+        ("batch_norm fwd+bwd", lambda: bn_step(bn_maps[0], bn_params[0])),
+        ("batch_norm fwd+bwd wide", lambda: bn_step(bn_maps[1], bn_params[1])),
         ("sample_points", lambda: network.sample_points(shape, samples_per_node=4)),
     ]
     table_rows = [(name, f"{timeit(call, repeats):.4f}") for name, call in cases]

@@ -4,7 +4,7 @@ import numpy as np
 
 from .data import shape_to_label_grid
 from .errors import DomainError
-from .losses import chamfer_distance, iou
+from .losses import _chamfer, _cloud, chamfer_distance, iou
 from .network import CompletionNet, sample_points
 from .octree import PointSet, build_octree
 
@@ -26,17 +26,20 @@ def eval_completion_sample(
     seed=0,
     scale=128.0,
 ):
+    """Chamfer distance of the completed scan and of the raw scan (the
+    identity baseline) to the complete cloud, whose k-d tree both share."""
     octree = build_octree(partial, net.spec.input_depth)
     shape = net.complete(octree)
+    truth = _cloud(complete, scale)
     out = {
-        "baseline": identity_baseline(partial, complete, scale=scale),
+        "baseline": _chamfer(_cloud(partial, scale), truth),
         "nodes": int(len(shape.leaf_codes)),
     }
     if shape.empty:
         out["chamfer"] = float("inf")
         return out, None
     pred_points = sample_points(shape, samples_per_node=samples_per_node, seed=seed)
-    out["chamfer"] = chamfer_distance(pred_points, complete, scale=scale)
+    out["chamfer"] = _chamfer(_cloud(pred_points, scale), truth)
     return out, pred_points
 
 

@@ -96,6 +96,25 @@ def _positions(obj):
     return np.asarray(pos, dtype=np.float64).reshape(-1, 3)
 
 
+def _cloud(points, scale):
+    """A point set's positions scaled by `scale` and the k-d tree over them."""
+    p = _positions(points) * scale
+    if len(p) == 0:
+        raise DomainError("chamfer on an empty point set")
+    return p, cKDTree(p)
+
+
+def _chamfer(a, b, squared=False):
+    """chamfer_distance of two `_cloud` results, querying their trees; a
+    caller that scores several clouds against one builds that one once."""
+    (pa, tree_a), (pb, tree_b) = a, b
+    da, _ = tree_b.query(pa)
+    db, _ = tree_a.query(pb)
+    if squared:
+        return float((da**2).mean() + (db**2).mean())
+    return float(da.mean() + db.mean())
+
+
 def chamfer_distance(a, b, scale=128.0, squared=False):
     """Symmetric sum of mean nearest-neighbor distances.
 
@@ -103,15 +122,7 @@ def chamfer_distance(a, b, scale=128.0, squared=False):
     before distances are taken. Nearest neighbors come from a k-d tree and
     are exact.
     """
-    pa = _positions(a) * scale
-    pb = _positions(b) * scale
-    if len(pa) == 0 or len(pb) == 0:
-        raise DomainError("chamfer on an empty point set")
-    da, _ = cKDTree(pb).query(pa)
-    db, _ = cKDTree(pa).query(pb)
-    if squared:
-        return float((da**2).mean() + (db**2).mean())
-    return float(da.mean() + db.mean())
+    return _chamfer(_cloud(a, scale), _cloud(b, scale), squared)
 
 
 def iou(pred_voxels, gt_voxels):

@@ -277,11 +277,16 @@ def max_pool(x, status, child_status):
 def batch_norm(x, params, train, relu=False):
     """Per-channel normalization over all stored rows of the map.
 
-    Train mode keeps only the per-channel mean and inverse deviation:
-    backward recomputes xhat from x with the forward's expression. With
-    `relu`, the op is followed by ad.relu's rule (ad.relu_values) as one
-    op; backward masks the gradient by its own output being > 0, so neither
-    the normalized map nor a mask is kept.
+    Train mode takes every per-channel reduction as a BLAS gemv with a ones
+    vector (kernels.column_sums). Forward centers x on its gemv mean and
+    corrects mean and variance by the mean of that centered map (the
+    corrected two-pass algorithm), then scales the centered buffer in place
+    into the output. Backward takes the beta and gamma gradients as two
+    gemvs and derives the input gradient's two means from them. Only the
+    per-channel mean and inverse deviation are kept; backward recomputes
+    x - mean. With `relu`, the op is followed by ad.relu's rule
+    (ad.relu_values) as one op; backward masks the gradient by its own
+    output being > 0, so neither the normalized map nor a mask is kept.
     """
     if x.rows == 0:
         raise DomainError("batch_norm on an empty feature map")
@@ -291,13 +296,16 @@ def batch_norm(x, params, train, relu=False):
     xv = x.values
     gamma = params.gamma.values
     if train:
-        mu = xv.mean(axis=0, keepdims=True)
-        var = xv.var(axis=0, keepdims=True)
+        n = x.rows
+        mu = kernels.column_sums(xv) / n
+        out = xv - mu
+        corr = kernels.column_sums(out) / n
+        var = kernels.column_sums(out * out) / n - corr * corr
+        mu += corr
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = xv - mu
-        xhat *= inv
-        out = gamma * xhat
-        out += params.beta.values
+        s = gamma * inv
+        out *= s
+        out += params.beta.values - corr * s
         m = params.momentum
         params.running_mean *= m
         params.running_mean += (1.0 - m) * mu
@@ -305,21 +313,21 @@ def batch_norm(x, params, train, relu=False):
         params.running_var += (1.0 - m) * var
 
         def back(g):
+            # gx = inv * (g*gamma - mean(g*gamma) - xhat * mean(g*gamma*xhat)),
+            # where mean(g*gamma) = gamma*gbeta/n and mean(g*gamma*xhat) =
+            # gamma*ggamma/n; with s = gamma*inv and xhat = d*inv, d = x - mu:
+            # gx = g*s - s*gbeta/n - d * (s*inv*ggamma/n)
             if relu:
                 g = g * (out > 0)
-            xhat = xv - mu
-            xhat *= inv
-            ggamma = (g * xhat).sum(axis=0, keepdims=True)
-            gbeta = g.sum(axis=0, keepdims=True)
-            # inv * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat)) in this
-            # operation order, reusing gxhat and t in place
-            gxhat = g * gamma
-            t = gxhat * xhat
-            m2 = t.mean(axis=0, keepdims=True)
-            gxhat -= gxhat.mean(axis=0, keepdims=True)
-            gxhat -= np.multiply(xhat, m2, out=t)
-            gxhat *= inv
-            return gxhat.astype(xv.dtype, copy=False), ggamma, gbeta
+            d = xv - mu
+            gbeta = kernels.column_sums(g)
+            gx = g * d
+            ggamma = kernels.column_sums(gx) * inv
+            np.multiply(g, s, out=gx)
+            gx -= s * (gbeta / n)
+            d *= s * inv * (ggamma / n)
+            gx -= d
+            return gx.astype(xv.dtype, copy=False), ggamma[None], gbeta[None]
     else:
         inv = 1.0 / np.sqrt(params.running_var + eps)
         scale_row = (gamma * inv).astype(xv.dtype)

@@ -1,5 +1,6 @@
 """SGD training loop with teacher forcing, checkpoints and resume."""
 
+import time
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
@@ -218,6 +219,9 @@ class Trainer:
     # -- epochs ------------------------------------------------------------
 
     def run(self, checkpoint_path=None, config_values=None, log=None):
+        """Train up to cfg.epochs (or cfg.max_steps steps) and return the
+        history: per epoch, the mean loss, the lr, the mean status accuracy
+        of each decoder level and the mean wall time of a step (`step_s`)."""
         cfg = self.cfg
         n = len(self.samples)
         steps_done = 0
@@ -225,11 +229,15 @@ class Trainer:
             rng = np.random.default_rng(cfg.seed + 1000 * self.epoch)
             order = rng.permutation(n) if cfg.shuffle else np.arange(n)
             lr = lr_at_epoch(cfg, self.epoch)
-            epoch_losses = []
+            epoch_losses, step_secs, accuracy = [], [], {}
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
+                t0 = time.perf_counter()
                 report = self.step(idx, lr)
+                step_secs.append(time.perf_counter() - t0)
                 epoch_losses.append(report.total)
+                for level, acc in report.metrics["status_accuracy"].items():
+                    accuracy.setdefault(level, []).append(acc)
                 steps_done += 1
                 if log and steps_done % cfg.log_every == 0:
                     log(
@@ -240,7 +248,13 @@ class Trainer:
                     break
             self.epoch += 1
             self.history.append(
-                {"epoch": self.epoch, "loss": float(np.mean(epoch_losses)), "lr": lr}
+                {
+                    "epoch": self.epoch,
+                    "loss": float(np.mean(epoch_losses)),
+                    "lr": lr,
+                    "status_accuracy": {l: float(np.mean(a)) for l, a in accuracy.items()},
+                    "step_s": float(np.mean(step_secs)),
+                }
             )
             if checkpoint_path:
                 self.save(checkpoint_path, config_values or {})

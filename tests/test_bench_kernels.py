@@ -23,7 +23,7 @@ def test_bench_runs_every_case_at_tiny_size(capsys):
     assert names == [
         "interleave3", "deinterleave3", "gather_rows", "guided skip fwd+bwd", "invert_table",
         "neighbor_table", "child_neighbor_table", "conv fwd+bwd", "conv fwd+bwd sparse",
-        "downsample fwd+bwd", "sample_points",
+        "downsample fwd+bwd", "batch_norm fwd+bwd", "batch_norm fwd+bwd wide", "sample_points",
     ]
     assert all(float(t) >= 0 for _, t in rows)
     assert "conv fwd+bwd" in capsys.readouterr().out

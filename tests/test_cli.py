@@ -1,5 +1,6 @@
 """End-to-end command-line flows and exit codes."""
 
+import json
 import re
 from pathlib import Path
 
@@ -83,6 +84,10 @@ def test_train_complete_eval_flow(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run(["train", "--config", cfg, "--data", manifest, "--out", out]) == EXIT_OK
     ckpt = str(tmp_path / "run" / "checkpoint.ockp")
+    (epoch,) = json.loads(Path(out, "history.json").read_text())["epochs"]
+    assert set(epoch["status_accuracy"]) == {"3", "4"}
+    assert all(0 <= a <= 1 for a in epoch["status_accuracy"].values())
+    assert epoch["step_s"] > 0
 
     # resume continues from the stored epoch without retraining
     write_tiny_config(cfg)
@@ -105,7 +110,6 @@ def test_train_complete_eval_flow(tmp_path, capsys):
 
     report = str(tmp_path / "report.json")
     assert run(["eval", "--ckpt", ckpt, "--data", manifest, "--metric", "chamfer", "--report", report]) == EXIT_OK
-    import json
 
     rep = json.loads(open(report).read())
     assert np.isfinite(rep["chamfer"]) or rep["chamfer"] == float("inf")

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from octcomplete import autodiff as ad
+from octcomplete import data as dt
+from octcomplete import evaluate, losses
 from octcomplete.errors import DomainError
 from octcomplete.losses import (
     chamfer_distance,
@@ -13,6 +16,7 @@ from octcomplete.losses import (
     structure_loss,
     total_loss,
 )
+from octcomplete.network import CompletionNet, NetworkSpec
 from octcomplete.octree import PointSet
 
 from conftest import numeric_grad
@@ -155,6 +159,30 @@ def test_chamfer_accepts_pointsets(rng):
 def test_chamfer_empty_error():
     with pytest.raises(DomainError):
         chamfer_distance(np.zeros((0, 3)), np.ones((3, 3)))
+
+
+def test_eval_completion_sample_shares_the_complete_clouds_tree(monkeypatch):
+    """The raw scan and the completion are both scored against one k-d tree
+    of the complete cloud, and both scores equal separate chamfer_distance
+    calls bit for bit."""
+    spec = NetworkSpec(input_depth=4, output_depth=4, n_res=1, c0=8, c_max=16, hidden=8)
+    net = CompletionNet(spec, seed=3)
+    complete = dt.make_shape("sphere", density=2500, seed=0)
+    partial = dt.virtual_scan(complete, dt.ScanConfig(num_views=2, seed=0))
+    built = []
+
+    def counted_tree(points):
+        built.append(len(points))
+        return cKDTree(points)
+
+    monkeypatch.setattr(losses, "cKDTree", counted_tree)
+    metrics, pred = evaluate.eval_completion_sample(net, partial, complete)
+    assert pred is not None
+    assert built == [len(complete.positions), len(partial.positions), len(pred.positions)]
+    monkeypatch.undo()
+    assert metrics["baseline"] == chamfer_distance(partial, complete)
+    assert metrics["baseline"] == evaluate.identity_baseline(partial, complete)
+    assert metrics["chamfer"] == chamfer_distance(pred, complete)
 
 
 def test_iou_counting_oracle(rng):

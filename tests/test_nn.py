@@ -532,6 +532,91 @@ def test_fused_batch_norm_relu_matches_relu_of_batch_norm(train, rng):
         assert np.array_equal(got, want, equal_nan=True)
 
 
+def batch_norm_errors(x, gamma, beta, upstream, relu):
+    """Relative errors of one train-mode batch_norm step against float64.
+
+    The running statistics start at zero, so after the step they read
+    (1 - momentum) times the batch mean and variance. Errors are scaled by
+    the largest reference entry for the maps, by each reference statistic
+    for mean and variance, and by the sum of absolute terms for the two
+    parameter gradients. Every result must stay float32.
+    """
+    n, c = x.shape
+    xp, gp, bp = (ad.parameter(v.copy()) for v in (x, gamma, beta))
+    zeros = np.zeros((1, c), np.float32)
+    params = nn.BNParams(gamma=gp, beta=bp, running_mean=zeros.copy(), running_var=zeros.copy())
+    with ad.Tape():
+        out = nn.batch_norm(xp, params, True, relu=relu)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
+    got = [out.values, params.running_mean, params.running_var, xp.grad, gp.grad, bp.grad]
+    assert all(v.dtype == np.float32 for v in got)
+
+    x64 = x.astype(np.float64)
+    mu = x64.mean(axis=0)
+    var = ((x64 - mu) ** 2).mean(axis=0)
+    inv = 1.0 / np.sqrt(var + params.epsilon)
+    xhat = (x64 - mu) * inv
+    want = gamma * xhat + beta
+    # the relu rule masks the gradient by the op's own output
+    g = upstream.astype(np.float64) * (out.values > 0 if relu else 1)
+    if relu:
+        want = np.maximum(want, 0)
+    gbeta = g.sum(axis=0)
+    ggamma = (g * xhat).sum(axis=0)
+    gx = gamma * inv * (g - gbeta / n - xhat * ggamma / n)
+
+    def rel(a, b, scale):
+        return float((np.abs(a - b) / scale).max())
+
+    m = 1.0 - params.momentum
+    return {
+        "out": rel(out.values, want, np.abs(want).max()),
+        "mean": rel(params.running_mean[0] / m, mu, np.abs(mu)),
+        "var": rel(params.running_var[0] / m, var, var),
+        "gx": rel(xp.grad, gx, np.abs(gx).max()),
+        "ggamma": rel(gp.grad[0], ggamma, np.abs(g * xhat).sum(axis=0)),
+        "gbeta": rel(bp.grad[0], gbeta, np.abs(g).sum(axis=0)),
+    }
+
+
+def bn_oracle_case(rng, n, c):
+    """A float32 (n, c) map whose channels sit 10 to 50 away from zero at
+    deviations of 0.5 to 4, with its BN parameters and upstream gradient."""
+    offset = rng.choice([-1.0, 1.0], size=c) * rng.uniform(10.0, 50.0, size=c)
+    x = (rng.normal(size=(n, c)) * rng.uniform(0.5, 4.0, size=c) + offset).astype(np.float32)
+    gamma = rng.uniform(0.5, 2.0, size=(1, c)).astype(np.float32)
+    beta = rng.normal(size=(1, c)).astype(np.float32)
+    return x, gamma, beta, rng.normal(size=(n, c)).astype(np.float32)
+
+
+# Bounds of the oracle test below. Each sits under the worst relative error
+# of its four cases when the reductions were numpy's axis-0 mean, var and
+# sum, measured on the same data (the rng fixture's), and above the worst
+# error of the gemv reductions (2-core x86, OpenBLAS):
+BN_ORACLE_BOUNDS = {
+    "out": 5e-6,  # numpy 4.0e-5, gemv 9.1e-7
+    "mean": 1e-6,  # numpy 5.3e-6, gemv 1.1e-7
+    "var": 1e-5,  # numpy 2.1e-5, gemv 2.7e-6
+    "gx": 5e-6,  # numpy 8.4e-6, gemv 1.1e-6
+    "ggamma": 1e-6,  # numpy 6.6e-6, gemv 8.9e-8
+    "gbeta": 1.2e-7,  # numpy 1.25e-7, gemv 4.3e-8
+}
+
+
+def test_batch_norm_train_matches_float64_oracle(rng):
+    """Train-mode BN over tall float32 maps with offset channel means:
+    output, running statistics and all three gradients against a float64
+    reference, with and without the fused relu."""
+    worst = dict.fromkeys(BN_ORACLE_BOUNDS, 0.0)
+    for n, c in ((100_000, 4), (16_384, 128)):
+        case = bn_oracle_case(rng, n, c)
+        for relu in (False, True):
+            for k, e in batch_norm_errors(*case, relu).items():
+                worst[k] = max(worst[k], e)
+    for k, e in worst.items():
+        assert e < BN_ORACLE_BOUNDS[k], (k, e)
+
+
 def test_batch_norm_train_statistics(rng):
     m, c = 200, 4
     x = FeatureMap(rng.normal(2.0, 3.0, size=(m, c)))

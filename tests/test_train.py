@@ -2,6 +2,7 @@
 
 import gc
 import os
+import time
 
 import numpy as np
 import pytest
@@ -246,6 +247,32 @@ def test_net_from_checkpoint(tmp_path):
     assert net2.spec == spec
     for name, fm in net.params.store.items():
         assert np.array_equal(net2.params.store[name].values, fm.values)
+
+
+def test_run_history_keeps_status_accuracy_and_step_time():
+    spec, net, samples = tiny_setup()
+    cfg = TrainConfig(lr=0.01, batch_size=1, epochs=2, shuffle=False)
+    tr = Trainer(net, cfg, samples)
+    reports = []
+    step = tr.step
+
+    def recording_step(idx, lr):
+        reports.append(step(idx, lr))
+        return reports[-1]
+
+    tr.step = recording_step
+    t0 = time.perf_counter()
+    history = tr.run()
+    wall = time.perf_counter() - t0
+    # 2 samples at batch 1: two steps per epoch
+    assert len(history) == 2 and len(reports) == 4
+    for entry, epoch_reports in zip(history, (reports[:2], reports[2:])):
+        accs = [r.metrics["status_accuracy"] for r in epoch_reports]
+        assert entry["status_accuracy"] == {
+            l: float(np.mean([a[l] for a in accs])) for l in (3, 4)
+        }
+        assert 0 < entry["step_s"]
+    assert 2 * sum(entry["step_s"] for entry in history) <= wall
 
 
 def test_max_steps_caps_run():
