@@ -10,16 +10,18 @@ rows, about 36 % of them open (as on the depth-5 shape benchmark's
 decoder), forward and backward; the convolution
 runs 27 taps at 32 channels, forward and backward, once over n // 8 rows
 of a random stencil with 70 % of its entries valid and once ("sparse") over
-the depth-8 level of an octree over n // 256 points on a sphere, whose table
-is about 5 % valid, like the scene input's finest level; the downsample
+the depth-8 level of an octree over n // 256 points on a sphere, whose
+stencil is about 5 % valid, like the scene input's finest level, each map
+built from the level's tap pairs; the downsample
 reads n // 8 child rows (3 in 10 empty) at 32 channels as blocks of 8
 under half as many parents, forward and backward; train-mode batch norm
 with the fused relu runs forward and backward over a tall, narrow map of
 n // 20 rows at 4 channels and a wide one of n // 128 rows at 128
 channels; the depth-8 level of an octree over n // 32 points on a sphere
-gets its neighbor table once by key search and once derived from its
-parent level's table; and `sample_points` draws 4 points on each of n // 8
-random planar patches.
+gets its neighbor table by key search, and its tap pairs derived from its
+parent level's pairs, as does the depth-5 level of a batch of four octrees
+over n // 32 points on spheres each; and `sample_points` draws 4 points on
+each of n // 8 random planar patches.
 """
 
 import argparse
@@ -48,12 +50,18 @@ def random_stencil(rng, rows, taps):
     return table
 
 
-def conv_step(feats, table, weight):
+def stencil_pairs(table):
+    """The per-tap (out, in) pairs of a (rows, taps) table, as int32."""
+    return [(np.flatnonzero(col >= 0).astype(np.int32), col[col >= 0].astype(np.int32))
+            for col in table.T]
+
+
+def conv_step(feats, pairs, weight):
     """Kernel map build, convolution and backward (which inverts the map)."""
     x = ad.parameter(feats)
     w = ad.parameter(weight)
     with ad.Tape():
-        y = nn.octree_conv(x, nn.KernelMap(table), w)
+        y = nn.octree_conv(x, nn.KernelMap(pairs, len(feats)), w)
         ad.backward(ad.sum_all(y))
 
 
@@ -130,6 +138,7 @@ def bench(n, repeats):
     feats = rng.standard_normal((n // 8 + 1, 32)).astype(np.float32)
     idx = rng.integers(-1, feats.shape[0], size=n).astype(np.int64)
     table = random_stencil(rng, feats.shape[0], 27)
+    pairs = stencil_pairs(table)
     weight = rng.standard_normal((32, 27 * 32)).astype(np.float32)
     children = feats[: 8 * (feats.shape[0] // 8)]
     status, child_status = random_blocks(rng, len(children))
@@ -137,12 +146,12 @@ def bench(n, repeats):
     enc_feats = rng.standard_normal(children.shape).astype(np.float32)
     skip_args = (children, enc_feats, *random_skip(rng, len(children)))
     shape = random_patches(rng, n // 8, depth=8)
-    shell = shell_octree(rng, n // 32, depth=8)
+    shell = network.OctreeBatch([shell_octree(rng, n // 32, depth=8)])
     up, fine = shell.levels[7], shell.levels[8]
-    up_table = octree.neighbor_table(up.keys, up.status, 7)
-    sparse = shell_octree(rng, n // 256, depth=8).levels[8]
-    sparse_table = octree.neighbor_table(sparse.keys, sparse.status, 8)
-    sparse_feats = rng.standard_normal((len(sparse_table), 32)).astype(np.float32)
+    shells5 = network.OctreeBatch([shell_octree(rng, n // 32, depth=5) for _ in range(4)])
+    sparse = network.OctreeBatch([shell_octree(rng, n // 256, depth=8)])
+    sparse_feats = rng.standard_normal((sparse.levels[8].num_nodes, 32)).astype(np.float32)
+    up_pairs, up5_pairs, sparse_pairs = shell.pairs(7), shells5.pairs(4), sparse.pairs(8)
     bn_maps = [
         rng.normal(2.0, 3.0, size=(n // r, c)).astype(np.float32) for r, c in ((20, 4), (128, 128))
     ]
@@ -155,9 +164,11 @@ def bench(n, repeats):
         ("guided skip fwd+bwd", lambda: skip_step(*skip_args)),
         ("invert_table", lambda: kernels.invert_table(table, feats.shape[0])),
         ("neighbor_table", lambda: octree.neighbor_table(fine.keys, fine.status, 8)),
-        ("child_neighbor_table", lambda: octree.child_neighbor_table(up, up_table, fine.status)),
-        ("conv fwd+bwd", lambda: conv_step(feats, table, weight)),
-        ("conv fwd+bwd sparse", lambda: conv_step(sparse_feats, sparse_table, weight)),
+        ("child_pairs", lambda: octree.child_pairs(up, up_pairs, fine.status)),
+        ("child_pairs depth 5", lambda: octree.child_pairs(
+            shells5.levels[4], up5_pairs, shells5.levels[5].status)),
+        ("conv fwd+bwd", lambda: conv_step(feats, pairs, weight)),
+        ("conv fwd+bwd sparse", lambda: conv_step(sparse_feats, sparse_pairs, weight)),
         ("downsample fwd+bwd", lambda: down_step(children, status, child_status, down_weight)),
         ("batch_norm fwd+bwd", lambda: bn_step(bn_maps[0], bn_params[0])),
         ("batch_norm fwd+bwd wide", lambda: bn_step(bn_maps[1], bn_params[1])),

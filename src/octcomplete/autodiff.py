@@ -71,6 +71,12 @@ class FeatureMap:
         return f"FeatureMap({self.values.shape}, level={self.level})"
 
 
+def tracked(fm):
+    """Whether backward gives `fm` a gradient: a parameter, or the taped
+    output of an op with a tracked input."""
+    return fm._tracked
+
+
 def _accum(fm, g):
     if not fm._tracked:
         return

@@ -153,6 +153,8 @@ def cmd_complete(args):
     points = fileio.read_points(getattr(args, "in"))
     octree = build_octree(points, net.spec.input_depth)
     shape = net.complete(octree)
+    for level, (expanded, cap) in sorted(shape.growth.items()):
+        print(f"level {level}: expanded {expanded} rows, cap {cap:g}")
     if shape.empty:
         raise NumericalError("network predicted an empty shape")
     if net.spec.task == "completion":

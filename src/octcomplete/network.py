@@ -12,7 +12,7 @@ expands the nodes whose status logit is >= 0 (probability >= 0.5).
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,14 +23,14 @@ from .errors import DomainError, NumericalError
 from .octree import (
     Octree,
     PointSet,
-    child_neighbor_table,
+    child_pairs,
     child_rows,
     cell_centers,
     find_in_sorted,  # not called here; perfbench/spans.py probes network.find_in_sorted
     make_level,
     neighbor_table,  # not called here; perfbench/spans.py probes network.neighbor_table
     octree_from_codes,  # not called here; perfbench/spans.py probes network.octree_from_codes
-    root_table,
+    root_pairs,
 )
 from .skip import StatusMask, guided_skip_add
 
@@ -88,9 +88,9 @@ class OctreeBatch:
 
     The merged levels keep the full-sibling layout (the k-th nonempty row of
     a level owns rows 8k..8k+7 of the next): moving between levels needs no
-    table, and a level's neighbor table follows from its parent level's,
-    down from the roots' constant one (octree.root_table). A level's
-    convolutions share its ``kernel_map``.
+    table, and a level's tap pairs (octree.child_pairs) follow from its
+    parent level's, down from the roots' constant ones (octree.root_pairs).
+    A level's convolutions share its ``kernel_map``.
     """
 
     def __init__(self, octrees: List[Octree]):
@@ -106,7 +106,7 @@ class OctreeBatch:
             keys = [lv.keys | np.uint64(b << 3 * l) for b, lv in enumerate(lvs)]
             status = np.concatenate([lv.status for lv in lvs])
             self.levels.append(make_level(np.concatenate(keys), status, l < self.depth))
-        self._nbr = {}
+        self._pairs = {}
         self._maps = {}
 
     @property
@@ -120,21 +120,21 @@ class OctreeBatch:
         sig = np.vstack([o.signal for o in self.octrees])
         return FeatureMap(sig, level=self.depth)
 
-    def nbr_table(self, level):
-        """(rows, 27) neighbor table of `level`; -1 for absent or empty."""
-        if level not in self._nbr:
+    def pairs(self, level):
+        """The 27 tap pairs of `level`, reading only nonempty rows."""
+        if level not in self._pairs:
             status = self.levels[level].status
             if level == 0:
-                self._nbr[0] = root_table(status)
+                self._pairs[0] = root_pairs(status)
             else:
                 up = self.levels[level - 1]
-                self._nbr[level] = child_neighbor_table(up, self.nbr_table(level - 1), status)
-        return self._nbr[level]
+                self._pairs[level] = child_pairs(up, self.pairs(level - 1), status)
+        return self._pairs[level]
 
     def kernel_map(self, level):
-        """The nn.KernelMap of `level`'s neighbor table, built on first use."""
+        """The nn.KernelMap of `level`'s tap pairs, built on first use."""
         if level not in self._maps:
-            self._maps[level] = nn.KernelMap(self.nbr_table(level))
+            self._maps[level] = nn.KernelMap(self.pairs(level), self.levels[level].num_nodes)
         return self._maps[level]
 
 
@@ -143,8 +143,8 @@ class DecoderState:
 
     ``keys[level]`` is one sorted key array for the whole batch, with the
     sample id above the Morton bits as in OctreeBatch. Growth starts at the
-    batch's roots and `subdivide` derives each finer level's ``table`` and
-    its ``enc_rows`` and ``gt_rows``, the rows aligned in `enc_batch` and
+    batch's roots and `subdivide` derives each finer level's tap ``pairs``
+    and its ``enc_rows`` and ``gt_rows``, the rows aligned in `enc_batch` and
     `gt_batch` (-1 where absent or empty), from the parent level's; up to
     `coarsest` every node is expanded, so that level is every sample's full
     grid. No key is searched.
@@ -158,7 +158,7 @@ class DecoderState:
         self.keys = {0: roots.astype(np.uint64)}
         # decoder stencils treat every stored row as valid: statuses are not
         # known yet when the level's convolutions run
-        self.table = {0: root_table(np.ones(len(roots), np.uint8))}
+        self.pairs = {0: root_pairs(np.ones(len(roots), np.uint8))}
         self.enc_rows = {0: np.where(enc_batch.levels[0].status == 1, roots, -1)}
         self.gt_rows = {}
         if gt_batch is not None:
@@ -182,7 +182,7 @@ class DecoderState:
         self.parent_sel[level + 1] = rows
         self.parent_idx[level + 1] = parent_idx
         grown = make_level(keys, expand, True)  # the expanded rows own the new blocks
-        self.table[level + 1] = child_neighbor_table(grown, self.table[level])
+        self.pairs[level + 1] = child_pairs(grown, self.pairs[level])
         for aligned, batch in ((self.enc_rows, self.enc_batch), (self.gt_rows, self.gt_batch)):
             if batch is not None:
                 lv, nxt = batch.levels[level : level + 2]
@@ -195,6 +195,7 @@ class PredictedShape:
     leaf_codes: np.ndarray
     patches: Optional[np.ndarray] = None          # raw (nx, ny, nz, d) per leaf
     semantic_logits: Optional[np.ndarray] = None
+    growth: Dict[int, Tuple[int, float]] = field(default_factory=dict)  # as DecodeResult's
 
     @property
     def empty(self):
@@ -210,6 +211,8 @@ class DecodeResult:
     head_rows: Optional[np.ndarray] = None
     skip_levels: List[int] = field(default_factory=list)
     state: Optional[DecoderState] = None
+    # inference: level -> (rows expanded, expand_cap guard's cap), per guarded level
+    growth: Dict[int, Tuple[int, float]] = field(default_factory=dict)
 
 
 class CompletionNet:
@@ -340,7 +343,8 @@ class CompletionNet:
         Train mode (teacher forcing) expands along gt_batch structure while
         statuses and losses come from predictions; inference expands the
         rows whose status logit is >= 0, guarded by `expand_cap` times the
-        input's nonempty count per level.
+        input's nonempty count per level (at least 64); each guarded
+        level's expanded rows and cap are recorded in ``growth``.
         """
         spec = self.spec
         co = spec.coarsest
@@ -360,6 +364,7 @@ class CompletionNet:
             else:
                 expand = res.pred_status[l - 1]
                 cap = expand_cap * max(enc_batch.nonempty(min(l - 1, enc_batch.depth)), 64)
+                res.growth[l - 1] = (int(expand.sum()), cap)
                 if expand.sum() > cap:
                     raise NumericalError(
                         f"decoder explosion at level {l - 1}: "
@@ -380,7 +385,7 @@ class CompletionNet:
                 )
                 res.skip_levels.append(l)
 
-            x = self.dec_rb[l].forward(x, nn.KernelMap(ds.table[l]), train)
+            x = self.dec_rb[l].forward(x, nn.KernelMap(ds.pairs[l], ds.rows(l)), train)
             res.logits[l] = self.pred[l].forward(x)
             # sigmoid(z) >= 0.5 exactly where z >= 0
             res.pred_status[l] = (res.logits[l].values.reshape(-1) >= 0).astype(np.float64)
@@ -406,9 +411,13 @@ class CompletionNet:
         res = self.decode(code, batch, feats, train=False)
         d = self.spec.output_depth
         if d not in res.pred_status or res.head_out is None:
-            return PredictedShape(depth=d, leaf_codes=np.zeros(0, dtype=np.uint64))
+            return PredictedShape(
+                depth=d, leaf_codes=np.zeros(0, dtype=np.uint64), growth=res.growth
+            )
         # sample 0 carries no id bits
-        shape = PredictedShape(depth=d, leaf_codes=res.state.keys[d][res.head_rows])
+        shape = PredictedShape(
+            depth=d, leaf_codes=res.state.keys[d][res.head_rows], growth=res.growth
+        )
         out = np.asarray(res.head_out.values, dtype=np.float64)
         if self.spec.task == "completion":
             shape.patches = out

@@ -1,8 +1,8 @@
 """Octree-restricted neural operators.
 
 All operators act on node-major FeatureMaps. Convolution reads the
-KernelMap of its level, built once from the level's 27-stencil neighbor
-table; the ops that change level read the full-sibling layout directly.
+KernelMap of its level, built once from the level's 27 tap pairs (its
+3x3x3 stencil); the ops that change level read the full-sibling layout directly.
 Each op takes its weight FeatureMap and checks the input channels against
 the weight's shape. Empty sibling slots are stored rows: they read as zeros
 inside convolution stencils but participate in batch-norm statistics.
@@ -11,6 +11,7 @@ inside convolution stencils but participate in batch-norm statistics.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import autodiff as ad
 from . import kernels
@@ -68,61 +69,87 @@ class BNParams:
     momentum: float = 0.9
 
 
-# A tap whose share of valid rows is below this runs on its compacted
-# (out row, in row) pairs; at or above it, one gather of the padded source
-# over the whole column costs less than fancy-indexing the pairs. In
+# A tap whose share of valid rows is below this runs on its (out row, in
+# row) pairs; at or above it, one gather of the padded source over the
+# whole column costs less than gathering the pairs. In
 # benchmarks/bench_kernels.py (2-core x86, one BLAS thread, best of 5),
-# "conv fwd+bwd" (70 % valid) takes 1.60 s under this rule, 1.66 s with
-# every tap dense and 2.97 s with every tap sparse; "conv fwd+bwd sparse"
-# (5 % valid) takes 0.044 s, 0.23 s and 0.050 s. Single taps at 4 to 32
-# channels over 5k and 50k rows cross over between 0.2 and 0.4 valid (at
-# 128 channels, above 0.5).
+# "conv fwd+bwd" (70 % valid) takes 1.50 s under this rule, 1.51 s with
+# every tap dense and 2.03 s with every tap sparse; "conv fwd+bwd sparse"
+# (5 % valid) takes 0.032 s, 0.28 s and 0.034 s. On the perfbench levels
+# (25-41 % valid) a rule of 0.5 made single convs 10-30 % faster, but each
+# sparse pair holds a product row until the scatter, so the buffers grow
+# toward 9 times the output; kept at 0.3 (see ROADMAP).
 SPARSE_BELOW = 0.3
 
 IDENTITY, DENSE, SPARSE = "identity", "dense", "sparse"
 
 
 class KernelMap:
-    """How octree_conv reads one level's (rows, taps) neighbor table.
+    """How octree_conv reads one level's 27 tap pairs (octree.child_pairs).
 
     Built once per level and shared by that level's convolutions, forward
-    and backward. ``cols`` is the table in column order, tap t's column
-    being cols[t]: a view of a table stored so, as
-    octree.child_neighbor_table returns it, else a copy. ``taps[t]`` is
-    - (IDENTITY, None, None): the column is arange(rows), as a decoder
-      level's center tap is; the tap reads the source itself, no gather;
-    - (DENSE, col, k): the column is gathered from the source padded once
-      per call (-1 reads the zero row); k is the tap's row of `inverse()`;
-    - (SPARSE, o, i): fewer than SPARSE_BELOW of the column is valid;
-      output row o[j] reads input row i[j], and the holes cost nothing.
-    A stencil column names each row at most once, so a sparse tap updates
-    out[o] and the input gradient's rows i by plain fancy-index assignment.
+    and backward. ``taps[t]`` is
+    - (IDENTITY, None, None): the tap pairs every row with itself, as a
+      decoder level's center tap does; the tap reads the source itself;
+    - (DENSE, col, k): at least SPARSE_BELOW of the rows are valid; col is
+      the tap's column of input rows, -1 where none, gathered from the
+      source padded once per call; it is row k of ``cols``;
+    - (SPARSE, a, b): fewer are valid; the tap's pairs are entries a:b of
+      ``pair_out`` and ``pair_in``, the sparse taps' pairs in tap order.
+    A tap names each output row at most once, so the sparse taps' products
+    (one row per pair) reach the output through one sparse matrix whose
+    column j has a single one in row pair_out[j]: each output row adds its
+    pairs in tap order. Backward does the same through pair_in.
     """
 
-    def __init__(self, table):
-        self.cols = np.ascontiguousarray(table.T)
-        self.rows = table.shape[0]
-        valid = self.cols >= 0
-        counts = np.count_nonzero(valid, axis=1)
+    def __init__(self, pairs, rows):
+        self.rows = rows
+        kinds = [
+            IDENTITY if len(o) == rows and np.array_equal(o, i)
+            else SPARSE if len(o) < SPARSE_BELOW * rows
+            else DENSE
+            for o, i in pairs
+        ]
+        self.dense = [t for t, kind in enumerate(kinds) if kind == DENSE]  # in tap order
+        self.cols = np.full((len(self.dense), rows), -1, dtype=np.int64)
         self.taps = []
-        self.dense = []  # dense taps, in tap order
-        for t, col in enumerate(self.cols):
-            if counts[t] == self.rows and np.array_equal(col, np.arange(self.rows)):
-                self.taps.append((IDENTITY, None, None))
-            elif counts[t] < SPARSE_BELOW * self.rows:
-                o = np.flatnonzero(valid[t])
-                self.taps.append((SPARSE, o, col[o]))
+        sparse_taps, n = [], 0
+        for t, ((o, i), kind) in enumerate(zip(pairs, kinds)):
+            if kind == DENSE:
+                k = self.dense.index(t)
+                self.cols[k, o] = i
+                self.taps.append((DENSE, self.cols[k], k))
+            elif kind == SPARSE:
+                self.taps.append((SPARSE, n, n + len(o)))
+                sparse_taps.append((o, i))
+                n += len(o)
             else:
-                self.taps.append((DENSE, col, len(self.dense)))
-                self.dense.append(t)
+                self.taps.append((IDENTITY, None, None))
+        none = np.zeros(0, dtype=np.int32)
+        self.pair_out = np.concatenate([o for o, _ in sparse_taps] + [none])
+        self.pair_in = np.concatenate([i for _, i in sparse_taps] + [none])
+        self._scatter = {}
         self._inverse = None
+
+    def scatter(self, side, dtype):
+        """The (rows, pairs) CSC matrix whose column j has a one in row
+        pair_out[j] (side "out") or pair_in[j] (side "in"), built on first
+        use per dtype."""
+        if (side, dtype) not in self._scatter:
+            rows = self.pair_out if side == "out" else self.pair_in
+            n = len(rows)
+            self._scatter[side, dtype] = sparse.csc_array(
+                (np.ones(n, dtype), rows, np.arange(n + 1, dtype=rows.dtype)),
+                shape=(self.rows, n),
+            )
+        return self._scatter[side, dtype]
 
     def inverse(self):
         """(dense taps, rows) inverse of the dense columns: row k names, for
         each input row j, the output row whose tap reads j, or -1. Built on
         first use, by the level's first backward, and kept."""
         if self._inverse is None:
-            self._inverse = kernels.invert_table(self.cols[self.dense].T, self.rows).T
+            self._inverse = kernels.invert_table(self.cols.T, self.rows).T
         return self._inverse
 
 
@@ -134,44 +161,66 @@ def octree_conv(x, kmap, weight):
     per level by OctreeBatch.kernel_map or CompletionNet.decode; `weight`
     is (out, taps * in), one (out, in) block per tap of the map.
 
-    Tap t multiplies the input rows its column names by its weight block
-    W_t = weight[:, t*c:(t+1)*c], accumulating in place in tap order; no
-    (rows, 27*c) buffer is built. Backward reads the output gradient through
-    the same taps reversed: an identity tap reads g itself, a dense tap
-    gathers g through the map's inverse, and a sparse tap swaps its pairs.
-    W_t's gradient is g_t.T @ x and the input gradient accumulates g_t @ W_t,
-    so backward never scatters.
+    Tap t multiplies the input rows it reads by its weight block
+    W_t = weight[:, t*c:(t+1)*c]; no (rows, 27*c) buffer is built. The
+    sparse taps write one product row per pair into one buffer, which one
+    sparse-matrix product adds into the output; then the identity and
+    dense taps accumulate into it in place, in tap order. Backward reads
+    the output gradient through the same taps reversed: an identity tap
+    reads g itself, a dense tap gathers g through the map's inverse, and a
+    sparse tap gathers g at its output rows and scatters through pair_in.
+    W_t's gradient is g_t.T @ x. The input gradient is skipped when x
+    takes none.
     """
     if weight.values.shape[1] != len(kmap.taps) * x.channels:
         raise DomainError("conv channel mismatch")
     if kmap.rows != x.rows:
-        raise DomainError("neighbor table row mismatch")
+        raise DomainError("kernel map row mismatch")
     xv = x.values
     w = weight.values.reshape(-1, len(kmap.taps), x.channels)  # (out, taps, in)
-    out = np.zeros((x.rows, w.shape[0]), dtype=np.result_type(xv, w))
+    dtype = np.result_type(xv, w)
+    if len(kmap.pair_out):
+        buf = np.empty((len(kmap.pair_out), w.shape[0]), dtype=dtype)
+        for t, (kind, a, b) in enumerate(kmap.taps):
+            if kind == SPARSE:
+                np.matmul(np.take(xv, kmap.pair_in[a:b], axis=0), w[:, t].T, out=buf[a:b])
+        out = kmap.scatter("out", dtype) @ buf
+        del buf
+    else:
+        out = np.zeros((x.rows, w.shape[0]), dtype=dtype)
     if kmap.dense:
-        xp, buf = kernels.padded(xv), np.empty(xv.shape, xv.dtype)
-    for t, (kind, a, b) in enumerate(kmap.taps):
-        if kind == SPARSE:
-            out[a] += np.take(xv, b, axis=0) @ w[:, t].T
-            continue
-        src = xv if kind == IDENTITY else kernels.gather_padded(xp, a, buf)
-        kernels.matmul_add(out, src, w[:, t].T)
+        xp, xbuf = kernels.padded(xv), np.empty(xv.shape, xv.dtype)
+    for t, (kind, a, _) in enumerate(kmap.taps):
+        if kind != SPARSE:
+            src = xv if kind == IDENTITY else kernels.gather_padded(xp, a, xbuf)
+            kernels.matmul_add(out, src, w[:, t].T)
 
     def back(g):
         gw = np.empty_like(w)
-        gx = np.zeros_like(xv)
-        if kmap.dense:
-            gp, gbuf, inv = kernels.padded(g), np.empty(g.shape, g.dtype), kmap.inverse()
+        need_gx = ad.tracked(x)
+        gx = gbuf = None
+        if need_gx and len(kmap.pair_out):
+            gbuf = np.empty((len(kmap.pair_out), xv.shape[1]), dtype=xv.dtype)
         for t, (kind, a, b) in enumerate(kmap.taps):
             if kind == SPARSE:
-                go = np.take(g, a, axis=0)
-                gw[:, t] = go.T @ np.take(xv, b, axis=0)
-                gx[b] += go @ w[:, t]
+                go = np.take(g, kmap.pair_out[a:b], axis=0)
+                gw[:, t] = go.T @ np.take(xv, kmap.pair_in[a:b], axis=0)
+                if need_gx:
+                    np.matmul(go, w[:, t], out=gbuf[a:b])
+        if gbuf is not None:
+            gx = kmap.scatter("in", xv.dtype) @ gbuf
+            del gbuf
+        elif need_gx:
+            gx = np.zeros_like(xv)
+        if kmap.dense:
+            gp, gdbuf, inv = kernels.padded(g), np.empty(g.shape, g.dtype), kmap.inverse()
+        for t, (kind, a, b) in enumerate(kmap.taps):
+            if kind == SPARSE:
                 continue
-            g_t = g if kind == IDENTITY else kernels.gather_padded(gp, inv[b], gbuf)
+            g_t = g if kind == IDENTITY else kernels.gather_padded(gp, inv[b], gdbuf)
             gw[:, t] = g_t.T @ xv
-            kernels.matmul_add(gx, g_t, w[:, t])
+            if need_gx:
+                kernels.matmul_add(gx, g_t, w[:, t])
         return gx, gw.reshape(weight.values.shape)
 
     return ad.custom_op(out, [x, weight], back, level=x.level)
@@ -195,7 +244,7 @@ def downsample(x, status, child_status, weight):
     `status` is the per-row status of the coarser level, `child_status`
     that of x's level. One gemm of the (parents, 8*c) block view with the
     (out, 8*c) weight; empty children read as zeros, childless parents get
-    zero rows.
+    zero rows. The input gradient is skipped when x takes none.
     """
     if weight.values.shape[1] != 8 * x.channels:
         raise DomainError("downsample channel mismatch")
@@ -210,8 +259,10 @@ def downsample(x, status, child_status, weight):
 
     def back(g):
         go = g[owners]
-        gx = (go @ w).reshape(x.rows, c)
-        gx[empty] = 0
+        gx = None
+        if ad.tracked(x):
+            gx = (go @ w).reshape(x.rows, c)
+            gx[empty] = 0
         # the block view again: the closure keeps no masked copy of x
         return gx, go.T @ np.where(empty[:, None], 0, x.values).reshape(len(owners), 8 * c)
 

@@ -267,13 +267,35 @@ _PARENT_TAP = sum(((_NBR_XYZ[a] >> 1) + 1) * 3**a for a in range(3))  # (8, 27)
 _CHILD_SLOT = sum((_NBR_XYZ[a] & 1) << (2 - a) for a in range(3))
 
 
-def root_table(status):
-    """(B, 27) neighbor table of B roots with `status`, stored in column
-    order as child_neighbor_table's tables are: a nonempty root's only
-    neighbor is itself, at the center tap 13."""
-    out = np.full((27, len(status)), -1, dtype=np.int64)
-    out[13] = np.where(status == 1, np.arange(len(status)), -1)
-    return out.T
+# Child pair (start[o] + s, start[i] + c) of child tap t comes from a parent
+# pair (o, i) of parent tap _PARENT_TAP[s, t] whose child c = _CHILD_SLOT[s, t]
+# is nonempty. Per key = 256 * (parent tap) + (bit mask of i's nonempty
+# children), the (s, c, t) that key keeps form one run of _COMBO_SLOT,
+# _COMBO_CHILD and _COMBO_TAP, in (t, s) order, of _COMBO_COUNT[key] entries
+# from _COMBO_START[key].
+def _combo_runs():
+    s, t = np.divmod(np.arange(8 * 27), 27)
+    ptap, c = _PARENT_TAP[s, t], _CHILD_SLOT[s, t]
+    mask, j = np.nonzero((np.arange(256)[:, None] >> c[None, :]) & 1)
+    key = ptap[j] * 256 + mask
+    j = j[np.lexsort((s[j], t[j], key))]
+    count = np.bincount(key, minlength=27 * 256).astype(np.int32)
+    return (
+        s[j].astype(np.int32), c[j].astype(np.int32), t[j].astype(np.uint8),
+        np.cumsum(count) - count, count,
+    )
+
+
+_COMBO_SLOT, _COMBO_CHILD, _COMBO_TAP, _COMBO_START, _COMBO_COUNT = _combo_runs()
+_TAP_KEYS = 256 * np.arange(27, dtype=np.int32)
+
+
+def root_pairs(status):
+    """Tap pairs of B roots with `status`: a nonempty root's only neighbor is
+    itself, at the center tap 13. Pairs are described at child_pairs."""
+    nonempty = np.flatnonzero(status == 1).astype(np.int32)
+    none = np.zeros(0, dtype=np.int32)
+    return [(nonempty, nonempty) if t == 13 else (none, none) for t in range(27)]
 
 
 def child_rows(level, rows, slots, next_status=None):
@@ -288,19 +310,46 @@ def child_rows(level, rows, slots, next_status=None):
     return out
 
 
-def child_neighbor_table(level, table, next_status=None):
-    """The next level's (rows, 27) neighbor table from `level`'s `table`,
-    masked as child_rows is: every neighbor of a child is a child of one of
-    its parent's neighbors, so no key is searched.
+def child_pairs(level, pairs, next_status=None):
+    """The next level's tap pairs from `level`'s `pairs`.
 
-    The table is stored in column order, the transpose of a C-ordered
-    (27, rows) array, which is how convolutions read it (nn.KernelMap).
+    A level's stencil is 27 per-tap pairs (out, in) of int32 row arrays:
+    output row out[j] reads input row in[j] at that tap, and each row is
+    named at most once per tap as an output. A child's neighbor is a child
+    of its parent's neighbor, so each child pair comes from a parent pair
+    whose rows both have children, through the (slot, tap) lookup
+    (_PARENT_TAP, _CHILD_SLOT); given `next_status`, only nonempty children
+    are read. No key is searched, and the work scales with the pairs, not
+    with 27 * rows. Within a tap the pairs come in no particular order.
     """
-    parent_nbrs = table.T[:, level.child_start >= 0]  # (27, parents), child block order
-    # [tap, parent, slot]: the parent's neighbor at the slot's parent tap
-    nbrs = parent_nbrs[_PARENT_TAP.T].transpose(0, 2, 1)
-    out = child_rows(level, nbrs, _CHILD_SLOT.T[:, None, :], next_status)
-    return out.reshape(27, -1).T
+    start = level.child_start.astype(np.int32)
+    has = start >= 0
+    # per row, the bit mask of its nonempty children; 0 where it has none
+    kids = np.zeros(len(start), dtype=np.int32)
+    if next_status is None:
+        kids[has] = 255
+    else:
+        kids[has] = np.packbits(next_status.reshape(-1, 8), axis=1, bitorder="little")[:, 0]
+    so = np.take(start, np.concatenate([o for o, _ in pairs]))
+    pi = np.concatenate([i for _, i in pairs])
+    si = np.take(start, pi)
+    key = np.take(kids, pi)
+    key[so < 0] = 0  # an output row without children keeps nothing
+    key += np.repeat(_TAP_KEYS, [len(o) for o, _ in pairs])
+    count = np.take(_COMBO_COUNT, key)
+    # run-length expansion: the k-th child pair of parent pair p reads entry
+    # _COMBO_START[key[p]] + k of the runs
+    ends = np.cumsum(count)
+    combo = np.repeat(np.take(_COMBO_START, key) - ends + count, count)
+    combo += np.arange(len(combo), dtype=combo.dtype)
+    tap = np.take(_COMBO_TAP, combo)
+    order = np.argsort(tap, kind="stable")
+    out = np.repeat(so, count)
+    out += np.take(_COMBO_SLOT, combo)
+    inp = np.repeat(si, count)
+    inp += np.take(_COMBO_CHILD, combo)
+    bounds = np.cumsum(np.bincount(tap, minlength=27))[:-1]
+    return list(zip(np.split(np.take(out, order), bounds), np.split(np.take(inp, order), bounds)))
 
 
 def build_octree(points: PointSet, depth: int) -> Octree:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from octcomplete import autodiff as ad
-from octcomplete.octree import find_in_sorted, neighbor_table
+from octcomplete import nn
+from octcomplete.octree import _CHILD_SLOT, _PARENT_TAP, child_rows, find_in_sorted, neighbor_table
 
 
 def numeric_grad(f, arrays, which, h=1e-5):
@@ -65,6 +66,44 @@ def nbr_table(octree, level):
     """The search oracle's (rows, 27) neighbor table of an Octree's `level`."""
     lv = octree.levels[level]
     return neighbor_table(lv.keys, lv.status, level)
+
+
+def table_pairs(table):
+    """The per-tap (out, in) pairs of a (rows, taps) neighbor table, in row
+    order: the form octree.child_pairs derives and nn.KernelMap reads."""
+    return [(np.flatnonzero(col >= 0), col[col >= 0]) for col in table.T]
+
+
+def table_kernel_map(table):
+    return nn.KernelMap(table_pairs(table), table.shape[0])
+
+
+def assert_pairs_match_table(pairs, table):
+    """Tap by tap, `pairs` hold exactly the (out, in) pairs of `table`."""
+    assert len(pairs) == table.shape[1]
+    for t, ((o, i), (want_o, want_i)) in enumerate(zip(pairs, table_pairs(table))):
+        assert len(o) == len(i) == len(want_o), f"tap {t}"
+        got = np.unique(np.stack([o, i], axis=1).astype(np.int64), axis=0)
+        assert np.array_equal(got, np.stack([want_o, want_i], axis=1)), f"tap {t}"
+
+
+def root_table(status):
+    """(B, 27) neighbor table of B roots with `status`: a nonempty root's
+    only neighbor is itself, at the center tap 13."""
+    out = np.full((27, len(status)), -1, dtype=np.int64)
+    out[13] = np.where(status == 1, np.arange(len(status)), -1)
+    return out.T
+
+
+def child_neighbor_table(level, table, next_status=None):
+    """The next level's (rows, 27) neighbor table from `level`'s `table`,
+    through the (slot, tap) lookup over all 27 x rows entries, masked as
+    octree.child_rows is: the table form of octree.child_pairs' rule."""
+    parent_nbrs = table.T[:, level.child_start >= 0]  # (27, parents), child block order
+    # [tap, parent, slot]: the parent's neighbor at the slot's parent tap
+    nbrs = parent_nbrs[_PARENT_TAP.T].transpose(0, 2, 1)
+    out = child_rows(level, nbrs, _CHILD_SLOT.T[:, None, :], next_status)
+    return out.reshape(27, -1).T
 
 
 def align_encoder_rows(encoder_octree, decoder_keys, level):

@@ -167,6 +167,20 @@ def test_complete_samples_per_node_below_one_is_data_error(tmp_path):
     assert run(base + ["--samples-per-node", "-1"]) == EXIT_DATA
 
 
+def test_complete_prints_decoder_growth_per_level(tmp_path, capsys):
+    """One line per guarded decoder level: the rows expanded and the
+    expand_cap guard's cap, as complete records them."""
+    ckpt, scan = untrained_checkpoint_and_scan(tmp_path, input_depth=5, output_depth=5)
+    out = str(tmp_path / "out.ply")
+    capsys.readouterr()
+    assert run(["complete", "--ckpt", ckpt, "--in", scan, "--out", out]) == EXIT_OK
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("level ")]
+    net, _ = net_from_checkpoint(ckpt)
+    growth = net.complete(build_octree(fileio.read_points(scan), 5)).growth
+    assert sorted(growth) == [3, 4]
+    assert lines == [f"level {l}: expanded {e} rows, cap {c:g}" for l, (e, c) in sorted(growth.items())]
+
+
 def test_complete_semantic_writes_labeled_leaf_centers(tmp_path):
     ckpt, scan = untrained_checkpoint_and_scan(tmp_path, task="semantic", num_classes=3)
     out = str(tmp_path / "out.ply")

@@ -29,7 +29,7 @@ from octcomplete.octree import (
 )
 from octcomplete.train import TrainConfig, Trainer, prepare_sample
 
-from conftest import align_encoder_rows
+from conftest import align_encoder_rows, assert_pairs_match_table
 
 
 def small_spec(**kw):
@@ -219,9 +219,37 @@ def test_inference_expands_exactly_the_rows_with_nonnegative_logits(monkeypatch)
         assert np.array_equal(grown, np.flatnonzero(nonempty))
 
 
+def test_complete_records_growth_against_the_expand_cap(monkeypatch):
+    """complete records, per guarded decoder level, the rows it expanded
+    and the guard's cap, expand_cap * max(the input's nonempty count at
+    that level, 64); a forced explosion's message names the same numbers."""
+    net = CompletionNet(small_spec(input_depth=5, output_depth=5), seed=0)
+    for head in net.pred.values():
+        monkeypatch.setattr(
+            head, "forward", lambda x: ad.constant(np.ones((x.rows, 1), np.float32))
+        )
+    partial, _ = sphere_octree(depth=5)
+    shape = net.complete(partial)
+    # every logit is positive: all 8 ** (l - 2) rows of the 64-row level 2
+    # descend, and each level expands all of its rows
+    assert shape.growth == {
+        l: (64 * 8 ** (l - 2), 8.0 * max(partial.levels[l].num_nonempty, 64)) for l in (3, 4)
+    }
+    # at expand_cap 0.5 the cap is a sixteenth of the recorded one: level 3's
+    # 512 rows exceed it, as the message says
+    expanded, cap = shape.growth[3]
+    batch = OctreeBatch([partial])
+    code, feats = net.encode(batch, train=False)
+    with pytest.raises(NumericalError) as err:
+        net.decode(code, batch, feats, train=False, expand_cap=0.5)
+    assert str(err.value) == (
+        f"decoder explosion at level 3: {expanded} nonempty nodes exceeds cap {int(cap / 16)}"
+    )
+
+
 def test_decoder_rows_derived_from_parent_match_search():
     """Grown from the roots, fully to the coarsest level and then along
-    random expand masks, every level's neighbor table, encoder rows and
+    random expand masks, every level's tap pairs, encoder rows and
     ground-truth rows equal the search oracles on its keys. The last
     sample is empty, so its root aligns nowhere."""
     rng = np.random.default_rng(7)
@@ -234,7 +262,7 @@ def test_decoder_rows_derived_from_parent_match_search():
     for l in range(6):
         keys = ds.keys[l]
         ones = np.ones(len(keys), dtype=np.uint8)
-        assert np.array_equal(ds.table[l], neighbor_table(keys, ones, l))
+        assert_pairs_match_table(ds.pairs[l], neighbor_table(keys, ones, l))
         assert np.array_equal(ds.enc_rows[l], align_encoder_rows(enc, keys, l))
         lv = gt.levels[l]
         idx = find_in_sorted(lv.keys, keys)
@@ -292,8 +320,8 @@ def test_kernel_maps_built_once_per_level_and_inverted_lazily(monkeypatch):
     built, inverted = [], []
     init, invert = nn.KernelMap.__init__, kernels.invert_table
 
-    def spy_init(self, table):
-        init(self, table)
+    def spy_init(self, pairs, rows):
+        init(self, pairs, rows)
         built.append(self)
 
     def spy_invert(table, rows):

@@ -11,7 +11,7 @@ from octcomplete.errors import DomainError
 from octcomplete.network import OctreeBatch
 from octcomplete.octree import build_octree, coords_from_keys, octree_from_codes
 
-from conftest import child_table, nbr_table, numeric_grad
+from conftest import child_table, nbr_table, numeric_grad, table_kernel_map
 
 
 def complete_octree(depth):
@@ -78,7 +78,7 @@ def conv_case(case):
 
 
 def kernel_map_of(o, level, kinds):
-    kmap = nn.KernelMap(nbr_table(o, level))
+    kmap = table_kernel_map(nbr_table(o, level))
     assert {kind for kind, _, _ in kmap.taps} == kinds
     return kmap
 
@@ -131,7 +131,7 @@ def test_identity_kernel_preserves_input(rng):
     feats = rng.normal(size=(o.levels[3].num_nodes, c)).astype(np.float32)
     w = np.zeros((c, 27 * c), dtype=np.float32)
     w[:, 13 * c : 14 * c] = np.eye(c)  # center of the dz/dy/dx stencil
-    kmap = nn.KernelMap(nbr_table(o, 3))
+    kmap = table_kernel_map(nbr_table(o, 3))
     y = nn.octree_conv(FeatureMap(feats, level=3), kmap, FeatureMap(w))
     assert np.array_equal(y.values, feats)
 
@@ -142,7 +142,7 @@ def test_empty_neighbors_read_as_zero(rng):
     # only one nonempty node; its 26 real neighbors are empty siblings or absent
     feats = rng.normal(size=(o.levels[2].num_nodes, c)).astype(np.float32)
     w = rng.normal(size=(c, 27 * c)).astype(np.float32)
-    kmap = nn.KernelMap(nbr_table(o, 2))
+    kmap = table_kernel_map(nbr_table(o, 2))
     y = nn.octree_conv(FeatureMap(feats, level=2), kmap, FeatureMap(w))
     row = int(np.flatnonzero(o.levels[2].keys == 0)[0])
     want = w[:, 13 * c : 14 * c] @ feats[row]
@@ -186,7 +186,7 @@ def test_grad_conv_ops(seed):
     xv = rng.normal(size=(m, cin))
     wv = rng.normal(size=(cout, 27 * cin))
     x, w = ad.parameter(xv), ad.parameter(wv)
-    kmap = nn.KernelMap(nbr_table(o, 2))
+    kmap = table_kernel_map(nbr_table(o, 2))
 
     def run():
         y = nn.octree_conv(x, kmap, w)
@@ -295,6 +295,88 @@ def test_kernel_map_conv_grads_match_add_at(kernel, case, rng):
     assert_close_f32(gw, g.T @ cols)
 
 
+def per_tap_conv(xv, table, wv, g):
+    """The per-tap formula of a kernel-map conv over a neighbor table, with
+    its input and weight gradients for the output gradient g: each tap adds
+    its gathered rows' product into out[a] in tap order."""
+    taps = table.shape[1]
+    w = wv.reshape(wv.shape[0], taps, -1)
+    out = np.zeros((len(table), w.shape[0]), dtype=xv.dtype)
+    gx, gw = np.zeros_like(xv), np.empty_like(w)
+    for t, col in enumerate(table.T):
+        a = np.flatnonzero(col >= 0)
+        b = col[a]
+        out[a] += np.take(xv, b, axis=0) @ w[:, t].T
+        go = np.take(g, a, axis=0)
+        gw[:, t] = go.T @ np.take(xv, b, axis=0)
+        gx[b] += go @ w[:, t]
+    return out, gx, gw.reshape(wv.shape)
+
+
+@pytest.mark.parametrize("cin, cout", [(4, 16), (16, 16), (32, 8)])
+@pytest.mark.parametrize("case", ["leaf", "shell"])
+def test_all_sparse_conv_is_bit_identical_to_per_tap_formula(case, cin, cout, rng):
+    """On a map whose taps are all sparse, the one sparse-matrix scatter of
+    the pair products gives the output and the input gradient of the
+    per-tap formula bit for bit: each output row gets at most one pair per
+    tap, added in tap order. The weight gradient sums its pairs in their
+    derived order, so it is only close. The pairs are derived from the
+    roots down, as a network's are."""
+    if case == "leaf":
+        o, level = octree_from_codes(np.array([100], dtype=np.uint64), 3), 3
+    else:
+        shell = dt.make_shape("sphere", density=1500, seed=2)
+        o, level = build_octree(shell, 7), 7
+    batch = OctreeBatch([o])
+    kmap = batch.kernel_map(level)
+    assert {kind for kind, _, _ in kmap.taps} == {nn.SPARSE}
+    table = nbr_table(o, level)
+    xv = rng.normal(size=(len(table), cin)).astype(np.float32)
+    wv = rng.normal(size=(cout, 27 * cin)).astype(np.float32)
+    g = rng.normal(size=(len(table), cout)).astype(np.float32)
+    want_out, want_gx, want_gw = per_tap_conv(xv, table, wv, g)
+    conv = lambda x, w: nn.octree_conv(x, kmap, w)
+    assert np.array_equal(conv(FeatureMap(xv), FeatureMap(wv)).values, want_out)
+    gx, gw = taped_grads(conv, ad.parameter(xv.copy()), ad.parameter(wv.copy()), g)
+    assert np.array_equal(gx, want_gx)
+    assert_close_f32(gw, want_gw)
+
+
+@pytest.mark.parametrize("op", ["conv", "downsample"])
+def test_untracked_input_gets_no_gradient(op, rng, monkeypatch):
+    """A conv or downsample of a constant input, as the network's input
+    signal is, computes no input gradient, and its weight gradient is the
+    tracked path's bit for bit."""
+    o = scan_octree()
+    cin, cout = 4, 8
+    xv = rng.normal(size=(o.levels[4].num_nodes, cin)).astype(np.float32)
+    if op == "conv":
+        kmap = table_kernel_map(nbr_table(o, 4))
+        assert {kind for kind, _, _ in kmap.taps} == {nn.DENSE, nn.SPARSE}
+        fn = lambda x, w: nn.octree_conv(x, kmap, w)
+        wv = rng.normal(size=(cout, 27 * cin)).astype(np.float32)
+        g = rng.normal(size=(len(xv), cout)).astype(np.float32)
+    else:
+        fn = lambda x, w: nn.downsample(x, o.levels[3].status, o.levels[4].status, w)
+        wv = rng.normal(size=(cout, 8 * cin)).astype(np.float32)
+        g = rng.normal(size=(o.levels[3].num_nodes, cout)).astype(np.float32)
+    tracked_gx, tracked_gw = taped_grads(fn, ad.parameter(xv.copy()), ad.parameter(wv.copy()), g)
+    assert tracked_gx is not None
+    backs = []
+    record = ad.custom_op
+
+    def spy(values, inputs, backward_fn, level=None):
+        backs.append(backward_fn)
+        return record(values, inputs, backward_fn, level=level)
+
+    monkeypatch.setattr(ad, "custom_op", spy)
+    gx, gw = taped_grads(fn, ad.constant(xv.copy()), ad.parameter(wv.copy()), g)
+    assert gx is None
+    assert np.array_equal(gw, tracked_gw)
+    # the op's own backward (recorded first) hands the input no array
+    assert backs[0](g)[0] is None
+
+
 def test_kernel_map_identity_needs_arange(rng):
     """A full column is an identity tap only when it is arange(rows): a full
     permutation stays dense. The three kinds together match im2col."""
@@ -302,7 +384,7 @@ def test_kernel_map_identity_needs_arange(rng):
     sparse = np.full(rows, -1)
     sparse[:5] = np.arange(7, 12)  # 5 of 40 rows valid
     table = np.stack([np.arange(rows), rng.permutation(rows), sparse], axis=1)
-    kmap = nn.KernelMap(table)
+    kmap = table_kernel_map(table)
     assert [kind for kind, _, _ in kmap.taps] == [nn.IDENTITY, nn.DENSE, nn.SPARSE]
     xv = rng.normal(size=(rows, cin)).astype(np.float32)
     wv = rng.normal(size=(cout, 3 * cin)).astype(np.float32)
@@ -444,7 +526,7 @@ def test_ops_reject_weight_of_other_input_channels(rng):
     o = complete_octree(2)
     c = 3
     x = FeatureMap(rng.normal(size=(o.levels[2].num_nodes, c)), level=2)
-    kmap = nn.KernelMap(nbr_table(o, 2))
+    kmap = table_kernel_map(nbr_table(o, 2))
     st = o.levels[1].status, o.levels[2].status
     weight = lambda rows, cols: FeatureMap(rng.normal(size=(rows, cols)))
     ops = (

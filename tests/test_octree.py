@@ -14,6 +14,7 @@ from octcomplete.octree import (
     build_octree,
     build_levels,
     child_keys,
+    child_pairs,
     coords_from_keys,
     estimate_normals,
     find_in_sorted,
@@ -27,11 +28,18 @@ from octcomplete.octree import (
     octree_from_codes,
     parent_key,
     points_to_cells,
+    root_pairs,
     shuffled_key,
     PointSet,
 )
 
-from conftest import child_table, nbr_table
+from conftest import (
+    assert_pairs_match_table,
+    child_neighbor_table,
+    child_table,
+    nbr_table,
+    root_table,
+)
 
 
 def brute_key(x, y, z, depth):
@@ -293,10 +301,10 @@ def test_neighbor_table_on_batch_keys(rng):
 
 @pytest.mark.parametrize("depth", [3, 4, 5, 6])
 def test_batch_tables_derived_from_parent_match_search(depth):
-    """Each level's table follows from its parent level's by the
-    full-sibling rule, down from the roots' constant table: equal to the
-    search over the merged keys at every level, for a scan, a single
-    nonempty leaf, a fully occupied octree and an empty one."""
+    """Each level's tap pairs follow from its parent level's by the
+    full-sibling rule, down from the roots' constant pairs: tap by tap the
+    pairs of the search over the merged keys at every level, for a scan, a
+    single nonempty leaf, a fully occupied octree and an empty one."""
     shape = dt.make_shape("box", density=2500, seed=depth)
     scan = dt.virtual_scan(shape, dt.ScanConfig(num_views=2, seed=depth))
     batch = OctreeBatch([
@@ -308,11 +316,43 @@ def test_batch_tables_derived_from_parent_match_search(depth):
     assert np.array_equal(batch.levels[0].status, [1, 1, 1, 0])
     for l in range(depth + 1):
         lv = batch.levels[l]
-        tab = batch.nbr_table(l)
-        assert np.array_equal(tab, neighbor_table(lv.keys, lv.status, l))
-        assert tab.T.flags.c_contiguous  # column order, as nn.KernelMap reads it
+        pairs = batch.pairs(l)
+        tab = neighbor_table(lv.keys, lv.status, l)
+        assert_pairs_match_table(pairs, tab)
+        assert all(o.dtype == i.dtype == np.int32 for o, i in pairs)
         if l >= 2:
             assert np.any(tab < 0) and np.any(tab >= 0)
+
+
+@pytest.mark.parametrize("batch_kind", ["leaf", "empty", "scan+empty"])
+def test_child_pairs_match_table_derivation_and_search(batch_kind):
+    """child_pairs, from root_pairs down, holds tap by tap the pairs of the
+    table derived by the same rule over all 27 x rows entries and of the
+    search over the merged keys, on batches of one single-leaf octree, of
+    one empty octree, and of a scan next to an empty octree. No output row
+    appears twice in a tap."""
+    depth = 5
+    leaf = octree_from_codes(np.array([1234], dtype=np.uint64), depth)
+    empty = octree_from_codes(np.zeros(0, np.uint64), depth)
+    scan = dt.virtual_scan(dt.make_shape("sphere", density=2500, seed=1), dt.ScanConfig(num_views=2, seed=1))
+    octs = {"leaf": [leaf], "empty": [empty], "scan+empty": [build_octree(scan, depth), empty]}
+    batch = OctreeBatch(octs[batch_kind])
+    st = batch.levels[0].status
+    pairs, table = root_pairs(st), root_table(st)
+    for l in range(depth + 1):
+        if l > 0:
+            up, status = batch.levels[l - 1], batch.levels[l].status
+            pairs = child_pairs(up, pairs, status)
+            table = child_neighbor_table(up, table, status)
+        lv = batch.levels[l]
+        assert_pairs_match_table(pairs, table)
+        assert_pairs_match_table(pairs, neighbor_table(lv.keys, lv.status, l))
+        for o, _ in pairs:
+            assert len(np.unique(o)) == len(o)
+    # the finest level: the leaf's block of 8 rows (itself among them) each
+    # read the leaf once; nothing reads an empty octree
+    want = {"leaf": 8, "empty": 0, "scan+empty": np.count_nonzero(table >= 0)}
+    assert sum(len(o) for o, _ in pairs) == want[batch_kind]
 
 
 def test_child_table(rng):
