@@ -7,7 +7,8 @@ Run directly:
 `n` is the element count of the Morton and row kernels; the guided skip
 adds n // 8 encoder rows at 32 channels into a decoder level of n // 8
 rows, about 36 % of them open (as on the depth-5 shape benchmark's
-decoder), forward and backward; the convolution
+decoder), forward and backward; a kernel map of the random stencil
+below is built and transposed; the convolution
 runs 27 taps at 32 channels, forward and backward, once over n // 8 rows
 of a random stencil with 70 % of its entries valid and once ("sparse") over
 the depth-8 level of an octree over n // 256 points on a sphere, whose
@@ -57,7 +58,7 @@ def stencil_pairs(table):
 
 
 def conv_step(feats, pairs, weight):
-    """Kernel map build, convolution and backward (which inverts the map)."""
+    """Kernel map build, convolution and backward (which transposes the map)."""
     x = ad.parameter(feats)
     w = ad.parameter(weight)
     with ad.Tape():
@@ -162,7 +163,7 @@ def bench(n, repeats):
         ("deinterleave3", lambda: kernels.deinterleave3(codes)),
         ("gather_rows", lambda: kernels.gather_rows(feats, idx)),
         ("guided skip fwd+bwd", lambda: skip_step(*skip_args)),
-        ("invert_table", lambda: kernels.invert_table(table, feats.shape[0])),
+        ("kernel map transpose", lambda: nn.KernelMap(pairs, len(feats)).transpose()),
         ("neighbor_table", lambda: octree.neighbor_table(fine.keys, fine.status, 8)),
         ("child_pairs", lambda: octree.child_pairs(up, up_pairs, fine.status)),
         ("child_pairs depth 5", lambda: octree.child_pairs(

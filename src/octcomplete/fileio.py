@@ -193,25 +193,33 @@ def save_checkpoint(path, named_arrays, config_text, epoch):
 def load_checkpoint(path):
     try:
         with open(path, "rb") as f:
-            if f.read(4) != OCKP_MAGIC:
+            size = os.fstat(f.fileno()).st_size
+
+            def read(n):
+                # a corrupt size field must not ask for more than the file holds
+                if n > size - f.tell():
+                    raise DataError(f"{path}: truncated or corrupt checkpoint: "
+                                    f"{n} bytes wanted at offset {f.tell()} of {size}")
+                return f.read(n)
+
+            if read(4) != OCKP_MAGIC:
                 raise DataError(f"{path}: bad magic")
-            (version,) = struct.unpack("<I", f.read(4))
+            (version,) = struct.unpack("<I", read(4))
             if version != FORMAT_VERSION:
                 raise DataError(f"{path}: unsupported version {version}")
-            chash = f.read(32)
-            (epoch,) = struct.unpack("<I", f.read(4))
-            (clen,) = struct.unpack("<I", f.read(4))
-            config_text = f.read(clen).decode()
-            (count,) = struct.unpack("<I", f.read(4))
+            chash = read(32)
+            (epoch,) = struct.unpack("<I", read(4))
+            (clen,) = struct.unpack("<I", read(4))
+            config_text = read(clen).decode()
+            (count,) = struct.unpack("<I", read(4))
             arrays = {}
             for _ in range(count):
-                (nlen,) = struct.unpack("<H", f.read(2))
-                name = f.read(nlen).decode()
-                (ndim,) = struct.unpack("<I", f.read(4))
-                shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-                n = int(np.prod(shape)) if ndim else 1
+                (nlen,) = struct.unpack("<H", read(2))
+                name = read(nlen).decode()
+                (ndim,) = struct.unpack("<I", read(4))
+                shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
                 arrays[name] = (
-                    np.frombuffer(f.read(4 * n), dtype="<f4")
+                    np.frombuffer(read(4 * math.prod(shape)), dtype="<f4")
                     .reshape(shape)
                     .astype(np.float32)
                 )
@@ -260,7 +268,11 @@ def load_sgrid(path):
     cells = math.prod(dims)
     if np.any(runs[:, 1] > cells) or runs[:, 1].sum() != cells:
         raise DataError(f"{path}: run lengths do not fill the grid")
-    return np.repeat(runs[:, 0], runs[:, 1]).astype(np.int32).reshape(dims)
+    try:
+        grid = np.repeat(runs[:, 0].astype(np.int32), runs[:, 1])
+    except (MemoryError, ValueError) as e:  # ValueError: past numpy's largest array
+        raise DataError(f"{path}: a {dims[0]}x{dims[1]}x{dims[2]} grid does not fit in memory") from e
+    return grid.reshape(dims)
 
 
 # -- dataset manifest -------------------------------------------------------

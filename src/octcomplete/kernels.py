@@ -112,19 +112,3 @@ def scatter_add(out, idx, rows):
     np.add.at(out, idx[valid], rows[valid])
     return out
 
-
-def invert_table(table, rows):
-    """Inverse of a column-injective (m, k) index table over `rows` targets.
-
-    Returns a (rows, k) table with inv[table[i, t], t] = i and -1 where no
-    entry of column t points at a row. Every column of a neighbor stencil
-    table names each target row at most once, so plain assignment suffices.
-    Each column of the result is contiguous, for per-column gathers.
-    """
-    m, k = table.shape
-    # tap t owns slots t*(rows+1) .. t*(rows+1) + rows of the flat buffer; the
-    # last one is spare, and a -1 entry of tap t lands on tap t-1's spare slot
-    # (tap 0's wraps around to the final slot)
-    inv = np.full((k, rows + 1), -1, dtype=np.int64)
-    inv.ravel()[table + np.arange(0, k * (rows + 1), rows + 1)] = np.arange(m)[:, None]
-    return inv[:, :rows].T

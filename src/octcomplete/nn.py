@@ -87,70 +87,97 @@ IDENTITY, DENSE, SPARSE = "identity", "dense", "sparse"
 class KernelMap:
     """How octree_conv reads one level's 27 tap pairs (octree.child_pairs).
 
-    Built once per level and shared by that level's convolutions, forward
-    and backward. ``taps[t]`` is
+    Built once per level and shared by that level's convolutions; forward
+    runs over the map, backward over its transpose. ``taps[t]`` is
     - (IDENTITY, None, None): the tap pairs every row with itself, as a
       decoder level's center tap does; the tap reads the source itself;
-    - (DENSE, col, k): at least SPARSE_BELOW of the rows are valid; col is
-      the tap's column of input rows, -1 where none, gathered from the
-      source padded once per call; it is row k of ``cols``;
+    - (DENSE, col, None): at least SPARSE_BELOW of the rows are valid; col
+      is the tap's column of source rows (col[o] = i), -1 where none,
+      gathered from the source padded once per call;
     - (SPARSE, a, b): fewer are valid; the tap's pairs are entries a:b of
       ``pair_out`` and ``pair_in``, the sparse taps' pairs in tap order.
     A tap names each output row at most once, so the sparse taps' products
     (one row per pair) reach the output through one sparse matrix whose
     column j has a single one in row pair_out[j]: each output row adds its
-    pairs in tap order. Backward does the same through pair_in.
+    pairs in tap order. It names each input row at most once too, so the
+    transpose, the same pairs with in and out swapped, is a kernel map.
     """
 
     def __init__(self, pairs, rows):
-        self.rows = rows
-        kinds = [
-            IDENTITY if len(o) == rows and np.array_equal(o, i)
-            else SPARSE if len(o) < SPARSE_BELOW * rows
-            else DENSE
-            for o, i in pairs
-        ]
-        self.dense = [t for t, kind in enumerate(kinds) if kind == DENSE]  # in tap order
-        self.cols = np.full((len(self.dense), rows), -1, dtype=np.int64)
+        self.pairs, self.rows = pairs, rows
         self.taps = []
         sparse_taps, n = [], 0
-        for t, ((o, i), kind) in enumerate(zip(pairs, kinds)):
-            if kind == DENSE:
-                k = self.dense.index(t)
-                self.cols[k, o] = i
-                self.taps.append((DENSE, self.cols[k], k))
-            elif kind == SPARSE:
+        for o, i in pairs:
+            if len(o) == rows and np.array_equal(o, i):
+                self.taps.append((IDENTITY, None, None))
+            elif len(o) < SPARSE_BELOW * rows:
                 self.taps.append((SPARSE, n, n + len(o)))
                 sparse_taps.append((o, i))
                 n += len(o)
             else:
-                self.taps.append((IDENTITY, None, None))
+                col = np.full(rows, -1, dtype=np.int64)
+                col[o] = i
+                self.taps.append((DENSE, col, None))
         none = np.zeros(0, dtype=np.int32)
         self.pair_out = np.concatenate([o for o, _ in sparse_taps] + [none])
         self.pair_in = np.concatenate([i for _, i in sparse_taps] + [none])
         self._scatter = {}
-        self._inverse = None
+        self._transpose = None
 
-    def scatter(self, side, dtype):
+    def scatter(self, dtype):
         """The (rows, pairs) CSC matrix whose column j has a one in row
-        pair_out[j] (side "out") or pair_in[j] (side "in"), built on first
-        use per dtype."""
-        if (side, dtype) not in self._scatter:
-            rows = self.pair_out if side == "out" else self.pair_in
-            n = len(rows)
-            self._scatter[side, dtype] = sparse.csc_array(
-                (np.ones(n, dtype), rows, np.arange(n + 1, dtype=rows.dtype)),
+        pair_out[j], built on first use per dtype."""
+        if dtype not in self._scatter:
+            n = len(self.pair_out)
+            self._scatter[dtype] = sparse.csc_array(
+                (np.ones(n, dtype), self.pair_out, np.arange(n + 1, dtype=self.pair_out.dtype)),
                 shape=(self.rows, n),
             )
-        return self._scatter[side, dtype]
+        return self._scatter[dtype]
 
-    def inverse(self):
-        """(dense taps, rows) inverse of the dense columns: row k names, for
-        each input row j, the output row whose tap reads j, or -1. Built on
-        first use, by the level's first backward, and kept."""
-        if self._inverse is None:
-            self._inverse = kernels.invert_table(self.cols.T, self.rows).T
-        return self._inverse
+    def transpose(self):
+        """The map of the swapped (in, out) pairs, built on first use, by
+        the level's first backward, and kept."""
+        if self._transpose is None:
+            self._transpose = KernelMap([(i, o) for o, i in self.pairs], self.rows)
+        return self._transpose
+
+    def tap_sum(self, src, blocks, dtype, each=None):
+        """sum over taps t of (the rows of src tap t reads) @ blocks[t].
+
+        Returns the (rows, width) sum in `dtype`, or, with `blocks` None,
+        only reads the taps and returns None. The sparse taps write one
+        product row per pair into one buffer, which the CSC product adds
+        into the sum; then the identity and dense taps accumulate into it
+        in place, in tap order. each(t, src_t, dst), if given, sees every
+        tap's source rows src_t and the rows dst of the sum they land in;
+        dst is None for an identity or dense tap, whose src_t spans all
+        rows (zero rows where it reads none) and, if dense, reuses one
+        buffer.
+        """
+        n = len(self.pair_out)
+        buf = None if blocks is None else np.empty((n, blocks.shape[2]), dtype)
+        for t, (kind, a, b) in enumerate(self.taps):
+            if kind == SPARSE:
+                src_t = np.take(src, self.pair_in[a:b], axis=0)
+                if each is not None:
+                    each(t, src_t, self.pair_out[a:b])
+                if buf is not None:
+                    np.matmul(src_t, blocks[t], out=buf[a:b])
+        out = None
+        if buf is not None:
+            out = self.scatter(dtype) @ buf if n else np.zeros((self.rows, buf.shape[1]), dtype)
+            del buf
+        if any(kind == DENSE for kind, _, _ in self.taps):
+            sp, sbuf = kernels.padded(src), np.empty(src.shape, src.dtype)
+        for t, (kind, col, _) in enumerate(self.taps):
+            if kind != SPARSE:
+                src_t = src if kind == IDENTITY else kernels.gather_padded(sp, col, sbuf)
+                if each is not None:
+                    each(t, src_t, None)
+                if out is not None:
+                    kernels.matmul_add(out, src_t, blocks[t])
+        return out
 
 
 def octree_conv(x, kmap, weight):
@@ -162,15 +189,12 @@ def octree_conv(x, kmap, weight):
     is (out, taps * in), one (out, in) block per tap of the map.
 
     Tap t multiplies the input rows it reads by its weight block
-    W_t = weight[:, t*c:(t+1)*c]; no (rows, 27*c) buffer is built. The
-    sparse taps write one product row per pair into one buffer, which one
-    sparse-matrix product adds into the output; then the identity and
-    dense taps accumulate into it in place, in tap order. Backward reads
-    the output gradient through the same taps reversed: an identity tap
-    reads g itself, a dense tap gathers g through the map's inverse, and a
-    sparse tap gathers g at its output rows and scatters through pair_in.
-    W_t's gradient is g_t.T @ x. The input gradient is skipped when x
-    takes none.
+    W_t = weight[:, t*c:(t+1)*c]: the output is kmap.tap_sum over the
+    blocks W_t.T, and no (rows, 27*c) buffer is built. The input gradient
+    is the same sum over the transposed map with the blocks W_t, run on
+    the output gradient g; W_t's gradient is g_t.T @ x_t from each tap's
+    gathered rows g_t of g, so a tap gathers g once for both. The input
+    gradient is skipped when x takes none.
     """
     if weight.values.shape[1] != len(kmap.taps) * x.channels:
         raise DomainError("conv channel mismatch")
@@ -178,49 +202,16 @@ def octree_conv(x, kmap, weight):
         raise DomainError("kernel map row mismatch")
     xv = x.values
     w = weight.values.reshape(-1, len(kmap.taps), x.channels)  # (out, taps, in)
-    dtype = np.result_type(xv, w)
-    if len(kmap.pair_out):
-        buf = np.empty((len(kmap.pair_out), w.shape[0]), dtype=dtype)
-        for t, (kind, a, b) in enumerate(kmap.taps):
-            if kind == SPARSE:
-                np.matmul(np.take(xv, kmap.pair_in[a:b], axis=0), w[:, t].T, out=buf[a:b])
-        out = kmap.scatter("out", dtype) @ buf
-        del buf
-    else:
-        out = np.zeros((x.rows, w.shape[0]), dtype=dtype)
-    if kmap.dense:
-        xp, xbuf = kernels.padded(xv), np.empty(xv.shape, xv.dtype)
-    for t, (kind, a, _) in enumerate(kmap.taps):
-        if kind != SPARSE:
-            src = xv if kind == IDENTITY else kernels.gather_padded(xp, a, xbuf)
-            kernels.matmul_add(out, src, w[:, t].T)
+    out = kmap.tap_sum(xv, w.transpose(1, 2, 0), np.result_type(xv, w))  # blocks W_t.T
 
     def back(g):
         gw = np.empty_like(w)
-        need_gx = ad.tracked(x)
-        gx = gbuf = None
-        if need_gx and len(kmap.pair_out):
-            gbuf = np.empty((len(kmap.pair_out), xv.shape[1]), dtype=xv.dtype)
-        for t, (kind, a, b) in enumerate(kmap.taps):
-            if kind == SPARSE:
-                go = np.take(g, kmap.pair_out[a:b], axis=0)
-                gw[:, t] = go.T @ np.take(xv, kmap.pair_in[a:b], axis=0)
-                if need_gx:
-                    np.matmul(go, w[:, t], out=gbuf[a:b])
-        if gbuf is not None:
-            gx = kmap.scatter("in", xv.dtype) @ gbuf
-            del gbuf
-        elif need_gx:
-            gx = np.zeros_like(xv)
-        if kmap.dense:
-            gp, gdbuf, inv = kernels.padded(g), np.empty(g.shape, g.dtype), kmap.inverse()
-        for t, (kind, a, b) in enumerate(kmap.taps):
-            if kind == SPARSE:
-                continue
-            g_t = g if kind == IDENTITY else kernels.gather_padded(gp, inv[b], gdbuf)
-            gw[:, t] = g_t.T @ xv
-            if need_gx:
-                kernels.matmul_add(gx, g_t, w[:, t])
+
+        def weight_grad(t, g_t, rows):
+            gw[:, t] = g_t.T @ (xv if rows is None else np.take(xv, rows, axis=0))
+
+        blocks = w.transpose(1, 0, 2) if ad.tracked(x) else None  # blocks W_t
+        gx = kmap.transpose().tap_sum(g, blocks, xv.dtype, weight_grad)
         return gx, gw.reshape(weight.values.shape)
 
     return ad.custom_op(out, [x, weight], back, level=x.level)

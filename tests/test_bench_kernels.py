@@ -5,8 +5,6 @@ import os
 
 import numpy as np
 
-from octcomplete import kernels
-
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "bench_kernels.py")
 
 
@@ -21,7 +19,8 @@ def test_bench_runs_every_case_at_tiny_size(capsys):
     rows = load_bench().bench(n=800, repeats=1)
     names = [name for name, _ in rows]
     assert names == [
-        "interleave3", "deinterleave3", "gather_rows", "guided skip fwd+bwd", "invert_table",
+        "interleave3", "deinterleave3", "gather_rows", "guided skip fwd+bwd",
+        "kernel map transpose",
         "neighbor_table", "child_pairs", "child_pairs depth 5", "conv fwd+bwd",
         "conv fwd+bwd sparse",
         "downsample fwd+bwd", "batch_norm fwd+bwd", "batch_norm fwd+bwd wide", "sample_points",
@@ -31,9 +30,10 @@ def test_bench_runs_every_case_at_tiny_size(capsys):
 
 
 def test_bench_stencil_columns_are_injective():
+    """No column of the stencil names a row twice, so its kernel map has a
+    transpose: the map conv backward runs over."""
     bench = load_bench()
     table = bench.random_stencil(np.random.default_rng(1), 500, 27)
-    inv = kernels.invert_table(table, 500)
     i, t = np.nonzero(table >= 0)
-    assert np.array_equal(inv[table[i, t], t], i)
-    assert np.count_nonzero(inv >= 0) == len(i)
+    assert len(i) > 0
+    assert len(np.unique(table[i, t] * 27 + t)) == len(i)  # distinct (row, tap) targets

@@ -205,6 +205,23 @@ def test_complete_truncated_checkpoint_is_data_error(tmp_path):
         assert run(["complete", "--ckpt", str(cut), "--in", scan, "--out", out]) == EXIT_DATA
 
 
+def test_complete_corrupt_checkpoint_size_field_is_data_error(tmp_path, capsys):
+    """0x7FFFFFFF over the first tensor's ndim field: exit 2, no MemoryError."""
+    ckpt, scan = untrained_checkpoint_and_scan(tmp_path)
+    raw = bytearray(Path(ckpt).read_bytes())
+    # magic, version, config hash, epoch; then the config text, the tensor
+    # count, and the first tensor's name length and name
+    clen = int.from_bytes(raw[44:48], "little")
+    nlen = int.from_bytes(raw[52 + clen : 54 + clen], "little")
+    at = 54 + clen + nlen
+    raw[at : at + 4] = (0x7FFFFFFF).to_bytes(4, "little")
+    bad = tmp_path / "bad.ockp"
+    bad.write_bytes(bytes(raw))
+    out = str(tmp_path / "out.ply")
+    assert run(["complete", "--ckpt", str(bad), "--in", scan, "--out", out]) == EXIT_DATA
+    assert "Traceback" not in capsys.readouterr().err
+
+
 MALFORMED_POINTS = {
     "token.ply": "ply\nformat ascii 1.0\nelement vertex 1\nend_header\n0.1 abc 0.3 0 0 1\n",
     "count.ply": "ply\nformat ascii 1.0\nelement vertex two\nend_header\n0.1 0.2 0.3 0 0 1\n",
@@ -256,6 +273,18 @@ def test_eval_malformed_manifest_or_grid_is_data_error(tmp_path):
         manifest.write_text(line + "\n")
         argv = ["eval", "--ckpt", ckpt, "--data", str(manifest), "--metric", "iou"]
         assert run(argv) == EXIT_DATA
+
+
+def test_eval_grid_too_large_to_allocate_is_data_error(tmp_path, capsys):
+    ckpt, _ = untrained_checkpoint_and_scan(tmp_path)
+    manifest = tiny_shape_manifest(tmp_path)
+    partial, complete, _, seed = manifest.read_text().split()
+    grid = tmp_path / "huge.sgrid"
+    grid.write_text(f"SGRID {2**20} {2**20} {2**20}\n0 {2**60}\n")
+    manifest.write_text(f"{partial} {complete} {grid} {seed}\n")
+    argv = ["eval", "--ckpt", ckpt, "--data", str(manifest), "--metric", "iou"]
+    assert run(argv) == EXIT_DATA
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # (key, value) pairs: values that do not parse, then values out of range

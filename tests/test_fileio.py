@@ -231,6 +231,21 @@ def test_checkpoint_undecodable_name_is_data_error(tmp_path):
         fileio.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("field, stored", [(0, 2), (4, 3)], ids=["ndim", "first_dim"])
+def test_checkpoint_huge_size_field_is_data_error(tmp_path, field, stored):
+    """0x7FFFFFFF in a tensor's ndim or first dimension asks for gigabytes
+    of a file of a few hundred bytes: a DataError, not a MemoryError."""
+    path = tmp_path / "c.ockp"
+    fileio.save_checkpoint(path, {"w": np.ones((3, 5), np.float32)}, "a=1\n", 0)
+    raw = bytearray(path.read_bytes())
+    at = raw.rfind(b"w") + 1 + field  # the name, then ndim, then the dimensions
+    assert raw[at : at + 4] == stored.to_bytes(4, "little")
+    raw[at : at + 4] = (0x7FFFFFFF).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(fileio.DataError):
+        fileio.load_checkpoint(path)
+
+
 def test_sgrid_roundtrip(tmp_path, rng):
     grid = rng.integers(-1, 4, size=(60, 36, 60)).astype(np.int32)
     path = tmp_path / "g.sgrid"
@@ -270,6 +285,17 @@ def test_malformed_sgrid_is_data_error(tmp_path, name):
     path = tmp_path / "bad.sgrid"
     path.write_text(MALFORMED_SGRID[name])
     with pytest.raises(fileio.DataError):
+        fileio.load_sgrid(path)
+
+
+@pytest.mark.parametrize("dims", [(20, 20, 20), (21, 21, 20)], ids=["2**60", "2**62"])
+def test_sgrid_too_large_to_allocate_is_data_error(tmp_path, dims):
+    """Grids that pass every count check but that no machine can allocate:
+    2**60 cells ask for 4 EiB, 2**62 for more than numpy's largest array."""
+    path = tmp_path / "huge.sgrid"
+    side = [2**d for d in dims]
+    path.write_text(f"SGRID {side[0]} {side[1]} {side[2]}\n0 {side[0] * side[1] * side[2]}\n")
+    with pytest.raises(fileio.DataError, match="memory"):
         fileio.load_sgrid(path)
 
 

@@ -306,10 +306,10 @@ def test_no_key_is_searched_in_a_train_step_or_complete(monkeypatch):
     assert calls == []
 
 
-def test_kernel_maps_built_once_per_level_and_inverted_lazily(monkeypatch):
+def test_kernel_maps_built_once_per_level_and_transposed_lazily(monkeypatch):
     """A train step builds one kernel map per encoder and decoder level
-    with a convolution and inverts each at most once; complete, which runs
-    no backward, inverts none."""
+    with a convolution and transposes each exactly once; complete, which
+    runs no backward, transposes none."""
     spec = small_spec(n_res=2)
     samples = []
     for i in range(2):
@@ -317,32 +317,35 @@ def test_kernel_maps_built_once_per_level_and_inverted_lazily(monkeypatch):
         scan = dt.virtual_scan(shape, dt.ScanConfig(num_views=2, seed=i))
         samples.append(prepare_sample(dt.SamplePair(scan, shape), spec))
     trainer = Trainer(CompletionNet(spec, seed=0), TrainConfig(batch_size=2), samples)
-    built, inverted = [], []
-    init, invert = nn.KernelMap.__init__, kernels.invert_table
+    built, transposed = [], []
+    init, transpose = nn.KernelMap.__init__, nn.KernelMap.transpose
 
     def spy_init(self, pairs, rows):
         init(self, pairs, rows)
         built.append(self)
 
-    def spy_invert(table, rows):
-        inverted.append(rows)
-        return invert(table, rows)
+    def spy_transpose(self):
+        t = transpose(self)
+        transposed.append((self, t))
+        return t
 
     monkeypatch.setattr(nn.KernelMap, "__init__", spy_init)
-    monkeypatch.setattr(kernels, "invert_table", spy_invert)
+    monkeypatch.setattr(nn.KernelMap, "transpose", spy_transpose)
     trainer.step([0, 1], 0.01)
     conv_levels = spec.core_depth - spec.coarsest  # levels coarsest+1 .. core_depth
-    assert len(built) == 2 * conv_levels  # encoder, then decoder
-    # a map inverts at most once, so one inversion per map with dense taps,
-    # each of which ran backward, means exactly one each
-    with_dense = [m for m in built if m.dense]
-    assert len(inverted) == len(with_dense) > 0
-    assert all(m._inverse is not None for m in with_dense)
+    results = {id(t) for _, t in transposed}
+    maps = [m for m in built if id(m) not in results]
+    assert len(maps) == 2 * conv_levels  # encoder, then decoder
+    # every map ran backward, so it was transposed; each call on a map
+    # returns the one transpose it built and kept, and no other map was built
+    assert {id(m) for m, _ in transposed} == {id(m) for m in maps}
+    assert len(results) == len(built) - len(maps) == len(maps) > 0
+    assert all(t is m._transpose for m, t in transposed)
     built.clear()
-    inverted.clear()
+    transposed.clear()
     trainer.net.complete(samples[0].partial)
     assert len(built) == 2 * conv_levels
-    assert inverted == []
+    assert transposed == []
 
 
 def test_mixed_depth_batch_rejected():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octcomplete import data as dt
-from octcomplete import kernels
+from octcomplete import nn
 from octcomplete.errors import DomainError
 from octcomplete.network import OctreeBatch
 from octcomplete.octree import (
@@ -39,6 +39,7 @@ from conftest import (
     child_table,
     nbr_table,
     root_table,
+    table_pairs,
 )
 
 
@@ -420,19 +421,42 @@ def brute_invert(table, rows):
     return inv
 
 
-def test_invert_table_matches_brute_force():
+def assert_transpose_matches_brute_force(table, rows):
+    """The transpose of the kernel map of an (m, taps) table into `rows`
+    targets, both sides as max(m, rows) rows: its dense columns are the
+    table's inverse and its sparse taps the swapped pairs."""
+    n = max(table.shape[0], rows)
+    kmap = nn.KernelMap(table_pairs(table), n)
+    tmap = kmap.transpose()
+    inv = np.full((n, table.shape[1]), -1, dtype=np.int64)
+    inv[:rows] = brute_invert(table, rows)
+    kinds = set()
+    for t, ((kind, a, b), (tkind, ta, tb)) in enumerate(zip(kmap.taps, tmap.taps)):
+        assert kind == tkind, f"tap {t}"
+        kinds.add(kind)
+        if kind == nn.DENSE:
+            assert np.array_equal(ta, inv[:, t]), f"tap {t}"
+        elif kind == nn.SPARSE:
+            assert np.array_equal(tmap.pair_out[ta:tb], kmap.pair_in[a:b]), f"tap {t}"
+            assert np.array_equal(tmap.pair_in[ta:tb], kmap.pair_out[a:b]), f"tap {t}"
+    return kinds
+
+
+def test_kernel_map_transpose_matches_brute_force():
     shape = dt.make_shape("box", density=2500, seed=3)
     scan = dt.virtual_scan(shape, dt.ScanConfig(num_views=2, seed=3))
     o = build_octree(scan, 4)
+    kinds = set()
     for l in range(1, 5):
         # neighbor tables with status holes: empty siblings read as -1
         tab = nbr_table(o, l)
         assert np.any(tab < 0)
         rows = o.levels[l].num_nodes
-        assert np.array_equal(kernels.invert_table(tab, rows), brute_invert(tab, rows))
+        kinds |= assert_transpose_matches_brute_force(tab, rows)
         # child tables: rows of level l indexed from level l - 1
         tab = child_table(o, l - 1)
-        assert np.array_equal(kernels.invert_table(tab, rows), brute_invert(tab, rows))
+        kinds |= assert_transpose_matches_brute_force(tab, rows)
+    assert {nn.DENSE, nn.SPARSE} <= kinds
 
 
 def test_estimate_normals_sphere():
