@@ -1,4 +1,4 @@
-"""Timing of the hot kernels and of one kernel-map convolution.
+"""Timing of the hot kernels and of the block-map convolution.
 
 Run directly:
 
@@ -7,13 +7,13 @@ Run directly:
 `n` is the element count of the Morton and row kernels; the guided skip
 adds n // 8 encoder rows at 32 channels into a decoder level of n // 8
 rows, about 36 % of them open (as on the depth-5 shape benchmark's
-decoder), forward and backward; a kernel map of the random stencil
-below is built and transposed; the convolution
-runs 27 taps at 32 channels, forward and backward, once over n // 8 rows
-of a random stencil with 70 % of its entries valid and once ("sparse") over
-the depth-8 level of an octree over n // 256 points on a sphere, whose
-stencil is about 5 % valid, like the scene input's finest level, each map
-built from the level's tap pairs; the downsample
+decoder), forward and backward; the convolution runs at 32 channels,
+forward and backward, building its block map from the parent level's tap
+pairs, once over the depth-8 level of an octree over n // 32 points on a
+sphere with every row read, as a decoder level reads it (its map build is
+also timed alone), and once ("sparse") over the depth-8 level of an octree
+over n // 256 points, whose stencil is about 5 % valid, like the scene
+input's finest level; the downsample
 reads n // 8 child rows (3 in 10 empty) at 32 channels as blocks of 8
 under half as many parents, forward and backward; train-mode batch norm
 with the fused relu runs forward and backward over a tall, narrow map of
@@ -43,26 +43,14 @@ def timeit(fn, repeats):
     return best
 
 
-def random_stencil(rng, rows, taps):
-    """A column-injective (rows, taps) table: shifted rows with random holes."""
-    shifts = rng.integers(-rows // 4, rows // 4, size=taps)
-    table = (np.arange(rows)[:, None] + shifts[None, :]) % rows
-    table[rng.random(table.shape) < 0.3] = -1
-    return table
-
-
-def stencil_pairs(table):
-    """The per-tap (out, in) pairs of a (rows, taps) table, as int32."""
-    return [(np.flatnonzero(col >= 0).astype(np.int32), col[col >= 0].astype(np.int32))
-            for col in table.T]
-
-
-def conv_step(feats, pairs, weight):
-    """Kernel map build, convolution and backward (which transposes the map)."""
-    x = ad.parameter(feats)
+def conv_step(level, weight):
+    """Block map build, convolution and backward over `level`, a (parent
+    level, its tap pairs, child status) triple from conv_levels."""
+    bmap = nn.BlockMap(*level)
+    x = ad.parameter(np.ones((bmap.rows, weight.shape[1] // 27), weight.dtype))
     w = ad.parameter(weight)
     with ad.Tape():
-        y = nn.octree_conv(x, nn.KernelMap(pairs, len(feats)), w)
+        y = nn.octree_conv(x, bmap, w)
         ad.backward(ad.sum_all(y))
 
 
@@ -120,6 +108,16 @@ def shell_octree(rng, points, depth):
     return octree.octree_from_codes(octree.keys_from_coords(*cells.T), depth)
 
 
+def conv_levels(shell, sparse):
+    """The conv cases' (parent level, its tap pairs, child status): the
+    depth-8 level of `shell` with every row read, and that of `sparse` read
+    at its nonempty rows."""
+    return (
+        (shell.levels[7], shell.pairs(7), None),
+        (sparse.levels[7], sparse.pairs(7), sparse.levels[8].status),
+    )
+
+
 def random_patches(rng, leaves, depth):
     """A predicted shape with `leaves` distinct cells, each cut by a random plane."""
     cells = rng.choice(1 << (3 * depth), size=leaves, replace=False)
@@ -138,8 +136,6 @@ def bench(n, repeats):
     codes = kernels.interleave3(x, y, z)
     feats = rng.standard_normal((n // 8 + 1, 32)).astype(np.float32)
     idx = rng.integers(-1, feats.shape[0], size=n).astype(np.int64)
-    table = random_stencil(rng, feats.shape[0], 27)
-    pairs = stencil_pairs(table)
     weight = rng.standard_normal((32, 27 * 32)).astype(np.float32)
     children = feats[: 8 * (feats.shape[0] // 8)]
     status, child_status = random_blocks(rng, len(children))
@@ -151,8 +147,8 @@ def bench(n, repeats):
     up, fine = shell.levels[7], shell.levels[8]
     shells5 = network.OctreeBatch([shell_octree(rng, n // 32, depth=5) for _ in range(4)])
     sparse = network.OctreeBatch([shell_octree(rng, n // 256, depth=8)])
-    sparse_feats = rng.standard_normal((sparse.levels[8].num_nodes, 32)).astype(np.float32)
-    up_pairs, up5_pairs, sparse_pairs = shell.pairs(7), shells5.pairs(4), sparse.pairs(8)
+    full_level, sparse_level = conv_levels(shell, sparse)
+    up_pairs, up5_pairs = shell.pairs(7), shells5.pairs(4)
     bn_maps = [
         rng.normal(2.0, 3.0, size=(n // r, c)).astype(np.float32) for r, c in ((20, 4), (128, 128))
     ]
@@ -163,13 +159,13 @@ def bench(n, repeats):
         ("deinterleave3", lambda: kernels.deinterleave3(codes)),
         ("gather_rows", lambda: kernels.gather_rows(feats, idx)),
         ("guided skip fwd+bwd", lambda: skip_step(*skip_args)),
-        ("kernel map transpose", lambda: nn.KernelMap(pairs, len(feats)).transpose()),
+        ("block map build", lambda: nn.BlockMap(*full_level)),
         ("neighbor_table", lambda: octree.neighbor_table(fine.keys, fine.status, 8)),
         ("child_pairs", lambda: octree.child_pairs(up, up_pairs, fine.status)),
         ("child_pairs depth 5", lambda: octree.child_pairs(
             shells5.levels[4], up5_pairs, shells5.levels[5].status)),
-        ("conv fwd+bwd", lambda: conv_step(feats, pairs, weight)),
-        ("conv fwd+bwd sparse", lambda: conv_step(sparse_feats, sparse_pairs, weight)),
+        ("conv fwd+bwd", lambda: conv_step(full_level, weight)),
+        ("conv fwd+bwd sparse", lambda: conv_step(sparse_level, weight)),
         ("downsample fwd+bwd", lambda: down_step(children, status, child_status, down_weight)),
         ("batch_norm fwd+bwd", lambda: bn_step(bn_maps[0], bn_params[0])),
         ("batch_norm fwd+bwd wide", lambda: bn_step(bn_maps[1], bn_params[1])),

@@ -73,8 +73,17 @@ def read_ply(path) -> PointSet:
     if "label" in props:
         if props.index("label") >= data.shape[1]:
             raise DataError(f"{path}: no column for property label")
-        labels = data[:, props.index("label")].astype(np.int32)
+        labels = _labels(path, data[:, props.index("label")])
     return PointSet(positions=data[:, :3], normals=data[:, 3:6], labels=labels)
+
+
+def _labels(path, column):
+    """A text file's label column as int32; a label that is not a finite
+    int32 integer (2.5, nan, 1e20) is a DataError, not a silent cast."""
+    ok = np.isfinite(column) & (np.abs(column) < 2**31)
+    if not ok.all() or not np.array_equal(column, np.trunc(column)):
+        raise DataError(f"{path}: labels must be integers")
+    return column.astype(np.int32)
 
 
 def write_xyz(path, points: PointSet):
@@ -93,7 +102,7 @@ def read_xyz(path) -> PointSet:
         raise DataError(f"{path}: malformed XYZ: {e}") from e
     if data.shape[1] not in (6, 7):
         raise DataError(f"{path}: expected 'x y z nx ny nz [label]' columns")
-    labels = data[:, 6].astype(np.int32) if data.shape[1] == 7 else None
+    labels = _labels(path, data[:, 6]) if data.shape[1] == 7 else None
     return PointSet(positions=data[:, :3], normals=data[:, 3:6], labels=labels)
 
 

@@ -1,12 +1,11 @@
 """Hot inner-loop kernels: Morton bit interleaving, index-table row moves
-and the BLAS calls behind the per-row ops (gemm accumulation, gemv sums).
+and the BLAS gemv behind the per-channel sums.
 
 Every kernel is plain numpy. Index tables use -1 for "no row"; gathers read
 it as a zero row.
 """
 
 import numpy as np
-from scipy.linalg import blas
 
 # magic masks that spread 21 bits over every third bit of a 64-bit word
 _SPREAD_MASKS = (
@@ -51,23 +50,10 @@ def deinterleave3(codes):
     return x, y, z
 
 
-def padded(src):
-    """src with one zero row appended, which index -1 then reads."""
-    return np.concatenate([src, np.zeros((1,) + src.shape[1:], dtype=src.dtype)])
-
-
 def gather_rows(src, idx):
     """Gather rows of src by index; idx == -1 yields a zero row."""
-    return np.take(padded(src), idx, axis=0)
-
-
-def gather_padded(src, idx, out):
-    """out[k] = src[idx[k]] for a source from `padded`, so -1 reads its zero row.
-
-    mode="wrap" sends -1 to the last row and, unlike the default mode, lets
-    np.take write straight into `out`, which callers reuse across gathers.
-    """
-    return np.take(src, idx, axis=0, out=out, mode="wrap")
+    padded = np.concatenate([src, np.zeros((1,) + src.shape[1:], dtype=src.dtype)])
+    return np.take(padded, idx, axis=0)
 
 
 def gather_concat(src, idx2d):
@@ -75,21 +61,6 @@ def gather_concat(src, idx2d):
     m, k = idx2d.shape
     flat = gather_rows(src, idx2d.ravel())
     return flat.reshape(m, k * src.shape[1])
-
-
-def matmul_add(out, a, b):
-    """out += a @ b in place, for a C-ordered `out`.
-
-    One BLAS gemm with beta = 1 on the transposed, Fortran-ordered view
-    (out.T += b.T @ a.T), so no product temporary is allocated and added.
-    """
-    if a.size == 0 or out.size == 0:
-        return out  # gemm rejects empty operands; the product adds nothing
-    gemm = blas.get_blas_funcs("gemm", (out,))
-    res = gemm(1.0, b.T, a.T, beta=1.0, c=out.T, overwrite_c=True)
-    if not np.shares_memory(res, out):
-        out[...] = res.T  # gemm had to copy `out`; keep the result anyway
-    return out
 
 
 def column_sums(x):

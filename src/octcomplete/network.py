@@ -88,9 +88,11 @@ class OctreeBatch:
 
     The merged levels keep the full-sibling layout (the k-th nonempty row of
     a level owns rows 8k..8k+7 of the next): moving between levels needs no
-    table, and a level's tap pairs (octree.child_pairs) follow from its
-    parent level's, down from the roots' constant ones (octree.root_pairs).
-    A level's convolutions share its ``kernel_map``.
+    table, and a level's tap pairs between nonempty rows
+    (octree.child_pairs) follow from its parent level's, down from the
+    roots' constant ones (octree.root_pairs). A level's convolutions share
+    its ``block_map``, read through its parent level's pairs, so the finest
+    level's pairs are never derived.
     """
 
     def __init__(self, octrees: List[Octree]):
@@ -121,7 +123,7 @@ class OctreeBatch:
         return FeatureMap(sig, level=self.depth)
 
     def pairs(self, level):
-        """The 27 tap pairs of `level`, reading only nonempty rows."""
+        """The 27 tap pairs of `level` between its nonempty rows."""
         if level not in self._pairs:
             status = self.levels[level].status
             if level == 0:
@@ -131,10 +133,11 @@ class OctreeBatch:
                 self._pairs[level] = child_pairs(up, self.pairs(level - 1), status)
         return self._pairs[level]
 
-    def kernel_map(self, level):
-        """The nn.KernelMap of `level`'s tap pairs, built on first use."""
+    def block_map(self, level):
+        """The nn.BlockMap of `level` (> 0), built on first use."""
         if level not in self._maps:
-            self._maps[level] = nn.KernelMap(self.pairs(level), self.levels[level].num_nodes)
+            up = self.levels[level - 1]
+            self._maps[level] = nn.BlockMap(up, self.pairs(level - 1), self.levels[level].status)
         return self._maps[level]
 
 
@@ -143,11 +146,12 @@ class DecoderState:
 
     ``keys[level]`` is one sorted key array for the whole batch, with the
     sample id above the Morton bits as in OctreeBatch. Growth starts at the
-    batch's roots and `subdivide` derives each finer level's tap ``pairs``
-    and its ``enc_rows`` and ``gt_rows``, the rows aligned in `enc_batch` and
-    `gt_batch` (-1 where absent or empty), from the parent level's; up to
-    `coarsest` every node is expanded, so that level is every sample's full
-    grid. No key is searched.
+    batch's roots. `subdivide` derives the tap ``pairs`` between the rows
+    it expands from the parent level's, and the finer level's ``enc_rows``
+    and ``gt_rows``, the rows aligned in `enc_batch` and `gt_batch` (-1
+    where absent or empty), from the parent level's; up to `coarsest` every
+    node is expanded, so that level is every sample's full grid. No key is
+    searched, and a level's pairs exist only once it is subdivided.
     """
 
     def __init__(self, enc_batch, coarsest, gt_batch=None):
@@ -156,9 +160,11 @@ class DecoderState:
         self.gt_batch = gt_batch
         roots = np.arange(enc_batch.size)
         self.keys = {0: roots.astype(np.uint64)}
-        # decoder stencils treat every stored row as valid: statuses are not
-        # known yet when the level's convolutions run
-        self.pairs = {0: root_pairs(np.ones(len(roots), np.uint8))}
+        # decoder stencils treat every stored row as valid (statuses are not
+        # known yet when the level's convolutions run), so a level's pairs
+        # join the rows it expands
+        self.pairs = {}
+        self.grown = {}  # level -> the level with its expanded rows owning level + 1
         self.enc_rows = {0: np.where(enc_batch.levels[0].status == 1, roots, -1)}
         self.gt_rows = {}
         if gt_batch is not None:
@@ -171,6 +177,11 @@ class DecoderState:
     def rows(self, level):
         return len(self.keys[level])
 
+    def block_map(self, level):
+        """The nn.BlockMap of `level` (> 0), read through the pairs of the
+        parent level's expanded rows; every row is read."""
+        return nn.BlockMap(self.grown[level - 1], self.pairs[level - 1])
+
     def subdivide(self, level, expand_mask):
         """Grow level+1 from the rows of `level` flagged in expand_mask."""
         keys = self.keys[level]
@@ -181,8 +192,11 @@ class DecoderState:
         self.keys[level + 1] = (keys[parent_idx] << np.uint64(3)) | slots.astype(np.uint64)
         self.parent_sel[level + 1] = rows
         self.parent_idx[level + 1] = parent_idx
-        grown = make_level(keys, expand, True)  # the expanded rows own the new blocks
-        self.pairs[level + 1] = child_pairs(grown, self.pairs[level])
+        if level == 0:
+            self.pairs[0] = root_pairs(expand)
+        else:
+            self.pairs[level] = child_pairs(self.grown[level - 1], self.pairs[level - 1], expand)
+        self.grown[level] = make_level(keys, expand, True)  # the expanded rows own the new blocks
         for aligned, batch in ((self.enc_rows, self.enc_batch), (self.gt_rows, self.gt_batch)):
             if batch is not None:
                 lv, nxt = batch.levels[level : level + 2]
@@ -299,11 +313,11 @@ class CompletionNet:
             raise DomainError("scene input head expects depth-8 octrees")
         hl = self.head_layers
         x = batch.signal_fm()
-        x = hl["conv8"].forward(x, batch.kernel_map(8), train)
+        x = hl["conv8"].forward(x, batch.block_map(8), train)
         st = [lv.status for lv in batch.levels]
         x = nn.max_pool(x, st[7], st[8])
-        x = hl["conv7"].forward(x, batch.kernel_map(7), train)
-        x = hl["rb7"].forward(x, batch.kernel_map(7), train)
+        x = hl["conv7"].forward(x, batch.block_map(7), train)
+        x = hl["rb7"].forward(x, batch.block_map(7), train)
         return hl["down7"].forward(x, (st[6], st[7]), train)
 
     def encode(self, batch: OctreeBatch, train=False):
@@ -318,11 +332,11 @@ class CompletionNet:
         else:
             x = batch.signal_fm()
             if self.lift is not None:
-                x = self.lift.forward(x, batch.kernel_map(spec.core_depth), train)
+                x = self.lift.forward(x, batch.block_map(spec.core_depth), train)
         feats = {}
         st = [lv.status for lv in batch.levels]
         for l in range(spec.core_depth, spec.coarsest, -1):
-            x = self.enc_rb[l].forward(x, batch.kernel_map(l), train)
+            x = self.enc_rb[l].forward(x, batch.block_map(l), train)
             feats[l] = x
             x = self.enc_down[l].forward(x, (st[l - 1], st[l]), train)
         return x, feats
@@ -385,7 +399,7 @@ class CompletionNet:
                 )
                 res.skip_levels.append(l)
 
-            x = self.dec_rb[l].forward(x, nn.KernelMap(ds.pairs[l], ds.rows(l)), train)
+            x = self.dec_rb[l].forward(x, ds.block_map(l), train)
             res.logits[l] = self.pred[l].forward(x)
             # sigmoid(z) >= 0.5 exactly where z >= 0
             res.pred_status[l] = (res.logits[l].values.reshape(-1) >= 0).astype(np.float64)

@@ -1,8 +1,9 @@
 """Octree-restricted neural operators.
 
 All operators act on node-major FeatureMaps. Convolution reads the
-KernelMap of its level, built once from the level's 27 tap pairs (its
-3x3x3 stencil); the ops that change level read the full-sibling layout directly.
+BlockMap of its level, built once from the parent level's 27 tap pairs as
+full-sibling blocks of 8 rows; the ops that change level read that layout
+directly.
 Each op takes its weight FeatureMap and checks the input channels against
 the weight's shape. Empty sibling slots are stored rows: they read as zeros
 inside convolution stencils but participate in batch-norm statistics.
@@ -17,6 +18,7 @@ from . import autodiff as ad
 from . import kernels
 from .autodiff import FeatureMap
 from .errors import DomainError
+from .octree import _CHILD_SLOT, _PARENT_TAP
 
 
 class Parameters:
@@ -69,150 +71,246 @@ class BNParams:
     momentum: float = 0.9
 
 
-# A tap whose share of valid rows is below this runs on its (out row, in
-# row) pairs; at or above it, one gather of the padded source over the
-# whole column costs less than gathering the pairs. In
-# benchmarks/bench_kernels.py (2-core x86, one BLAS thread, best of 5),
-# "conv fwd+bwd" (70 % valid) takes 1.50 s under this rule, 1.51 s with
-# every tap dense and 2.03 s with every tap sparse; "conv fwd+bwd sparse"
-# (5 % valid) takes 0.032 s, 0.28 s and 0.034 s. On the perfbench levels
-# (25-41 % valid) a rule of 0.5 made single convs 10-30 % faster, but each
-# sparse pair holds a product row until the scatter, so the buffers grow
-# toward 9 times the output; kept at 0.3 (see ROADMAP).
-SPARSE_BELOW = 0.3
+def _block_layout():
+    """The (child, slot) blocks of the 27 parent taps.
 
-IDENTITY, DENSE, SPARSE = "identity", "dense", "sparse"
+    The neighbor at tap t of the child in slot s is child _CHILD_SLOT[s, t]
+    of its parent's neighbor at tap _PARENT_TAP[s, t]. Per parent tap T,
+    the k slots that read T each read the same k children there, one child
+    tap per (child, slot) entry: k = 8 at the centre, 4 at a face, 2 at an
+    edge and 1 at a corner, 216 = 8 * 27 entries in all. Returns per T its
+    slots and children, the entries' child taps in (T, child, slot) order,
+    each T's first entry, and the (27, 216) incidence of taps on entries.
+    """
+    slots, kids, taps = [], [], []
+    for T in range(27):
+        s, t = np.nonzero(_PARENT_TAP == T)
+        c = _CHILD_SLOT[s, t]
+        slots.append(np.unique(s).astype(np.int32))
+        kids.append(np.unique(c).astype(np.int32))
+        block = np.full((8, 8), -1)
+        block[c, s] = t
+        taps.append(block[np.ix_(kids[-1], slots[-1])].ravel())
+    entries = np.concatenate(taps)
+    incidence = np.zeros((27, len(entries)), dtype=np.float32)
+    incidence[entries, np.arange(len(entries))] = 1
+    return slots, kids, entries, np.cumsum([0] + [len(t) for t in taps]), incidence
 
 
-class KernelMap:
-    """How octree_conv reads one level's 27 tap pairs (octree.child_pairs).
+_BLOCK_SLOTS, _BLOCK_KIDS, _BLOCK_TAPS, _BLOCK_START, _TAP_INCIDENCE = _block_layout()
+_CENTRE = 13
 
-    Built once per level and shared by that level's convolutions; forward
-    runs over the map, backward over its transpose. ``taps[t]`` is
-    - (IDENTITY, None, None): the tap pairs every row with itself, as a
-      decoder level's center tap does; the tap reads the source itself;
-    - (DENSE, col, None): at least SPARSE_BELOW of the rows are valid; col
-      is the tap's column of source rows (col[o] = i), -1 where none,
-      gathered from the source padded once per call;
-    - (SPARSE, a, b): fewer are valid; the tap's pairs are entries a:b of
-      ``pair_out`` and ``pair_in``, the sparse taps' pairs in tap order.
-    A tap names each output row at most once, so the sparse taps' products
-    (one row per pair) reach the output through one sparse matrix whose
-    column j has a single one in row pair_out[j]: each output row adds its
-    pairs in tap order. It names each input row at most once too, so the
-    transpose, the same pairs with in and out swapped, is a kernel map.
+# A parent tap runs as one gemm over all the children its pairs gather
+# (MERGED) unless fewer than this share of them are read; then it runs as
+# one gemm per child over the pairs that read that child (SPLIT). In
+# perfbench's train-shape steps (CPU time, medians of 8 to 16 steps per
+# rule, alternated, 2-core x86, one BLAS thread) 0.3 ran 5-12 % faster
+# than 0.5 and 0.15 or 0.4 no faster; train-scene timed the same at 0.15
+# to 0.5. A split tap holds more product rows than a merged one once a
+# block's k children read more than one row on average, so the lower
+# rule also keeps the product buffer smaller.
+SPLIT_BELOW = 0.3
+
+MERGED, SPLIT = "merged", "split"
+
+
+class BlockMap:
+    """How octree_conv reads one level as full-sibling blocks of 8 rows.
+
+    The k-th row of the parent level that owns children owns rows 8k..8k+7
+    of this one. Built once per level from the parent level's 27 tap pairs
+    between owner rows (octree.child_pairs) and shared by the level's
+    convolutions, forward and backward. Each pair (o, i) of parent tap T
+    feeds one dense k x k block (_block_layout): the k slots of o's block
+    that read T, from the k children of i's block, so a parent tap runs as
+    one gemm with a (k*cin, k*cout) matrix of its entries' tap weights:
+    - the centre (every owner paired with itself) views the whole level as
+      (owners, 8*cin) rows: a reshape, no gather and no scatter;
+    - another tap is one MERGED group: a gather of its in blocks' children
+      (``rows_in``), whose product rows go to out rows ``rows_out``;
+    - where fewer than SPLIT_BELOW of the children a tap gathers are read,
+      the tap (the centre too) is one SPLIT group per child instead, over
+      the pairs that read that child.
+    ``groups`` holds (T, child index or None, out slice, in slice) per
+    group. All group products reach the output through one CSC matrix
+    whose column j has a single one in row rows_out[j], and the input
+    gradient's through one with rows_in. Rows flagged empty in
+    `child_status` read as zero and get no gradient, as the pair stencil
+    never reads them; without `child_status` every row is read, as on a
+    decoder level.
     """
 
-    def __init__(self, pairs, rows):
-        self.pairs, self.rows = pairs, rows
-        self.taps = []
-        sparse_taps, n = [], 0
-        for o, i in pairs:
-            if len(o) == rows and np.array_equal(o, i):
-                self.taps.append((IDENTITY, None, None))
-            elif len(o) < SPARSE_BELOW * rows:
-                self.taps.append((SPARSE, n, n + len(o)))
-                sparse_taps.append((o, i))
-                n += len(o)
-            else:
-                col = np.full(rows, -1, dtype=np.int64)
-                col[o] = i
-                self.taps.append((DENSE, col, None))
+    def __init__(self, level, pairs, child_status=None):
+        rank = (level.child_start // 8).astype(np.int32)
+        self.owners = int(np.count_nonzero(level.child_start >= 0))
+        self.rows = 8 * self.owners
+        self.empty = None
+        if child_status is not None:
+            if len(child_status) != self.rows:
+                raise DomainError(f"{self.owners} owners cannot read {len(child_status)} rows")
+            if not child_status.all():
+                self.empty = child_status == 0
+        self.centre_merged = True
+        self.groups = []
+        outs, ins, n_out, n_in = [], [], 0, 0
+        for T, (o, i) in enumerate(pairs):
+            rin = (8 * np.take(rank, i))[:, None] + _BLOCK_KIDS[T]  # (pairs, k)
+            parts = [(None, np.take(rank, o), rin.ravel())]
+            if self.empty is not None:
+                read = ~np.take(self.empty, rin)
+                if np.count_nonzero(read) < SPLIT_BELOW * read.size:
+                    ko = parts[0][1]
+                    parts = [(c, ko[r], rin[r, c]) for c, r in enumerate(read.T)]
+            if T == _CENTRE:
+                if parts[0][0] is None:
+                    continue  # the reshape
+                self.centre_merged = False
+            for c, ko, rin_g in parts:
+                if len(ko) == 0:
+                    continue
+                rout = ((8 * ko)[:, None] + _BLOCK_SLOTS[T]).ravel()
+                self.groups.append(
+                    (T, c, slice(n_out, n_out + len(rout)), slice(n_in, n_in + len(rin_g)))
+                )
+                outs.append(rout)
+                ins.append(rin_g)
+                n_out += len(rout)
+                n_in += len(rin_g)
         none = np.zeros(0, dtype=np.int32)
-        self.pair_out = np.concatenate([o for o, _ in sparse_taps] + [none])
-        self.pair_in = np.concatenate([i for _, i in sparse_taps] + [none])
+        self.rows_out = np.concatenate(outs + [none]).astype(np.int32, copy=False)
+        self.rows_in = np.concatenate(ins + [none]).astype(np.int32, copy=False)
+        # a pair row that owns no children has rank -1; the CSC products
+        # would not check the rows it gives
+        if min(self.rows_out.min(initial=0), self.rows_in.min(initial=0)) < 0:
+            raise DomainError("a tap pair names a row that owns no children")
         self._scatter = {}
-        self._transpose = None
 
-    def scatter(self, dtype):
-        """The (rows, pairs) CSC matrix whose column j has a one in row
-        pair_out[j], built on first use per dtype."""
-        if dtype not in self._scatter:
-            n = len(self.pair_out)
-            self._scatter[dtype] = sparse.csc_array(
-                (np.ones(n, dtype), self.pair_out, np.arange(n + 1, dtype=self.pair_out.dtype)),
+    @property
+    def kinds(self):
+        """The group kinds the map runs, the centre's reshape as MERGED."""
+        kinds = {MERGED if c is None else SPLIT for _, c, _, _ in self.groups}
+        return kinds | {MERGED} if self.centre_merged and self.owners else kinds
+
+    def scatter(self, rows, dtype):
+        """The (self.rows, len(rows)) CSC matrix whose column j has a one in
+        row rows[j], for rows_out or rows_in; built on first use per dtype."""
+        key = (rows is self.rows_in, dtype)
+        if key not in self._scatter:
+            n = len(rows)
+            self._scatter[key] = sparse.csc_array(
+                (np.ones(n, dtype), rows, np.arange(n + 1, dtype=np.int32)),
                 shape=(self.rows, n),
             )
-        return self._scatter[dtype]
+        return self._scatter[key]
 
-    def transpose(self):
-        """The map of the swapped (in, out) pairs, built on first use, by
-        the level's first backward, and kept."""
-        if self._transpose is None:
-            self._transpose = KernelMap([(i, o) for o, i in self.pairs], self.rows)
-        return self._transpose
+    def read(self, x):
+        """x as the stencil reads it: rows flagged empty are zero."""
+        return x if self.empty is None else np.where(self.empty[:, None], 0, x)
 
-    def tap_sum(self, src, blocks, dtype, each=None):
-        """sum over taps t of (the rows of src tap t reads) @ blocks[t].
+    @staticmethod
+    def matrices(w):
+        """Per parent tap T, the (k*cin, k*cout) gemm matrix of the (cout,
+        27*cin) weight w: block (child, slot) is its entry's W_t.T."""
+        cout, cin = w.shape[0], w.shape[1] // 27
+        entries = w.reshape(cout, 27, cin).transpose(1, 2, 0)[_BLOCK_TAPS]  # (216, cin, cout)
+        mats = []
+        for T, slots in enumerate(_BLOCK_SLOTS):
+            k = len(slots)
+            e = entries[_BLOCK_START[T] : _BLOCK_START[T + 1]].reshape(k, k, cin, cout)
+            mats.append(e.transpose(0, 2, 1, 3).reshape(k * cin, k * cout))
+        return mats
 
-        Returns the (rows, width) sum in `dtype`, or, with `blocks` None,
-        only reads the taps and returns None. The sparse taps write one
-        product row per pair into one buffer, which the CSC product adds
-        into the sum; then the identity and dense taps accumulate into it
-        in place, in tap order. each(t, src_t, dst), if given, sees every
-        tap's source rows src_t and the rows dst of the sum they land in;
-        dst is None for an identity or dense tap, whose src_t spans all
-        rows (zero rows where it reads none) and, if dense, reuses one
-        buffer.
-        """
-        n = len(self.pair_out)
-        buf = None if blocks is None else np.empty((n, blocks.shape[2]), dtype)
-        for t, (kind, a, b) in enumerate(self.taps):
-            if kind == SPARSE:
-                src_t = np.take(src, self.pair_in[a:b], axis=0)
-                if each is not None:
-                    each(t, src_t, self.pair_out[a:b])
-                if buf is not None:
-                    np.matmul(src_t, blocks[t], out=buf[a:b])
-        out = None
-        if buf is not None:
-            out = self.scatter(dtype) @ buf if n else np.zeros((self.rows, buf.shape[1]), dtype)
-            del buf
-        if any(kind == DENSE for kind, _, _ in self.taps):
-            sp, sbuf = kernels.padded(src), np.empty(src.shape, src.dtype)
-        for t, (kind, col, _) in enumerate(self.taps):
-            if kind != SPARSE:
-                src_t = src if kind == IDENTITY else kernels.gather_padded(sp, col, sbuf)
-                if each is not None:
-                    each(t, src_t, None)
-                if out is not None:
-                    kernels.matmul_add(out, src_t, blocks[t])
+    def conv(self, x, mats):
+        """The (rows, cout) convolution of x, read as read(x) returns it."""
+        cin, cout = x.shape[1], mats[0].shape[1]  # a corner block is (cin, cout)
+        dtype = np.result_type(x, mats[0])
+        buf = np.empty((len(self.rows_out), cout), dtype)
+        for T, c, so, si in self.groups:
+            m = _group_matrix(mats, T, c, cin)
+            src = np.take(x, self.rows_in[si], axis=0).reshape(-1, m.shape[0])
+            np.matmul(src, m, out=buf[so].reshape(-1, m.shape[1]))
+        out = self.scatter(self.rows_out, dtype) @ buf
+        del buf
+        if self.centre_merged:
+            blocks = out.reshape(self.owners, 8 * cout)
+            blocks += x.reshape(self.owners, 8 * cin) @ mats[_CENTRE]
         return out
 
+    def grads(self, x, g, mats, need_gx):
+        """The input gradient (None unless need_gx) and the (cout, 27*cin)
+        weight gradient of conv for the output gradient g, with x read as
+        read(x) returns it."""
+        cin, cout = x.shape[1], g.shape[1]
+        entries = np.zeros((len(_BLOCK_TAPS), cin, cout), g.dtype)
+        buf = np.empty((len(self.rows_in), cin), g.dtype) if need_gx else None
+        for T, c, so, si in self.groups:
+            m = _group_matrix(mats, T, c, cin)
+            go = np.take(g, self.rows_out[so], axis=0).reshape(-1, m.shape[1])
+            src = np.take(x, self.rows_in[si], axis=0).reshape(-1, m.shape[0])
+            _put_entries(entries, T, c, src.T @ go)
+            if need_gx:
+                np.matmul(go, m.T, out=buf[si].reshape(-1, m.shape[0]))
+        gx = None
+        if need_gx:
+            gx = self.scatter(self.rows_in, g.dtype) @ buf
+            del buf
+        if self.centre_merged:
+            gb = g.reshape(self.owners, 8 * cout)
+            _put_entries(entries, _CENTRE, None, x.reshape(self.owners, 8 * cin).T @ gb)
+            if need_gx:
+                blocks = gx.reshape(self.owners, 8 * cin)
+                blocks += gb @ mats[_CENTRE].T
+        if need_gx and self.empty is not None:
+            gx[self.empty] = 0
+        # each tap's gradient is the sum of its 8 entries'
+        incidence = _TAP_INCIDENCE.astype(g.dtype, copy=False)
+        gw = (incidence @ entries.reshape(len(entries), -1)).reshape(27, cin, cout)
+        return gx, gw.transpose(2, 0, 1).reshape(cout, 27 * cin)
 
-def octree_conv(x, kmap, weight):
+
+def _group_matrix(mats, T, c, cin):
+    """A group's gemm matrix: parent tap T's, or its rows of child index c."""
+    return mats[T] if c is None else mats[T][c * cin : (c + 1) * cin]
+
+
+def _put_entries(entries, T, c, gm):
+    """Store a group's (k*cin or cin, k*cout) gradient gm as its entries'
+    (cin, cout) blocks: all of T's (c None) or those of child index c."""
+    k = len(_BLOCK_SLOTS[T])
+    cin, cout = entries.shape[1:]
+    a = _BLOCK_START[T]
+    if c is None:
+        gm = gm.reshape(k, cin, k, cout).transpose(0, 2, 1, 3)
+        entries[a : a + k * k] = gm.reshape(k * k, cin, cout)
+    else:
+        entries[a + c * k : a + (c + 1) * k] = gm.reshape(cin, k, cout).transpose(1, 0, 2)
+
+
+def octree_conv(x, bmap, weight):
     """3x3x3 convolution over the stored nodes of one level.
 
     Absent or empty neighbors contribute zero rows; the output keeps the
-    row count of the input. `kmap` is the level's KernelMap, built once
-    per level by OctreeBatch.kernel_map or CompletionNet.decode; `weight`
-    is (out, taps * in), one (out, in) block per tap of the map.
+    row count of the input. `bmap` is the level's BlockMap, built once per
+    level by OctreeBatch.block_map or DecoderState.block_map; `weight` is
+    (out, 27 * in), one (out, in) block W_t per tap t.
 
-    Tap t multiplies the input rows it reads by its weight block
-    W_t = weight[:, t*c:(t+1)*c]: the output is kmap.tap_sum over the
-    blocks W_t.T, and no (rows, 27*c) buffer is built. The input gradient
-    is the same sum over the transposed map with the blocks W_t, run on
-    the output gradient g; W_t's gradient is g_t.T @ x_t from each tap's
-    gathered rows g_t of g, so a tap gathers g once for both. The input
-    gradient is skipped when x takes none.
+    Forward and backward run the map's groups (BlockMap.conv, .grads): one
+    gather, one gemm and, through one CSC product for all groups, one
+    scatter per parent tap, with the centre as a reshape; the weight
+    gradient is summed per (child, slot) entry and folded to the 27 taps
+    by one incidence gemm. Backward recomputes the read input and the gemm
+    matrices, so its closure keeps neither. The input gradient is skipped
+    when x takes none.
     """
-    if weight.values.shape[1] != len(kmap.taps) * x.channels:
+    if weight.values.shape[1] != 27 * x.channels:
         raise DomainError("conv channel mismatch")
-    if kmap.rows != x.rows:
-        raise DomainError("kernel map row mismatch")
-    xv = x.values
-    w = weight.values.reshape(-1, len(kmap.taps), x.channels)  # (out, taps, in)
-    out = kmap.tap_sum(xv, w.transpose(1, 2, 0), np.result_type(xv, w))  # blocks W_t.T
+    if bmap.rows != x.rows:
+        raise DomainError("block map row mismatch")
+    xv, w = x.values, weight.values
+    out = bmap.conv(bmap.read(xv), bmap.matrices(w))
 
     def back(g):
-        gw = np.empty_like(w)
-
-        def weight_grad(t, g_t, rows):
-            gw[:, t] = g_t.T @ (xv if rows is None else np.take(xv, rows, axis=0))
-
-        blocks = w.transpose(1, 0, 2) if ad.tracked(x) else None  # blocks W_t
-        gx = kmap.transpose().tap_sum(g, blocks, xv.dtype, weight_grad)
-        return gx, gw.reshape(weight.values.shape)
+        return bmap.grads(bmap.read(xv), g, bmap.matrices(w), ad.tracked(x))
 
     return ad.custom_op(out, [x, weight], back, level=x.level)
 
@@ -405,7 +503,7 @@ class ConvBnRelu:
         self.bn = make_bn(params, f"{prefix}.bn", out_c)
 
     def forward(self, x, table, train):
-        """`table` is the level's KernelMap for kernel 3 and the (status,
+        """`table` is the level's BlockMap for kernel 3 and the (status,
         child status) pair of downsample for kernel 2."""
         if self.kernel == 2:
             y = downsample(x, *table, self.w)
@@ -467,12 +565,12 @@ class ResBlockStack:
             bn2 = make_bn(params, f"{prefix}.b{i}.conv2.bn", c)
             self.blocks.append((c1, w2, bn2))
 
-    def forward(self, x, kmap, train):
+    def forward(self, x, bmap, train):
         if self.projection is not None:
             x = batch_norm(ad.linear(x, self.projection), self.proj_bn, train)
         for c1, w2, bn2 in self.blocks:
-            h = c1.forward(x, kmap, train)
-            h = batch_norm(octree_conv(h, kmap, w2), bn2, train)
+            h = c1.forward(x, bmap, train)
+            h = batch_norm(octree_conv(h, bmap, w2), bn2, train)
             x = ad.relu(ad.add(x, h))
         return x
 

@@ -269,7 +269,7 @@ _CHILD_SLOT = sum((_NBR_XYZ[a] & 1) << (2 - a) for a in range(3))
 
 # Child pair (start[o] + s, start[i] + c) of child tap t comes from a parent
 # pair (o, i) of parent tap _PARENT_TAP[s, t] whose child c = _CHILD_SLOT[s, t]
-# is nonempty. Per key = 256 * (parent tap) + (bit mask of i's nonempty
+# is flagged. Per key = 256 * (parent tap) + (bit mask of i's flagged
 # children), the (s, c, t) that key keeps form one run of _COMBO_SLOT,
 # _COMBO_CHILD and _COMBO_TAP, in (t, s) order, of _COMBO_COUNT[key] entries
 # from _COMBO_START[key].
@@ -310,26 +310,26 @@ def child_rows(level, rows, slots, next_status=None):
     return out
 
 
-def child_pairs(level, pairs, next_status=None):
-    """The next level's tap pairs from `level`'s `pairs`.
+def child_pairs(level, pairs, next_status):
+    """The next level's tap pairs between its rows flagged in `next_status`,
+    from `level`'s tap pairs between its rows that own children.
 
     A level's stencil is 27 per-tap pairs (out, in) of int32 row arrays:
     output row out[j] reads input row in[j] at that tap, and each row is
-    named at most once per tap as an output. A child's neighbor is a child
-    of its parent's neighbor, so each child pair comes from a parent pair
-    whose rows both have children, through the (slot, tap) lookup
-    (_PARENT_TAP, _CHILD_SLOT); given `next_status`, only nonempty children
-    are read. No key is searched, and the work scales with the pairs, not
-    with 27 * rows. Within a tap the pairs come in no particular order.
+    named at most once per tap as an output. The pairs that matter are
+    those between rows that own a block of 8 children (nn.BlockMap reads a
+    level through its parent's), and only they are derived. A child's
+    neighbor is a child of its parent's neighbor, so each child pair comes
+    from a parent pair through the (slot, tap) lookup (_PARENT_TAP,
+    _CHILD_SLOT), keeping the children flagged on both sides. No key is
+    searched, and the work scales with the pairs, not with 27 * rows.
+    Within a tap the pairs come in no particular order.
     """
     start = level.child_start.astype(np.int32)
     has = start >= 0
-    # per row, the bit mask of its nonempty children; 0 where it has none
+    # per row, the bit mask of its flagged children; 0 where it has none
     kids = np.zeros(len(start), dtype=np.int32)
-    if next_status is None:
-        kids[has] = 255
-    else:
-        kids[has] = np.packbits(next_status.reshape(-1, 8), axis=1, bitorder="little")[:, 0]
+    kids[has] = np.packbits(next_status.reshape(-1, 8), axis=1, bitorder="little")[:, 0]
     so = np.take(start, np.concatenate([o for o, _ in pairs]))
     pi = np.concatenate([i for _, i in pairs])
     si = np.take(start, pi)
@@ -342,12 +342,14 @@ def child_pairs(level, pairs, next_status=None):
     ends = np.cumsum(count)
     combo = np.repeat(np.take(_COMBO_START, key) - ends + count, count)
     combo += np.arange(len(combo), dtype=combo.dtype)
-    tap = np.take(_COMBO_TAP, combo)
-    order = np.argsort(tap, kind="stable")
     out = np.repeat(so, count)
     out += np.take(_COMBO_SLOT, combo)
-    inp = np.repeat(si, count)
+    keep = np.take(next_status, out) != 0  # the output child is flagged too
+    out, combo = out[keep], combo[keep]
+    inp = np.repeat(si, count)[keep]
     inp += np.take(_COMBO_CHILD, combo)
+    tap = np.take(_COMBO_TAP, combo)
+    order = np.argsort(tap, kind="stable")
     bounds = np.cumsum(np.bincount(tap, minlength=27))[:-1]
     return list(zip(np.split(np.take(out, order), bounds), np.split(np.take(inp, order), bounds)))
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from octcomplete import autodiff as ad
-from octcomplete import nn
 from octcomplete.octree import _CHILD_SLOT, _PARENT_TAP, child_rows, find_in_sorted, neighbor_table
 
 
@@ -70,12 +69,22 @@ def nbr_table(octree, level):
 
 def table_pairs(table):
     """The per-tap (out, in) pairs of a (rows, taps) neighbor table, in row
-    order: the form octree.child_pairs derives and nn.KernelMap reads."""
+    order: the form octree.child_pairs derives."""
     return [(np.flatnonzero(col >= 0), col[col >= 0]) for col in table.T]
 
 
-def table_kernel_map(table):
-    return nn.KernelMap(table_pairs(table), table.shape[0])
+def conv_oracle(xv, wv, table, g):
+    """The 3x3x3 convolution over a level's (rows, 27) neighbor table pair
+    by pair, scattered with np.add.at: the output for input xv and weight
+    wv, and the input and weight gradients for the output gradient g."""
+    w = wv.reshape(wv.shape[0], 27, -1)
+    out = np.zeros((len(table), w.shape[0]), dtype=xv.dtype)
+    gx, gw = np.zeros_like(xv), np.empty_like(w)
+    for t, (o, i) in enumerate(table_pairs(table)):
+        np.add.at(out, o, xv[i] @ w[:, t].T)
+        np.add.at(gx, i, g[o] @ w[:, t])
+        gw[:, t] = g[o].T @ xv[i]
+    return out, gx, gw.reshape(wv.shape)
 
 
 def assert_pairs_match_table(pairs, table):

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 
+from octcomplete import network, nn
+
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "bench_kernels.py")
 
 
@@ -20,7 +22,7 @@ def test_bench_runs_every_case_at_tiny_size(capsys):
     names = [name for name, _ in rows]
     assert names == [
         "interleave3", "deinterleave3", "gather_rows", "guided skip fwd+bwd",
-        "kernel map transpose",
+        "block map build",
         "neighbor_table", "child_pairs", "child_pairs depth 5", "conv fwd+bwd",
         "conv fwd+bwd sparse",
         "downsample fwd+bwd", "batch_norm fwd+bwd", "batch_norm fwd+bwd wide", "sample_points",
@@ -29,11 +31,14 @@ def test_bench_runs_every_case_at_tiny_size(capsys):
     assert "conv fwd+bwd" in capsys.readouterr().out
 
 
-def test_bench_stencil_columns_are_injective():
-    """No column of the stencil names a row twice, so its kernel map has a
-    transpose: the map conv backward runs over."""
+def test_bench_conv_levels_run_merged_and_split_groups():
+    """The conv rows time both group kinds: the level read at every row
+    runs merged only, the sparse shell level splits its taps."""
     bench = load_bench()
-    table = bench.random_stencil(np.random.default_rng(1), 500, 27)
-    i, t = np.nonzero(table >= 0)
-    assert len(i) > 0
-    assert len(np.unique(table[i, t] * 27 + t)) == len(i)  # distinct (row, tap) targets
+    rng = np.random.default_rng(1)
+    shell = network.OctreeBatch([bench.shell_octree(rng, 2000, depth=8)])
+    sparse = network.OctreeBatch([bench.shell_octree(rng, 400, depth=8)])
+    full, thin = (nn.BlockMap(*level) for level in bench.conv_levels(shell, sparse))
+    assert full.kinds == {nn.MERGED}
+    assert nn.SPLIT in thin.kinds
+    assert thin.empty.mean() > 0.5

@@ -90,6 +90,23 @@ def test_malformed_xyz_is_data_error(tmp_path, body):
         fileio.read_xyz(path)
 
 
+@pytest.mark.parametrize("label", ["2.5", "nan", "inf", "1e20"])
+@pytest.mark.parametrize("fmt", ["xyz", "ply"])
+def test_non_integer_label_is_data_error(tmp_path, fmt, label):
+    """A label that is not an int32 integer is rejected where it is read;
+    it used to cast to 2 (or to -2**31 with a RuntimeWarning) and pass."""
+    rows = f"0.1 0.2 0.3 0 0 1 1\n0.4 0.5 0.6 0 0 1 {label}\n"
+    path = tmp_path / f"bad.{fmt}"
+    if fmt == "ply":
+        path.write_text(PLY_HEADER.format(count=2, extra="property int label\n") + rows)
+    else:
+        path.write_text(rows)
+    with pytest.raises(fileio.DataError, match="labels must be integers"):
+        fileio.read_points(path)
+    path.write_text(path.read_text().replace(label, "3"))
+    assert fileio.read_points(path).labels.tolist() == [1, 3]
+
+
 def test_read_points_dispatch(tmp_path, rng):
     pts = random_points(rng)
     fileio.write_ply(tmp_path / "a.ply", pts)

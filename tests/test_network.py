@@ -249,8 +249,9 @@ def test_complete_records_growth_against_the_expand_cap(monkeypatch):
 
 def test_decoder_rows_derived_from_parent_match_search():
     """Grown from the roots, fully to the coarsest level and then along
-    random expand masks, every level's tap pairs, encoder rows and
-    ground-truth rows equal the search oracles on its keys. The last
+    random expand masks, every level's encoder rows and ground-truth rows,
+    and the tap pairs between its expanded rows, equal the search oracles
+    on its keys. The last
     sample is empty, so its root aligns nowhere."""
     rng = np.random.default_rng(7)
     pairs = [sphere_octree(depth=5, seed=s) for s in (0, 1, 2)]
@@ -261,8 +262,6 @@ def test_decoder_rows_derived_from_parent_match_search():
     assert sorted(ds.keys) == [0, 1, 2]
     for l in range(6):
         keys = ds.keys[l]
-        ones = np.ones(len(keys), dtype=np.uint8)
-        assert_pairs_match_table(ds.pairs[l], neighbor_table(keys, ones, l))
         assert np.array_equal(ds.enc_rows[l], align_encoder_rows(enc, keys, l))
         lv = gt.levels[l]
         idx = find_in_sorted(lv.keys, keys)
@@ -271,10 +270,18 @@ def test_decoder_rows_derived_from_parent_match_search():
         if l > 2:
             for rows in (ds.enc_rows[l], ds.gt_rows[l]):
                 assert np.any(rows >= 0) and np.any(rows < 0)
+        expand = np.ones(len(keys), dtype=np.uint8)
         if 2 <= l < 5:
             # random rows plus the gt-nonempty ones, so deep levels keep
             # aligned rows next to unaligned ones
-            ds.subdivide(l, (rng.random(len(keys)) < 0.3) | (ds.gt_rows[l] >= 0))
+            expand = ((rng.random(len(keys)) < 0.3) | (ds.gt_rows[l] >= 0)).astype(np.uint8)
+            ds.subdivide(l, expand)
+        if l < 5:
+            # the pairs between the expanded rows; none at the finest level
+            tab = neighbor_table(keys, expand, l)
+            tab[expand == 0] = -1
+            assert_pairs_match_table(ds.pairs[l], tab)
+    assert sorted(ds.pairs) == [0, 1, 2, 3, 4]
 
 
 def test_no_key_is_searched_in_a_train_step_or_complete(monkeypatch):
@@ -306,10 +313,11 @@ def test_no_key_is_searched_in_a_train_step_or_complete(monkeypatch):
     assert calls == []
 
 
-def test_kernel_maps_built_once_per_level_and_transposed_lazily(monkeypatch):
-    """A train step builds one kernel map per encoder and decoder level
-    with a convolution and transposes each exactly once; complete, which
-    runs no backward, transposes none."""
+def test_block_maps_built_once_per_level_and_finest_pairs_never_derived(monkeypatch):
+    """A train step, and then a complete, builds one block map per encoder
+    and decoder level with a convolution, and derives tap pairs once for
+    each level above the finest: never for the finest encoder or decoder
+    level, whose map reads its parent level's pairs."""
     spec = small_spec(n_res=2)
     samples = []
     for i in range(2):
@@ -317,35 +325,43 @@ def test_kernel_maps_built_once_per_level_and_transposed_lazily(monkeypatch):
         scan = dt.virtual_scan(shape, dt.ScanConfig(num_views=2, seed=i))
         samples.append(prepare_sample(dt.SamplePair(scan, shape), spec))
     trainer = Trainer(CompletionNet(spec, seed=0), TrainConfig(batch_size=2), samples)
-    built, transposed = [], []
-    init, transpose = nn.KernelMap.__init__, nn.KernelMap.transpose
+    built, derived, decoded = [], [], []
+    init, derive, decode = nn.BlockMap.__init__, network.child_pairs, CompletionNet.decode
 
-    def spy_init(self, pairs, rows):
-        init(self, pairs, rows)
-        built.append(self)
+    def spy_init(self, level, pairs, child_status=None):
+        init(self, level, pairs, child_status)
+        built.append(self.rows)
 
-    def spy_transpose(self):
-        t = transpose(self)
-        transposed.append((self, t))
-        return t
+    def spy_derive(level, pairs, next_status):
+        derived.append(len(next_status))  # the rows of the level derived
+        return derive(level, pairs, next_status)
 
-    monkeypatch.setattr(nn.KernelMap, "__init__", spy_init)
-    monkeypatch.setattr(nn.KernelMap, "transpose", spy_transpose)
-    trainer.step([0, 1], 0.01)
-    conv_levels = spec.core_depth - spec.coarsest  # levels coarsest+1 .. core_depth
-    results = {id(t) for _, t in transposed}
-    maps = [m for m in built if id(m) not in results]
-    assert len(maps) == 2 * conv_levels  # encoder, then decoder
-    # every map ran backward, so it was transposed; each call on a map
-    # returns the one transpose it built and kept, and no other map was built
-    assert {id(m) for m, _ in transposed} == {id(m) for m in maps}
-    assert len(results) == len(built) - len(maps) == len(maps) > 0
-    assert all(t is m._transpose for m, t in transposed)
-    built.clear()
-    transposed.clear()
-    trainer.net.complete(samples[0].partial)
-    assert len(built) == 2 * conv_levels
-    assert transposed == []
+    def spy_decode(self, code, enc_batch, *args, **kwargs):
+        res = decode(self, code, enc_batch, *args, **kwargs)
+        decoded.append((enc_batch, res.state))
+        return res
+
+    monkeypatch.setattr(nn.BlockMap, "__init__", spy_init)
+    monkeypatch.setattr(network, "child_pairs", spy_derive)
+    monkeypatch.setattr(CompletionNet, "decode", spy_decode)
+    d, co = spec.core_depth, spec.coarsest
+    runs = (
+        lambda: trainer.step([0, 1], 0.01),
+        lambda: trainer.net.complete(samples[0].partial),
+    )
+    for run in runs:
+        built.clear()
+        derived.clear()
+        decoded.clear()
+        run()
+        (enc, ds), = decoded
+        assert ds.rows(d) > 0
+        enc_rows = [enc.levels[l].num_nodes for l in range(d + 1)]
+        dec_rows = [ds.rows(l) for l in range(d + 1)]
+        want_built = enc_rows[co + 1 :] + dec_rows[co + 1 :]
+        assert sorted(built) == sorted(want_built)
+        assert sorted(derived) == sorted(enc_rows[1:d] + dec_rows[1:d])
+        assert sorted(ds.pairs) == list(range(d))
 
 
 def test_mixed_depth_batch_rejected():

@@ -8,10 +8,17 @@ from octcomplete import data as dt
 from octcomplete import kernels, nn
 from octcomplete.autodiff import FeatureMap
 from octcomplete.errors import DomainError
-from octcomplete.network import OctreeBatch
-from octcomplete.octree import build_octree, coords_from_keys, octree_from_codes
+from octcomplete.network import DecoderState, OctreeBatch
+from octcomplete.octree import (
+    _CHILD_SLOT,
+    _PARENT_TAP,
+    build_octree,
+    coords_from_keys,
+    neighbor_table,
+    octree_from_codes,
+)
 
-from conftest import child_table, nbr_table, numeric_grad, table_kernel_map
+from conftest import child_table, conv_oracle, nbr_table, numeric_grad
 
 
 def complete_octree(depth):
@@ -62,25 +69,26 @@ def dense_down(grid, weight, cin, cout):
 
 
 def conv_case(case):
-    """An octree, a level, and the tap kinds of that level's KernelMap.
+    """An octree, a level, and the group kinds of that level's BlockMap.
 
-    A depth ("2", "3"): the complete octree, every row nonempty, so the
-    center tap is the identity and the rest are dense. "leaf": one nonempty
-    leaf among its 7 empty siblings, every tap sparse. "scan": a scanned
-    cylinder's finest level, dense and sparse taps side by side.
+    A depth ("2", "3"): the complete octree, every row nonempty, so every
+    parent tap runs merged. "leaf": one nonempty leaf among its 7 empty
+    siblings, so its one parent tap, the centre, splits. "scan": a scanned
+    cylinder's depth-5 level, merged and split taps side by side.
     """
     if case == "leaf":
-        return octree_from_codes(np.array([100], dtype=np.uint64), 3), 3, {nn.SPARSE}
+        return octree_from_codes(np.array([100], dtype=np.uint64), 3), 3, {nn.SPLIT}
     if case == "scan":
-        return scan_octree(), 4, {nn.DENSE, nn.SPARSE}
+        return scan_octree(depth=5), 5, {nn.MERGED, nn.SPLIT}
     depth = int(case)
-    return complete_octree(depth), depth, {nn.IDENTITY, nn.DENSE}
+    return complete_octree(depth), depth, {nn.MERGED}
 
 
-def kernel_map_of(o, level, kinds):
-    kmap = table_kernel_map(nbr_table(o, level))
-    assert {kind for kind, _, _ in kmap.taps} == kinds
-    return kmap
+def block_map_of(o, level, kinds=None):
+    """The BlockMap of an Octree's `level`, built as a network builds it."""
+    bmap = OctreeBatch([o]).block_map(level)
+    assert kinds is None or bmap.kinds == kinds
+    return bmap
 
 
 @pytest.mark.parametrize("case", ["2", "3", "leaf", "scan"])
@@ -90,8 +98,8 @@ def test_conv_matches_dense(case, rng):
     lv = o.levels[level]
     feats = rng.normal(size=(lv.num_nodes, cin)).astype(np.float32)
     w = rng.normal(size=(cout, 27 * cin)).astype(np.float32)
-    kmap = kernel_map_of(o, level, kinds)
-    y = nn.octree_conv(FeatureMap(feats, level=level), kmap, FeatureMap(w))
+    bmap = block_map_of(o, level, kinds)
+    y = nn.octree_conv(FeatureMap(feats, level=level), bmap, FeatureMap(w))
     # empty rows read as zeros inside the stencil; compare at stored cells
     grid = to_grid(o, level, feats * lv.status[:, None])
     want = from_grid(o, level, dense_conv3(grid, w, cin, cout))
@@ -131,8 +139,8 @@ def test_identity_kernel_preserves_input(rng):
     feats = rng.normal(size=(o.levels[3].num_nodes, c)).astype(np.float32)
     w = np.zeros((c, 27 * c), dtype=np.float32)
     w[:, 13 * c : 14 * c] = np.eye(c)  # center of the dz/dy/dx stencil
-    kmap = table_kernel_map(nbr_table(o, 3))
-    y = nn.octree_conv(FeatureMap(feats, level=3), kmap, FeatureMap(w))
+    bmap = block_map_of(o, 3)
+    y = nn.octree_conv(FeatureMap(feats, level=3), bmap, FeatureMap(w))
     assert np.array_equal(y.values, feats)
 
 
@@ -142,8 +150,8 @@ def test_empty_neighbors_read_as_zero(rng):
     # only one nonempty node; its 26 real neighbors are empty siblings or absent
     feats = rng.normal(size=(o.levels[2].num_nodes, c)).astype(np.float32)
     w = rng.normal(size=(c, 27 * c)).astype(np.float32)
-    kmap = table_kernel_map(nbr_table(o, 2))
-    y = nn.octree_conv(FeatureMap(feats, level=2), kmap, FeatureMap(w))
+    bmap = block_map_of(o, 2)
+    y = nn.octree_conv(FeatureMap(feats, level=2), bmap, FeatureMap(w))
     row = int(np.flatnonzero(o.levels[2].keys == 0)[0])
     want = w[:, 13 * c : 14 * c] @ feats[row]
     assert np.allclose(y.values[row], want, atol=1e-5)
@@ -186,10 +194,10 @@ def test_grad_conv_ops(seed):
     xv = rng.normal(size=(m, cin))
     wv = rng.normal(size=(cout, 27 * cin))
     x, w = ad.parameter(xv), ad.parameter(wv)
-    kmap = table_kernel_map(nbr_table(o, 2))
+    bmap = block_map_of(o, 2)
 
     def run():
-        y = nn.octree_conv(x, kmap, w)
+        y = nn.octree_conv(x, bmap, w)
         return ad.sum_all(ad.mul(y, y))
 
     with ad.Tape():
@@ -264,15 +272,15 @@ def assert_close_f32(got, want):
     ids=["3", "2", "3-full", "3-leaf"],
 )
 def test_kernel_map_conv_grads_match_add_at(kernel, case, rng):
-    """Conv over a status-filtered stencil, with each tap kind among the
+    """Conv over a status-filtered stencil, with each group kind among the
     cases, and downsample over a child table, against the im2col form whose
     input gradient is scattered by np.add.at."""
     cin, cout = 5, 7
     if kernel == 3:
         o, level, kinds = conv_case(case)
         table = nbr_table(o, level)
-        kmap = kernel_map_of(o, level, kinds)
-        conv = lambda x, w: nn.octree_conv(x, kmap, w)
+        bmap = block_map_of(o, level, kinds)
+        conv = lambda x, w: nn.octree_conv(x, bmap, w)
         rows = o.levels[level].num_nodes
     else:
         o = scan_octree()
@@ -295,51 +303,82 @@ def test_kernel_map_conv_grads_match_add_at(kernel, case, rng):
     assert_close_f32(gw, g.T @ cols)
 
 
-def per_tap_conv(xv, table, wv, g):
-    """The per-tap formula of a kernel-map conv over a neighbor table, with
-    its input and weight gradients for the output gradient g: each tap adds
-    its gathered rows' product into out[a] in tap order."""
-    taps = table.shape[1]
-    w = wv.reshape(wv.shape[0], taps, -1)
-    out = np.zeros((len(table), w.shape[0]), dtype=xv.dtype)
-    gx, gw = np.zeros_like(xv), np.empty_like(w)
-    for t, col in enumerate(table.T):
-        a = np.flatnonzero(col >= 0)
-        b = col[a]
-        out[a] += np.take(xv, b, axis=0) @ w[:, t].T
-        go = np.take(g, a, axis=0)
-        gw[:, t] = go.T @ np.take(xv, b, axis=0)
-        gx[b] += go @ w[:, t]
-    return out, gx, gw.reshape(wv.shape)
+def oracle_case(case):
+    """A BlockMap, its level's (rows, 27) neighbor table by key search, and
+    the group kinds the map runs: the cases of conv_case, a two-sample scan
+    batch, and a decoder level grown along a random expand mask, whose
+    stencil reads every row."""
+    if case == "batch":
+        batch = scan_batch()
+        lv = batch.levels[4]
+        return batch.block_map(4), neighbor_table(lv.keys, lv.status, 4), {nn.MERGED, nn.SPLIT}
+    if case == "decoder":
+        ds = DecoderState(scan_batch(), 2)
+        ds.subdivide(2, np.random.default_rng(3).random(ds.rows(2)) < 0.4)
+        keys = ds.keys[3]
+        return ds.block_map(3), neighbor_table(keys, np.ones(len(keys), np.uint8), 3), {nn.MERGED}
+    o, level, kinds = conv_case(case)
+    return block_map_of(o, level), nbr_table(o, level), kinds
 
 
-@pytest.mark.parametrize("cin, cout", [(4, 16), (16, 16), (32, 8)])
-@pytest.mark.parametrize("case", ["leaf", "shell"])
-def test_all_sparse_conv_is_bit_identical_to_per_tap_formula(case, cin, cout, rng):
-    """On a map whose taps are all sparse, the one sparse-matrix scatter of
-    the pair products gives the output and the input gradient of the
-    per-tap formula bit for bit: each output row gets at most one pair per
-    tap, added in tap order. The weight gradient sums its pairs in their
-    derived order, so it is only close. The pairs are derived from the
-    roots down, as a network's are."""
-    if case == "leaf":
-        o, level = octree_from_codes(np.array([100], dtype=np.uint64), 3), 3
-    else:
-        shell = dt.make_shape("sphere", density=1500, seed=2)
-        o, level = build_octree(shell, 7), 7
-    batch = OctreeBatch([o])
-    kmap = batch.kernel_map(level)
-    assert {kind for kind, _, _ in kmap.taps} == {nn.SPARSE}
-    table = nbr_table(o, level)
+@pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "untracked"])
+@pytest.mark.parametrize("case", ["3", "leaf", "scan", "batch", "decoder"])
+def test_block_map_conv_matches_per_pair_oracle(case, tracked, rng):
+    """Output, input gradient and weight gradient of the block-map conv
+    against the per-pair np.add.at oracle over the level's searched
+    stencil, float32 at 1e-5 relative; an untracked input gets no
+    gradient and the same weight gradient."""
+    bmap, table, kinds = oracle_case(case)
+    assert bmap.kinds == kinds
+    cin, cout = 6, 5
     xv = rng.normal(size=(len(table), cin)).astype(np.float32)
     wv = rng.normal(size=(cout, 27 * cin)).astype(np.float32)
     g = rng.normal(size=(len(table), cout)).astype(np.float32)
-    want_out, want_gx, want_gw = per_tap_conv(xv, table, wv, g)
-    conv = lambda x, w: nn.octree_conv(x, kmap, w)
-    assert np.array_equal(conv(FeatureMap(xv), FeatureMap(wv)).values, want_out)
-    gx, gw = taped_grads(conv, ad.parameter(xv.copy()), ad.parameter(wv.copy()), g)
-    assert np.array_equal(gx, want_gx)
+    want_out, want_gx, want_gw = conv_oracle(xv, wv, table, g)
+    conv = lambda x, w: nn.octree_conv(x, bmap, w)
+    assert_close_f32(conv(FeatureMap(xv), FeatureMap(wv)).values, want_out)
+    x = ad.parameter(xv.copy()) if tracked else ad.constant(xv.copy())
+    gx, gw = taped_grads(conv, x, ad.parameter(wv.copy()), g)
+    if tracked:
+        assert_close_f32(gx, want_gx)
+    else:
+        assert gx is None
     assert_close_f32(gw, want_gw)
+
+
+def test_block_layout_covers_each_slot_and_tap_once():
+    """The 27 parent taps' k x k blocks hold each (slot, tap) of the child
+    stencil exactly once, with k = 8, 4, 2, 1 by how many axes of the
+    parent tap are the centre's."""
+    seen = set()
+    for T in range(27):
+        k = len(nn._BLOCK_SLOTS[T])
+        assert k == 2 ** sum((T // 3**a) % 3 == 1 for a in range(3))
+        taps = nn._BLOCK_TAPS[nn._BLOCK_START[T] : nn._BLOCK_START[T + 1]].reshape(k, k)
+        for ci, c in enumerate(nn._BLOCK_KIDS[T]):
+            for si, s in enumerate(nn._BLOCK_SLOTS[T]):
+                t = taps[ci, si]
+                assert t >= 0
+                assert _PARENT_TAP[s, t] == T and _CHILD_SLOT[s, t] == c
+                seen.add((s, t))
+    assert len(seen) == len(nn._BLOCK_TAPS) == 8 * 27
+    assert np.array_equal(nn._TAP_INCIDENCE.sum(axis=1), np.full(27, 8))
+
+
+def test_block_map_rejects_mismatched_rows(rng):
+    """A child status of another length, pairs whose rows own no children
+    and an input of another row count are each a DomainError."""
+    o = scan_octree()
+    batch = OctreeBatch([o])
+    with pytest.raises(DomainError):
+        nn.BlockMap(batch.levels[3], batch.pairs(3), batch.levels[4].status[:-8])
+    # pairs of the finest level, whose rows own no children
+    with pytest.raises(DomainError, match="owns no children"):
+        nn.BlockMap(batch.levels[4], batch.pairs(4))
+    bmap = batch.block_map(4)
+    w = FeatureMap(rng.normal(size=(2, 27 * 3)))
+    with pytest.raises(DomainError, match="row mismatch"):
+        nn.octree_conv(FeatureMap(rng.normal(size=(bmap.rows - 8, 3))), bmap, w)
 
 
 @pytest.mark.parametrize("op", ["conv", "downsample"])
@@ -347,13 +386,12 @@ def test_untracked_input_gets_no_gradient(op, rng, monkeypatch):
     """A conv or downsample of a constant input, as the network's input
     signal is, computes no input gradient, and its weight gradient is the
     tracked path's bit for bit."""
-    o = scan_octree()
+    o, level = (scan_octree(depth=5), 5) if op == "conv" else (scan_octree(), 4)
     cin, cout = 4, 8
-    xv = rng.normal(size=(o.levels[4].num_nodes, cin)).astype(np.float32)
+    xv = rng.normal(size=(o.levels[level].num_nodes, cin)).astype(np.float32)
     if op == "conv":
-        kmap = table_kernel_map(nbr_table(o, 4))
-        assert {kind for kind, _, _ in kmap.taps} == {nn.DENSE, nn.SPARSE}
-        fn = lambda x, w: nn.octree_conv(x, kmap, w)
+        bmap = block_map_of(o, level, {nn.MERGED, nn.SPLIT})
+        fn = lambda x, w: nn.octree_conv(x, bmap, w)
         wv = rng.normal(size=(cout, 27 * cin)).astype(np.float32)
         g = rng.normal(size=(len(xv), cout)).astype(np.float32)
     else:
@@ -375,21 +413,6 @@ def test_untracked_input_gets_no_gradient(op, rng, monkeypatch):
     assert np.array_equal(gw, tracked_gw)
     # the op's own backward (recorded first) hands the input no array
     assert backs[0](g)[0] is None
-
-
-def test_kernel_map_identity_needs_arange(rng):
-    """A full column is an identity tap only when it is arange(rows): a full
-    permutation stays dense. The three kinds together match im2col."""
-    rows, cin, cout = 40, 3, 4
-    sparse = np.full(rows, -1)
-    sparse[:5] = np.arange(7, 12)  # 5 of 40 rows valid
-    table = np.stack([np.arange(rows), rng.permutation(rows), sparse], axis=1)
-    kmap = table_kernel_map(table)
-    assert [kind for kind, _, _ in kmap.taps] == [nn.IDENTITY, nn.DENSE, nn.SPARSE]
-    xv = rng.normal(size=(rows, cin)).astype(np.float32)
-    wv = rng.normal(size=(cout, 3 * cin)).astype(np.float32)
-    y = nn.octree_conv(FeatureMap(xv), kmap, FeatureMap(wv))
-    assert_close_f32(y.values, kernels.gather_concat(xv, table) @ wv.T)
 
 
 def test_max_pool_grad_matches_add_at(rng):
@@ -526,11 +549,11 @@ def test_ops_reject_weight_of_other_input_channels(rng):
     o = complete_octree(2)
     c = 3
     x = FeatureMap(rng.normal(size=(o.levels[2].num_nodes, c)), level=2)
-    kmap = table_kernel_map(nbr_table(o, 2))
+    bmap = block_map_of(o, 2)
     st = o.levels[1].status, o.levels[2].status
     weight = lambda rows, cols: FeatureMap(rng.normal(size=(rows, cols)))
     ops = (
-        lambda cin: nn.octree_conv(x, kmap, weight(2, 27 * cin)),
+        lambda cin: nn.octree_conv(x, bmap, weight(2, 27 * cin)),
         lambda cin: nn.downsample(x, *st, weight(2, 8 * cin)),
         lambda cin: nn.upsample(x, np.arange(8), weight(8 * 2, cin)),
     )

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octcomplete import data as dt
-from octcomplete import nn
 from octcomplete.errors import DomainError
 from octcomplete.network import OctreeBatch
 from octcomplete.octree import (
@@ -39,7 +38,6 @@ from conftest import (
     child_table,
     nbr_table,
     root_table,
-    table_pairs,
 )
 
 
@@ -302,10 +300,11 @@ def test_neighbor_table_on_batch_keys(rng):
 
 @pytest.mark.parametrize("depth", [3, 4, 5, 6])
 def test_batch_tables_derived_from_parent_match_search(depth):
-    """Each level's tap pairs follow from its parent level's by the
-    full-sibling rule, down from the roots' constant pairs: tap by tap the
-    pairs of the search over the merged keys at every level, for a scan, a
-    single nonempty leaf, a fully occupied octree and an empty one."""
+    """Each level's tap pairs between nonempty rows follow from its parent
+    level's by the full-sibling rule, down from the roots' constant pairs:
+    tap by tap the pairs of the search over the merged keys, restricted to
+    nonempty output rows, at every level, for a scan, a single nonempty
+    leaf, a fully occupied octree and an empty one."""
     shape = dt.make_shape("box", density=2500, seed=depth)
     scan = dt.virtual_scan(shape, dt.ScanConfig(num_views=2, seed=depth))
     batch = OctreeBatch([
@@ -319,6 +318,7 @@ def test_batch_tables_derived_from_parent_match_search(depth):
         lv = batch.levels[l]
         pairs = batch.pairs(l)
         tab = neighbor_table(lv.keys, lv.status, l)
+        tab[lv.status != 1] = -1
         assert_pairs_match_table(pairs, tab)
         assert all(o.dtype == i.dtype == np.int32 for o, i in pairs)
         if l >= 2:
@@ -327,11 +327,11 @@ def test_batch_tables_derived_from_parent_match_search(depth):
 
 @pytest.mark.parametrize("batch_kind", ["leaf", "empty", "scan+empty"])
 def test_child_pairs_match_table_derivation_and_search(batch_kind):
-    """child_pairs, from root_pairs down, holds tap by tap the pairs of the
-    table derived by the same rule over all 27 x rows entries and of the
-    search over the merged keys, on batches of one single-leaf octree, of
-    one empty octree, and of a scan next to an empty octree. No output row
-    appears twice in a tap."""
+    """child_pairs, from root_pairs down, holds tap by tap the pairs
+    between nonempty rows of the table derived by the same rule over all
+    27 x rows entries and of the search over the merged keys, on batches
+    of one single-leaf octree, of one empty octree, and of a scan next to
+    an empty octree. No output row appears twice in a tap."""
     depth = 5
     leaf = octree_from_codes(np.array([1234], dtype=np.uint64), depth)
     empty = octree_from_codes(np.zeros(0, np.uint64), depth)
@@ -346,13 +346,15 @@ def test_child_pairs_match_table_derivation_and_search(batch_kind):
             pairs = child_pairs(up, pairs, status)
             table = child_neighbor_table(up, table, status)
         lv = batch.levels[l]
-        assert_pairs_match_table(pairs, table)
-        assert_pairs_match_table(pairs, neighbor_table(lv.keys, lv.status, l))
+        empty = lv.status != 1
+        assert_pairs_match_table(pairs, np.where(empty[:, None], -1, table))
+        search = neighbor_table(lv.keys, lv.status, l)
+        assert_pairs_match_table(pairs, np.where(empty[:, None], -1, search))
         for o, _ in pairs:
             assert len(np.unique(o)) == len(o)
-    # the finest level: the leaf's block of 8 rows (itself among them) each
-    # read the leaf once; nothing reads an empty octree
-    want = {"leaf": 8, "empty": 0, "scan+empty": np.count_nonzero(table >= 0)}
+    # the finest level: the leaf reads only itself; nothing reads an empty
+    # octree
+    want = {"leaf": 1, "empty": 0, "scan+empty": np.count_nonzero(table[~empty] >= 0)}
     assert sum(len(o) for o, _ in pairs) == want[batch_kind]
 
 
@@ -408,55 +410,6 @@ def test_majority_labels_match_add_at(rng):
     want = counts.argmax(axis=1).astype(np.int32)
     want[counts.sum(axis=1) == 0] = -1
     assert np.array_equal(majority_labels(o, ps), want)
-
-
-def brute_invert(table, rows):
-    inv = np.full((rows, table.shape[1]), -1, dtype=np.int64)
-    for i in range(table.shape[0]):
-        for t in range(table.shape[1]):
-            j = table[i, t]
-            if j >= 0:
-                assert inv[j, t] == -1, "table column is not injective"
-                inv[j, t] = i
-    return inv
-
-
-def assert_transpose_matches_brute_force(table, rows):
-    """The transpose of the kernel map of an (m, taps) table into `rows`
-    targets, both sides as max(m, rows) rows: its dense columns are the
-    table's inverse and its sparse taps the swapped pairs."""
-    n = max(table.shape[0], rows)
-    kmap = nn.KernelMap(table_pairs(table), n)
-    tmap = kmap.transpose()
-    inv = np.full((n, table.shape[1]), -1, dtype=np.int64)
-    inv[:rows] = brute_invert(table, rows)
-    kinds = set()
-    for t, ((kind, a, b), (tkind, ta, tb)) in enumerate(zip(kmap.taps, tmap.taps)):
-        assert kind == tkind, f"tap {t}"
-        kinds.add(kind)
-        if kind == nn.DENSE:
-            assert np.array_equal(ta, inv[:, t]), f"tap {t}"
-        elif kind == nn.SPARSE:
-            assert np.array_equal(tmap.pair_out[ta:tb], kmap.pair_in[a:b]), f"tap {t}"
-            assert np.array_equal(tmap.pair_in[ta:tb], kmap.pair_out[a:b]), f"tap {t}"
-    return kinds
-
-
-def test_kernel_map_transpose_matches_brute_force():
-    shape = dt.make_shape("box", density=2500, seed=3)
-    scan = dt.virtual_scan(shape, dt.ScanConfig(num_views=2, seed=3))
-    o = build_octree(scan, 4)
-    kinds = set()
-    for l in range(1, 5):
-        # neighbor tables with status holes: empty siblings read as -1
-        tab = nbr_table(o, l)
-        assert np.any(tab < 0)
-        rows = o.levels[l].num_nodes
-        kinds |= assert_transpose_matches_brute_force(tab, rows)
-        # child tables: rows of level l indexed from level l - 1
-        tab = child_table(o, l - 1)
-        kinds |= assert_transpose_matches_brute_force(tab, rows)
-    assert {nn.DENSE, nn.SPARSE} <= kinds
 
 
 def test_estimate_normals_sphere():
