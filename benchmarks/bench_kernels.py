@@ -13,9 +13,9 @@ pairs, once over the depth-8 level of an octree over n // 32 points on a
 sphere with every row read, as a decoder level reads it (its map build is
 also timed alone), and once ("sparse") over the depth-8 level of an octree
 over n // 256 points, whose stencil is about 5 % valid, like the scene
-input's finest level; the downsample
-reads n // 8 child rows (3 in 10 empty) at 32 channels as blocks of 8
-under half as many parents, forward and backward; train-mode batch norm
+input's finest level; downsample and max_pool run forward and backward at
+32 channels over that sparse level's block map, as the scene input head
+calls them; train-mode batch norm
 with the fused relu runs forward and backward over a tall, narrow map of
 n // 20 rows at 4 channels and a wide one of n // 128 rows at 128
 channels; the depth-8 level of an octree over n // 32 points on a sphere
@@ -54,11 +54,18 @@ def conv_step(level, weight):
         ad.backward(ad.sum_all(y))
 
 
-def down_step(feats, status, child_status, weight):
+def down_step(feats, bmap, weight):
     x = ad.parameter(feats)
     w = ad.parameter(weight)
     with ad.Tape():
-        y = nn.downsample(x, status, child_status, w)
+        y = nn.downsample(x, bmap, w)
+        ad.backward(ad.sum_all(y))
+
+
+def pool_step(feats, bmap):
+    x = ad.parameter(feats)
+    with ad.Tape():
+        y = nn.max_pool(x, bmap)
         ad.backward(ad.sum_all(y))
 
 
@@ -88,16 +95,6 @@ def random_skip(rng, rows):
     parent_index = np.repeat(np.arange(rows // 8), 8)
     status = (rng.random(rows // 8) < 0.6).astype(np.float64)
     return align, parent_index, status
-
-
-def random_blocks(rng, children):
-    """Parent and child statuses for `children` rows (a multiple of 8): half
-    the parents own a block of 8 children, 3 in 10 children are empty."""
-    owners = children // 8
-    status = np.zeros(2 * owners, dtype=np.uint8)
-    status[rng.choice(2 * owners, size=owners, replace=False)] = 1
-    child_status = (rng.random(children) >= 0.3).astype(np.uint8)
-    return status, child_status
 
 
 def shell_octree(rng, points, depth):
@@ -138,7 +135,6 @@ def bench(n, repeats):
     idx = rng.integers(-1, feats.shape[0], size=n).astype(np.int64)
     weight = rng.standard_normal((32, 27 * 32)).astype(np.float32)
     children = feats[: 8 * (feats.shape[0] // 8)]
-    status, child_status = random_blocks(rng, len(children))
     down_weight = rng.standard_normal((32, 8 * 32)).astype(np.float32)
     enc_feats = rng.standard_normal(children.shape).astype(np.float32)
     skip_args = (children, enc_feats, *random_skip(rng, len(children)))
@@ -148,6 +144,8 @@ def bench(n, repeats):
     shells5 = network.OctreeBatch([shell_octree(rng, n // 32, depth=5) for _ in range(4)])
     sparse = network.OctreeBatch([shell_octree(rng, n // 256, depth=8)])
     full_level, sparse_level = conv_levels(shell, sparse)
+    sparse_map = nn.BlockMap(*sparse_level)
+    sparse_feats = rng.standard_normal((sparse_map.rows, 32)).astype(np.float32)
     up_pairs, up5_pairs = shell.pairs(7), shells5.pairs(4)
     bn_maps = [
         rng.normal(2.0, 3.0, size=(n // r, c)).astype(np.float32) for r, c in ((20, 4), (128, 128))
@@ -166,7 +164,8 @@ def bench(n, repeats):
             shells5.levels[4], up5_pairs, shells5.levels[5].status)),
         ("conv fwd+bwd", lambda: conv_step(full_level, weight)),
         ("conv fwd+bwd sparse", lambda: conv_step(sparse_level, weight)),
-        ("downsample fwd+bwd", lambda: down_step(children, status, child_status, down_weight)),
+        ("downsample fwd+bwd", lambda: down_step(sparse_feats, sparse_map, down_weight)),
+        ("max_pool fwd+bwd", lambda: pool_step(sparse_feats, sparse_map)),
         ("batch_norm fwd+bwd", lambda: bn_step(bn_maps[0], bn_params[0])),
         ("batch_norm fwd+bwd wide", lambda: bn_step(bn_maps[1], bn_params[1])),
         ("sample_points", lambda: network.sample_points(shape, samples_per_node=4)),

@@ -18,6 +18,7 @@ from .octree import build_octree
 from .train import (
     TrainConfig,
     Trainer,
+    check_config_keys,
     net_from_checkpoint,
     prepare_sample,
     spec_config_values,
@@ -124,6 +125,7 @@ def _load_pairs(manifest_path):
 
 def cmd_train(args):
     values = fileio.read_config(args.config)
+    check_config_keys(values)
     spec = spec_from_config_values(values)
     tcfg = TrainConfig.from_dict(values, prefix="train.")
     pairs = _load_pairs(args.data)

@@ -78,22 +78,46 @@ class NetworkSpec:
         return c
 
 
-class OctreeBatch:
+class LevelStack:
+    """Levels in the full-sibling layout, from the roots down.
+
+    The k-th nonempty row of ``levels[l]`` owns rows 8k..8k+7 of level
+    l + 1. A level's tap pairs between its nonempty rows follow from its
+    parent level's (octree.child_pairs), down from the roots' constant ones
+    (octree.root_pairs), each derived once. A level is read through the
+    nn.BlockMap of its parent level's pairs, so the finest level's pairs are
+    never derived.
+    """
+
+    def pairs(self, level):
+        """The 27 tap pairs of `level` between its nonempty rows."""
+        if level not in self._pairs:
+            status = self.levels[level].status
+            if level == 0:
+                self._pairs[0] = root_pairs(status)
+            else:
+                up = self.levels[level - 1]
+                self._pairs[level] = child_pairs(up, self.pairs(level - 1), status)
+        return self._pairs[level]
+
+    def block_map(self, level):
+        """A new nn.BlockMap of `level` (> 0), read through the pairs of its
+        parent level, at the rows flagged nonempty if ``reads_status``; the
+        caller keeps it for as long as the level runs."""
+        status = self.levels[level].status if self.reads_status else None
+        return nn.BlockMap(self.levels[level - 1], self.pairs(level - 1), status)
+
+
+class OctreeBatch(LevelStack):
     """A batch of equal-depth octrees, stored level by level as one octree.
 
     Sample b's keys at level l carry b above the 3 * l Morton bits, as
     ``key | b << 3*l``, so each level is one sorted key array over the whole
     batch with rows in batch order, and ``>> 3`` and ``<< 3`` move the id
     along with the key. ``levels`` is shaped like ``Octree.levels``.
-
-    The merged levels keep the full-sibling layout (the k-th nonempty row of
-    a level owns rows 8k..8k+7 of the next): moving between levels needs no
-    table, and a level's tap pairs between nonempty rows
-    (octree.child_pairs) follow from its parent level's, down from the
-    roots' constant ones (octree.root_pairs). A level's convolutions share
-    its ``block_map``, read through its parent level's pairs, so the finest
-    level's pairs are never derived.
     """
+
+    reads_status = True
 
     def __init__(self, octrees: List[Octree]):
         if not octrees:
@@ -109,7 +133,6 @@ class OctreeBatch:
             status = np.concatenate([lv.status for lv in lvs])
             self.levels.append(make_level(np.concatenate(keys), status, l < self.depth))
         self._pairs = {}
-        self._maps = {}
 
     @property
     def size(self):
@@ -122,37 +145,21 @@ class OctreeBatch:
         sig = np.vstack([o.signal for o in self.octrees])
         return FeatureMap(sig, level=self.depth)
 
-    def pairs(self, level):
-        """The 27 tap pairs of `level` between its nonempty rows."""
-        if level not in self._pairs:
-            status = self.levels[level].status
-            if level == 0:
-                self._pairs[0] = root_pairs(status)
-            else:
-                up = self.levels[level - 1]
-                self._pairs[level] = child_pairs(up, self.pairs(level - 1), status)
-        return self._pairs[level]
 
-    def block_map(self, level):
-        """The nn.BlockMap of `level` (> 0), built on first use."""
-        if level not in self._maps:
-            up = self.levels[level - 1]
-            self._maps[level] = nn.BlockMap(up, self.pairs(level - 1), self.levels[level].status)
-        return self._maps[level]
-
-
-class DecoderState:
+class DecoderState(LevelStack):
     """Dynamically grown output structure for a batch of samples.
 
     ``keys[level]`` is one sorted key array for the whole batch, with the
     sample id above the Morton bits as in OctreeBatch. Growth starts at the
-    batch's roots. `subdivide` derives the tap ``pairs`` between the rows
-    it expands from the parent level's, and the finer level's ``enc_rows``
-    and ``gt_rows``, the rows aligned in `enc_batch` and `gt_batch` (-1
-    where absent or empty), from the parent level's; up to `coarsest` every
-    node is expanded, so that level is every sample's full grid. No key is
-    searched, and a level's pairs exist only once it is subdivided.
+    batch's roots. `subdivide` appends the level it expands to ``levels``
+    with the expand mask as its status, so the level's pairs join the rows
+    it expands, and derives the finer level's ``enc_rows`` and ``gt_rows``,
+    the rows aligned in `enc_batch` and `gt_batch` (-1 where absent or
+    empty), from the parent level's. Up to `coarsest` every node is
+    expanded, so that level is every sample's full grid. No key is searched.
     """
+
+    reads_status = False  # statuses are not known yet when a level's convolutions run
 
     def __init__(self, enc_batch, coarsest, gt_batch=None):
         self.coarsest = coarsest
@@ -160,43 +167,26 @@ class DecoderState:
         self.gt_batch = gt_batch
         roots = np.arange(enc_batch.size)
         self.keys = {0: roots.astype(np.uint64)}
-        # decoder stencils treat every stored row as valid (statuses are not
-        # known yet when the level's convolutions run), so a level's pairs
-        # join the rows it expands
-        self.pairs = {}
-        self.grown = {}  # level -> the level with its expanded rows owning level + 1
+        self.levels = []
+        self._pairs = {}
         self.enc_rows = {0: np.where(enc_batch.levels[0].status == 1, roots, -1)}
         self.gt_rows = {}
         if gt_batch is not None:
             self.gt_rows[0] = np.where(gt_batch.levels[0].status == 1, roots, -1)
-        self.parent_sel = {}   # level -> selected parent rows at level-1
-        self.parent_idx = {}   # level -> parent row per row at level
         for l in range(coarsest):
             self.subdivide(l, np.ones(self.rows(l), np.uint8))
 
     def rows(self, level):
         return len(self.keys[level])
 
-    def block_map(self, level):
-        """The nn.BlockMap of `level` (> 0), read through the pairs of the
-        parent level's expanded rows; every row is read."""
-        return nn.BlockMap(self.grown[level - 1], self.pairs[level - 1])
-
     def subdivide(self, level, expand_mask):
-        """Grow level+1 from the rows of `level` flagged in expand_mask."""
+        """Grow level+1 from the rows flagged in expand_mask of `level`, the finest so far."""
         keys = self.keys[level]
         expand = (np.asarray(expand_mask) != 0).astype(np.uint8)
-        rows = np.flatnonzero(expand)
-        parent_idx = np.repeat(rows, 8)
-        slots = np.tile(np.arange(8), len(rows))
+        self.levels.append(make_level(keys, expand, True))  # the expanded rows own the new blocks
+        parent_idx = np.repeat(np.flatnonzero(expand), 8)
+        slots = np.tile(np.arange(8), len(parent_idx) // 8)
         self.keys[level + 1] = (keys[parent_idx] << np.uint64(3)) | slots.astype(np.uint64)
-        self.parent_sel[level + 1] = rows
-        self.parent_idx[level + 1] = parent_idx
-        if level == 0:
-            self.pairs[0] = root_pairs(expand)
-        else:
-            self.pairs[level] = child_pairs(self.grown[level - 1], self.pairs[level - 1], expand)
-        self.grown[level] = make_level(keys, expand, True)  # the expanded rows own the new blocks
         for aligned, batch in ((self.enc_rows, self.enc_batch), (self.gt_rows, self.gt_batch)):
             if batch is not None:
                 lv, nxt = batch.levels[level : level + 2]
@@ -312,13 +302,13 @@ class CompletionNet:
         if batch.depth != 8:
             raise DomainError("scene input head expects depth-8 octrees")
         hl = self.head_layers
-        x = batch.signal_fm()
-        x = hl["conv8"].forward(x, batch.block_map(8), train)
-        st = [lv.status for lv in batch.levels]
-        x = nn.max_pool(x, st[7], st[8])
-        x = hl["conv7"].forward(x, batch.block_map(7), train)
-        x = hl["rb7"].forward(x, batch.block_map(7), train)
-        return hl["down7"].forward(x, (st[6], st[7]), train)
+        bmap = batch.block_map(8)
+        x = hl["conv8"].forward(batch.signal_fm(), bmap, train)
+        x = nn.max_pool(x, bmap)
+        bmap = batch.block_map(7)
+        x = hl["conv7"].forward(x, bmap, train)
+        x = hl["rb7"].forward(x, bmap, train)
+        return hl["down7"].forward(x, bmap, train)
 
     def encode(self, batch: OctreeBatch, train=False):
         """Bottom-up pass; returns the latent code and per-level skip features."""
@@ -327,18 +317,15 @@ class CompletionNet:
             raise DomainError(
                 f"octree depth {batch.depth} != spec input depth {spec.input_depth}"
             )
-        if spec.scene_head:
-            x = self.scene_input_head(batch, train)
-        else:
-            x = batch.signal_fm()
-            if self.lift is not None:
-                x = self.lift.forward(x, batch.block_map(spec.core_depth), train)
+        x = self.scene_input_head(batch, train) if spec.scene_head else batch.signal_fm()
         feats = {}
-        st = [lv.status for lv in batch.levels]
         for l in range(spec.core_depth, spec.coarsest, -1):
-            x = self.enc_rb[l].forward(x, batch.block_map(l), train)
+            bmap = batch.block_map(l)
+            if l == spec.core_depth and self.lift is not None:
+                x = self.lift.forward(x, bmap, train)
+            x = self.enc_rb[l].forward(x, bmap, train)
             feats[l] = x
-            x = self.enc_down[l].forward(x, (st[l - 1], st[l]), train)
+            x = self.enc_down[l].forward(x, bmap, train)
         return x, feats
 
     # -- decoder -----------------------------------------------------------
@@ -387,19 +374,22 @@ class CompletionNet:
             if expand.sum() == 0:
                 return res  # nothing predicted nonempty; empty shape
             ds.subdivide(l - 1, expand)
-            x = self.dec_up[l].forward(x, ds.parent_sel[l], train)
+            bmap = ds.block_map(l)
+            x = self.dec_up[l].forward(x, bmap, train)
 
             if spec.skip_mode != "off":
                 if spec.skip_mode == "full" or l == co + 1:
                     mask_vals = np.ones(ds.rows(l - 1), dtype=np.float64)
                 else:
                     mask_vals = res.pred_status[l - 1]
+                parent_index = np.repeat(bmap.owner_rows, 8)
                 x = guided_skip_add(
-                    x, enc_feats[l], ds.enc_rows[l], ds.parent_idx[l], StatusMask(mask_vals)
+                    x, enc_feats[l], ds.enc_rows[l], parent_index, StatusMask(mask_vals)
                 )
                 res.skip_levels.append(l)
 
-            x = self.dec_rb[l].forward(x, ds.block_map(l), train)
+            x = self.dec_rb[l].forward(x, bmap, train)
+            del bmap  # a level's map lives only while the level runs
             res.logits[l] = self.pred[l].forward(x)
             # sigmoid(z) >= 0.5 exactly where z >= 0
             res.pred_status[l] = (res.logits[l].values.reshape(-1) >= 0).astype(np.float64)

@@ -1,9 +1,9 @@
 """Octree-restricted neural operators.
 
-All operators act on node-major FeatureMaps. Convolution reads the
-BlockMap of its level, built once from the parent level's 27 tap pairs as
-full-sibling blocks of 8 rows; the ops that change level read that layout
-directly.
+All operators act on node-major FeatureMaps. The finer level's BlockMap,
+built once per level from the parent level's 27 tap pairs as full-sibling
+blocks of 8 rows, is the one description of a level and its parent: every
+op on a level or between it and its parent takes it.
 Each op takes its weight FeatureMap and checks the input channels against
 the weight's shape. Empty sibling slots are stored rows: they read as zeros
 inside convolution stencils but participate in batch-norm statistics.
@@ -115,15 +115,17 @@ MERGED, SPLIT = "merged", "split"
 
 
 class BlockMap:
-    """How octree_conv reads one level as full-sibling blocks of 8 rows.
+    """One level read as full-sibling blocks of 8 rows under its parent level.
 
-    The k-th row of the parent level that owns children owns rows 8k..8k+7
-    of this one. Built once per level from the parent level's 27 tap pairs
-    between owner rows (octree.child_pairs) and shared by the level's
-    convolutions, forward and backward. Each pair (o, i) of parent tap T
-    feeds one dense k x k block (_block_layout): the k slots of o's block
-    that read T, from the k children of i's block, so a parent tap runs as
-    one gemm with a (k*cin, k*cout) matrix of its entries' tap weights:
+    The k-th owner among the parent level's ``parent_rows`` rows, row
+    ``owner_rows[k]``, owns rows 8k..8k+7 of this one. Built once per level
+    from the parent level's 27 tap pairs between owner rows
+    (octree.child_pairs) and shared by the level's convolutions, forward
+    and backward, and by the ops between it and its parent. Each pair
+    (o, i) of parent tap T feeds one dense k x k block (_block_layout): the
+    k slots of o's block that read T, from the k children of i's block, so
+    a parent tap runs as one gemm with a (k*cin, k*cout) matrix of its
+    entries' tap weights:
     - the centre (every owner paired with itself) views the whole level as
       (owners, 8*cin) rows: a reshape, no gather and no scatter;
     - another tap is one MERGED group: a gather of its in blocks' children
@@ -142,7 +144,9 @@ class BlockMap:
 
     def __init__(self, level, pairs, child_status=None):
         rank = (level.child_start // 8).astype(np.int32)
-        self.owners = int(np.count_nonzero(level.child_start >= 0))
+        self.owner_rows = np.flatnonzero(level.child_start >= 0)
+        self.parent_rows = len(level.child_start)
+        self.owners = len(self.owner_rows)
         self.rows = 8 * self.owners
         self.empty = None
         if child_status is not None:
@@ -291,7 +295,8 @@ def octree_conv(x, bmap, weight):
 
     Absent or empty neighbors contribute zero rows; the output keeps the
     row count of the input. `bmap` is the level's BlockMap, built once per
-    level by OctreeBatch.block_map or DecoderState.block_map; `weight` is
+    level from its parent level's tap pairs (network.LevelStack.block_map)
+    and shared with the ops between the level and its parent; `weight` is
     (out, 27 * in), one (out, in) block W_t per tap t.
 
     Forward and backward run the map's groups (BlockMap.conv, .grads): one
@@ -315,65 +320,55 @@ def octree_conv(x, bmap, weight):
     return ad.custom_op(out, [x, weight], back, level=x.level)
 
 
-def _child_blocks(status, child_status, rows):
-    """Owner rows and empty-child mask of a level's full-sibling blocks.
+def downsample(x, bmap, weight):
+    """conv(c, 2, 2): strided conv over each node's 8 children -> parent rows.
 
-    The k-th nonempty row of `status` (the coarser level) owns rows
-    8k..8k+7 of the finer level, whose per-row status is `child_status`.
-    """
-    owners = np.flatnonzero(status == 1)
-    if 8 * len(owners) != rows or len(child_status) != rows:
-        raise DomainError(f"{len(owners)} nonempty parents cannot own {rows} child rows")
-    return owners, child_status == 0
-
-
-def downsample(x, status, child_status, weight):
-    """conv(c, 2, 2): strided conv over each node's 8 children -> level-1 rows.
-
-    `status` is the per-row status of the coarser level, `child_status`
-    that of x's level. One gemm of the (parents, 8*c) block view with the
-    (out, 8*c) weight; empty children read as zeros, childless parents get
-    zero rows. The input gradient is skipped when x takes none.
+    `bmap` is the BlockMap of x's level. One gemm of the (owners, 8*c)
+    block view with the (out, 8*c) weight; empty children read as zeros,
+    parent rows that own no children get zero rows. The input gradient is
+    skipped when x takes none.
     """
     if weight.values.shape[1] != 8 * x.channels:
         raise DomainError("downsample channel mismatch")
-    if x.level is not None and x.level < 1:
-        raise DomainError("cannot downsample the root level")
-    owners, empty = _child_blocks(status, child_status, x.rows)
-    c = x.channels
+    if bmap.rows != x.rows:
+        raise DomainError("block map row mismatch")
+    rows, shape = bmap.owner_rows, (bmap.owners, 8 * x.channels)
     w = weight.values
-    blocks = np.where(empty[:, None], 0, x.values).reshape(len(owners), 8 * c)
-    out = np.zeros((len(status), w.shape[0]), dtype=np.result_type(x.values, w))
-    out[owners] = blocks @ w.T
+    out = np.zeros((bmap.parent_rows, w.shape[0]), dtype=np.result_type(x.values, w))
+    out[rows] = bmap.read(x.values).reshape(shape) @ w.T
 
     def back(g):
-        go = g[owners]
+        go = g[rows]
         gx = None
         if ad.tracked(x):
-            gx = (go @ w).reshape(x.rows, c)
-            gx[empty] = 0
+            gx = (go @ w).reshape(x.values.shape)
+            if bmap.empty is not None:
+                gx[bmap.empty] = 0
         # the block view again: the closure keeps no masked copy of x
-        return gx, go.T @ np.where(empty[:, None], 0, x.values).reshape(len(owners), 8 * c)
+        return gx, go.T @ bmap.read(x.values).reshape(shape)
 
     out_level = None if x.level is None else x.level - 1
     return ad.custom_op(out, [x, weight], back, level=out_level)
 
 
-def upsample(x, rows, weight):
+def upsample(x, bmap, weight):
     """Deconvolution with kernel 2, stride 2.
 
-    Projects each selected parent row to its 8 child slots; weight layout is
-    (8*out, in), child slot t using the t-th block of rows. `rows` must be
-    distinct: backward assigns the input gradient rows.
+    `bmap` is the BlockMap of the output level and x is on its parent
+    level: each owner row of x projects to its 8 child rows. The weight
+    layout is (8*out, in), child slot t using the t-th block of rows.
     """
     if weight.values.shape[1] != x.channels:
         raise DomainError("upsample channel mismatch")
-    rows = np.asarray(rows, dtype=np.int64)
+    if x.rows != bmap.parent_rows:
+        raise DomainError(f"{x.rows} rows cannot be the parent level of {bmap.parent_rows}")
+    rows = bmap.owner_rows
     w = weight.values
     sel = x.values[rows]
     out = (sel @ w.T).reshape(8 * len(rows), -1)
 
     def back(g):
+        # owner rows are distinct: the input gradient rows are assigned
         gb = g.reshape(len(rows), w.shape[0])
         gx = np.zeros_like(x.values)
         gx[rows] = gb @ w
@@ -383,24 +378,24 @@ def upsample(x, rows, weight):
     return ad.custom_op(out, [x, weight], back, level=out_level)
 
 
-def max_pool(x, status, child_status):
+def max_pool(x, bmap):
     """Per-channel max over each node's 8 children.
 
-    The arguments are as for downsample. Children flagged empty count as
-    -inf; nodes whose children are all empty (or that have none) produce
-    zero rows. The gradient routes to the argmax child only.
+    `bmap` is the BlockMap of x's level. Children flagged empty count as
+    -inf; parent rows whose children are all empty (or that own none)
+    produce zero rows. The gradient routes to the argmax child only.
     """
-    if x.level is not None and x.level < 1:
-        raise DomainError("cannot pool the root level")
-    owners, empty = _child_blocks(status, child_status, x.rows)
-    c = x.channels
-    vals = np.where(empty[:, None], -np.inf, x.values).reshape(len(owners), 8, c)
+    if bmap.rows != x.rows:
+        raise DomainError("block map row mismatch")
+    owners, c = bmap.owners, x.channels
+    empty = np.zeros(x.rows, dtype=bool) if bmap.empty is None else bmap.empty
+    vals = np.where(empty[:, None], -np.inf, x.values).reshape(owners, 8, c)
     arg = vals.argmax(axis=1)  # (owners, c)
     best = np.take_along_axis(vals, arg[:, None, :], axis=1)[:, 0, :]
-    dead = empty.reshape(len(owners), 8).all(axis=1)[:, None]
-    out = np.zeros((len(status), c), dtype=x.values.dtype)
-    out[owners] = np.where(dead, 0.0, best)
-    src = 8 * np.arange(len(owners))[:, None] + arg  # (owners, c) argmax child rows
+    dead = empty.reshape(owners, 8).all(axis=1)[:, None]
+    out = np.zeros((bmap.parent_rows, c), dtype=x.values.dtype)
+    out[bmap.owner_rows] = np.where(dead, 0.0, best)
+    src = 8 * np.arange(owners)[:, None] + arg  # (owners, c) argmax child rows
 
     def back(g):
         # each child row has one parent and each (parent, channel) one argmax,
@@ -408,7 +403,7 @@ def max_pool(x, status, child_status):
         ga = np.zeros_like(x.values)
         valid = ~empty[src]
         cols = np.broadcast_to(np.arange(c), src.shape)
-        ga[src[valid], cols[valid]] = g[owners][valid]
+        ga[src[valid], cols[valid]] = g[bmap.owner_rows][valid]
         return (ga,)
 
     return ad.custom_op(out, [x], back, level=None if x.level is None else x.level - 1)
@@ -502,14 +497,10 @@ class ConvBnRelu:
         self.w = params.create(f"{prefix}.w", he_init(rng, out_c, in_c * taps))
         self.bn = make_bn(params, f"{prefix}.bn", out_c)
 
-    def forward(self, x, table, train):
-        """`table` is the level's BlockMap for kernel 3 and the (status,
-        child status) pair of downsample for kernel 2."""
-        if self.kernel == 2:
-            y = downsample(x, *table, self.w)
-        else:
-            y = octree_conv(x, table, self.w)
-        return batch_norm(y, self.bn, train, relu=True)
+    def forward(self, x, bmap, train):
+        """`bmap` is the BlockMap of x's level."""
+        op = downsample if self.kernel == 2 else octree_conv
+        return batch_norm(op(x, bmap, self.w), self.bn, train, relu=True)
 
     def layer_count(self):
         return 1
@@ -522,8 +513,9 @@ class Deconv:
         self.w = params.create(f"{prefix}.w", he_init(rng, 8 * out_c, in_c))
         self.bn = make_bn(params, f"{prefix}.bn", out_c)
 
-    def forward(self, x, parent_rows, train):
-        return batch_norm(upsample(x, parent_rows, self.w), self.bn, train, relu=True)
+    def forward(self, x, bmap, train):
+        """`bmap` is the BlockMap of the output level."""
+        return batch_norm(upsample(x, bmap, self.w), self.bn, train, relu=True)
 
     def layer_count(self):
         return 1

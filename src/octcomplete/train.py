@@ -40,11 +40,12 @@ class TrainConfig:
     log_every: int = 10
 
     def validate(self):
-        for name in ("batch_size", "log_every"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.lr_drop_factor > 0:
-            raise DomainError(f"lr_drop_factor must be > 0, got {self.lr_drop_factor}")
+        for name, low in (("batch_size", 1), ("log_every", 1), ("epochs", 0), ("max_steps", 0)):
+            if getattr(self, name) < low:
+                raise DomainError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("lr", "lr_drop_factor"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise DomainError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     def to_dict(self):
         d = dict(self.__dict__)
@@ -309,6 +310,16 @@ def net_from_checkpoint(path):
     net = CompletionNet(spec_from_config_values(values))
     load_arrays(net.params, {k: v for k, v in ck["arrays"].items() if not k.startswith("opt.")})
     return net, ck
+
+
+def check_config_keys(values):
+    """Raise DataError naming the first key of a train config that is not
+    "net." and a NetworkSpec field or "train." and a TrainConfig field."""
+    known = {f"net.{f.name}" for f in fields(NetworkSpec)}
+    known.update(f"train.{f.name}" for f in fields(TrainConfig))
+    for key in values:
+        if key not in known:
+            raise fileio.DataError(f"unknown config key {key}")
 
 
 def spec_from_config_values(values):

@@ -25,7 +25,8 @@ def test_bench_runs_every_case_at_tiny_size(capsys):
         "block map build",
         "neighbor_table", "child_pairs", "child_pairs depth 5", "conv fwd+bwd",
         "conv fwd+bwd sparse",
-        "downsample fwd+bwd", "batch_norm fwd+bwd", "batch_norm fwd+bwd wide", "sample_points",
+        "downsample fwd+bwd", "max_pool fwd+bwd",
+        "batch_norm fwd+bwd", "batch_norm fwd+bwd wide", "sample_points",
     ]
     assert all(float(t) >= 0 for _, t in rows)
     assert "conv fwd+bwd" in capsys.readouterr().out

@@ -287,7 +287,8 @@ def test_eval_grid_too_large_to_allocate_is_data_error(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-# (key, value) pairs: values that do not parse, then values out of range
+# (key, value) pairs: values that do not parse, keys that name no field,
+# then values out of range
 UNPARSEABLE_CONFIG_VALUES = [
     ("net.c0", "abc"),
     ("net.scene_head", "maybe"),
@@ -295,6 +296,11 @@ UNPARSEABLE_CONFIG_VALUES = [
     ("train.epochs", "1.5"),
     ("train.shuffle", "yes"),
     ("train.lr_drop_epochs", "6,x"),
+]
+UNKNOWN_CONFIG_KEYS = [
+    ("net.n_ress", "4"),
+    ("train.epoch", "3"),
+    ("model.c0", "8"),
 ]
 OUT_OF_RANGE_CONFIG_VALUES = [
     ("net.c0", "0"),
@@ -305,17 +311,23 @@ OUT_OF_RANGE_CONFIG_VALUES = [
     ("train.batch_size", "0"),
     ("train.log_every", "0"),
     ("train.lr_drop_factor", "0"),
+    ("train.epochs", "-2"),
+    ("train.max_steps", "-1"),
+    ("train.lr", "nan"),
+    ("train.lr", "inf"),
+    ("train.lr", "0"),
 ]
-# a parse error names the whole dotted key; a range error names the field
-BAD_CONFIG_VALUES = [(k, v, re.escape(k)) for k, v in UNPARSEABLE_CONFIG_VALUES] + [
-    (k, v, rf"\b{k.split('.')[1]}\b") for k, v in OUT_OF_RANGE_CONFIG_VALUES
-]
+# a parse error and an unknown key name the whole dotted key; a range error
+# names the field
+BAD_CONFIG_VALUES = [
+    (k, v, re.escape(k)) for k, v in UNPARSEABLE_CONFIG_VALUES + UNKNOWN_CONFIG_KEYS
+] + [(k, v, rf"\b{k.split('.')[1]}\b") for k, v in OUT_OF_RANGE_CONFIG_VALUES]
 
 
 @pytest.mark.parametrize(
     "key, value, named",
     BAD_CONFIG_VALUES,
-    ids=[k for k, _ in UNPARSEABLE_CONFIG_VALUES]
+    ids=[k for k, _ in UNPARSEABLE_CONFIG_VALUES + UNKNOWN_CONFIG_KEYS]
     + [f"{k}={v}" for k, v in OUT_OF_RANGE_CONFIG_VALUES],
 )
 def test_train_bad_config_value_is_data_error(tmp_path, capsys, key, value, named):

@@ -99,6 +99,30 @@ def test_teacher_forced_decode_follows_gt():
     assert sorted(res.logits.keys()) == [3, 4]
 
 
+def test_teacher_forced_decoder_grows_the_gt_batch_levels_and_pairs():
+    """From level coarsest + 2 on, a teacher-forced decoder grows exactly
+    the ground-truth batch: equal keys, its levels' statuses (the expand
+    masks) equal the batch's statuses, and its tap pairs, derived by the
+    same LevelStack.pairs, equal the batch's as sets per tap."""
+    spec = small_spec(input_depth=5, output_depth=5)
+    octrees = [sphere_octree(depth=5, seed=s) for s in (0, 1)]
+    ib, gb = OctreeBatch([p for p, _ in octrees]), OctreeBatch([g for _, g in octrees])
+    net = CompletionNet(spec, seed=0)
+    with ad.Tape():
+        code, feats = net.encode(ib, train=True)
+        ds = net.decode(code, ib, feats, gt_batch=gb, train=True).state
+    first, d = spec.coarsest + 2, spec.output_depth
+    assert len(ds.levels) == d  # the finest level is never expanded
+    for l in range(first, d + 1):
+        assert np.array_equal(ds.keys[l], gb.levels[l].keys)
+    for l in range(first, d):
+        assert np.array_equal(ds.levels[l].status, gb.levels[l].status)
+        for t, ((o, i), (want_o, want_i)) in enumerate(zip(ds.pairs(l), gb.pairs(l))):
+            got = set(zip(o.tolist(), i.tolist()))
+            assert len(got) == len(o)
+            assert got == set(zip(want_o.tolist(), want_i.tolist())), (l, t)
+
+
 def test_decode_without_skip_has_no_skip_levels():
     partial, gt = sphere_octree()
     net = CompletionNet(small_spec(skip_mode="off"), seed=0)
@@ -215,7 +239,7 @@ def test_inference_expands_exactly_the_rows_with_nonnegative_logits(monkeypatch)
     for l, logits in res.logits.items():
         nonempty = np.arange(logits.rows) % 4 < 2  # the logits 1 and 0
         assert np.array_equal(res.pred_status[l], nonempty * 1.0)
-        grown = res.state.parent_sel[l + 1] if l < 4 else res.head_rows
+        grown = np.flatnonzero(res.state.levels[l].status) if l < 4 else res.head_rows
         assert np.array_equal(grown, np.flatnonzero(nonempty))
 
 
@@ -280,8 +304,8 @@ def test_decoder_rows_derived_from_parent_match_search():
             # the pairs between the expanded rows; none at the finest level
             tab = neighbor_table(keys, expand, l)
             tab[expand == 0] = -1
-            assert_pairs_match_table(ds.pairs[l], tab)
-    assert sorted(ds.pairs) == [0, 1, 2, 3, 4]
+            assert_pairs_match_table(ds.pairs(l), tab)
+    assert len(ds.levels) == 5  # the finest level is never expanded
 
 
 def test_no_key_is_searched_in_a_train_step_or_complete(monkeypatch):
@@ -361,7 +385,7 @@ def test_block_maps_built_once_per_level_and_finest_pairs_never_derived(monkeypa
         want_built = enc_rows[co + 1 :] + dec_rows[co + 1 :]
         assert sorted(built) == sorted(want_built)
         assert sorted(derived) == sorted(enc_rows[1:d] + dec_rows[1:d])
-        assert sorted(ds.pairs) == list(range(d))
+        assert sorted(ds._pairs) == list(range(d))
 
 
 def test_mixed_depth_batch_rejected():

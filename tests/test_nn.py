@@ -15,7 +15,9 @@ from octcomplete.octree import (
     build_octree,
     coords_from_keys,
     neighbor_table,
+    make_level,
     octree_from_codes,
+    root_pairs,
 )
 
 from conftest import child_table, conv_oracle, nbr_table, numeric_grad
@@ -112,8 +114,7 @@ def test_downsample_matches_dense(depth, rng):
     o = complete_octree(depth)
     feats = rng.normal(size=(o.levels[depth].num_nodes, cin)).astype(np.float32)
     w = rng.normal(size=(cout, 8 * cin)).astype(np.float32)
-    st = o.levels[depth - 1].status, o.levels[depth].status
-    y = nn.downsample(FeatureMap(feats, level=depth), *st, FeatureMap(w))
+    y = nn.downsample(FeatureMap(feats, level=depth), block_map_of(o, depth), FeatureMap(w))
     want = dense_down(to_grid(o, depth, feats), w, cin, cout)
     assert np.abs(to_grid(o, depth - 1, y.values) - want).max() < 1e-5
 
@@ -123,8 +124,7 @@ def test_max_pool_matches_dense(depth, rng):
     c = 3
     o = complete_octree(depth)
     feats = rng.normal(size=(o.levels[depth].num_nodes, c)).astype(np.float32)
-    st = o.levels[depth - 1].status, o.levels[depth].status
-    y = nn.max_pool(FeatureMap(feats, level=depth), *st)
+    y = nn.max_pool(FeatureMap(feats, level=depth), block_map_of(o, depth))
     grid = to_grid(o, depth, feats)
     n = grid.shape[0] // 2
     want = grid.reshape(n, 2, n, 2, n, 2, c).max(axis=(1, 3, 5))
@@ -168,17 +168,10 @@ def test_upsample_is_downsample_adjoint(rng):
     for t in range(8):
         wu[t * cin : (t + 1) * cin] = wd[:, t * cin : (t + 1) * cin].T
 
-    down = nn.downsample(
-        FeatureMap(x, level=2),
-        o.levels[1].status,
-        o.levels[2].status,
-        FeatureMap(wd),
-    )
-    up = nn.upsample(
-        FeatureMap(y, level=1),
-        np.arange(8),
-        FeatureMap(wu),
-    )
+    bmap = block_map_of(o, 2)
+    assert np.array_equal(bmap.owner_rows, np.arange(8))
+    down = nn.downsample(FeatureMap(x, level=2), bmap, FeatureMap(wd))
+    up = nn.upsample(FeatureMap(y, level=1), bmap, FeatureMap(wu))
     # child rows emitted parent-major in child-digit order = stored key order
     lhs = float((down.values * y).sum())
     rhs = float((up.values * x).sum())
@@ -214,7 +207,7 @@ def test_grad_down_up_pool(seed):
     o = octree_from_codes(rng.choice(64, size=5, replace=False).astype(np.uint64), 2)
     m = o.levels[2].num_nodes
     p = o.levels[1].num_nodes
-    st = [lv.status for lv in o.levels]
+    bmap = block_map_of(o, 2)
     cin, cout = 2, 3
     cases = []
 
@@ -222,18 +215,17 @@ def test_grad_down_up_pool(seed):
     wv = rng.normal(size=(cout, 8 * cin))
     x, w = ad.parameter(xv), ad.parameter(wv)
     cases.append(
-        (lambda: nn.downsample(x, st[1], st[2], w), [(x, xv), (w, wv)])
+        (lambda: nn.downsample(x, bmap, w), [(x, xv), (w, wv)])
     )
 
     yv = rng.normal(size=(p, cout))
     wuv = rng.normal(size=(8 * cin, cout))
     yfm, wu = ad.parameter(yv), ad.parameter(wuv)
-    sel = np.flatnonzero(o.levels[1].status == 1)
-    cases.append((lambda: nn.upsample(yfm, sel, wu), [(yfm, yv), (wu, wuv)]))
+    cases.append((lambda: nn.upsample(yfm, bmap, wu), [(yfm, yv), (wu, wuv)]))
 
     pv = rng.normal(size=(m, cin))
     pool_in = ad.parameter(pv)
-    cases.append((lambda: nn.max_pool(pool_in, st[1], st[2]), [(pool_in, pv)]))
+    cases.append((lambda: nn.max_pool(pool_in, bmap), [(pool_in, pv)]))
 
     for build, leaves in cases:
         def run():
@@ -273,7 +265,7 @@ def assert_close_f32(got, want):
 )
 def test_kernel_map_conv_grads_match_add_at(kernel, case, rng):
     """Conv over a status-filtered stencil, with each group kind among the
-    cases, and downsample over a child table, against the im2col form whose
+    cases, and downsample over its level's block map, against the im2col form whose
     input gradient is scattered by np.add.at."""
     cin, cout = 5, 7
     if kernel == 3:
@@ -285,7 +277,8 @@ def test_kernel_map_conv_grads_match_add_at(kernel, case, rng):
     else:
         o = scan_octree()
         table = child_table(o, 3)
-        conv = lambda x, w: nn.downsample(x, o.levels[3].status, o.levels[4].status, w)
+        bmap = block_map_of(o, 4)
+        conv = lambda x, w: nn.downsample(x, bmap, w)
         rows = o.levels[4].num_nodes
     assert np.any(table < 0)
     taps = table.shape[1]
@@ -395,7 +388,8 @@ def test_untracked_input_gets_no_gradient(op, rng, monkeypatch):
         wv = rng.normal(size=(cout, 27 * cin)).astype(np.float32)
         g = rng.normal(size=(len(xv), cout)).astype(np.float32)
     else:
-        fn = lambda x, w: nn.downsample(x, o.levels[3].status, o.levels[4].status, w)
+        bmap = block_map_of(o, level)
+        fn = lambda x, w: nn.downsample(x, bmap, w)
         wv = rng.normal(size=(cout, 8 * cin)).astype(np.float32)
         g = rng.normal(size=(o.levels[3].num_nodes, cout)).astype(np.float32)
     tracked_gx, tracked_gw = taped_grads(fn, ad.parameter(xv.copy()), ad.parameter(wv.copy()), g)
@@ -421,7 +415,8 @@ def test_max_pool_grad_matches_add_at(rng):
     c = 6
     xv = rng.normal(size=(o.levels[4].num_nodes, c)).astype(np.float32)
     g = rng.normal(size=(table.shape[0], c)).astype(np.float32)
-    pool = lambda x, w: nn.max_pool(x, o.levels[3].status, o.levels[4].status)
+    bmap = block_map_of(o, 4)
+    pool = lambda x, w: nn.max_pool(x, bmap)
     gx, _ = taped_grads(pool, ad.parameter(xv.copy()), None, g)
     vals = kernels.gather_rows(xv, table.ravel()).reshape(-1, 8, c)
     vals[table < 0] = -np.inf
@@ -462,8 +457,8 @@ def test_downsample_on_batch_matches_child_table_oracle(rng):
     xv = rng.normal(size=(batch.levels[4].num_nodes, cin)).astype(np.float32)
     wv = rng.normal(size=(cout, 8 * cin)).astype(np.float32)
     g = rng.normal(size=(table.shape[0], cout)).astype(np.float32)
-    st = batch.levels[3].status, batch.levels[4].status
-    down = lambda x, w: nn.downsample(x, *st, w)
+    bmap = batch.block_map(4)
+    down = lambda x, w: nn.downsample(x, bmap, w)
 
     cols = kernels.gather_concat(xv, table)  # (rows, 8 * cin) im2col
     assert_close_f32(down(FeatureMap(xv), FeatureMap(wv)).values, cols @ wv.T)
@@ -481,7 +476,8 @@ def test_max_pool_on_batch_matches_child_table_oracle(rng):
     c = 6
     xv = rng.normal(size=(batch.levels[4].num_nodes, c)).astype(np.float32)
     g = rng.normal(size=(table.shape[0], c)).astype(np.float32)
-    pool = lambda x, w: nn.max_pool(x, batch.levels[3].status, batch.levels[4].status)
+    bmap = batch.block_map(4)
+    pool = lambda x, w: nn.max_pool(x, bmap)
 
     vals = kernels.gather_rows(xv, table.ravel()).reshape(-1, 8, c)
     vals[table < 0] = -np.inf
@@ -510,7 +506,9 @@ def test_upsample_matches_composed_ops(rng):
         out = proj.values.reshape(8 * len(rows), cout)
         return ad.custom_op(out, [proj], lambda gr: (gr.reshape(proj.values.shape),))
 
-    up = lambda x, w: nn.upsample(x, rows, w)
+    bmap = block_map_of(o, 4)
+    assert np.array_equal(bmap.owner_rows, rows)
+    up = lambda x, w: nn.upsample(x, bmap, w)
     assert np.array_equal(
         up(FeatureMap(xv), FeatureMap(wv)).values, composed(FeatureMap(xv), FeatureMap(wv)).values
     )
@@ -521,41 +519,47 @@ def test_upsample_matches_composed_ops(rng):
 
 
 def test_block_ops_reject_mismatched_child_rows(rng):
-    o = scan_octree()
-    status, child_status = o.levels[3].status, o.levels[4].status
+    """downsample and max_pool reject an input whose rows are not the map's
+    level's, upsample one whose rows are not the parent level's, and no map
+    is built over a parent level one owner short or a child status 8 rows
+    short."""
+    batch = OctreeBatch([scan_octree()])
+    bmap = batch.block_map(4)
     c = 3
-    x = FeatureMap(rng.normal(size=(len(child_status), c)), level=4)
-    short = FeatureMap(x.values[:-8], level=4)
+    x = FeatureMap(rng.normal(size=(bmap.rows, c)), level=4)
+    short = FeatureMap(x.values[:-8], level=4)  # 8 child rows too few
     w = FeatureMap(rng.normal(size=(2, 8 * c)))
-    one_less = status.copy()
-    one_less[np.flatnonzero(status)[0]] = 0
-    cases = (
-        (status, child_status, short),  # 8 child rows too few
-        (one_less, child_status, x),  # one nonempty parent too few
-        (status, child_status[:-8], x),  # a child status 8 rows short
-    )
-    for st, cst, fm in cases:
+    with pytest.raises(DomainError, match="row mismatch"):
+        nn.downsample(short, bmap, w)
+    with pytest.raises(DomainError, match="row mismatch"):
+        nn.max_pool(short, bmap)
+    parent = FeatureMap(rng.normal(size=(bmap.parent_rows, c)), level=3)
+    wu = FeatureMap(rng.normal(size=(8 * 2, c)))
+    with pytest.raises(DomainError, match="parent level"):
+        nn.upsample(FeatureMap(parent.values[:-1], level=3), bmap, wu)
+    up, child_status = batch.levels[3], batch.levels[4].status
+    one_less = up.status.copy()
+    one_less[np.flatnonzero(up.status)[0]] = 0
+    short_owner = make_level(up.keys, one_less, True)
+    for level, cst in ((short_owner, child_status), (up, child_status[:-8])):
         with pytest.raises(DomainError):
-            nn.downsample(fm, st, cst, w)
-        with pytest.raises(DomainError):
-            nn.max_pool(fm, st, cst)
-    assert nn.downsample(x, status, child_status, w).rows == len(status)
-    assert nn.max_pool(x, status, child_status).rows == len(status)
+            nn.BlockMap(level, batch.pairs(3), cst)
+    assert nn.downsample(x, bmap, w).rows == nn.max_pool(x, bmap).rows == up.num_nodes
+    assert nn.upsample(parent, bmap, wu).rows == bmap.rows
 
 
 def test_ops_reject_weight_of_other_input_channels(rng):
     """Each op reads the input channel count off its weight's columns:
     27 * c for octree_conv, 8 * c for downsample, c for upsample."""
-    o = complete_octree(2)
+    o = complete_octree(3)
     c = 3
     x = FeatureMap(rng.normal(size=(o.levels[2].num_nodes, c)), level=2)
-    bmap = block_map_of(o, 2)
-    st = o.levels[1].status, o.levels[2].status
+    bmap, finer = block_map_of(o, 2), block_map_of(o, 3)
     weight = lambda rows, cols: FeatureMap(rng.normal(size=(rows, cols)))
     ops = (
         lambda cin: nn.octree_conv(x, bmap, weight(2, 27 * cin)),
-        lambda cin: nn.downsample(x, *st, weight(2, 8 * cin)),
-        lambda cin: nn.upsample(x, np.arange(8), weight(8 * 2, cin)),
+        lambda cin: nn.downsample(x, bmap, weight(2, 8 * cin)),
+        lambda cin: nn.upsample(x, finer, weight(8 * 2, cin)),
     )
     for op in ops:
         assert op(c).channels == 2
@@ -755,12 +759,13 @@ def test_batch_norm_eval_uses_running_stats(rng):
 
 def test_max_pool_all_empty_children_zero(rng):
     x = FeatureMap(rng.normal(size=(16, 2)), level=1)
-    # parent 0 owns rows 0..7 (two nonempty), parent 1 is empty, parent 2
-    # owns rows 8..15, all empty
+    # the roots of a batch of three: root 0 owns rows 0..7 (two nonempty),
+    # root 1 is empty, root 2 owns rows 8..15, all empty
     status = np.array([1, 0, 1], dtype=np.uint8)
     child_status = np.zeros(16, dtype=np.uint8)
     child_status[:2] = 1
-    y = nn.max_pool(x, status, child_status)
+    roots = make_level(np.arange(3, dtype=np.uint64), status, True)
+    y = nn.max_pool(x, nn.BlockMap(roots, root_pairs(status), child_status))
     assert np.array_equal(y.values[1], np.zeros(2))
     assert np.array_equal(y.values[2], np.zeros(2))
     assert np.allclose(y.values[0], np.maximum(x.values[0], x.values[1]))
