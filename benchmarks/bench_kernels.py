@@ -17,8 +17,9 @@ input's finest level; downsample and max_pool run forward and backward at
 32 channels over that sparse level's block map, as the scene input head
 calls them; train-mode batch norm
 with the fused relu runs forward and backward over a tall, narrow map of
-n // 20 rows at 4 channels and a wide one of n // 128 rows at 128
-channels; the depth-8 level of an octree over n // 32 points on a sphere
+n // 20 rows at 4 channels, a wide one of n // 128 rows at 128 channels
+and a tall one of n // 18 rows at 32 channels (about 109k rows at the
+default n, as train-scene's depth-7 level); the depth-8 level of an octree over n // 32 points on a sphere
 gets its neighbor table by key search, and its tap pairs derived from its
 parent level's pairs, as does the depth-5 level of a batch of four octrees
 over n // 32 points on spheres each; and `sample_points` draws 4 points on
@@ -148,7 +149,8 @@ def bench(n, repeats):
     sparse_feats = rng.standard_normal((sparse_map.rows, 32)).astype(np.float32)
     up_pairs, up5_pairs = shell.pairs(7), shells5.pairs(4)
     bn_maps = [
-        rng.normal(2.0, 3.0, size=(n // r, c)).astype(np.float32) for r, c in ((20, 4), (128, 128))
+        rng.normal(2.0, 3.0, size=(n // r, c)).astype(np.float32)
+        for r, c in ((20, 4), (128, 128), (18, 32))
     ]
     bn_params = [nn.make_bn(nn.Parameters(), "bn", m.shape[1]) for m in bn_maps]
 
@@ -168,6 +170,7 @@ def bench(n, repeats):
         ("max_pool fwd+bwd", lambda: pool_step(sparse_feats, sparse_map)),
         ("batch_norm fwd+bwd", lambda: bn_step(bn_maps[0], bn_params[0])),
         ("batch_norm fwd+bwd wide", lambda: bn_step(bn_maps[1], bn_params[1])),
+        ("batch_norm fwd+bwd tall", lambda: bn_step(bn_maps[2], bn_params[2])),
         ("sample_points", lambda: network.sample_points(shape, samples_per_node=4)),
     ]
     table_rows = [(name, f"{timeit(call, repeats):.4f}") for name, call in cases]

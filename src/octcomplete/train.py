@@ -46,6 +46,11 @@ class TrainConfig:
         for name in ("lr", "lr_drop_factor"):
             if not 0 < getattr(self, name) < np.inf:
                 raise DomainError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("weight_decay", "task_weight"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise DomainError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0 <= self.momentum < 1:
+            raise DomainError(f"momentum must be in [0, 1), got {self.momentum}")
 
     def to_dict(self):
         d = dict(self.__dict__)

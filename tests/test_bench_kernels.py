@@ -26,7 +26,8 @@ def test_bench_runs_every_case_at_tiny_size(capsys):
         "neighbor_table", "child_pairs", "child_pairs depth 5", "conv fwd+bwd",
         "conv fwd+bwd sparse",
         "downsample fwd+bwd", "max_pool fwd+bwd",
-        "batch_norm fwd+bwd", "batch_norm fwd+bwd wide", "sample_points",
+        "batch_norm fwd+bwd", "batch_norm fwd+bwd wide", "batch_norm fwd+bwd tall",
+        "sample_points",
     ]
     assert all(float(t) >= 0 for _, t in rows)
     assert "conv fwd+bwd" in capsys.readouterr().out

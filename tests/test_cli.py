@@ -316,6 +316,15 @@ OUT_OF_RANGE_CONFIG_VALUES = [
     ("train.lr", "nan"),
     ("train.lr", "inf"),
     ("train.lr", "0"),
+    ("train.momentum", "nan"),
+    ("train.momentum", "1"),
+    ("train.momentum", "-0.1"),
+    ("train.weight_decay", "nan"),
+    ("train.weight_decay", "inf"),
+    ("train.weight_decay", "-1e-4"),
+    ("train.task_weight", "nan"),
+    ("train.task_weight", "inf"),
+    ("train.task_weight", "-1"),
 ]
 # a parse error and an unknown key name the whole dotted key; a range error
 # names the field

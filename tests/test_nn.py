@@ -339,6 +339,70 @@ def test_block_map_conv_matches_per_pair_oracle(case, tracked, rng):
     assert_close_f32(gw, want_gw)
 
 
+def one_child_octree(rng, depth=4, parents=200):
+    """An octree whose `parents` random cells one level above the finest
+    own one child each: a tap reads about one gathered child in 8, so
+    every tap of the finest level's block map runs split."""
+    cells = rng.choice(1 << (3 * (depth - 1)), size=parents, replace=False).astype(np.uint64)
+    slots = rng.integers(0, 8, size=parents).astype(np.uint64)
+    return octree_from_codes(np.sort(cells << np.uint64(3) | slots), depth)
+
+
+@pytest.mark.parametrize("case", ["split", "scan"])
+def test_conv_reads_no_garbage_in_empty_rows(case, rng):
+    """NaN in the rows flagged empty gives, bit for bit, the output and
+    both gradients of zeros there, and a zero input gradient on them: a
+    split-only map reads x as it is, a map with merged groups reads a
+    zeroed copy."""
+    if case == "split":
+        o, level = one_child_octree(rng), 4
+        bmap = block_map_of(o, level, {nn.SPLIT})
+        assert not bmap.reads_empty
+    else:
+        o, level = scan_octree(depth=5), 5
+        bmap = block_map_of(o, level, {nn.MERGED, nn.SPLIT})
+        assert bmap.reads_empty
+    empty = o.levels[level].status == 0
+    assert empty.any()
+    cin, cout = 4, 6
+    zeros = rng.normal(size=(len(empty), cin)).astype(np.float32)
+    zeros[empty] = 0
+    garbage = zeros.copy()
+    garbage[empty] = np.nan
+    wv = rng.normal(size=(cout, 27 * cin)).astype(np.float32)
+    g = rng.normal(size=(len(empty), cout)).astype(np.float32)
+    results = []
+    for xv in (zeros, garbage):
+        x, w = ad.parameter(xv.copy()), ad.parameter(wv.copy())
+        with ad.Tape():
+            y = nn.octree_conv(x, bmap, w)
+            ad.backward(ad.sum_all(ad.mul(y, ad.constant(g))))
+        results.append((y.values, x.grad, w.grad))
+    for want, got in zip(*results):
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, want)
+    assert not results[1][1][empty].any()
+
+
+def test_block_matrices_hold_each_entry_tap_weight(rng):
+    """Block (child, slot) of parent tap T's gemm matrix is W_t.T, t the
+    child tap by which that slot reads that child, the children and slots
+    of T in ascending order."""
+    for cin, cout in ((8, 32), (32, 8), (4, 16)):
+        w = rng.normal(size=(cout, 27 * cin)).astype(np.float32)
+        mats = nn.BlockMap.matrices(w)
+        for T in range(27):
+            s, t = np.nonzero(_PARENT_TAP == T)
+            kids = _CHILD_SLOT[s, t]
+            slots, children = np.unique(s), np.unique(kids)
+            k = len(slots)
+            assert mats[T].shape == (k * cin, k * cout) and len(s) == k * k
+            for slot, tap, kid in zip(s, t, kids):
+                ci, si = np.searchsorted(children, kid), np.searchsorted(slots, slot)
+                block = mats[T][ci * cin : (ci + 1) * cin, si * cout : (si + 1) * cout]
+                assert np.array_equal(block, w[:, tap * cin : (tap + 1) * cin].T)
+
+
 def test_block_layout_covers_each_slot_and_tap_once():
     """The 27 parent taps' k x k blocks hold each (slot, tap) of the child
     stencil exactly once, with k = 8, 4, 2, 1 by how many axes of the
@@ -607,8 +671,16 @@ def test_grad_batch_norm(train, relu, rng):
 def test_fused_batch_norm_relu_matches_relu_of_batch_norm(train, rng):
     """Bit for bit, forward and all three gradients, float32, with exact
     zeros (a constant channel, a zero gamma) and negatives in the BN output;
-    in eval mode a NaN input maps to 0, as ad.relu maps it."""
-    m, c = 16, 4
+    in eval mode a NaN input maps to 0, as ad.relu maps it. Once on a map
+    of one row block and once on one of several with a ragged last block."""
+    c = 4
+    assert len(nn._row_blocks(np.zeros((16, c), np.float32))) == 1
+    assert len(nn._row_blocks(np.zeros((40_001, c), np.float32))) > 2
+    for m in (16, 40_001):
+        check_fused_batch_norm_relu(train, rng, m, c)
+
+
+def check_fused_batch_norm_relu(train, rng, m, c):
     xv = rng.normal(size=(m, c)).astype(np.float32)
     xv[:, 0] = 2.0
     gv = (rng.normal(size=(1, c)) + 1.0).astype(np.float32)
@@ -617,6 +689,7 @@ def test_fused_batch_norm_relu_matches_relu_of_batch_norm(train, rng):
     bv[0, 3] = 0.5
     if not train:
         xv[3, 2] = np.nan
+        xv[-1, 2] = np.nan
     upstream = ad.constant(rng.normal(size=(m, c)).astype(np.float32))
     results = []
     for fused in (True, False):
@@ -699,9 +772,12 @@ def bn_oracle_case(rng, n, c):
 
 
 # Bounds of the oracle test below. Each sits under the worst relative error
-# of its four cases when the reductions were numpy's axis-0 mean, var and
-# sum, measured on the same data (the rng fixture's), and above the worst
-# error of the gemv reductions (2-core x86, OpenBLAS):
+# of its first four cases when the reductions were numpy's axis-0 mean, var
+# and sum, measured on the same data (the rng fixture's), and above the
+# worst error of the whole-map gemv reductions (2-core x86, OpenBLAS). The
+# row-block sums, added up in float64, measure at most 1.4e-7 (out), 1.1e-7
+# (mean), 1.4e-7 (var), 1.6e-7 (gx), 1.0e-7 (ggamma) and 9.7e-9 (gbeta) on
+# all eight cases.
 BN_ORACLE_BOUNDS = {
     "out": 5e-6,  # numpy 4.0e-5, gemv 9.1e-7
     "mean": 1e-6,  # numpy 5.3e-6, gemv 1.1e-7
@@ -715,9 +791,14 @@ BN_ORACLE_BOUNDS = {
 def test_batch_norm_train_matches_float64_oracle(rng):
     """Train-mode BN over tall float32 maps with offset channel means:
     output, running statistics and all three gradients against a float64
-    reference, with and without the fused relu."""
+    reference, with and without the fused relu. The narrow maps at 4 and
+    16 channels span several row blocks, the last one ragged and read
+    untiled."""
     worst = dict.fromkeys(BN_ORACLE_BOUNDS, 0.0)
-    for n, c in ((100_000, 4), (16_384, 128)):
+    for n, c in ((40_001, 4), (9_001, 16)):
+        blocks = nn._row_blocks(np.zeros((n, c), np.float32))
+        assert len(blocks) > 2 and blocks[-1][1] == c
+    for n, c in ((100_000, 4), (16_384, 128), (40_001, 4), (9_001, 16)):
         case = bn_oracle_case(rng, n, c)
         for relu in (False, True):
             for k, e in batch_norm_errors(*case, relu).items():
