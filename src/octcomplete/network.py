@@ -278,22 +278,11 @@ class CompletionNet:
     # -- architecture accounting ------------------------------------------
 
     def layer_count(self):
-        """Learnable layer depth: each conv and each MLP layer counts one."""
-        total = 0
-        if self.head_layers is not None:
-            total += sum(layer.layer_count() for layer in self.head_layers.values())
-        if self.lift is not None:
-            total += self.lift.layer_count()
-        for l in self.enc_rb:
-            total += self.enc_rb[l].layer_count() + self.enc_down[l].layer_count()
-        for l in self.dec_up:
-            total += (
-                self.dec_up[l].layer_count()
-                + self.dec_rb[l].layer_count()
-                + self.pred[l].layer_count()
-            )
-        total += self.head.layer_count()
-        return total
+        """Learnable layer depth: each conv and each MLP layer counts one,
+        as the parameter store names one weight matrix per layer (w, w1,
+        w2)."""
+        names = self.params.names()
+        return sum(name.rsplit(".", 1)[-1] in ("w", "w1", "w2") for name in names)
 
     # -- encoder -----------------------------------------------------------
 

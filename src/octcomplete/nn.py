@@ -68,8 +68,12 @@ class BNParams:
     beta: FeatureMap
     running_mean: np.ndarray
     running_var: np.ndarray
-    epsilon: float = 1e-5
-    momentum: float = 0.9
+
+
+# batch norm's variance offset, and the share of the running statistics
+# kept at each train step
+BN_EPSILON = 1e-5
+BN_MOMENTUM = 0.9
 
 
 def _block_layout():
@@ -80,8 +84,8 @@ def _block_layout():
     the k slots that read T each read the same k children there, one child
     tap per (child, slot) entry: k = 8 at the centre, 4 at a face, 2 at an
     edge and 1 at a corner, 216 = 8 * 27 entries in all. Returns per T its
-    slots and children, the entries' child taps in (T, child, slot) order,
-    each T's first entry, and the (27, 216) incidence of taps on entries.
+    slots and children, the entries' child taps in (T, child, slot) order
+    and each T's first entry.
     """
     slots, kids, taps = [], [], []
     for T in range(27):
@@ -92,13 +96,10 @@ def _block_layout():
         block = np.full((8, 8), -1)
         block[c, s] = t
         taps.append(block[np.ix_(kids[-1], slots[-1])].ravel())
-    entries = np.concatenate(taps)
-    incidence = np.zeros((27, len(entries)), dtype=np.float32)
-    incidence[entries, np.arange(len(entries))] = 1
-    return slots, kids, entries, np.cumsum([0] + [len(t) for t in taps]), incidence
+    return slots, kids, np.concatenate(taps), np.cumsum([0] + [len(t) for t in taps])
 
 
-_BLOCK_SLOTS, _BLOCK_KIDS, _BLOCK_TAPS, _BLOCK_START, _TAP_INCIDENCE = _block_layout()
+_BLOCK_SLOTS, _BLOCK_KIDS, _BLOCK_TAPS, _BLOCK_START = _block_layout()
 _CENTRE = 13
 
 
@@ -117,6 +118,34 @@ def _matrix_rows(cin):
     rows = np.concatenate(rows)
     rows.flags.writeable = False  # every caller shares it
     return rows
+
+
+@lru_cache(maxsize=None)
+def _fold(cin):
+    """The adjoint of the _matrix_rows(cin) gather: the (27*cin, 208*cin)
+    sparse matrix with a one in row _matrix_rows(cin)[j] of column j, which
+    adds each gathered row back onto the row of w.T it came from."""
+    rows = _matrix_rows(cin)
+    n = len(rows)
+    return sparse.csr_array((np.ones(n, np.float32), (rows, np.arange(n))), shape=(27 * cin, n))
+
+
+def _views(rows, wt, cin):
+    """Per parent tap T, its (k*cin, k*cout) gemm matrix in the layout both
+    directions share: for k > 1 a reshape view of T's rows of `rows`, laid
+    out as _matrix_rows(cin) gathers them; for a corner (k = 1) the rows
+    of its tap in `wt`, a (27*cin, cout) array laid out as w.T."""
+    cout = wt.shape[1]
+    mats, a = [], 0
+    for T, slots in enumerate(_BLOCK_SLOTS):
+        k = len(slots)
+        if k == 1:
+            t = _BLOCK_TAPS[_BLOCK_START[T]]
+            mats.append(wt[t * cin : (t + 1) * cin])
+        else:
+            mats.append(rows[a : a + k * k * cin].reshape(k * cin, k * cout))
+            a += k * k * cin
+    return mats
 
 
 # A parent tap runs as one gemm over all the children its pairs gather
@@ -250,21 +279,12 @@ class BlockMap:
         """Per parent tap T, the (k*cin, k*cout) gemm matrix of the (cout,
         27*cin) weight w: block (child, slot) is its entry's W_t.T. The
         matrices with k > 1 are views of one gather of the rows of w.T; a
-        corner's (k = 1) is its tap's W_t.T, a transposed view of w: a gemm's
-        rounding depends on its operands' layout, and a C-ordered corner
-        matrix moves the results in the last bit."""
-        cout, cin = w.shape[0], w.shape[1] // 27
-        rows = np.take(w.T, _matrix_rows(cin), axis=0)  # (192*cin, cout)
-        mats, a = [], 0
-        for T, slots in enumerate(_BLOCK_SLOTS):
-            k = len(slots)
-            if k == 1:
-                t = _BLOCK_TAPS[_BLOCK_START[T]]
-                mats.append(w[:, t * cin : (t + 1) * cin].T)
-            else:
-                mats.append(rows[a : a + k * k * cin].reshape(k * cin, k * cout))
-                a += k * k * cin
-        return mats
+        corner's (k = 1) is its tap's rows of w.T, a transposed view of w:
+        a gemm's rounding depends on its operands' layout, and a C-ordered
+        corner matrix moves the results in the last bit."""
+        cin = w.shape[1] // 27
+        rows = np.take(w.T, _matrix_rows(cin), axis=0)  # (208*cin, cout)
+        return _views(rows, w.T, cin)
 
     def conv(self, x, mats):
         """The (rows, cout) convolution of x, its empty rows read as zero."""
@@ -286,17 +306,25 @@ class BlockMap:
 
     def grads(self, x, g, mats, need_gx):
         """The input gradient (None unless need_gx) and the (cout, 27*cin)
-        weight gradient of conv for the output gradient g."""
+        weight gradient of conv for the output gradient g.
+
+        The weight gradient is the adjoint of matrices(w): each group's
+        product goes to its own block of the same layout (_views), whose
+        gathered rows are then folded back onto the rows of w.T."""
         if self.reads_empty:
             x = self.read(x)
         cin, cout = x.shape[1], g.shape[1]
-        entries = np.zeros((len(_BLOCK_TAPS), cin, cout), g.dtype)
+        # each (T, child) block is written by at most one group, and each
+        # corner's tap rows of gwt by its corner T alone
+        grows = np.zeros((len(_matrix_rows(cin)), cout), g.dtype)
+        gwt = np.zeros((27 * cin, cout), g.dtype)
+        gmats = _views(grows, gwt, cin)
         buf = np.empty((len(self.rows_in), cin), g.dtype) if need_gx else None
         for T, c, so, si in self.groups:
             m = _group_matrix(mats, T, c, cin)
             go = np.take(g, self.rows_out[so], axis=0).reshape(-1, m.shape[1])
             src = np.take(x, self.rows_in[si], axis=0).reshape(-1, m.shape[0])
-            _put_entries(entries, T, c, src.T @ go)
+            np.matmul(src.T, go, out=_group_matrix(gmats, T, c, cin))
             if need_gx:
                 np.matmul(go, m.T, out=buf[si].reshape(-1, m.shape[0]))
         gx = None
@@ -305,34 +333,19 @@ class BlockMap:
             del buf
         if self.centre_merged:
             gb = g.reshape(self.owners, 8 * cout)
-            _put_entries(entries, _CENTRE, None, x.reshape(self.owners, 8 * cin).T @ gb)
+            np.matmul(x.reshape(self.owners, 8 * cin).T, gb, out=gmats[_CENTRE])
             if need_gx:
                 blocks = gx.reshape(self.owners, 8 * cin)
                 blocks += gb @ mats[_CENTRE].T
         if need_gx and self.reads_empty:
             gx[self.empty] = 0
-        # each tap's gradient is the sum of its 8 entries'
-        incidence = _TAP_INCIDENCE.astype(g.dtype, copy=False)
-        gw = (incidence @ entries.reshape(len(entries), -1)).reshape(27, cin, cout)
-        return gx, gw.transpose(2, 0, 1).reshape(cout, 27 * cin)
+        gwt += _fold(cin) @ grows
+        return gx, gwt.T
 
 
 def _group_matrix(mats, T, c, cin):
     """A group's gemm matrix: parent tap T's, or its rows of child index c."""
     return mats[T] if c is None else mats[T][c * cin : (c + 1) * cin]
-
-
-def _put_entries(entries, T, c, gm):
-    """Store a group's (k*cin or cin, k*cout) gradient gm as its entries'
-    (cin, cout) blocks: all of T's (c None) or those of child index c."""
-    k = len(_BLOCK_SLOTS[T])
-    cin, cout = entries.shape[1:]
-    a = _BLOCK_START[T]
-    if c is None:
-        gm = gm.reshape(k, cin, k, cout).transpose(0, 2, 1, 3)
-        entries[a : a + k * k] = gm.reshape(k * k, cin, cout)
-    else:
-        entries[a + c * k : a + (c + 1) * k] = gm.reshape(cin, k, cout).transpose(1, 0, 2)
 
 
 def octree_conv(x, bmap, weight):
@@ -346,9 +359,11 @@ def octree_conv(x, bmap, weight):
 
     Forward and backward run the map's groups (BlockMap.conv, .grads): one
     gather, one gemm and, through one CSC product for all groups, one
-    scatter per parent tap, with the centre as a reshape; the weight
-    gradient is summed per (child, slot) entry and folded to the 27 taps
-    by one incidence gemm. Where a merged group or the centre's reshape
+    scatter per parent tap, with the centre as a reshape. Forward gathers
+    the rows of w.T into the parent taps' gemm matrices (BlockMap.matrices);
+    backward writes each group's weight product into the same layout and
+    folds it back onto the rows of w.T by the gather's adjoint, one sparse
+    product (_fold). Where a merged group or the centre's reshape
     reads a row flagged empty, both directions read a copy of x with those
     rows zeroed (BlockMap.read), which backward makes again, so its closure
     keeps no copy; where the stencil reads none, x is read as it is. The
@@ -526,7 +541,6 @@ def batch_norm(x, params, train, relu=False):
         raise DomainError("batch_norm on an empty feature map")
     if x.channels != params.gamma.values.shape[1]:
         raise DomainError("batch_norm channel mismatch")
-    eps = params.epsilon
     xv = x.values
     n, c = xv.shape
     gamma = params.gamma.values
@@ -544,7 +558,7 @@ def batch_norm(x, params, train, relu=False):
         corr, sq = (_totals(acc, c) / n).astype(dtype)
         var = sq - corr * corr
         mu = mu0 + corr
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + BN_EPSILON)
         s = gamma * inv
         shift = params.beta.values - corr * s
         for b, w, (m0, sw, hw) in _tiled(blocks, mu0, s, shift):
@@ -554,7 +568,7 @@ def batch_norm(x, params, train, relu=False):
             o += hw
             if relu:
                 ad.relu_values(o, out=o)
-        m = params.momentum
+        m = BN_MOMENTUM
         params.running_mean *= m
         params.running_mean += (1.0 - m) * mu
         params.running_var *= m
@@ -591,7 +605,7 @@ def batch_norm(x, params, train, relu=False):
                 o -= d
             return gx.astype(xv.dtype, copy=False), ggamma[None], gbeta[None]
     else:
-        inv = 1.0 / np.sqrt(params.running_var + eps)
+        inv = 1.0 / np.sqrt(params.running_var + BN_EPSILON)
         scale_row = (gamma * inv).astype(xv.dtype)
         shift = (params.beta.values - gamma * params.running_mean * inv).astype(xv.dtype)
         for b, w, (sw, hw) in _tiled(blocks, scale_row, shift):
@@ -631,9 +645,6 @@ class ConvBnRelu:
         op = downsample if self.kernel == 2 else octree_conv
         return batch_norm(op(x, bmap, self.w), self.bn, train, relu=True)
 
-    def layer_count(self):
-        return 1
-
 
 class Deconv:
     """Upsample(c): deconvolution (k=2, s=2) + BN + ReLU."""
@@ -645,9 +656,6 @@ class Deconv:
     def forward(self, x, bmap, train):
         """`bmap` is the BlockMap of the output level."""
         return batch_norm(upsample(x, bmap, self.w), self.bn, train, relu=True)
-
-    def layer_count(self):
-        return 1
 
 
 def make_bn(params, prefix, c):
@@ -673,8 +681,6 @@ class ResBlockStack:
     def __init__(self, params, prefix, in_c, c, n, rng=None):
         if c % 4 != 0:
             raise DomainError("resblock channels must be divisible by 4")
-        self.n = n
-        self.c = c
         self.blocks = []
         self.projection = None  # the 1x1 projection's weight, when in_c != c
         if in_c != c:
@@ -695,9 +701,6 @@ class ResBlockStack:
             x = ad.relu(ad.add(x, h))
         return x
 
-    def layer_count(self):
-        return 2 * self.n + (1 if self.projection is not None else 0)
-
 
 class MLPHead:
     """Shared 2-layer MLP applied per node (status prediction, regression)."""
@@ -711,6 +714,3 @@ class MLPHead:
     def forward(self, x):
         h = ad.relu(ad.linear(x, self.w1, self.b1))
         return ad.linear(h, self.w2, self.b2)
-
-    def layer_count(self):
-        return 2

@@ -411,13 +411,12 @@ def majority_labels(octree, points: PointSet):
     return out
 
 
-def estimate_normals(positions, k=16, viewpoint=None) -> PointSet:
+def estimate_normals(positions, k=16) -> PointSet:
     """Per-point normals from the covariance of the k nearest neighbors.
 
-    The normal is the smallest-eigenvalue eigenvector, sign-oriented toward
-    `viewpoint` when given, else away from the centroid. Neighborhoods of
-    rank < 2 fall back to the orientation direction and are counted in
-    ``degenerate_normals``.
+    The normal is the smallest-eigenvalue eigenvector, sign-oriented away
+    from the centroid. Neighborhoods of rank < 2 fall back to the
+    orientation direction and are counted in ``degenerate_normals``.
     """
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     n = len(positions)
@@ -432,11 +431,7 @@ def estimate_normals(positions, k=16, viewpoint=None) -> PointSet:
     evals, evecs = np.linalg.eigh(cov)
     normals = evecs[:, :, 0]
 
-    centroid = positions.mean(axis=0)
-    if viewpoint is not None:
-        ref = np.asarray(viewpoint, dtype=np.float64) - positions
-    else:
-        ref = positions - centroid
+    ref = positions - positions.mean(axis=0)
     ref_norm = np.linalg.norm(ref, axis=1, keepdims=True)
     ref_unit = np.divide(ref, ref_norm, out=np.zeros_like(ref), where=ref_norm > 1e-12)
     ref_unit[ref_norm[:, 0] <= 1e-12] = (0.0, 0.0, 1.0)

@@ -419,7 +419,32 @@ def test_block_layout_covers_each_slot_and_tap_once():
                 assert _PARENT_TAP[s, t] == T and _CHILD_SLOT[s, t] == c
                 seen.add((s, t))
     assert len(seen) == len(nn._BLOCK_TAPS) == 8 * 27
-    assert np.array_equal(nn._TAP_INCIDENCE.sum(axis=1), np.full(27, 8))
+    # across the k > 1 gather and the 8 corners' tap slices, every tap's
+    # cin rows of w.T are named exactly 8 times, and each corner names
+    # another tap, so grads may assign a corner's block
+    corners = [nn._BLOCK_TAPS[a] for a, b in zip(nn._BLOCK_START, nn._BLOCK_START[1:]) if b - a == 1]
+    assert len(set(corners)) == len(corners) == 8
+    for cin in (1, 3):
+        named = np.concatenate([nn._matrix_rows(cin)] + [t * cin + np.arange(cin) for t in corners])
+        assert np.array_equal(np.bincount(named, minlength=27 * cin), np.full(27 * cin, 8))
+
+
+def test_weight_fold_is_the_adjoint_of_the_matrix_gather(rng):
+    """For G in the layout of the gemm matrices (_views), the sum over T of
+    <matrices(w)[T], G_T> equals <w, G folded onto the rows of w.T>: the
+    weight gradient's fold is the adjoint of the forward's gather."""
+    for cin in (1, 3, 8):
+        cout = 5
+        w = rng.normal(size=(cout, 27 * cin))
+        grows = np.zeros((len(nn._matrix_rows(cin)), cout))
+        gwt = np.zeros((27 * cin, cout))  # rows no corner names stay zero
+        mats, gmats = nn.BlockMap.matrices(w), nn._views(grows, gwt, cin)
+        for gm in gmats:
+            gm[...] = rng.normal(size=gm.shape)
+        assert grows.all()
+        lhs = sum(np.vdot(m, gm) for m, gm in zip(mats, gmats))
+        rhs = np.vdot(w.T, gwt + nn._fold(cin) @ grows)
+        assert np.isclose(lhs, rhs, rtol=1e-12, atol=0)
 
 
 def test_block_map_rejects_mismatched_rows(rng):
@@ -736,7 +761,7 @@ def batch_norm_errors(x, gamma, beta, upstream, relu):
     x64 = x.astype(np.float64)
     mu = x64.mean(axis=0)
     var = ((x64 - mu) ** 2).mean(axis=0)
-    inv = 1.0 / np.sqrt(var + params.epsilon)
+    inv = 1.0 / np.sqrt(var + nn.BN_EPSILON)
     xhat = (x64 - mu) * inv
     want = gamma * xhat + beta
     # the relu rule masks the gradient by the op's own output
@@ -750,7 +775,7 @@ def batch_norm_errors(x, gamma, beta, upstream, relu):
     def rel(a, b, scale):
         return float((np.abs(a - b) / scale).max())
 
-    m = 1.0 - params.momentum
+    m = 1.0 - nn.BN_MOMENTUM
     return {
         "out": rel(out.values, want, np.abs(want).max()),
         "mean": rel(params.running_mean[0] / m, mu, np.abs(mu)),
@@ -834,7 +859,7 @@ def test_batch_norm_eval_uses_running_stats(rng):
     )
     x = FeatureMap(np.full((2, c), 7.0))
     y = nn.batch_norm(x, params, train=False)
-    want = 2.0 * (7.0 - 5.0) / np.sqrt(4.0 + params.epsilon) + 1.0
+    want = 2.0 * (7.0 - 5.0) / np.sqrt(4.0 + nn.BN_EPSILON) + 1.0
     assert np.allclose(y.values, want, atol=1e-6)
 
 
@@ -865,9 +890,11 @@ def test_parameters_store():
 def test_resblock_projection_and_count(rng):
     p = nn.Parameters()
     rb = nn.ResBlockStack(p, "rb", 8, 16, 2, rng=rng)
-    assert rb.layer_count() == 5  # 2 per block + projection
     rb2 = nn.ResBlockStack(p, "rb2", 16, 16, 2, rng=rng)
-    assert rb2.layer_count() == 4
+    assert rb.projection is not None and rb2.projection is None
+    # one weight matrix per layer: 2 per block, plus the projection
+    weights = [name.split(".")[0] for name in p.names() if name.endswith(".w")]
+    assert weights.count("rb") == 5 and weights.count("rb2") == 4
 
 
 def test_mlp_head_shapes(rng):
@@ -876,4 +903,3 @@ def test_mlp_head_shapes(rng):
     x = FeatureMap(rng.normal(size=(5, 8)).astype(np.float32))
     y = head.forward(x)
     assert y.values.shape == (5, 3)
-    assert head.layer_count() == 2
