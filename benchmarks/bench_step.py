@@ -2,12 +2,13 @@
 
 Run directly:
 
-    PYTHONPATH=src python3 benchmarks/bench_step.py [--steps 3]
+    PYTHONPATH=src python3 benchmarks/bench_step.py [--steps 3] [--n-res 2]
 
 Every step is one Trainer.step over the same batch of 4 samples: the shape
 pairs cli.make_shape_pair(seed, views=3) for seeds 0-3, a completion net
-with input and output depth 6, c0=32, c_max=128, n_res=2, at lr 0.01, under
-one BLAS thread. For each step it prints the seconds, the total loss, the
+with input and output depth 6, c0=32, c_max=128 and `--n-res` residual
+blocks per stack (default 2, 51 layers; 4 gives 83), at lr 0.01, under one
+BLAS thread. For each step it prints the seconds, the total loss, the
 process's peak resident set so far (ru_maxrss, in MiB) and `params`, the
 first 16 hex digits of a sha256 over every parameter (running batch-norm
 statistics included) after the step. The first step's peak includes
@@ -75,10 +76,13 @@ def bench(steps, spec=SPEC):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--steps", type=int, default=3)
+    ap.add_argument("--n-res", type=int, default=SPEC["n_res"],
+                    help="residual blocks per resblock stack")
     args = ap.parse_args()
-    print(f"spec {SPEC}, batch {len(SEEDS)}, lr {LR}, "
+    spec = dict(SPEC, n_res=args.n_res)
+    print(f"spec {spec}, batch {len(SEEDS)}, lr {LR}, "
           f"BLAS threads {os.environ.get('OPENBLAS_NUM_THREADS')}")
-    bench(args.steps)
+    bench(args.steps, spec)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 """Reverse-mode autodiff over node-major feature matrices.
 
-A FeatureMap wraps a (rows, channels) matrix with an optional gradient slot.
-Operations executed while a Tape is active record backward closures;
-``backward(loss)`` pops and runs them in reverse order, accumulating
-gradients with +=. A closure hands its output's gradient on and is dropped,
-so arrays only it kept alive are freed during the replay. Afterwards the
+A FeatureMap wraps a (rows, channels) matrix with a small gradient slot:
+its ``.grad``, whether backward gives it one, its tape (weakly) and its
+dtype. Operations executed while a Tape is active record backward
+closures; ``backward(loss)`` pops and runs them in reverse order,
+accumulating gradients with +=. A closure holds the slots of its output
+and inputs, never the FeatureMaps, and only the arrays its backward reads:
+an output that no backward reads is freed as soon as its caller drops it,
+and the arrays a backward reads are freed once it has run. Afterwards the
 tape is empty and only leaves (parameters) keep a ``.grad``. The graph is
 define-by-run: the decoder structure differs per sample, so no static graph
 is kept.
@@ -45,19 +48,37 @@ class Tape:
         return False
 
 
+class _Slot:
+    """What backward needs of a FeatureMap, without its values."""
+
+    __slots__ = ("grad", "tracked", "tape", "dtype")
+
+    def __init__(self, tracked, dtype):
+        self.grad = None
+        self.tracked = tracked
+        self.tape = None  # weak reference to the tape that recorded the op
+        self.dtype = dtype
+
+
 class FeatureMap:
     """Node-major feature matrix at one octree level."""
 
-    __slots__ = ("values", "grad", "level", "_tracked", "_tape")
+    __slots__ = ("values", "level", "_slot")
 
     def __init__(self, values, level=None, requires_grad=False):
         self.values = np.asarray(values)
         if self.values.ndim == 1:
             self.values = self.values.reshape(-1, 1)
-        self.grad = None
         self.level = level
-        self._tracked = requires_grad
-        self._tape = None
+        self._slot = _Slot(requires_grad, self.values.dtype)
+
+    @property
+    def grad(self):
+        return self._slot.grad
+
+    @grad.setter
+    def grad(self, g):
+        self._slot.grad = g
 
     @property
     def rows(self):
@@ -74,17 +95,17 @@ class FeatureMap:
 def tracked(fm):
     """Whether backward gives `fm` a gradient: a parameter, or the taped
     output of an op with a tracked input."""
-    return fm._tracked
+    return fm._slot.tracked
 
 
-def _accum(fm, g):
-    if not fm._tracked:
+def _accum(slot, g):
+    if not slot.tracked:
         return
-    if fm.grad is None:
+    if slot.grad is None:
         # no copy when the dtype matches: custom_op's contract makes g ours
-        fm.grad = np.asarray(g, dtype=fm.values.dtype)
+        slot.grad = np.asarray(g, dtype=slot.dtype)
     else:
-        fm.grad += g
+        slot.grad += g
 
 
 def custom_op(values, inputs, backward_fn, level=None):
@@ -93,21 +114,25 @@ def custom_op(values, inputs, backward_fn, level=None):
     Each returned gradient must be an array that no other input receives
     and that nothing else keeps: an input's first gradient becomes its
     ``.grad`` without a copy, and later ones are added into it in place.
+    backward_fn should hold the arrays it reads, not FeatureMaps: the tape
+    holds only the ops' slots, so an output whose array no backward_fn
+    holds is freed as soon as its caller drops it.
     """
     out = FeatureMap(values, level=level)
     tape = _ACTIVE_TAPE
-    if tape is not None and any(inp._tracked for inp in inputs):
-        out._tracked = True
-        # weak: the tape holds this closure, which holds out
-        out._tape = weakref.ref(tape)
+    if tape is not None and any(inp._slot.tracked for inp in inputs):
+        slot, in_slots = out._slot, [inp._slot for inp in inputs]
+        slot.tracked = True
+        # weak: the tape holds this closure, which holds the slot
+        slot.tape = weakref.ref(tape)
 
         def _backward():
-            g, out.grad = out.grad, None
+            g, slot.grad = slot.grad, None
             if g is None:
                 return
-            for inp, gi in zip(inputs, backward_fn(g)):
+            for s, gi in zip(in_slots, backward_fn(g)):
                 if gi is not None:
-                    _accum(inp, gi)
+                    _accum(s, gi)
 
         tape.ops.append(_backward)
     return out
@@ -119,7 +144,7 @@ def backward(loss):
     Pops each closure off the tape as it replays it, so the tape ends empty
     and every non-leaf ``.grad`` ends None.
     """
-    tape = None if loss._tape is None else loss._tape()
+    tape = None if loss._slot.tape is None else loss._slot.tape()
     if tape is None:
         raise DomainError("backward on a value detached from any tape")
     if loss.values.size != 1:
@@ -147,12 +172,8 @@ def sub(a, b):
 
 def mul(a, b):
     _check_same_shape(a, b)
-    return custom_op(
-        a.values * b.values,
-        [a, b],
-        lambda g: (g * b.values, g * a.values),
-        level=a.level,
-    )
+    av, bv = a.values, b.values
+    return custom_op(av * bv, [a, b], lambda g: (g * bv, g * av), level=a.level)
 
 
 def scale(a, s):
@@ -164,17 +185,18 @@ def linear(x, w, bias=None):
     """x @ w.T (+ bias); w is (out_channels, in_channels)."""
     if x.values.shape[1] != w.values.shape[1]:
         raise DomainError("linear channel mismatch")
-    out = x.values @ w.values.T
-    if bias is not None:
+    xv, wv, biased = x.values, w.values, bias is not None
+    out = xv @ wv.T
+    if biased:
         out = out + bias.values
 
     def back(g):
-        gs = [g @ w.values, g.T @ x.values]
-        if bias is not None:
+        gs = [g @ wv, g.T @ xv]
+        if biased:
             gs.append(g.sum(axis=0, keepdims=True))
         return gs
 
-    inputs = [x, w] if bias is None else [x, w, bias]
+    inputs = [x, w, bias] if biased else [x, w]
     return custom_op(out, inputs, back, level=x.level)
 
 
@@ -190,8 +212,10 @@ def relu_values(v, out=None):
 
 
 def relu(a):
-    mask = a.values > 0
-    return custom_op(relu_values(a.values), [a], lambda g: (g * mask,), level=a.level)
+    """max(a, 0); backward masks by the output being > 0, which is a > 0 bit
+    for bit (relu_values maps NaN and -0.0 to +0.0), so no mask is kept."""
+    out = relu_values(a.values)
+    return custom_op(out, [a], lambda g: (g * (out > 0),), level=a.level)
 
 
 def row_gather(a, idx):
@@ -204,9 +228,10 @@ def row_gather(a, idx):
     if idx.ndim != 1:
         raise DomainError("row_gather index must be 1-D")
     out = kernels.gather_rows(a.values, idx)
+    shape, dtype = a.values.shape, a.values.dtype
 
     def back(g):
-        ga = np.zeros_like(a.values)
+        ga = np.zeros(shape, dtype)
         valid = idx >= 0
         ga[idx[valid]] = g[valid]
         return (ga,)
@@ -215,8 +240,9 @@ def row_gather(a, idx):
 
 
 def sum_all(a):
-    out = np.full((1, 1), a.values.sum(), dtype=a.values.dtype)
-    return custom_op(out, [a], lambda g: (np.full_like(a.values, g[0, 0]),))
+    shape, dtype = a.values.shape, a.values.dtype
+    out = np.full((1, 1), a.values.sum(), dtype=dtype)
+    return custom_op(out, [a], lambda g: (np.full(shape, g[0, 0], dtype),))
 
 
 def constant(values, level=None):

@@ -46,9 +46,10 @@ def guided_skip_add(d_map, e_map, align_idx, parent_index, mask: StatusMask):
     e_rows = align_idx[open_rows]
     out = d_map.values.copy()
     out[open_rows] += e_map.values[e_rows]
+    e_shape, e_dtype = e_map.values.shape, e_map.values.dtype
 
     def back(g):
-        ge = np.zeros_like(e_map.values)
+        ge = np.zeros(e_shape, e_dtype)
         ge[e_rows] = g[open_rows]
         return g, ge
 

@@ -229,5 +229,5 @@ def test_untracked_inputs_stay_untracked():
     c = ad.constant(np.ones((2, 2)))
     with ad.Tape() as t:
         out = ad.add(c, c)
-        assert not out._tracked
+        assert not ad.tracked(out)
         assert t.ops == []

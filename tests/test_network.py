@@ -2,6 +2,7 @@
 
 import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -144,6 +145,40 @@ def test_abandoned_taped_forward_leaves_no_cyclic_garbage(collector_off):
         net.decode(code, ib, feats, gt_batch=gb, train=True)
     del code, feats
     assert gc.collect() == 0
+
+
+def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off):
+    """The tape holds gradient slots, not FeatureMaps: by the end of a taped
+    forward, before backward, the values of every ad.add output and every
+    batch_norm(relu=False) output are freed (no backward reads them), while
+    a batch_norm(relu=True) output, which its own backward masks by, lives."""
+    partial, gt = sphere_octree()
+    net = CompletionNet(small_spec(), seed=0)
+    ib, gb = OctreeBatch([partial]), OctreeBatch([gt])
+    unread, masked = [], []
+    add, batch_norm = ad.add, nn.batch_norm
+
+    def add_spy(a, b):
+        out = add(a, b)
+        unread.append(weakref.ref(out.values))
+        return out
+
+    def batch_norm_spy(x, params, train, relu=False):
+        out = batch_norm(x, params, train, relu)
+        (masked if relu else unread).append(weakref.ref(out.values))
+        return out
+
+    monkeypatch.setattr(ad, "add", add_spy)
+    monkeypatch.setattr(nn, "batch_norm", batch_norm_spy)
+    with ad.Tape() as tape:
+        code, feats = net.encode(ib, train=True)
+        res = net.decode(code, ib, feats, gt_batch=gb, train=True)
+        assert len(unread) >= 8 and len(masked) >= 8
+        assert [r for r in unread if r() is not None] == []
+        assert all(r() is not None for r in masked)
+        ad.backward(ad.sum_all(res.head_out))
+    assert tape.ops == []
+    assert all(net.params[name].grad is not None for name in ("enc.lift.w", "dec.head.w1"))
 
 
 def test_inference_deterministic():
