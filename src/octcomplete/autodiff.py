@@ -24,8 +24,6 @@ import numpy as np
 from . import kernels
 from .errors import DomainError
 
-DEFAULT_DTYPE = np.float32
-
 _ACTIVE_TAPE = None
 
 

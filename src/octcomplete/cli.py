@@ -160,6 +160,7 @@ def cmd_complete(args):
     if shape.empty:
         raise NumericalError("network predicted an empty shape")
     if net.spec.task == "completion":
+        labels = np.zeros(len(shape.leaf_codes), dtype=np.int32)
         out = sample_points(shape, samples_per_node=args.samples_per_node)
     else:
         # semantic leaves have no patches; emit their centers
@@ -167,14 +168,7 @@ def cmd_complete(args):
         out = dt.leaf_center_points(shape.leaf_codes, labels, shape.depth)
     fileio.write_ply(args.out, out)
     if args.export_grid:
-        if net.spec.task == "semantic":
-            grid = dt.shape_to_label_grid(shape.leaf_codes, labels, shape.depth)
-        else:
-            grid = dt.shape_to_label_grid(
-                shape.leaf_codes,
-                np.zeros(len(shape.leaf_codes), dtype=np.int32),
-                shape.depth,
-            )
+        grid = dt.shape_to_label_grid(shape.leaf_codes, labels, shape.depth)
         fileio.save_sgrid(args.export_grid, grid)
     print(f"completed shape: {len(shape.leaf_codes)} leaves, {len(out)} points")
     return EXIT_OK

@@ -1,11 +1,20 @@
-"""File formats: point clouds, octree containers, checkpoints, label grids."""
+"""File formats: point clouds, octree containers, checkpoints, label grids.
 
+Every reader fails the same way: a missing or unreadable file, text that
+is not numbers where numbers belong, undecodable bytes or a short binary
+read ends as a `DataError` that names the file, never as an `OSError`,
+`ValueError` or `struct.error`. PLY bodies, XYZ files and SGRID runs are
+one kind of text: whitespace-separated number rows.
+"""
+
+import contextlib
 import hashlib
 import json
 import math
 import os
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -20,53 +29,67 @@ class DataError(RuntimeError):
     """I/O or file-format failure attributable to the data, not the code."""
 
 
+@contextlib.contextmanager
+def _reading(path, what):
+    """The reader contract: an OSError becomes a DataError naming `path`; a
+    ValueError (UnicodeDecodeError included) or struct.error one that also
+    names the file as a malformed `what`."""
+    try:
+        yield
+    except OSError as e:
+        raise DataError(f"{path}: {e}") from e
+    except (ValueError, struct.error) as e:
+        raise DataError(f"{path}: malformed {what}: {e}") from e
+
+
+def _read_table(f, dtype=float, max_rows=None):
+    """Whitespace-separated number rows as a 2-D array. An empty body reads
+    as a (0, 0) array, without numpy's empty-input warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(f, dtype=dtype, max_rows=max_rows, ndmin=2)
+
+
+def _point_table(points: PointSet):
+    """A cloud's rows and their formats, as both point writers write them:
+    the six coordinates as %.7g, then the label, if any, as an integer."""
+    cols, fmt = [points.positions, points.normals], ["%.7g"] * 6
+    if points.labels is not None:
+        cols.append(points.labels[:, None])
+        fmt.append("%d")
+    return np.hstack(cols), fmt
+
+
 # -- point clouds -----------------------------------------------------------
 
 
 def write_ply(path, points: PointSet):
-    has_label = points.labels is not None
-    with open(path, "w") as f:
-        f.write("ply\nformat ascii 1.0\n")
-        f.write(f"element vertex {len(points)}\n")
-        for prop in ("x", "y", "z", "nx", "ny", "nz"):
-            f.write(f"property float {prop}\n")
-        if has_label:
-            f.write("property int label\n")
-        f.write("end_header\n")
-        for i in range(len(points)):
-            row = "%.7g %.7g %.7g %.7g %.7g %.7g" % (
-                *points.positions[i],
-                *points.normals[i],
-            )
-            if has_label:
-                row += f" {int(points.labels[i])}"
-            f.write(row + "\n")
+    rows, fmt = _point_table(points)
+    header = ["ply", "format ascii 1.0", f"element vertex {len(points)}"]
+    header += [f"property float {p}" for p in ("x", "y", "z", "nx", "ny", "nz")]
+    if points.labels is not None:
+        header.append("property int label")
+    header.append("end_header")
+    np.savetxt(path, rows, fmt=fmt, header="\n".join(header), comments="")
 
 
 def read_ply(path) -> PointSet:
-    try:
-        with open(path) as f:
-            line = f.readline().strip()
-            if line != "ply":
-                raise DataError(f"{path}: not a PLY file")
-            props = []
-            count = 0
-            while True:
-                line = f.readline()
-                if not line:
-                    raise DataError(f"{path}: truncated header")
-                line = line.strip()
-                if line.startswith("element vertex"):
-                    count = int(line.split()[-1])
-                elif line.startswith("property"):
-                    props.append(line.split()[-1])
-                elif line == "end_header":
-                    break
-            data = np.loadtxt(f, max_rows=count, ndmin=2)
-    except OSError as e:
-        raise DataError(f"{path}: {e}") from e
-    except ValueError as e:  # a non-numeric count or token, ragged rows, bad text
-        raise DataError(f"{path}: malformed PLY: {e}") from e
+    with _reading(path, "PLY"), open(path) as f:
+        if f.readline().strip() != "ply":
+            raise DataError(f"{path}: not a PLY file")
+        props, count = [], 0
+        while True:
+            line = f.readline()
+            if not line:
+                raise DataError(f"{path}: truncated header")
+            line = line.strip()
+            if line.startswith("element vertex"):
+                count = int(line.split()[-1])
+            elif line.startswith("property"):
+                props.append(line.split()[-1])
+            elif line == "end_header":
+                break
+        data = _read_table(f, max_rows=count)
     if data.shape[0] != count or data.shape[1] < 6:
         raise DataError(f"{path}: vertex data mismatch")
     labels = None
@@ -87,19 +110,13 @@ def _labels(path, column):
 
 
 def write_xyz(path, points: PointSet):
-    cols = [points.positions, points.normals]
-    if points.labels is not None:
-        cols.append(points.labels[:, None].astype(np.float64))
-    np.savetxt(path, np.hstack(cols), fmt="%.7g")
+    rows, fmt = _point_table(points)
+    np.savetxt(path, rows, fmt=fmt)
 
 
 def read_xyz(path) -> PointSet:
-    try:
-        data = np.loadtxt(path, ndmin=2)
-    except OSError as e:
-        raise DataError(f"{path}: {e}") from e
-    except ValueError as e:  # a non-numeric token, ragged rows, bad text
-        raise DataError(f"{path}: malformed XYZ: {e}") from e
+    with _reading(path, "XYZ"):
+        data = _read_table(path)
     if data.shape[1] not in (6, 7):
         raise DataError(f"{path}: expected 'x y z nx ny nz [label]' columns")
     labels = _labels(path, data[:, 6]) if data.shape[1] == 7 else None
@@ -131,22 +148,17 @@ def save_octree(path, octree: Octree):
 def load_octree(path) -> Octree:
     """Read an octree container, checking it against the octree its finest
     nonempty keys build: every stored key and status must match."""
-    try:
+    with _reading(path, "octree container"):
         with open(path, "rb") as f:
             raw = f.read()
-    except OSError as e:
-        raise DataError(f"{path}: {e}") from e
-    if raw[:4] != OCTC_MAGIC:
-        raise DataError(f"{path}: bad magic")
-    try:
+        if raw[:4] != OCTC_MAGIC:
+            raise DataError(f"{path}: bad magic")
         version, depth = struct.unpack_from("<II", raw, 4)
         if version != FORMAT_VERSION:
             raise DataError(f"{path}: unsupported version {version}")
         if depth > MAX_DEPTH:
             raise DataError(f"{path}: depth {depth} exceeds {MAX_DEPTH}")
         counts = struct.unpack_from(f"<{depth + 1}I", raw, 12)
-    except struct.error as e:
-        raise DataError(f"{path}: truncated header: {e}") from e
     # keys, then statuses, then the finest level's 4-channel signal
     head, n, m = 16 + 4 * depth, sum(counts), counts[-1]
     if len(raw) != head + 9 * n + 16 * m:
@@ -200,42 +212,37 @@ def save_checkpoint(path, named_arrays, config_text, epoch):
 
 
 def load_checkpoint(path):
-    try:
-        with open(path, "rb") as f:
-            size = os.fstat(f.fileno()).st_size
+    with _reading(path, "checkpoint"), open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
 
-            def read(n):
-                # a corrupt size field must not ask for more than the file holds
-                if n > size - f.tell():
-                    raise DataError(f"{path}: truncated or corrupt checkpoint: "
-                                    f"{n} bytes wanted at offset {f.tell()} of {size}")
-                return f.read(n)
+        def read(n):
+            # a corrupt size field must not ask for more than the file holds
+            if n > size - f.tell():
+                raise DataError(f"{path}: truncated or corrupt checkpoint: "
+                                f"{n} bytes wanted at offset {f.tell()} of {size}")
+            return f.read(n)
 
-            if read(4) != OCKP_MAGIC:
-                raise DataError(f"{path}: bad magic")
-            (version,) = struct.unpack("<I", read(4))
-            if version != FORMAT_VERSION:
-                raise DataError(f"{path}: unsupported version {version}")
-            chash = read(32)
-            (epoch,) = struct.unpack("<I", read(4))
-            (clen,) = struct.unpack("<I", read(4))
-            config_text = read(clen).decode()
-            (count,) = struct.unpack("<I", read(4))
-            arrays = {}
-            for _ in range(count):
-                (nlen,) = struct.unpack("<H", read(2))
-                name = read(nlen).decode()
-                (ndim,) = struct.unpack("<I", read(4))
-                shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
-                arrays[name] = (
-                    np.frombuffer(read(4 * math.prod(shape)), dtype="<f4")
-                    .reshape(shape)
-                    .astype(np.float32)
-                )
-    except OSError as e:
-        raise DataError(f"{path}: {e}") from e
-    except (struct.error, ValueError) as e:  # short reads, reshape, UnicodeDecodeError
-        raise DataError(f"{path}: truncated or corrupt checkpoint: {e}") from e
+        if read(4) != OCKP_MAGIC:
+            raise DataError(f"{path}: bad magic")
+        (version,) = struct.unpack("<I", read(4))
+        if version != FORMAT_VERSION:
+            raise DataError(f"{path}: unsupported version {version}")
+        chash = read(32)
+        (epoch,) = struct.unpack("<I", read(4))
+        (clen,) = struct.unpack("<I", read(4))
+        config_text = read(clen).decode()
+        (count,) = struct.unpack("<I", read(4))
+        arrays = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack("<H", read(2))
+            name = read(nlen).decode()
+            (ndim,) = struct.unpack("<I", read(4))
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
+            arrays[name] = (
+                np.frombuffer(read(4 * math.prod(shape)), dtype="<f4")
+                .reshape(shape)
+                .astype(np.float32)
+            )
     if config_hash(config_text) != chash:
         raise DataError(f"{path}: config hash mismatch")
     return {"epoch": epoch, "config_text": config_text, "arrays": arrays}
@@ -245,29 +252,22 @@ def load_checkpoint(path):
 
 
 def save_sgrid(path, grid):
+    """A label grid as its header line, then one 'label length' row per run
+    of equal labels in C order."""
     grid = np.asarray(grid, dtype=np.int32)
-    with open(path, "w") as f:
-        f.write("SGRID %d %d %d\n" % grid.shape)
-        flat = grid.ravel()
-        edges = np.flatnonzero(np.diff(flat)) + 1
-        starts = np.concatenate([[0], edges])
-        ends = np.concatenate([edges, [len(flat)]])
-        for s, e in zip(starts, ends):
-            f.write(f"{int(flat[s])} {int(e - s)}\n")
+    flat = grid.ravel()
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(flat)) + 1])
+    runs = np.column_stack([flat[starts], np.diff(starts, append=len(flat))])
+    np.savetxt(path, runs, fmt="%d", header="SGRID %d %d %d" % grid.shape, comments="")
 
 
 def load_sgrid(path):
-    try:
-        with open(path) as f:
-            header = f.readline().split()
-            if len(header) != 4 or header[0] != "SGRID":
-                raise DataError(f"{path}: bad SGRID header")
-            dims = tuple(int(v) for v in header[1:])
-            runs = np.loadtxt(f, dtype=np.int64, ndmin=2)
-    except OSError as e:
-        raise DataError(f"{path}: {e}") from e
-    except ValueError as e:  # non-integer dims or runs, ragged rows, bad text
-        raise DataError(f"{path}: malformed SGRID: {e}") from e
+    with _reading(path, "SGRID"), open(path) as f:
+        header = f.readline().split()
+        if len(header) != 4 or header[0] != "SGRID":
+            raise DataError(f"{path}: bad SGRID header")
+        dims = tuple(int(v) for v in header[1:])
+        runs = _read_table(f, dtype=np.int64)
     if min(dims) < 0:
         raise DataError(f"{path}: negative grid dimension")
     if runs.shape[1] != 2:
@@ -296,27 +296,22 @@ def write_manifest(path, entries):
 
 def read_manifest(path):
     entries = []
-    try:
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split()
-                if len(parts) != 4:
-                    raise DataError(f"{path}: malformed manifest line: {line}")
-                entries.append(
-                    {
-                        "partial": parts[0],
-                        "complete": parts[1],
-                        "grid": None if parts[2] == "-" else parts[2],
-                        "seed": int(parts[3]),
-                    }
-                )
-    except OSError as e:
-        raise DataError(f"{path}: {e}") from e
-    except ValueError as e:  # a non-integer seed, undecodable text
-        raise DataError(f"{path}: malformed manifest: {e}") from e
+    with _reading(path, "manifest"), open(path) as f:
+        for line in f:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 4:
+                raise DataError(f"{path}: malformed manifest line: {line}")
+            entries.append(
+                {
+                    "partial": parts[0],
+                    "complete": parts[1],
+                    "grid": None if parts[2] == "-" else parts[2],
+                    "seed": int(parts[3]),
+                }
+            )
     return entries
 
 
@@ -330,13 +325,8 @@ def write_config(path, values):
 
 
 def read_config(path):
-    try:
-        with open(path) as f:
-            text = f.read()
-    except OSError as e:
-        raise DataError(f"{path}: {e}") from e
-    except ValueError as e:  # undecodable text
-        raise DataError(f"{path}: malformed config: {e}") from e
+    with _reading(path, "config"), open(path) as f:
+        text = f.read()
     return parse_config(text, path)
 
 

@@ -111,7 +111,7 @@ def test_train_complete_eval_flow(tmp_path, capsys):
     report = str(tmp_path / "report.json")
     assert run(["eval", "--ckpt", ckpt, "--data", manifest, "--metric", "chamfer", "--report", report]) == EXIT_OK
 
-    rep = json.loads(open(report).read())
+    rep = json.loads(Path(report).read_text())
     assert np.isfinite(rep["chamfer"]) or rep["chamfer"] == float("inf")
     assert rep["baseline"] > 0
 
@@ -193,6 +193,17 @@ def test_complete_semantic_writes_labeled_leaf_centers(tmp_path):
     assert np.allclose(pts.positions, cell_centers(shape.leaf_codes, 4), rtol=0, atol=1e-6)
     assert np.array_equal(pts.normals, np.tile((0.0, 1.0, 0.0), (len(pts), 1)))
     assert np.array_equal(pts.labels, np.argmax(shape.semantic_logits, axis=1))
+
+
+def test_complete_semantic_exports_argmax_label_grid(tmp_path):
+    ckpt, scan = untrained_checkpoint_and_scan(tmp_path, task="semantic", num_classes=3)
+    out, grid = str(tmp_path / "out.ply"), str(tmp_path / "out.sgrid")
+    assert run(["complete", "--ckpt", ckpt, "--in", scan, "--out", out, "--export-grid", grid]) == EXIT_OK
+    net, _ = net_from_checkpoint(ckpt)
+    shape = net.complete(build_octree(fileio.read_points(scan), 4))
+    labels = np.argmax(shape.semantic_logits, axis=1)
+    want = dt.shape_to_label_grid(shape.leaf_codes, labels, 4)
+    assert np.array_equal(fileio.load_sgrid(grid), want)
 
 
 def test_complete_truncated_checkpoint_is_data_error(tmp_path):

@@ -7,6 +7,9 @@ from octcomplete import data as dt
 from octcomplete import fileio
 from octcomplete.octree import MAX_DEPTH, PointSet, build_octree
 
+# a reader that leaks a numpy warning (an empty body, say) fails here
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def random_points(rng, n=50, labels=False):
     nrm = rng.normal(size=(n, 3))
@@ -41,6 +44,19 @@ def test_xyz_roundtrip(tmp_path, rng, labels):
     assert np.allclose(back.positions, pts.positions, atol=1e-6)
     if labels:
         assert np.array_equal(back.labels, pts.labels)
+
+
+@pytest.mark.parametrize("fmt", ["xyz", "ply"])
+def test_large_and_negative_labels_roundtrip_exactly(tmp_path, rng, fmt):
+    """Labels are written as integers: as %.7g, 12345678 read back as
+    12345680 and 2**31 - 1 as a label that the reader rejects."""
+    xyz = random_points(rng, n=3)
+    pts = PointSet(xyz.positions, xyz.normals, np.array([12345678, 2**31 - 1, -1], np.int32))
+    path = tmp_path / f"p.{fmt}"
+    {"xyz": fileio.write_xyz, "ply": fileio.write_ply}[fmt](path, pts)
+    back = fileio.read_points(path)
+    assert back.labels.dtype == np.int32
+    assert back.labels.tolist() == [12345678, 2**31 - 1, -1]
 
 
 def test_ply_bad_magic(tmp_path):
