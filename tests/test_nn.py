@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from octcomplete import autodiff as ad
 from octcomplete import data as dt
@@ -337,6 +338,29 @@ def test_block_map_conv_matches_per_pair_oracle(case, tracked, rng):
     else:
         assert gx is None
     assert_close_f32(gw, want_gw)
+
+
+def test_block_map_keeps_no_sparse_matrix(rng):
+    """A conv forward and backward leave no scipy.sparse matrix on the
+    level's BlockMap, in an attribute or in a container it holds: each
+    call builds its scatter matrices and drops them."""
+    bmap, table, _ = oracle_case("batch")
+    xv = rng.normal(size=(len(table), 4)).astype(np.float32)
+    wv = rng.normal(size=(3, 27 * 4)).astype(np.float32)
+    g = rng.normal(size=(len(table), 3)).astype(np.float32)
+    gx, gw = taped_grads(
+        lambda x, w: nn.octree_conv(x, bmap, w), ad.parameter(xv), ad.parameter(wv), g
+    )
+    assert gx is not None and gw is not None
+
+    def contents(value):
+        if isinstance(value, dict):
+            value = [*value.keys(), *value.values()]
+        if isinstance(value, (list, tuple)):
+            return [v for item in value for v in contents(item)]
+        return [value]
+
+    assert not any(sparse.issparse(v) for v in contents(list(vars(bmap).values())))
 
 
 def one_child_octree(rng, depth=4, parents=200):

@@ -2,6 +2,8 @@
 
 import gc
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -134,6 +136,39 @@ def test_step_decreases_loss_and_reports():
     assert last.total < first.total
     assert set(last.metrics["status_accuracy"]) == {3, 4}
     assert last.structure.keys() == {3, 4}
+
+
+IMPORT_CHECK = """
+import sys
+
+import numpy as np
+
+import octcomplete.cli, octcomplete.evaluate, octcomplete.train
+from octcomplete import data as dt, losses
+from octcomplete.network import CompletionNet, NetworkSpec
+from octcomplete.train import TrainConfig, Trainer, prepare_sample
+
+spec = NetworkSpec(input_depth=4, output_depth=4, n_res=0, c0=4, c_max=8, hidden=4)
+shape = dt.make_shape("sphere", density=1200, seed=0)
+scan = dt.virtual_scan(shape, dt.ScanConfig(num_views=2, seed=0))
+samples = [prepare_sample(dt.SamplePair(scan, shape), spec)]
+Trainer(CompletionNet(spec, seed=0), TrainConfig(lr=0.01, batch_size=1), samples).step([0], 0.01)
+assert "scipy.spatial" not in sys.modules, "loaded by import or by a train step"
+losses.chamfer_distance(scan, shape)
+assert "scipy.spatial" in sys.modules, "chamfer_distance built no k-d tree"
+"""
+
+
+def test_training_does_not_load_the_kd_tree_library():
+    """Importing the CLI, training and evaluation modules and running a
+    teacher-forced step leave scipy.spatial unloaded; the first k-d tree,
+    built by chamfer_distance, loads it."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_CHECK], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_failed_step_leaves_no_cyclic_garbage(monkeypatch, collector_off):
