@@ -76,6 +76,9 @@ def make_scene_pair(seed, views=None, num_classes=4):
 
 
 def cmd_gen(args):
+    for name, low in (("seed", 0), ("count", 1)):
+        if getattr(args, name) < low:
+            raise DomainError(f"--{name} must be >= {low}, got {getattr(args, name)}")
     os.makedirs(args.out, exist_ok=True)
     entries = []
     for i in range(args.count):
@@ -128,6 +131,7 @@ def cmd_train(args):
     check_config_keys(values)
     spec = spec_from_config_values(values)
     tcfg = TrainConfig.from_dict(values, prefix="train.")
+    tcfg.validate()  # before the net draws its weights from train.seed
     pairs = _load_pairs(args.data)
     samples = [prepare_sample(p, spec) for p in pairs]
     net = CompletionNet(spec, seed=tcfg.seed)
@@ -174,8 +178,17 @@ def cmd_complete(args):
     return EXIT_OK
 
 
+# the checkpoint task each eval metric reads
+_METRIC_TASK = {"chamfer": "completion", "iou": "semantic"}
+
+
 def cmd_eval(args):
     net, _ = net_from_checkpoint(args.ckpt)
+    task = _METRIC_TASK[args.metric]
+    if net.spec.task != task:
+        raise fileio.DataError(
+            f"metric {args.metric} needs a {task} checkpoint, {args.ckpt} is a {net.spec.task} one"
+        )
     pairs = _load_pairs(args.data)
     if args.metric == "chamfer":
         report = ev.eval_completion(net, [(p.partial, p.complete) for p in pairs])

@@ -29,8 +29,9 @@ class ScanConfig:
     def __post_init__(self):
         if not (1 <= self.num_views <= 6):
             raise DomainError("num_views must be in 1..6")
-        if self.noise_std_fraction < 0:
-            raise DomainError("noise_std_fraction must be >= 0")
+        noise = self.noise_std_fraction
+        if not 0 <= noise < np.inf:
+            raise DomainError(f"noise_std_fraction must be finite and >= 0, got {noise}")
 
 
 @dataclass

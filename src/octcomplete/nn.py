@@ -101,20 +101,21 @@ def _block_layout():
 
 _BLOCK_SLOTS, _BLOCK_KIDS, _BLOCK_TAPS, _BLOCK_START = _block_layout()
 _CENTRE = 13
+_CENTRE_ENTRIES = slice(_BLOCK_START[_CENTRE], _BLOCK_START[_CENTRE + 1])
 
 
 @lru_cache(maxsize=None)
 def _matrix_rows(cin):
-    """The rows of w.T, a (cout, 27*cin) weight's transpose, that make the
-    gemm matrices of the parent taps with k > 1, one after another: row
+    """The (216*cin,) rows of w.T, a (cout, 27*cin) weight's transpose,
+    that make the 27 parent taps' gemm matrices one after another: row
     (child, in channel, slot) of T's (k, cin, k) block is tap*cin +
-    channel, tap being the (child, slot) entry's."""
+    channel, tap being the (child, slot) entry's. Entries a..b of
+    _BLOCK_TAPS are rows cin*a..cin*b of the gather."""
     rows = []
     for T, slots in enumerate(_BLOCK_SLOTS):
         k = len(slots)
-        if k > 1:
-            taps = _BLOCK_TAPS[_BLOCK_START[T] : _BLOCK_START[T + 1]].reshape(k, 1, k)
-            rows.append((taps * cin + np.arange(cin)[:, None]).ravel())
+        taps = _BLOCK_TAPS[_BLOCK_START[T] : _BLOCK_START[T + 1]].reshape(k, 1, k)
+        rows.append((taps * cin + np.arange(cin)[:, None]).ravel())
     rows = np.concatenate(rows)
     rows.flags.writeable = False  # every caller shares it
     return rows
@@ -122,7 +123,7 @@ def _matrix_rows(cin):
 
 @lru_cache(maxsize=None)
 def _fold(cin):
-    """The adjoint of the _matrix_rows(cin) gather: the (27*cin, 208*cin)
+    """The adjoint of the _matrix_rows(cin) gather: the (27*cin, 216*cin)
     sparse matrix with a one in row _matrix_rows(cin)[j] of column j, which
     adds each gathered row back onto the row of w.T it came from."""
     rows = _matrix_rows(cin)
@@ -130,22 +131,12 @@ def _fold(cin):
     return sparse.csr_array((np.ones(n, np.float32), (rows, np.arange(n))), shape=(27 * cin, n))
 
 
-def _views(rows, wt, cin):
-    """Per parent tap T, its (k*cin, k*cout) gemm matrix in the layout both
-    directions share: for k > 1 a reshape view of T's rows of `rows`, laid
-    out as _matrix_rows(cin) gathers them; for a corner (k = 1) the rows
-    of its tap in `wt`, a (27*cin, cout) array laid out as w.T."""
-    cout = wt.shape[1]
-    mats, a = [], 0
-    for T, slots in enumerate(_BLOCK_SLOTS):
-        k = len(slots)
-        if k == 1:
-            t = _BLOCK_TAPS[_BLOCK_START[T]]
-            mats.append(wt[t * cin : (t + 1) * cin])
-        else:
-            mats.append(rows[a : a + k * k * cin].reshape(k * cin, k * cout))
-            a += k * k * cin
-    return mats
+def _matrix(gathered, e, k):
+    """Entries e, a slice of _BLOCK_TAPS, of an array laid out as
+    _matrix_rows(cin) gathers the rows of w.T, as a gemm matrix of k
+    slots: a (len(e)*cin/k, k*cout) reshape view of their rows."""
+    cin = len(gathered) // len(_BLOCK_TAPS)
+    return gathered[cin * e.start : cin * e.stop].reshape(-1, k * gathered.shape[1])
 
 
 # A parent tap runs as one gemm over all the children its pairs gather
@@ -181,10 +172,11 @@ class BlockMap:
     - where fewer than SPLIT_BELOW of the children a tap gathers are read,
       the tap (the centre too) is one SPLIT group per child instead, over
       the pairs that read that child.
-    ``groups`` holds (T, child index or None, out slice, in slice) per
-    group. All group products reach the output through one CSC matrix
-    whose column j has a single one in row rows_out[j], and the input
-    gradient's through one with rows_in. Rows flagged empty in
+    ``groups`` holds (child index or None, entries, k, out slice, in
+    slice) per group, its gemm matrix being the entries' rows of the
+    weight gather (_matrix). All group products reach the output through
+    one CSC matrix whose column j has a single one in row rows_out[j], and
+    the input gradient's through one with rows_in. Rows flagged empty in
     `child_status` read as zero and get no gradient, as the pair stencil
     never reads them; without `child_status` every row is read, as on a
     decoder level. ``reads_empty`` says whether the centre's reshape or a
@@ -224,12 +216,14 @@ class BlockMap:
                 if parts[0][0] is None:
                     continue  # the reshape
                 self.centre_merged = False
+            a, k = _BLOCK_START[T], len(_BLOCK_SLOTS[T])
             for c, ko, rin_g in parts:
                 if len(ko) == 0:
                     continue
                 rout = ((8 * ko)[:, None] + _BLOCK_SLOTS[T]).ravel()
+                e = slice(a, a + k * k) if c is None else slice(a + c * k, a + (c + 1) * k)
                 self.groups.append(
-                    (T, c, slice(n_out, n_out + len(rout)), slice(n_in, n_in + len(rin_g)))
+                    (c, e, k, slice(n_out, n_out + len(rout)), slice(n_in, n_in + len(rin_g)))
                 )
                 outs.append(rout)
                 ins.append(rin_g)
@@ -245,13 +239,13 @@ class BlockMap:
         # a split group gathers only rows that are read, so only the
         # centre's reshape and a merged group can read an empty row
         self.reads_empty = self.empty is not None and (
-            self.centre_merged or any(c is None for _, c, _, _ in self.groups)
+            self.centre_merged or any(c is None for c, *_ in self.groups)
         )
 
     @property
     def kinds(self):
         """The group kinds the map runs, the centre's reshape as MERGED."""
-        kinds = {MERGED if c is None else SPLIT for _, c, _, _ in self.groups}
+        kinds = {MERGED if c is None else SPLIT for c, *_ in self.groups}
         return kinds | {MERGED} if self.centre_merged and self.owners else kinds
 
     def scatter(self, rows, dtype):
@@ -276,57 +270,45 @@ class BlockMap:
         out[self.full_rows] = np.take(x, self.full_rows, axis=0)
         return out
 
-    @staticmethod
-    def matrices(w):
-        """Per parent tap T, the (k*cin, k*cout) gemm matrix of the (cout,
-        27*cin) weight w: block (child, slot) is its entry's W_t.T. The
-        matrices with k > 1 are views of one gather of the rows of w.T; a
-        corner's (k = 1) is its tap's rows of w.T, a transposed view of w:
-        a gemm's rounding depends on its operands' layout, and a C-ordered
-        corner matrix moves the results in the last bit."""
-        cin = w.shape[1] // 27
-        rows = np.take(w.T, _matrix_rows(cin), axis=0)  # (208*cin, cout)
-        return _views(rows, w.T, cin)
-
-    def conv(self, x, mats):
-        """The (rows, cout) convolution of x, its empty rows read as zero."""
+    def conv(self, x, w):
+        """The (rows, cout) convolution of x by the (cout, 27*cin) weight w,
+        x's empty rows read as zero."""
         if self.reads_empty:
             x = self.read(x)
-        cin, cout = x.shape[1], mats[0].shape[1]  # a corner block is (cin, cout)
-        dtype = np.result_type(x, mats[0])
+        cin, cout = x.shape[1], w.shape[0]
+        dtype = np.result_type(x, w)
+        mats = np.take(w.T, _matrix_rows(cin), axis=0)  # (216*cin, cout)
         buf = np.empty((len(self.rows_out), cout), dtype)
-        for T, c, so, si in self.groups:
-            m = _group_matrix(mats, T, c, cin)
+        for _, e, k, so, si in self.groups:
+            m = _matrix(mats, e, k)
             src = np.take(x, self.rows_in[si], axis=0).reshape(-1, m.shape[0])
             np.matmul(src, m, out=buf[so].reshape(-1, m.shape[1]))
         out = self.scatter(self.rows_out, dtype) @ buf
         del buf
         if self.centre_merged:
             blocks = out.reshape(self.owners, 8 * cout)
-            blocks += x.reshape(self.owners, 8 * cin) @ mats[_CENTRE]
+            blocks += x.reshape(self.owners, 8 * cin) @ _matrix(mats, _CENTRE_ENTRIES, 8)
         return out
 
-    def grads(self, x, g, mats, need_gx):
+    def grads(self, x, g, w, need_gx):
         """The input gradient (None unless need_gx) and the (cout, 27*cin)
         weight gradient of conv for the output gradient g.
 
-        The weight gradient is the adjoint of matrices(w): each group's
-        product goes to its own block of the same layout (_views), whose
-        gathered rows are then folded back onto the rows of w.T."""
+        The weight gradient is the adjoint of conv's weight gather: each
+        group's product goes to its own rows of a buffer in the gather's
+        layout, which _fold(cin) then adds back onto the rows of w.T."""
         if self.reads_empty:
             x = self.read(x)
         cin, cout = x.shape[1], g.shape[1]
-        # each (T, child) block is written by at most one group, and each
-        # corner's tap rows of gwt by its corner T alone
-        grows = np.zeros((len(_matrix_rows(cin)), cout), g.dtype)
-        gwt = np.zeros((27 * cin, cout), g.dtype)
-        gmats = _views(grows, gwt, cin)
+        mats = np.take(w.T, _matrix_rows(cin), axis=0)
+        # each group writes its own entries' rows; rows no group writes stay zero
+        gmats = np.zeros(mats.shape, g.dtype)
         buf = np.empty((len(self.rows_in), cin), g.dtype) if need_gx else None
-        for T, c, so, si in self.groups:
-            m = _group_matrix(mats, T, c, cin)
+        for _, e, k, so, si in self.groups:
+            m = _matrix(mats, e, k)
             go = np.take(g, self.rows_out[so], axis=0).reshape(-1, m.shape[1])
             src = np.take(x, self.rows_in[si], axis=0).reshape(-1, m.shape[0])
-            np.matmul(src.T, go, out=_group_matrix(gmats, T, c, cin))
+            np.matmul(src.T, go, out=_matrix(gmats, e, k))
             if need_gx:
                 np.matmul(go, m.T, out=buf[si].reshape(-1, m.shape[0]))
         gx = None
@@ -335,19 +317,14 @@ class BlockMap:
             del buf
         if self.centre_merged:
             gb = g.reshape(self.owners, 8 * cout)
-            np.matmul(x.reshape(self.owners, 8 * cin).T, gb, out=gmats[_CENTRE])
+            xb = x.reshape(self.owners, 8 * cin)
+            np.matmul(xb.T, gb, out=_matrix(gmats, _CENTRE_ENTRIES, 8))
             if need_gx:
                 blocks = gx.reshape(self.owners, 8 * cin)
-                blocks += gb @ mats[_CENTRE].T
+                blocks += gb @ _matrix(mats, _CENTRE_ENTRIES, 8).T
         if need_gx and self.reads_empty:
             gx[self.empty_rows] = 0
-        gwt += _fold(cin) @ grows
-        return gx, gwt.T
-
-
-def _group_matrix(mats, T, c, cin):
-    """A group's gemm matrix: parent tap T's, or its rows of child index c."""
-    return mats[T] if c is None else mats[T][c * cin : (c + 1) * cin]
+        return gx, (_fold(cin) @ gmats).T
 
 
 def octree_conv(x, bmap, weight):
@@ -361,26 +338,26 @@ def octree_conv(x, bmap, weight):
 
     Forward and backward run the map's groups (BlockMap.conv, .grads): one
     gather, one gemm and, through one CSC product for all groups, one
-    scatter per parent tap, with the centre as a reshape. Forward gathers
-    the rows of w.T into the parent taps' gemm matrices (BlockMap.matrices);
+    scatter per parent tap, with the centre as a reshape. Every gemm
+    matrix is a row range of one gather of the rows of w.T (_matrix_rows);
     backward writes each group's weight product into the same layout and
     folds it back onto the rows of w.T by the gather's adjoint, one sparse
     product (_fold). Where a merged group or the centre's reshape
     reads a row flagged empty, both directions read a copy of x with those
-    rows zeroed (BlockMap.read), which backward makes again, so its closure
-    keeps no copy; where the stencil reads none, x is read as it is. The
-    gemm matrices are rebuilt in backward too. The input gradient is
-    skipped when x takes none.
+    rows zeroed (BlockMap.read). Backward makes that copy and the gather
+    again, so its closure keeps neither; where the stencil reads no empty
+    row, x is read as it is. The input gradient is skipped when x takes
+    none.
     """
     if weight.values.shape[1] != 27 * x.channels:
         raise DomainError("conv channel mismatch")
     if bmap.rows != x.rows:
         raise DomainError("block map row mismatch")
     xv, w, need_gx = x.values, weight.values, ad.tracked(x)
-    out = bmap.conv(xv, bmap.matrices(w))
+    out = bmap.conv(xv, w)
 
     def back(g):
-        return bmap.grads(xv, g, bmap.matrices(w), need_gx)
+        return bmap.grads(xv, g, w, need_gx)
 
     return ad.custom_op(out, [x, weight], back, level=x.level)
 

@@ -40,7 +40,9 @@ class TrainConfig:
     log_every: int = 10
 
     def validate(self):
-        for name, low in (("batch_size", 1), ("log_every", 1), ("epochs", 0), ("max_steps", 0)):
+        for name, low in (
+            ("batch_size", 1), ("log_every", 1), ("epochs", 0), ("max_steps", 0), ("seed", 0)
+        ):
             if getattr(self, name) < low:
                 raise DomainError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("lr", "lr_drop_factor"):

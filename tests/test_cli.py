@@ -116,16 +116,40 @@ def test_train_complete_eval_flow(tmp_path, capsys):
     assert rep["baseline"] > 0
 
 
-def test_eval_iou_needs_grids(tmp_path):
-    data = str(tmp_path / "data")
-    assert run(["gen", "--task", "shape", "--count", "1", "--seed", "5", "--out", data]) == EXIT_OK
-    cfg = str(tmp_path / "cfg")
-    write_tiny_config(cfg)
-    out = str(tmp_path / "run")
-    manifest = str(tmp_path / "data" / "manifest.txt")
-    assert run(["train", "--config", cfg, "--data", manifest, "--out", out]) == EXIT_OK
-    ckpt = str(tmp_path / "run" / "checkpoint.ockp")
+def test_eval_iou_needs_grids(tmp_path, capsys):
+    ckpt, _ = untrained_checkpoint_and_scan(tmp_path, task="semantic", num_classes=3)
+    manifest = str(tiny_shape_manifest(tmp_path))
     assert run(["eval", "--ckpt", ckpt, "--data", manifest, "--metric", "iou"]) == EXIT_DATA
+    assert "needs label grids" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric, task", [("iou", "completion"), ("chamfer", "semantic")])
+def test_eval_metric_of_another_task_is_data_error(tmp_path, capsys, metric, task):
+    """A metric that does not read the checkpoint's task is a DataError
+    before any sample runs, even where the manifest has label grids and the
+    net predicts leaves."""
+    ckpt, scan = untrained_checkpoint_and_scan(tmp_path, task=task, num_classes=3)
+    grid = str(tmp_path / "scan.sgrid")
+    fileio.save_sgrid(grid, np.zeros((16, 16, 16), np.int32))
+    manifest = str(tmp_path / "manifest.txt")
+    fileio.write_manifest(manifest, [{"partial": scan, "complete": scan, "grid": grid, "seed": 0}])
+    assert run(["eval", "--ckpt", ckpt, "--data", manifest, "--metric", metric]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"metric {metric} needs a" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--seed", "-1"), ("--noise", "nan"), ("--count", "-3"), ("--count", "0")]
+)
+def test_gen_bad_argument_is_data_error(tmp_path, capsys, flag, value):
+    """A negative seed, a non-finite noise and a count below one are data
+    errors naming the argument, and no manifest is written."""
+    data = tmp_path / "data"
+    argv = ["gen", "--task", "shape", "--count", "1", "--out", str(data), flag, value]
+    assert run(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert flag[2:] in err and "Traceback" not in err
+    assert not (data / "manifest.txt").exists()
 
 
 def test_gen_scene_writes_grids(tmp_path):
@@ -275,7 +299,7 @@ def tiny_shape_manifest(tmp_path):
 
 
 def test_eval_malformed_manifest_or_grid_is_data_error(tmp_path):
-    ckpt, _ = untrained_checkpoint_and_scan(tmp_path)
+    ckpt, _ = untrained_checkpoint_and_scan(tmp_path, task="semantic", num_classes=3)
     manifest = tiny_shape_manifest(tmp_path)
     partial, complete, _, seed = manifest.read_text().split()
     grid = tmp_path / "bad.sgrid"
@@ -287,7 +311,7 @@ def test_eval_malformed_manifest_or_grid_is_data_error(tmp_path):
 
 
 def test_eval_grid_too_large_to_allocate_is_data_error(tmp_path, capsys):
-    ckpt, _ = untrained_checkpoint_and_scan(tmp_path)
+    ckpt, _ = untrained_checkpoint_and_scan(tmp_path, task="semantic", num_classes=3)
     manifest = tiny_shape_manifest(tmp_path)
     partial, complete, _, seed = manifest.read_text().split()
     grid = tmp_path / "huge.sgrid"
@@ -324,6 +348,7 @@ OUT_OF_RANGE_CONFIG_VALUES = [
     ("train.lr_drop_factor", "0"),
     ("train.epochs", "-2"),
     ("train.max_steps", "-1"),
+    ("train.seed", "-1"),
     ("train.lr", "nan"),
     ("train.lr", "inf"),
     ("train.lr", "0"),

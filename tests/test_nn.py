@@ -409,22 +409,29 @@ def test_conv_reads_no_garbage_in_empty_rows(case, rng):
 
 
 def test_block_matrices_hold_each_entry_tap_weight(rng):
-    """Block (child, slot) of parent tap T's gemm matrix is W_t.T, t the
-    child tap by which that slot reads that child, the children and slots
-    of T in ascending order."""
+    """Block (child, slot) of a group's gemm matrix, a row range of the one
+    weight gather, is W_t.T, t the child tap by which that slot reads that
+    child, the children and slots of its parent tap T in ascending order:
+    for merged and split groups, the corners among them, and the centre."""
+    bmap = block_map_of(scan_octree(depth=5), 5, {nn.MERGED, nn.SPLIT})
+    centre = (None, nn._CENTRE_ENTRIES, 8)
+    cases = [g[:3] for g in bmap.groups] + [centre]
+    assert {(c is None, k == 1) for c, _, k in cases} >= {(True, True), (True, False), (False, False)}
     for cin, cout in ((8, 32), (32, 8), (4, 16)):
         w = rng.normal(size=(cout, 27 * cin)).astype(np.float32)
-        mats = nn.BlockMap.matrices(w)
-        for T in range(27):
-            s, t = np.nonzero(_PARENT_TAP == T)
-            kids = _CHILD_SLOT[s, t]
-            slots, children = np.unique(s), np.unique(kids)
-            k = len(slots)
-            assert mats[T].shape == (k * cin, k * cout) and len(s) == k * k
-            for slot, tap, kid in zip(s, t, kids):
-                ci, si = np.searchsorted(children, kid), np.searchsorted(slots, slot)
-                block = mats[T][ci * cin : (ci + 1) * cin, si * cout : (si + 1) * cout]
-                assert np.array_equal(block, w[:, tap * cin : (tap + 1) * cin].T)
+        gathered = np.take(w.T, nn._matrix_rows(cin), axis=0)
+        for c, e, k in cases:
+            T = np.searchsorted(nn._BLOCK_START, e.start, side="right") - 1
+            slots, kids = nn._BLOCK_SLOTS[T], nn._BLOCK_KIDS[T]
+            assert k == len(slots) == len(kids)
+            rows = range(k) if c is None else [c]
+            m = nn._matrix(gathered, e, k)
+            assert m.shape == (len(rows) * cin, k * cout)
+            for r, ci in enumerate(rows):
+                for si, slot in enumerate(slots):
+                    (tap,) = np.flatnonzero((_PARENT_TAP[slot] == T) & (_CHILD_SLOT[slot] == kids[ci]))
+                    block = m[r * cin : (r + 1) * cin, si * cout : (si + 1) * cout]
+                    assert np.array_equal(block, w[:, tap * cin : (tap + 1) * cin].T)
 
 
 def test_block_layout_covers_each_slot_and_tap_once():
@@ -443,31 +450,25 @@ def test_block_layout_covers_each_slot_and_tap_once():
                 assert _PARENT_TAP[s, t] == T and _CHILD_SLOT[s, t] == c
                 seen.add((s, t))
     assert len(seen) == len(nn._BLOCK_TAPS) == 8 * 27
-    # across the k > 1 gather and the 8 corners' tap slices, every tap's
-    # cin rows of w.T are named exactly 8 times, and each corner names
-    # another tap, so grads may assign a corner's block
-    corners = [nn._BLOCK_TAPS[a] for a, b in zip(nn._BLOCK_START, nn._BLOCK_START[1:]) if b - a == 1]
-    assert len(set(corners)) == len(corners) == 8
+    # the one gather names every tap's cin rows of w.T exactly 8 times
     for cin in (1, 3):
-        named = np.concatenate([nn._matrix_rows(cin)] + [t * cin + np.arange(cin) for t in corners])
-        assert np.array_equal(np.bincount(named, minlength=27 * cin), np.full(27 * cin, 8))
+        rows = nn._matrix_rows(cin)
+        assert len(rows) == 216 * cin
+        assert np.array_equal(np.bincount(rows, minlength=27 * cin), np.full(27 * cin, 8))
 
 
 def test_weight_fold_is_the_adjoint_of_the_matrix_gather(rng):
-    """For G in the layout of the gemm matrices (_views), the sum over T of
-    <matrices(w)[T], G_T> equals <w, G folded onto the rows of w.T>: the
+    """For G in the layout of the weight gather, <gather(w.T), G> equals
+    <w, G folded onto the rows of w.T> over all 216*cin gathered rows: the
     weight gradient's fold is the adjoint of the forward's gather."""
     for cin in (1, 3, 8):
         cout = 5
         w = rng.normal(size=(cout, 27 * cin))
-        grows = np.zeros((len(nn._matrix_rows(cin)), cout))
-        gwt = np.zeros((27 * cin, cout))  # rows no corner names stay zero
-        mats, gmats = nn.BlockMap.matrices(w), nn._views(grows, gwt, cin)
-        for gm in gmats:
-            gm[...] = rng.normal(size=gm.shape)
-        assert grows.all()
-        lhs = sum(np.vdot(m, gm) for m, gm in zip(mats, gmats))
-        rhs = np.vdot(w.T, gwt + nn._fold(cin) @ grows)
+        gathered = np.take(w.T, nn._matrix_rows(cin), axis=0)
+        g = rng.normal(size=gathered.shape)
+        assert g.shape == (216 * cin, cout)
+        lhs = np.vdot(gathered, g)
+        rhs = np.vdot(w.T, nn._fold(cin) @ g)
         assert np.isclose(lhs, rhs, rtol=1e-12, atol=0)
 
 
