@@ -19,7 +19,8 @@ calls them; train-mode batch norm
 with the fused relu runs forward and backward over a tall, narrow map of
 n // 20 rows at 4 channels, a wide one of n // 128 rows at 128 channels
 and a tall one of n // 18 rows at 32 channels (about 109k rows at the
-default n, as train-scene's depth-7 level); the depth-8 level of an octree over n // 32 points on a sphere
+default n, as train-scene's depth-7 level), and eval-mode batch norm,
+forward and backward too, over that tall one; the depth-8 level of an octree over n // 32 points on a sphere
 gets its neighbor table by key search, and its tap pairs derived from its
 parent level's pairs, as does the depth-5 level of a batch of four octrees
 over n // 32 points on spheres each; and `sample_points` draws 4 points on
@@ -70,10 +71,10 @@ def pool_step(feats, bmap):
         ad.backward(ad.sum_all(y))
 
 
-def bn_step(feats, params):
+def bn_step(feats, params, train=True):
     x = ad.parameter(feats)
     with ad.Tape():
-        y = nn.batch_norm(x, params, True, relu=True)
+        y = nn.batch_norm(x, params, train, relu=True)
         ad.backward(ad.sum_all(y))
 
 
@@ -171,6 +172,7 @@ def bench(n, repeats):
         ("batch_norm fwd+bwd", lambda: bn_step(bn_maps[0], bn_params[0])),
         ("batch_norm fwd+bwd wide", lambda: bn_step(bn_maps[1], bn_params[1])),
         ("batch_norm fwd+bwd tall", lambda: bn_step(bn_maps[2], bn_params[2])),
+        ("batch_norm fwd+bwd eval", lambda: bn_step(bn_maps[2], bn_params[2], train=False)),
         ("sample_points", lambda: network.sample_points(shape, samples_per_node=4)),
     ]
     table_rows = [(name, f"{timeit(call, repeats):.4f}") for name, call in cases]

@@ -329,24 +329,14 @@ def plane_fit_targets(gt_points: PointSet, octree):
     if np.any(rows < 0):
         raise DomainError("octree was not built from these points")
     n_nodes = octree.levels[depth].num_nodes
-    ones = np.ones(len(rows))
-    count = np.bincount(rows, weights=ones, minlength=n_nodes)
-    sums = np.zeros((n_nodes, 3))
-    nsums = np.zeros((n_nodes, 3))
-    for a in range(3):
-        sums[:, a] = np.bincount(rows, weights=gt_points.positions[:, a], minlength=n_nodes)
-        nsums[:, a] = np.bincount(rows, weights=gt_points.normals[:, a], minlength=n_nodes)
-    # second moments for per-node covariance
-    m2 = np.zeros((n_nodes, 3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            v = np.bincount(
-                rows,
-                weights=gt_points.positions[:, a] * gt_points.positions[:, b],
-                minlength=n_nodes,
-            )
-            m2[:, a, b] = v
-            m2[:, b, a] = v
+    # per-point count, position, normal and second moment (for the
+    # per-node covariance) columns, each summed per node by one bincount
+    pos = gt_points.positions
+    moments = (pos[:, :, None] * pos[:, None]).reshape(-1, 9)
+    table = np.column_stack([np.ones(len(rows)), pos, gt_points.normals, moments])
+    totals = np.stack([np.bincount(rows, col, minlength=n_nodes) for col in table.T], axis=1)
+    count, sums, nsums = totals[:, 0], totals[:, 1:4], totals[:, 4:7]
+    m2 = totals[:, 7:].reshape(n_nodes, 3, 3)
 
     nonempty = np.flatnonzero(octree.levels[depth].status == 1)
     h = 0.5 / (1 << depth)

@@ -493,33 +493,45 @@ def _tiled(blocks, *rows):
         yield b, w, cache[w]
 
 
-def _totals(acc, c):
-    """Per-channel totals of `acc`, per block width the float64 rows into
-    which blocks of that width added their column sums."""
+def _sums(blocks, x, centre, g=None, kept=None, into=None):
+    """Per-channel sums of u and of u * (x - centre) over x's row blocks,
+    added up in float64 as a (2, channels) array. u is x - centre itself
+    or, given g, the block of g; with `kept`, g masked by kept > 0 and
+    stored in the block of `into`."""
+    acc = {w: np.zeros((2, w)) for _, w in blocks}
+    for b, w, (cw,) in _tiled(blocks, centre):
+        d = x[b].reshape(-1, w) - cw
+        u = d if g is None else g[b].reshape(-1, w)
+        if kept is not None:
+            u = np.multiply(u, kept[b].reshape(-1, w) > 0, out=into[b].reshape(-1, w))
+        acc[w][0] += kernels.column_sums(u)
+        d *= u
+        acc[w][1] += kernels.column_sums(d)
+    c = x.shape[1]
     return sum(a.reshape(len(a), -1, c).sum(axis=1) for a in acc.values())
 
 
 def batch_norm(x, params, train, relu=False):
     """Per-channel normalization over all stored rows of the map.
 
-    Train mode takes every per-channel reduction as a BLAS gemv with a ones
-    vector (kernels.column_sums) and walks the map in row blocks
-    (BN_BLOCK_BYTES), so a block's centred copy and products are summed or
-    written while it is in cache; the block sums add up in float64. Forward
-    takes the gemv mean of the whole map, then one block pass for the mean
-    and variance of x centred on it (the corrected two-pass algorithm),
-    then one that writes each block of the output as (x - mean) * scale +
-    shift, centring before scaling so a mean far from zero costs no digits.
-    Backward takes the beta and gamma gradients in one block pass and
-    writes the input gradient, whose two means derive from them, in a
-    second. No full-size buffer is made besides the output and the input
-    gradient. Only the per-channel mean and inverse deviation are kept;
-    backward recomputes x - mean. With `relu`, the op is followed by
-    ad.relu's rule (ad.relu_values) as one op; backward masks the gradient
-    by its own output being > 0, so neither the normalized map nor a mask
-    is kept; without it backward does not hold the output, which is freed
-    once the caller drops it. Eval mode writes x * scale + shift and the
-    relu block by block too.
+    Both modes walk the map in row blocks (BN_BLOCK_BYTES), so a block's
+    centred copy and products are summed or written while it is in cache,
+    and take every per-channel reduction as a BLAS gemv with a ones vector
+    (kernels.column_sums), the block sums added up in float64 (_sums). One
+    block pass writes the output as (x - centre) * s + shift, centring
+    before scaling so a mean far from zero costs no digits. Train mode
+    centres on the gemv mean of the whole map and takes the mean and
+    variance of x centred on it in one sums pass (the corrected two-pass
+    algorithm); eval mode centres on the running mean, with shift = beta.
+    Backward takes the beta and gamma gradients in one sums pass over the
+    gradient and writes the input gradient in a second block pass: g * s,
+    less in train mode the two means that derive from those sums. No
+    full-size buffer is made besides the output and the input gradient,
+    and only per-channel rows are kept; backward recomputes x - centre.
+    With `relu`, the op is followed by ad.relu's rule (ad.relu_values) as
+    one op; backward masks the gradient by its own output being > 0, so
+    neither the normalized map nor a mask is kept; without it backward
+    does not hold the output, which is freed once the caller drops it.
     """
     if x.rows == 0:
         raise DomainError("batch_norm on an empty feature map")
@@ -529,86 +541,57 @@ def batch_norm(x, params, train, relu=False):
     n, c = xv.shape
     gamma = params.gamma.values
     blocks = _row_blocks(xv)
-    out = np.empty(xv.shape, xv.dtype)  # C order: its blocks' views are written
-    kept = out if relu else None  # backward reads the output only to mask by it
     if train:
         mu0 = kernels.column_sums(xv) / n
-        dtype = mu0.dtype
-        acc = {w: np.zeros((2, w)) for _, w in blocks}
-        for b, w, (m0,) in _tiled(blocks, mu0):
-            d = xv[b].reshape(-1, w) - m0
-            acc[w][0] += kernels.column_sums(d)
-            d *= d
-            acc[w][1] += kernels.column_sums(d)
-        corr, sq = (_totals(acc, c) / n).astype(dtype)
+        corr, sq = (_sums(blocks, xv, mu0) / n).astype(xv.dtype)
         var = sq - corr * corr
-        mu = mu0 + corr
+        centre, mu = mu0, mu0 + corr
         inv = 1.0 / np.sqrt(var + BN_EPSILON)
         s = gamma * inv
         shift = params.beta.values - corr * s
-        for b, w, (m0, sw, hw) in _tiled(blocks, mu0, s, shift):
-            o = out[b].reshape(-1, w)
-            np.subtract(xv[b].reshape(-1, w), m0, out=o)
-            o *= sw
-            o += hw
-            if relu:
-                ad.relu_values(o, out=o)
         m = BN_MOMENTUM
         params.running_mean *= m
         params.running_mean += (1.0 - m) * mu
         params.running_var *= m
         params.running_var += (1.0 - m) * var
+    else:
+        centre = mu = params.running_mean[0]
+        inv = 1.0 / np.sqrt(params.running_var[0] + BN_EPSILON)
+        s = gamma * inv
+        shift = params.beta.values
+    out = np.empty(xv.shape, xv.dtype)  # C order: its blocks' views are written
+    for b, w, (cw, sw, hw) in _tiled(blocks, centre, s, shift):
+        o = out[b].reshape(-1, w)
+        np.subtract(xv[b].reshape(-1, w), cw, out=o)
+        o *= sw
+        o += hw
+        if relu:
+            ad.relu_values(o, out=o)
+    kept = out if relu else None  # backward reads the output only to mask by it
 
-        def back(g):
-            # gx = inv * (g*gamma - mean(g*gamma) - xhat * mean(g*gamma*xhat)),
-            # where mean(g*gamma) = gamma*gbeta/n and mean(g*gamma*xhat) =
-            # gamma*ggamma/n; with s = gamma*inv and xhat = d*inv, d = x - mu:
-            # gx = g*s - s*gbeta/n - d * (s*inv*ggamma/n)
-            # with relu the first pass stores the masked g in gx's blocks,
-            # which the second then scales in place
-            gdtype = np.result_type(g, dtype)
-            gx = np.empty(g.shape, gdtype)
-            acc = {w: np.zeros((2, w)) for _, w in blocks}
-            for b, w, (mw,) in _tiled(blocks, mu):
-                gb = g[b].reshape(-1, w)
-                if relu:
-                    gb = np.multiply(gb, kept[b].reshape(-1, w) > 0, out=gx[b].reshape(-1, w))
-                acc[w][0] += kernels.column_sums(gb)
-                acc[w][1] += kernels.column_sums(gb * (xv[b].reshape(-1, w) - mw))
-            gbeta, ggamma = _totals(acc, c)
-            gbeta = gbeta.astype(g.dtype)
-            ggamma = ggamma.astype(gdtype) * inv
-            row = s * (gbeta / n)
-            scale = s * inv * (ggamma / n)
-            gm = gx if relu else g
-            for b, w, (mw, sw, rw, kw) in _tiled(blocks, mu, s, row, scale):
-                o = gx[b].reshape(-1, w)
-                np.multiply(gm[b].reshape(-1, w), sw, out=o)
+    def back(g):
+        # train: gx = inv * (g*gamma - mean(g*gamma) - xhat * mean(g*gamma*xhat)),
+        # where mean(g*gamma) = gamma*gbeta/n and mean(g*gamma*xhat) =
+        # gamma*ggamma/n; with s = gamma*inv and xhat = d*inv, d = x - mu:
+        # gx = g*s - s*gbeta/n - d * (s*inv*ggamma/n); eval: gx = g*s.
+        # With relu the sums pass stores the masked g in gx's blocks, which
+        # the second pass then scales in place
+        gx = np.empty(g.shape, np.result_type(g, xv))
+        gbeta, ggamma = _sums(blocks, xv, mu, g, kept, gx)
+        gbeta = gbeta.astype(g.dtype)
+        ggamma = ggamma.astype(gx.dtype) * inv
+        gm = gx if relu else g
+        rows = (s, mu, s * (gbeta / n), s * inv * (ggamma / n)) if train else (s,)
+        for b, w, (sw, *terms) in _tiled(blocks, *rows):
+            o = gx[b].reshape(-1, w)
+            np.multiply(gm[b].reshape(-1, w), sw, out=o)
+            if train:
+                mw, rw, kw = terms
                 o -= rw
                 d = xv[b].reshape(-1, w) - mw
                 d *= kw
                 o -= d
-            return gx.astype(xv.dtype, copy=False), ggamma[None], gbeta[None]
-    else:
-        rmean = params.running_mean
-        inv = 1.0 / np.sqrt(params.running_var + BN_EPSILON)
-        scale_row = (gamma * inv).astype(xv.dtype)
-        shift = (params.beta.values - gamma * rmean * inv).astype(xv.dtype)
-        for b, w, (sw, hw) in _tiled(blocks, scale_row, shift):
-            o = out[b].reshape(-1, w)
-            np.multiply(xv[b].reshape(-1, w), sw, out=o)
-            o += hw
-            if relu:
-                ad.relu_values(o, out=o)
-
-        def back(g):
-            if relu:
-                g = g * (kept > 0)
-            return (
-                g * scale_row,
-                (g * ((xv - rmean) * inv)).sum(axis=0, keepdims=True),
-                g.sum(axis=0, keepdims=True),
-            )
+        return gx.astype(xv.dtype, copy=False), ggamma[None], gbeta[None]
 
     return ad.custom_op(out, [x, params.gamma, params.beta], back, level=x.level)
 

@@ -285,25 +285,28 @@ class Trainer:
             text = fileio.config_to_text(expect_config)
             if text != ck["config_text"]:
                 raise fileio.DataError("checkpoint config does not match this run")
-        load_arrays(self.net.params, ck["arrays"])
-        for name, v in self.opt.velocity.items():
-            key = "opt." + name
-            if key in ck["arrays"]:
-                v[...] = ck["arrays"][key]
+        load_arrays(self.net.params.state_arrays(), ck["arrays"])
+        # a checkpoint without optimizer state resumes at zero velocity
+        load_arrays(self.opt.velocity, ck["arrays"], prefix="opt.", required=False)
         self.epoch = ck["epoch"]
         return ck
 
 
-def load_arrays(params, arrays):
-    """Copy checkpointed tensors into the parameter store by name."""
-    for name, fm in params.store.items():
-        if name not in arrays:
-            raise fileio.DataError(f"checkpoint missing tensor {name}")
-        if arrays[name].shape != fm.values.shape:
-            raise fileio.DataError(
-                f"tensor {name} shape {arrays[name].shape} != {fm.values.shape}"
-            )
-        fm.values[...] = arrays[name]
+def load_arrays(targets, arrays, prefix="", required=True):
+    """Copy checkpointed tensors arrays[prefix + name] into each ndarray of
+    `targets` by name.
+
+    A tensor of another shape is a DataError, and so is a missing one
+    when `required`; else a missing tensor leaves its target as it is."""
+    for name, v in targets.items():
+        key = prefix + name
+        if key not in arrays:
+            if required:
+                raise fileio.DataError(f"checkpoint missing tensor {key}")
+            continue
+        if arrays[key].shape != v.shape:
+            raise fileio.DataError(f"tensor {key} shape {arrays[key].shape} != {v.shape}")
+        v[...] = arrays[key]
 
 
 def spec_config_values(spec: NetworkSpec):
@@ -315,7 +318,7 @@ def net_from_checkpoint(path):
     ck = fileio.load_checkpoint(path)
     values = fileio.parse_config(ck["config_text"], path)
     net = CompletionNet(spec_from_config_values(values))
-    load_arrays(net.params, {k: v for k, v in ck["arrays"].items() if not k.startswith("opt.")})
+    load_arrays(net.params.state_arrays(), ck["arrays"])
     return net, ck
 
 

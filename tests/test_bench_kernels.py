@@ -27,7 +27,7 @@ def test_bench_runs_every_case_at_tiny_size(capsys):
         "conv fwd+bwd sparse",
         "downsample fwd+bwd", "max_pool fwd+bwd",
         "batch_norm fwd+bwd", "batch_norm fwd+bwd wide", "batch_norm fwd+bwd tall",
-        "sample_points",
+        "batch_norm fwd+bwd eval", "sample_points",
     ]
     assert all(float(t) >= 0 for _, t in rows)
     assert "conv fwd+bwd" in capsys.readouterr().out

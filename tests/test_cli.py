@@ -116,6 +116,29 @@ def test_train_complete_eval_flow(tmp_path, capsys):
     assert rep["baseline"] > 0
 
 
+@pytest.mark.parametrize("shape", [(3, 5), (1, 1)])
+def test_resume_rejects_optimizer_state_of_another_shape(tmp_path, capsys, shape):
+    """An optimizer tensor of the wrong shape in a checkpoint whose config
+    still matches is a data error naming the tensor, whether or not it
+    would broadcast into the velocity."""
+    data = str(tmp_path / "data")
+    assert run(["gen", "--task", "shape", "--count", "2", "--seed", "3", "--out", data, "--views", "3"]) == EXIT_OK
+    manifest = str(tmp_path / "data" / "manifest.txt")
+    cfg = str(tmp_path / "cfg")
+    write_tiny_config(cfg)
+    out = str(tmp_path / "run")
+    assert run(["train", "--config", cfg, "--data", manifest, "--out", out]) == EXIT_OK
+    ckpt = str(tmp_path / "run" / "checkpoint.ockp")
+    ck = fileio.load_checkpoint(ckpt)
+    key = next(k for k, v in ck["arrays"].items() if k.startswith("opt.") and v.shape != shape)
+    ck["arrays"][key] = np.ones(shape, ck["arrays"][key].dtype)
+    fileio.save_checkpoint(ckpt, ck["arrays"], ck["config_text"], ck["epoch"])
+    capsys.readouterr()
+    assert run(["train", "--config", cfg, "--data", manifest, "--out", out, "--resume"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
 def test_eval_iou_needs_grids(tmp_path, capsys):
     ckpt, _ = untrained_checkpoint_and_scan(tmp_path, task="semantic", num_classes=3)
     manifest = str(tiny_shape_manifest(tmp_path))
@@ -139,17 +162,26 @@ def test_eval_metric_of_another_task_is_data_error(tmp_path, capsys, metric, tas
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--seed", "-1"), ("--noise", "nan"), ("--count", "-3"), ("--count", "0")]
+    "flag, value",
+    [
+        ("--seed", "-1"),
+        ("--noise", "nan"),
+        ("--count", "-3"),
+        ("--count", "0"),
+        ("--views", "7"),
+        ("--views", "-1"),
+    ],
 )
 def test_gen_bad_argument_is_data_error(tmp_path, capsys, flag, value):
-    """A negative seed, a non-finite noise and a count below one are data
-    errors naming the argument, and no manifest is written."""
+    """A negative seed, a non-finite noise, a count below one and a view
+    count outside 0..6 are data errors naming the argument, and the output
+    directory is not made."""
     data = tmp_path / "data"
     argv = ["gen", "--task", "shape", "--count", "1", "--out", str(data), flag, value]
     assert run(argv) == EXIT_DATA
     err = capsys.readouterr().err
     assert flag[2:] in err and "Traceback" not in err
-    assert not (data / "manifest.txt").exists()
+    assert not data.exists()
 
 
 def test_gen_scene_writes_grids(tmp_path):

@@ -764,6 +764,12 @@ def check_fused_batch_norm_relu(train, rng, m, c):
         assert np.array_equal(got, want, equal_nan=True)
 
 
+def rel_error(a, b, scale):
+    """max |a - b| / scale; a zero scale, a sum with no nonzero terms (a
+    channel the relu clips whole), leaves a - b to be zero."""
+    return float((np.abs(a - b) / np.maximum(scale, np.finfo(np.float64).tiny)).max())
+
+
 def batch_norm_errors(x, gamma, beta, upstream, relu):
     """Relative errors of one train-mode batch_norm step against float64.
 
@@ -797,17 +803,14 @@ def batch_norm_errors(x, gamma, beta, upstream, relu):
     ggamma = (g * xhat).sum(axis=0)
     gx = gamma * inv * (g - gbeta / n - xhat * ggamma / n)
 
-    def rel(a, b, scale):
-        return float((np.abs(a - b) / scale).max())
-
     m = 1.0 - nn.BN_MOMENTUM
     return {
-        "out": rel(out.values, want, np.abs(want).max()),
-        "mean": rel(params.running_mean[0] / m, mu, np.abs(mu)),
-        "var": rel(params.running_var[0] / m, var, var),
-        "gx": rel(xp.grad, gx, np.abs(gx).max()),
-        "ggamma": rel(gp.grad[0], ggamma, np.abs(g * xhat).sum(axis=0)),
-        "gbeta": rel(bp.grad[0], gbeta, np.abs(g).sum(axis=0)),
+        "out": rel_error(out.values, want, np.abs(want).max()),
+        "mean": rel_error(params.running_mean[0] / m, mu, np.abs(mu)),
+        "var": rel_error(params.running_var[0] / m, var, var),
+        "gx": rel_error(xp.grad, gx, np.abs(gx).max()),
+        "ggamma": rel_error(gp.grad[0], ggamma, np.abs(g * xhat).sum(axis=0)),
+        "gbeta": rel_error(bp.grad[0], gbeta, np.abs(g).sum(axis=0)),
     }
 
 
@@ -855,6 +858,66 @@ def test_batch_norm_train_matches_float64_oracle(rng):
                 worst[k] = max(worst[k], e)
     for k, e in worst.items():
         assert e < BN_ORACLE_BOUNDS[k], (k, e)
+
+
+def batch_norm_eval_errors(x, gamma, beta, upstream, running, relu):
+    """Relative errors of one eval-mode batch_norm step against float64,
+    scaled as in batch_norm_errors; the running statistics must not move."""
+    xp, gp, bp = (ad.parameter(v.copy()) for v in (x, gamma, beta))
+    rmean, rvar = (v.copy() for v in running)
+    params = nn.BNParams(gamma=gp, beta=bp, running_mean=rmean, running_var=rvar)
+    with ad.Tape():
+        out = nn.batch_norm(xp, params, False, relu=relu)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
+    assert all(v.dtype == np.float32 for v in (out.values, xp.grad, gp.grad, bp.grad))
+    assert np.array_equal(rmean, running[0]) and np.array_equal(rvar, running[1])
+
+    inv = 1.0 / np.sqrt(rvar[0].astype(np.float64) + nn.BN_EPSILON)
+    xhat = (x.astype(np.float64) - rmean[0]) * inv
+    want = gamma * xhat + beta
+    g = upstream.astype(np.float64) * (out.values > 0 if relu else 1)
+    if relu:
+        want = np.maximum(want, 0)
+    gx = g * gamma * inv
+
+    return {
+        "out": rel_error(out.values, want, np.abs(want).max()),
+        "gx": rel_error(xp.grad, gx, np.abs(gx).max()),
+        "ggamma": rel_error(gp.grad[0], (g * xhat).sum(axis=0), np.abs(g * xhat).sum(axis=0)),
+        "gbeta": rel_error(bp.grad[0], g.sum(axis=0), np.abs(g).sum(axis=0)),
+    }
+
+
+# Bounds of the eval-mode oracle test below, on the rng fixture's data
+# (2-core x86, OpenBLAS). Centring on the running mean before scaling
+# measures 1.3e-7 (out), 1.0e-7 (gx), 8.1e-9 (ggamma) and 8.0e-9 (gbeta),
+# and at most 2.2e-7, 1.5e-7, 7.0e-8 and 3.0e-8 over 30 further seeds.
+# Writing x * scale + (beta - gamma * mean * inv), with numpy's axis-0 sums
+# for the two parameter gradients, measured 6.5e-7, 1.0e-7, 6.0e-8 and
+# 4.0e-8 on the fixture's data and 2.1e-6 (out) over those seeds.
+BN_EVAL_ORACLE_BOUNDS = {"out": 4e-7, "gx": 3e-7, "ggamma": 1e-7, "gbeta": 1e-7}
+
+
+def test_batch_norm_eval_matches_float64_oracle(rng):
+    """Eval-mode BN over float32 maps of several row blocks, the last one
+    ragged, with running means 10 to 50 away from zero: output and all
+    three gradients against a float64 reference, with and without the
+    fused relu."""
+    worst = dict.fromkeys(BN_EVAL_ORACLE_BOUNDS, 0.0)
+    for n, c in ((40_001, 4), (9_001, 16)):
+        blocks = nn._row_blocks(np.zeros((n, c), np.float32))
+        assert len(blocks) > 2 and blocks[-1][1] == c
+        case = bn_oracle_case(rng, n, c)
+        x64 = case[0].astype(np.float64)
+        mean, std = x64.mean(axis=0), x64.std(axis=0)
+        rmean = (mean + 0.5 * std * rng.normal(size=c))[None].astype(np.float32)
+        rvar = (std * std * rng.uniform(0.5, 2.0, size=c))[None].astype(np.float32)
+        assert np.all((np.abs(rmean) > 10) & (np.abs(rmean) < 50))
+        for relu in (False, True):
+            for k, e in batch_norm_eval_errors(*case, (rmean, rvar), relu).items():
+                worst[k] = max(worst[k], e)
+    for k, e in worst.items():
+        assert e < BN_EVAL_ORACLE_BOUNDS[k], (k, e)
 
 
 def test_batch_norm_train_statistics(rng):
