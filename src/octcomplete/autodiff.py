@@ -1,16 +1,19 @@
 """Reverse-mode autodiff over node-major feature matrices.
 
 A FeatureMap wraps a (rows, channels) matrix with a small gradient slot:
-its ``.grad``, whether backward gives it one, its tape (weakly) and its
-dtype. Operations executed while a Tape is active record backward
-closures; ``backward(loss)`` pops and runs them in reverse order,
-accumulating gradients with +=. A closure holds the slots of its output
-and inputs, never the FeatureMaps, and only the arrays its backward reads:
-an output that no backward reads is freed as soon as its caller drops it,
-and the arrays a backward reads are freed once it has run. Afterwards the
-tape is empty and only leaves (parameters) keep a ``.grad``. The graph is
-define-by-run: the decoder structure differs per sample, so no static graph
-is kept.
+its ``.grad``, whether backward gives it one, its tape (weakly), its dtype
+and, for an output its op can remake, the recipe that remakes its values.
+Operations executed while a Tape is active record backward closures;
+``backward(loss)`` pops and runs them in reverse order, accumulating
+gradients with +=. A closure holds the slots of its output and inputs,
+never the FeatureMaps, and only the arrays its backward reads, or, for an
+input that carries a recipe (a batch-norm output), the input's slot,
+through which its backward remakes the values (``reader``): an output that
+no backward holds is freed as soon as its caller drops it, and what a
+backward reads is freed once it has run. A recipe is dropped when its own
+op replays, after every op that read it. Afterwards the tape is empty and
+only leaves (parameters) keep a ``.grad``. The graph is define-by-run: the
+decoder structure differs per sample, so no static graph is kept.
 
 Outputs refer to their tape weakly, so a tape nobody holds is freed at once
 with everything it recorded: ``backward`` must run while the tape is alive,
@@ -49,13 +52,14 @@ class Tape:
 class _Slot:
     """What backward needs of a FeatureMap, without its values."""
 
-    __slots__ = ("grad", "tracked", "tape", "dtype")
+    __slots__ = ("grad", "tracked", "tape", "dtype", "remake")
 
     def __init__(self, tracked, dtype):
         self.grad = None
         self.tracked = tracked
         self.tape = None  # weak reference to the tape that recorded the op
         self.dtype = dtype
+        self.remake = None  # the recipe of a taped output's values, until its op replays
 
 
 class FeatureMap:
@@ -106,26 +110,35 @@ def _accum(slot, g):
         slot.grad += g
 
 
-def custom_op(values, inputs, backward_fn, level=None):
+def custom_op(values, inputs, backward_fn, level=None, remake=None):
     """Create a taped output; backward_fn(g) returns per-input gradients.
 
     Each returned gradient must be an array that no other input receives
     and that nothing else keeps: an input's first gradient becomes its
     ``.grad`` without a copy, and later ones are added into it in place.
-    backward_fn should hold the arrays it reads, not FeatureMaps: the tape
-    holds only the ops' slots, so an output whose array no backward_fn
-    holds is freed as soon as its caller drops it.
+    backward_fn should hold the arrays it reads, not FeatureMaps, and read
+    an input's values through ``reader``: the tape holds only the ops'
+    slots, so an output whose array no backward_fn holds is freed as soon
+    as its caller drops it.
+
+    `remake`, a function of no arguments that returns `values` bit for bit
+    from what backward_fn holds anyway, goes on the output's slot when the
+    output is taped, so the ops that read the output hold the slot in place
+    of the array (``reader``). It is dropped when this op replays, whether
+    or not the output got a gradient; every op that reads the output was
+    taped later and so has replayed before.
     """
     out = FeatureMap(values, level=level)
     tape = _ACTIVE_TAPE
     if tape is not None and any(inp._slot.tracked for inp in inputs):
         slot, in_slots = out._slot, [inp._slot for inp in inputs]
         slot.tracked = True
+        slot.remake = remake
         # weak: the tape holds this closure, which holds the slot
         slot.tape = weakref.ref(tape)
 
         def _backward():
-            g, slot.grad = slot.grad, None
+            g, slot.grad, slot.remake = slot.grad, None, None
             if g is None:
                 return
             for s, gi in zip(in_slots, backward_fn(g)):
@@ -134,6 +147,24 @@ def custom_op(values, inputs, backward_fn, level=None):
 
         tape.ops.append(_backward)
     return out
+
+
+def reader(fm):
+    """A function of no arguments that returns fm's values, for a
+    backward_fn to hold in their place: the array itself, or for a taped
+    output that carries a recipe (custom_op's `remake`), a call of that
+    recipe, so the closure keeps the slot and no array."""
+    slot = fm._slot
+    if slot.remake is None:
+        values = fm.values
+        return lambda: values
+
+    def remade():
+        if slot.remake is None:
+            raise DomainError("an output's values were read after its op replayed")
+        return slot.remake()
+
+    return remade
 
 
 def backward(loss):
@@ -183,13 +214,13 @@ def linear(x, w, bias=None):
     """x @ w.T (+ bias); w is (out_channels, in_channels)."""
     if x.values.shape[1] != w.values.shape[1]:
         raise DomainError("linear channel mismatch")
-    xv, wv, biased = x.values, w.values, bias is not None
-    out = xv @ wv.T
+    wv, biased, read = w.values, bias is not None, reader(x)
+    out = x.values @ wv.T
     if biased:
         out = out + bias.values
 
     def back(g):
-        gs = [g @ wv, g.T @ xv]
+        gs = [g @ wv, g.T @ read()]
         if biased:
             gs.append(g.sum(axis=0, keepdims=True))
         return gs

@@ -79,6 +79,8 @@ def cmd_gen(args):
     for name, low in (("seed", 0), ("count", 1)):
         if getattr(args, name) < low:
             raise DomainError(f"--{name} must be >= {low}, got {getattr(args, name)}")
+    if args.task == "scene" and args.noise != 0:
+        raise DomainError(f"--noise is for shape scans; scene scans take none, got {args.noise}")
     # ScanConfig's own checks of the view count and noise, before anything
     # is written; 0 views draws a count per sample
     dt.ScanConfig(num_views=args.views or 1, noise_std_fraction=args.noise)

@@ -1,5 +1,6 @@
 """Structure / task losses and the evaluation metrics."""
 
+import os
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -99,22 +100,36 @@ def _cloud(points, scale):
     """A point set's positions scaled by `scale` and the k-d tree over them.
 
     scipy.spatial is imported here, where a tree is built, not with the
-    module: a training process builds none and so never loads it.
+    module: a training process builds none and so never loads it. The tree
+    splits at the midpoint and keeps loose boxes (balanced_tree=False,
+    compact_nodes=False), which builds faster; queries stay exact.
     """
     from scipy.spatial import cKDTree
 
     p = _positions(points) * scale
     if len(p) == 0:
         raise DomainError("chamfer on an empty point set")
-    return p, cKDTree(p)
+    return p, cKDTree(p, balanced_tree=False, compact_nodes=False)
+
+
+def _nearest(tree, p, order):
+    """Distances from each point of p to its nearest point in `tree`, in
+    p's order. The points are queried in `order`, their own tree's leaf
+    order, so consecutive queries walk nearby branches, on every CPU this
+    process may run on; the distances are written back to p's order."""
+    d = np.empty(len(p))
+    d[order] = tree.query(p[order], workers=len(os.sched_getaffinity(0)))[0]
+    return d
 
 
 def _chamfer(a, b, squared=False):
     """chamfer_distance of two `_cloud` results, querying their trees; a
-    caller that scores several clouds against one builds that one once."""
+    caller that scores several clouds against one builds that one once.
+    The means run over the distances in input order, so the score does not
+    depend on the order of the queries."""
     (pa, tree_a), (pb, tree_b) = a, b
-    da, _ = tree_b.query(pa)
-    db, _ = tree_a.query(pb)
+    da = _nearest(tree_b, pa, tree_a.indices)
+    db = _nearest(tree_a, pb, tree_b.indices)
     if squared:
         return float((da**2).mean() + (db**2).mean())
     return float(da.mean() + db.mean())

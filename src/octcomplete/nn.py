@@ -353,11 +353,11 @@ def octree_conv(x, bmap, weight):
         raise DomainError("conv channel mismatch")
     if bmap.rows != x.rows:
         raise DomainError("block map row mismatch")
-    xv, w, need_gx = x.values, weight.values, ad.tracked(x)
-    out = bmap.conv(xv, w)
+    w, need_gx, read = weight.values, ad.tracked(x), ad.reader(x)
+    out = bmap.conv(x.values, w)
 
     def back(g):
-        return bmap.grads(xv, g, w, need_gx)
+        return bmap.grads(read(), g, w, need_gx)
 
     return ad.custom_op(out, [x, weight], back, level=x.level)
 
@@ -374,20 +374,20 @@ def downsample(x, bmap, weight):
         raise DomainError("downsample channel mismatch")
     if bmap.rows != x.rows:
         raise DomainError("block map row mismatch")
-    rows, shape = bmap.owner_rows, (bmap.owners, 8 * x.channels)
-    xv, w, need_gx = x.values, weight.values, ad.tracked(x)
-    out = np.zeros((bmap.parent_rows, w.shape[0]), dtype=np.result_type(xv, w))
-    out[rows] = bmap.read(xv).reshape(shape) @ w.T
+    rows, shape, x_shape = bmap.owner_rows, (bmap.owners, 8 * x.channels), x.values.shape
+    w, need_gx, read = weight.values, ad.tracked(x), ad.reader(x)
+    out = np.zeros((bmap.parent_rows, w.shape[0]), dtype=np.result_type(x.values, w))
+    out[rows] = bmap.read(x.values).reshape(shape) @ w.T
 
     def back(g):
         go = g[rows]
         gx = None
         if need_gx:
-            gx = (go @ w).reshape(xv.shape)
+            gx = (go @ w).reshape(x_shape)
             if bmap.empty is not None:
                 gx[bmap.empty_rows] = 0
         # the block view again: the closure keeps no masked copy of x
-        return gx, go.T @ bmap.read(xv).reshape(shape)
+        return gx, go.T @ bmap.read(read()).reshape(shape)
 
     out_level = None if x.level is None else x.level - 1
     return ad.custom_op(out, [x, weight], back, level=out_level)
@@ -405,18 +405,18 @@ def upsample(x, bmap, weight):
     if x.rows != bmap.parent_rows:
         raise DomainError(f"{x.rows} rows cannot be the parent level of {bmap.parent_rows}")
     rows = bmap.owner_rows
-    xv, w = x.values, weight.values
-    out = (xv[rows] @ w.T).reshape(8 * len(rows), -1)
+    w, read = weight.values, ad.reader(x)
+    shape, dtype = x.values.shape, x.values.dtype
+    out = (x.values[rows] @ w.T).reshape(8 * len(rows), -1)
 
     def back(g):
         # owner rows are distinct: the input gradient rows are assigned
         gb = g.reshape(len(rows), w.shape[0])
-        gx = np.zeros_like(xv)
+        gx = np.zeros(shape, dtype)
         gx[rows] = gb @ w
-        # the owner rows again: the closure keeps x, not a copy of its
-        # rows; the status head of x's level keeps x anyway, and on the
-        # first decoder level every row is an owner
-        return gx, gb.T @ xv[rows]
+        # the owner rows again: the closure reads x, not a copy of its
+        # rows; on the first decoder level every row is an owner
+        return gx, gb.T @ read()[rows]
 
     out_level = None if x.level is None else x.level + 1
     return ad.custom_op(out, [x, weight], back, level=out_level)
@@ -493,17 +493,41 @@ def _tiled(blocks, *rows):
         yield b, w, cache[w]
 
 
-def _sums(blocks, x, centre, g=None, kept=None, into=None):
+def _affine(xb, cw, sw, hw, out):
+    """(xb - cw) * sw + hw into `out`: batch norm's arithmetic on one block."""
+    np.subtract(xb, cw, out=out)
+    out *= sw
+    out += hw
+    return out
+
+
+def _normalized(x, blocks, centre, s, shift, relu):
+    """The batch-norm output (x - centre) * s + shift, written block by
+    block, and with `relu` mapped by ad.relu_values in the block."""
+    out = np.empty(x.shape, x.dtype)  # C order: its blocks' views are written
+    for b, w, (cw, sw, hw) in _tiled(blocks, centre, s, shift):
+        o = _affine(x[b].reshape(-1, w), cw, sw, hw, out[b].reshape(-1, w))
+        if relu:
+            ad.relu_values(o, out=o)
+    return out
+
+
+def _sums(blocks, x, centre, g=None, relu=None, into=None):
     """Per-channel sums of u and of u * (x - centre) over x's row blocks,
     added up in float64 as a (2, channels) array. u is x - centre itself
-    or, given g, the block of g; with `kept`, g masked by kept > 0 and
-    stored in the block of `into`."""
+    or, given g, the block of g; with `relu`, the (centre, s, shift) rows
+    of a BN-ReLU forward, g masked by that forward's output being > 0 and
+    stored in the block of `into`. The mask is remade per block: the block
+    of `into` first takes the forward's pre-activation by its own
+    arithmetic (_affine), which is > 0 exactly where the output is."""
     acc = {w: np.zeros((2, w)) for _, w in blocks}
-    for b, w, (cw,) in _tiled(blocks, centre):
-        d = x[b].reshape(-1, w) - cw
+    for b, w, (cw, *fw) in _tiled(blocks, centre, *(relu or ())):
+        xb = x[b].reshape(-1, w)
+        d = xb - cw
         u = d if g is None else g[b].reshape(-1, w)
-        if kept is not None:
-            u = np.multiply(u, kept[b].reshape(-1, w) > 0, out=into[b].reshape(-1, w))
+        if relu is not None:
+            o = _affine(xb, *fw, into[b].reshape(-1, w))
+            u = np.multiply(u, o > 0, out=o)
         acc[w][0] += kernels.column_sums(u)
         d *= u
         acc[w][1] += kernels.column_sums(d)
@@ -519,19 +543,23 @@ def batch_norm(x, params, train, relu=False):
     and take every per-channel reduction as a BLAS gemv with a ones vector
     (kernels.column_sums), the block sums added up in float64 (_sums). One
     block pass writes the output as (x - centre) * s + shift, centring
-    before scaling so a mean far from zero costs no digits. Train mode
-    centres on the gemv mean of the whole map and takes the mean and
-    variance of x centred on it in one sums pass (the corrected two-pass
-    algorithm); eval mode centres on the running mean, with shift = beta.
+    before scaling so a mean far from zero costs no digits (_normalized).
+    Train mode centres on the gemv mean of the whole map and takes the mean
+    and variance of x centred on it in one sums pass (the corrected
+    two-pass algorithm); eval mode centres on a copy of the running mean,
+    with shift = beta.
     Backward takes the beta and gamma gradients in one sums pass over the
     gradient and writes the input gradient in a second block pass: g * s,
     less in train mode the two means that derive from those sums. No
     full-size buffer is made besides the output and the input gradient,
     and only per-channel rows are kept; backward recomputes x - centre.
     With `relu`, the op is followed by ad.relu's rule (ad.relu_values) as
-    one op; backward masks the gradient by its own output being > 0, so
-    neither the normalized map nor a mask is kept; without it backward
-    does not hold the output, which is freed once the caller drops it.
+    one op, and backward masks the gradient by its output being > 0: the
+    sums pass remakes that mask per block from x and the forward's own
+    centre, s and shift, bit for bit the forward's, so neither the output
+    nor a mask is kept. No output is kept at all: a taped output carries
+    the recipe that remakes it from the same arrays (custom_op's `remake`),
+    which the ops that read it in backward call (ad.reader).
     """
     if x.rows == 0:
         raise DomainError("batch_norm on an empty feature map")
@@ -555,19 +583,14 @@ def batch_norm(x, params, train, relu=False):
         params.running_var *= m
         params.running_var += (1.0 - m) * var
     else:
-        centre = mu = params.running_mean[0]
+        # a copy: a later train-mode call may update the running mean in
+        # place before backward remakes this output from it
+        centre = mu = params.running_mean[0].copy()
         inv = 1.0 / np.sqrt(params.running_var[0] + BN_EPSILON)
         s = gamma * inv
         shift = params.beta.values
-    out = np.empty(xv.shape, xv.dtype)  # C order: its blocks' views are written
-    for b, w, (cw, sw, hw) in _tiled(blocks, centre, s, shift):
-        o = out[b].reshape(-1, w)
-        np.subtract(xv[b].reshape(-1, w), cw, out=o)
-        o *= sw
-        o += hw
-        if relu:
-            ad.relu_values(o, out=o)
-    kept = out if relu else None  # backward reads the output only to mask by it
+    out = _normalized(xv, blocks, centre, s, shift, relu)
+    relu_rows = (centre, s, shift) if relu else None
 
     def back(g):
         # train: gx = inv * (g*gamma - mean(g*gamma) - xhat * mean(g*gamma*xhat)),
@@ -575,9 +598,11 @@ def batch_norm(x, params, train, relu=False):
         # gamma*ggamma/n; with s = gamma*inv and xhat = d*inv, d = x - mu:
         # gx = g*s - s*gbeta/n - d * (s*inv*ggamma/n); eval: gx = g*s.
         # With relu the sums pass stores the masked g in gx's blocks, which
-        # the second pass then scales in place
-        gx = np.empty(g.shape, np.result_type(g, xv))
-        gbeta, ggamma = _sums(blocks, xv, mu, g, kept, gx)
+        # the second pass then scales in place. g has the output's dtype,
+        # which is x's (autodiff._accum), so gx's blocks hold the
+        # pre-activation at the forward's precision
+        gx = np.empty(g.shape, xv.dtype)
+        gbeta, ggamma = _sums(blocks, xv, mu, g, relu_rows, gx)
         gbeta = gbeta.astype(g.dtype)
         ggamma = ggamma.astype(gx.dtype) * inv
         gm = gx if relu else g
@@ -591,9 +616,14 @@ def batch_norm(x, params, train, relu=False):
                 d = xv[b].reshape(-1, w) - mw
                 d *= kw
                 o -= d
-        return gx.astype(xv.dtype, copy=False), ggamma[None], gbeta[None]
+        return gx, ggamma[None], gbeta[None]
 
-    return ad.custom_op(out, [x, params.gamma, params.beta], back, level=x.level)
+    def remake():
+        return _normalized(xv, blocks, centre, s, shift, relu)
+
+    return ad.custom_op(
+        out, [x, params.gamma, params.beta], back, level=x.level, remake=remake
+    )
 
 
 class ConvBnRelu:

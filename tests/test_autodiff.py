@@ -231,3 +231,32 @@ def test_untracked_inputs_stay_untracked():
         out = ad.add(c, c)
         assert not ad.tracked(out)
         assert t.ops == []
+
+
+def test_reader_remakes_a_taped_output_until_its_op_replays():
+    """A taped output's slot carries its recipe: a reader holds the slot,
+    not the array, and remakes the values on each call until the output's
+    own op replays, which drops the recipe even with no gradient to give.
+    Untaped, the output carries none and a reader returns its array."""
+    x = ad.parameter(np.arange(6.0).reshape(3, 2))
+    calls = []
+
+    def twice():
+        calls.append(1)
+        return x.values * 2.0
+
+    with ad.Tape():
+        y = ad.custom_op(twice(), [x], lambda g: (g * 2.0,), remake=twice)
+        values = weakref.ref(y.values)
+        read = ad.reader(y)
+        del y
+        assert values() is None
+        unread = ad.custom_op(twice(), [x], lambda g: (g * 2.0,), remake=twice)
+        assert np.array_equal(read(), x.values * 2.0) and len(calls) == 3
+        ad.backward(ad.sum_all(ad.linear(x, ad.constant(np.ones((1, 2))))))
+    assert unread._slot.remake is None
+    with pytest.raises(DomainError, match="after its op replayed"):
+        read()
+    untaped = ad.custom_op(twice(), [x], lambda g: (g * 2.0,), remake=twice)
+    assert untaped._slot.remake is None
+    assert ad.reader(untaped)() is untaped.values

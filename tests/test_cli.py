@@ -161,23 +161,28 @@ def test_eval_metric_of_another_task_is_data_error(tmp_path, capsys, metric, tas
     assert f"metric {metric} needs a" in err and "Traceback" not in err
 
 
+GEN_BAD = [
+    ("--seed", "-1", "shape"),
+    ("--noise", "nan", "shape"),
+    ("--count", "-3", "shape"),
+    ("--count", "0", "shape"),
+    ("--views", "7", "shape"),
+    ("--views", "-1", "shape"),
+    ("--noise", "0.5", "scene"),
+]
+
+
 @pytest.mark.parametrize(
-    "flag, value",
-    [
-        ("--seed", "-1"),
-        ("--noise", "nan"),
-        ("--count", "-3"),
-        ("--count", "0"),
-        ("--views", "7"),
-        ("--views", "-1"),
-    ],
+    "flag, value, task",
+    GEN_BAD,
+    ids=[f"{f}-{v}" if t == "shape" else f"{t}-{f}-{v}" for f, v, t in GEN_BAD],
 )
-def test_gen_bad_argument_is_data_error(tmp_path, capsys, flag, value):
-    """A negative seed, a non-finite noise, a count below one and a view
-    count outside 0..6 are data errors naming the argument, and the output
-    directory is not made."""
+def test_gen_bad_argument_is_data_error(tmp_path, capsys, flag, value, task):
+    """A negative seed, a non-finite noise, a count below one, a view count
+    outside 0..6 and any noise for scenes, whose scans take none, are data
+    errors naming the argument, and the output directory is not made."""
     data = tmp_path / "data"
-    argv = ["gen", "--task", "shape", "--count", "1", "--out", str(data), flag, value]
+    argv = ["gen", "--task", task, "--count", "1", "--out", str(data), flag, value]
     assert run(argv) == EXIT_DATA
     err = capsys.readouterr().err
     assert flag[2:] in err and "Traceback" not in err

@@ -6,7 +6,7 @@ from scipy.spatial import cKDTree
 
 from octcomplete import autodiff as ad
 from octcomplete import data as dt
-from octcomplete import evaluate
+from octcomplete import evaluate, losses
 from octcomplete.errors import DomainError
 from octcomplete.losses import (
     chamfer_distance,
@@ -156,6 +156,31 @@ def test_chamfer_accepts_pointsets(rng):
     assert chamfer_distance(ps, pos) == 0.0
 
 
+@pytest.mark.parametrize("squared", [False, True])
+@pytest.mark.parametrize("cloud", ["random", "lattice"])
+def test_chamfer_distances_equal_a_plain_tree_query(cloud, squared, rng):
+    """_chamfer's per-point distances, queried in tree order on every CPU
+    by a midpoint-split tree, equal a balanced tree's single-worker query
+    in input order bit for bit, so the means do too; the lattice makes
+    exact ties between nearest neighbors."""
+    if cloud == "random":
+        a, b = rng.random((700, 3)), rng.random((500, 3))
+    else:
+        g = np.stack(np.meshgrid(*[np.arange(7.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        a, b = g[rng.permutation(len(g))] / 8, (g[::3] + 0.5) / 8
+    ca, cb = losses._cloud(a, 128.0), losses._cloud(b, 128.0)
+    pa, pb = a * 128.0, b * 128.0
+    da = cKDTree(pb).query(pa, workers=1)[0]
+    db = cKDTree(pa).query(pb, workers=1)[0]
+    assert np.array_equal(losses._nearest(cb[1], pa, ca[1].indices), da)
+    assert np.array_equal(losses._nearest(ca[1], pb, cb[1].indices), db)
+    if squared:
+        want = float((da**2).mean() + (db**2).mean())
+    else:
+        want = float(da.mean() + db.mean())
+    assert losses._chamfer(ca, cb, squared) == want
+
+
 def test_chamfer_empty_error():
     with pytest.raises(DomainError):
         chamfer_distance(np.zeros((0, 3)), np.ones((3, 3)))
@@ -171,9 +196,9 @@ def test_eval_completion_sample_shares_the_complete_clouds_tree(monkeypatch):
     partial = dt.virtual_scan(complete, dt.ScanConfig(num_views=2, seed=0))
     built = []
 
-    def counted_tree(points):
+    def counted_tree(points, **options):
         built.append(len(points))
-        return cKDTree(points)
+        return cKDTree(points, **options)
 
     monkeypatch.setattr("scipy.spatial.cKDTree", counted_tree)
     metrics, pred = evaluate.eval_completion_sample(net, partial, complete)

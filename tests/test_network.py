@@ -149,14 +149,14 @@ def test_abandoned_taped_forward_leaves_no_cyclic_garbage(collector_off):
 
 def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off):
     """The tape holds gradient slots, not FeatureMaps: by the end of a taped
-    forward, before backward, the values of every ad.add output and every
-    batch_norm(relu=False) output are freed (no backward reads them), while
-    a batch_norm(relu=True) output, which its own backward masks by, lives."""
-    partial, gt = sphere_octree()
-    net = CompletionNet(small_spec(), seed=0)
-    ib, gb = OctreeBatch([partial]), OctreeBatch([gt])
-    unread, masked = [], []
+    forward, before backward, the values of every ad.add output and of
+    every batch_norm output, relu or not, are freed. A batch-norm output's
+    slot carries the recipe that remakes it for the ops whose backward
+    reads it, which without residual blocks and skips include upsample,
+    downsample and the heads' linear; backward still fills every gradient
+    and leaves no recipe on any slot."""
     add, batch_norm = ad.add, nn.batch_norm
+    unread, slots = [], []
 
     def add_spy(a, b):
         out = add(a, b)
@@ -165,20 +165,32 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
 
     def batch_norm_spy(x, params, train, relu=False):
         out = batch_norm(x, params, train, relu)
-        (masked if relu else unread).append(weakref.ref(out.values))
+        unread.append(weakref.ref(out.values))
+        slots.append(out._slot)
         return out
 
     monkeypatch.setattr(ad, "add", add_spy)
     monkeypatch.setattr(nn, "batch_norm", batch_norm_spy)
-    with ad.Tape() as tape:
-        code, feats = net.encode(ib, train=True)
-        res = net.decode(code, ib, feats, gt_batch=gb, train=True)
-        assert len(unread) >= 8 and len(masked) >= 8
-        assert [r for r in unread if r() is not None] == []
-        assert all(r() is not None for r in masked)
-        ad.backward(ad.sum_all(res.head_out))
-    assert tape.ops == []
-    assert all(net.params[name].grad is not None for name in ("enc.lift.w", "dec.head.w1"))
+    partial, gt = sphere_octree()
+    ib, gb = OctreeBatch([partial]), OctreeBatch([gt])
+    for spec in (small_spec(), small_spec(n_res=0, skip_mode="off")):
+        net = CompletionNet(spec, seed=0)
+        del unread[:], slots[:]
+        with ad.Tape() as tape:
+            code, feats = net.encode(ib, train=True)
+            res = net.decode(code, ib, feats, gt_batch=gb, train=True)
+            del code, feats  # the caller's own references
+            assert len(slots) >= 8
+            assert [r for r in unread if r() is not None] == []
+            assert all(s.remake is not None for s in slots)
+            loss = ad.sum_all(res.head_out)
+            for logits in res.logits.values():
+                loss = add(loss, ad.sum_all(logits))
+            ad.backward(loss)
+        assert tape.ops == []
+        assert all(s.remake is None for s in slots)
+        trainable = [n for n in net.params.names() if net.params.meta[n]["trainable"]]
+        assert [n for n in trainable if net.params[n].grad is None] == []
 
 
 def test_inference_deterministic():

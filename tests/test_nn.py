@@ -1,5 +1,7 @@
 """Neural operators against dense-grid oracles and adjoint identities."""
 
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -762,6 +764,76 @@ def check_fused_batch_norm_relu(train, rng, m, c):
     for got, want in zip(fused, reference):
         assert got.dtype == np.float32
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def bn_then(op, bmap, c, cout, rng):
+    """An input, a weight and a function of a FeatureMap that applies `op`
+    ("conv", "downsample", "upsample" or "linear") with that weight, for an
+    input on the level `bmap` reads."""
+    cols = {"conv": 27 * c, "downsample": 8 * c, "upsample": c, "linear": c}[op]
+    wv = rng.normal(size=(8 * cout if op == "upsample" else cout, cols)).astype(np.float32)
+    rows = bmap.parent_rows if op == "upsample" else bmap.rows
+    xv = rng.normal(size=(rows, c)).astype(np.float32)
+    xv[:, 0] = 2.0  # a constant channel: exact zeros in the train-mode output
+    apply = {
+        "conv": lambda y, w: nn.octree_conv(y, bmap, w),
+        "downsample": lambda y, w: nn.downsample(y, bmap, w),
+        "upsample": lambda y, w: nn.upsample(y, bmap, w),
+        "linear": ad.linear,
+    }[op]
+    return xv, wv, apply
+
+
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("op", ["conv", "downsample", "upsample", "linear"])
+def test_op_reading_a_bn_relu_output_remakes_it_bit_for_bit(op, train, rng, monkeypatch):
+    """An op whose backward reads a BN-ReLU output reads it remade by the
+    recipe on the output's slot, which holds no values: its forward and the
+    gradients of x, of its weight and of gamma and beta equal, bit for bit,
+    those of the same chain with the output passed through a copy
+    (ad.add of zeros), which the op reads as it is. The level is a scan's,
+    with empty rows and merged and split taps; small batch-norm blocks
+    make several of them, the last one ragged. Without the copy the output
+    is freed once the caller drops it; the recipe runs once, in the op's
+    backward, and is dropped when the batch norm replays."""
+    monkeypatch.setattr(nn, "BN_BLOCK_BYTES", 4096)
+    o, level, _ = conv_case("scan")
+    bmap = block_map_of(o, level)
+    c, cout = 4, 3
+    xv, wv, apply = bn_then(op, bmap, c, cout, rng)
+    assert len(nn._row_blocks(xv)) > 2 and len(xv) % (4096 // (4 * c))
+    gv = (rng.normal(size=(1, c)) + 1.0).astype(np.float32)
+    gv[0, 1] = 0.0
+    bv = (0.1 * rng.normal(size=(1, c))).astype(np.float32)
+    results, remade = [], []
+    for copied in (False, True):
+        x, w, g, b = (ad.parameter(v.copy()) for v in (xv, wv, gv, bv))
+        params = nn.BNParams(
+            gamma=g,
+            beta=b,
+            running_mean=np.full((1, c), 0.25, np.float32),
+            running_var=np.full((1, c), 1.5, np.float32),
+        )
+        with ad.Tape():
+            y = nn.batch_norm(x, params, train, relu=True)
+            slot = y._slot
+            recipe = slot.remake
+            slot.remake = lambda: remade.append(copied) or recipe()
+            if copied:
+                y = ad.add(y, ad.constant(np.zeros(y.values.shape, np.float32)))
+            out = apply(y, w)
+            kept = weakref.ref(y.values)
+            del y
+            assert (kept() is not None) == copied
+            if not results:  # one upstream gradient for both chains
+                upstream = ad.constant(rng.normal(size=out.values.shape).astype(np.float32))
+            ad.backward(ad.sum_all(ad.mul(out, upstream)))
+        assert slot.remake is None
+        results.append((out.values, x.grad, w.grad, g.grad, b.grad))
+    assert remade == [False]
+    for got, want in zip(*results):
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want)
 
 
 def rel_error(a, b, scale):
