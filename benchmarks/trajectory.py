@@ -19,8 +19,8 @@ each seed, their median and their range. Then it runs
 and appends one line to BENCH_depth6.json: per step the seconds, the loss,
 the peak resident set so far in MiB and the parameter digest. A run that
 fails or prints no valid result stops the script before anything of its
-workload is written. On a 2-core x86 it takes about 5 minutes: 9 perfbench
-runs of about 25 s each and about 40 s for the depth-6 steps.
+workload is written. On a 2-core x86 it took 3.5 minutes: 9 perfbench
+runs of about 20 s each and about 30 s for the depth-6 steps.
 
 Each file holds one JSON object per line, oldest first; a later change
 quotes the lines of its own commit against its parent's.
