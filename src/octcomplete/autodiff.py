@@ -7,13 +7,20 @@ Operations executed while a Tape is active record backward closures;
 ``backward(loss)`` pops and runs them in reverse order, accumulating
 gradients with +=. A closure holds the slots of its output and inputs,
 never the FeatureMaps, and only the arrays its backward reads, or, for an
-input that carries a recipe (a batch-norm output), the input's slot,
-through which its backward remakes the values (``reader``): an output that
-no backward holds is freed as soon as its caller drops it, and what a
+input that carries a recipe, the input's slot, through which its backward
+remakes the values, whole or at the rows it reads (``reader``): an output
+that no backward holds is freed as soon as its caller drops it, and what a
 backward reads is freed once it has run. A recipe is dropped when its own
 op replays, after every op that read it. Afterwards the tape is empty and
 only leaves (parameters) keep a ``.grad``. The graph is define-by-run: the
 decoder structure differs per sample, so no static graph is kept.
+
+The fused ReLU ops (``add_relu``, ``linear_relu``) keep their mask as
+packed bits, so their own backward never reads their output; the network
+gives recipes to batch-norm outputs, to inner residual block outputs, to
+MLP hidden layers and to guided-skip outputs (nn, skip), so the arrays a
+taped forward leaves for backward are batch-norm inputs, conv and linear
+inputs that carry no recipe, and masks.
 
 Outputs refer to their tape weakly, so a tape nobody holds is freed at once
 with everything it recorded: ``backward`` must run while the tape is alive,
@@ -110,6 +117,15 @@ def _accum(slot, g):
         slot.grad += g
 
 
+def _recorded(inputs):
+    """The active tape, if an op on `inputs` is recorded on it, else None:
+    there is a tape and some input takes a gradient."""
+    tape = _ACTIVE_TAPE
+    if tape is not None and any(inp._slot.tracked for inp in inputs):
+        return tape
+    return None
+
+
 def custom_op(values, inputs, backward_fn, level=None, remake=None):
     """Create a taped output; backward_fn(g) returns per-input gradients.
 
@@ -121,16 +137,19 @@ def custom_op(values, inputs, backward_fn, level=None, remake=None):
     slots, so an output whose array no backward_fn holds is freed as soon
     as its caller drops it.
 
-    `remake`, a function of no arguments that returns `values` bit for bit
-    from what backward_fn holds anyway, goes on the output's slot when the
+    `remake`, a recipe from what backward_fn holds anyway or from its own
+    inputs' readers, returns `values` bit for bit when called with no
+    argument, and ``np.take(values, rows, axis=0)`` bit for bit when called
+    with an index array `rows`, as a new array on each call, which the
+    caller may write. It goes on the output's slot when the
     output is taped, so the ops that read the output hold the slot in place
     of the array (``reader``). It is dropped when this op replays, whether
     or not the output got a gradient; every op that reads the output was
     taped later and so has replayed before.
     """
     out = FeatureMap(values, level=level)
-    tape = _ACTIVE_TAPE
-    if tape is not None and any(inp._slot.tracked for inp in inputs):
+    tape = _recorded(inputs)
+    if tape is not None:
         slot, in_slots = out._slot, [inp._slot for inp in inputs]
         slot.tracked = True
         slot.remake = remake
@@ -149,22 +168,39 @@ def custom_op(values, inputs, backward_fn, level=None, remake=None):
     return out
 
 
+def array_reader(values):
+    """``reader``'s function for an array held as it is: read() returns
+    the array, read(rows) a copy of those rows."""
+
+    def read(rows=None):
+        return values if rows is None else np.take(values, rows, axis=0)
+
+    return read
+
+
 def reader(fm):
-    """A function of no arguments that returns fm's values, for a
-    backward_fn to hold in their place: the array itself, or for a taped
-    output that carries a recipe (custom_op's `remake`), a call of that
-    recipe, so the closure keeps the slot and no array."""
+    """A function read(rows=None) that returns fm's values, or with an
+    index array only those rows, for a backward_fn to hold in their place:
+    the array itself (array_reader), or for a taped output that carries a
+    recipe (custom_op's `remake`), a call of that recipe, so the closure
+    keeps the slot and no array, and a read of some rows remakes only
+    those."""
     slot = fm._slot
     if slot.remake is None:
-        values = fm.values
-        return lambda: values
+        return array_reader(fm.values)
 
-    def remade():
+    def remade(rows=None):
         if slot.remake is None:
             raise DomainError("an output's values were read after its op replayed")
-        return slot.remake()
+        return slot.remake() if rows is None else slot.remake(rows)
 
     return remade
+
+
+def remade(fm):
+    """Whether fm's readers remake its values (a taped output with a
+    recipe) rather than hold its array."""
+    return fm._slot.remake is not None
 
 
 def backward(loss):
@@ -210,23 +246,29 @@ def scale(a, s):
     return custom_op(a.values * s, [a], lambda g: (g * s,), level=a.level)
 
 
+def _linear_values(xv, wv, bv):
+    """xv @ wv.T, plus bv unless it is None."""
+    out = xv @ wv.T
+    return out if bv is None else out + bv
+
+
+def _linear_grads(g, wv, read, biased):
+    """The input, weight and (if biased) bias gradients of linear for the
+    output gradient g; `read` is the input's reader."""
+    gs = [g @ wv, g.T @ read()]
+    if biased:
+        gs.append(g.sum(axis=0, keepdims=True))
+    return gs
+
+
 def linear(x, w, bias=None):
     """x @ w.T (+ bias); w is (out_channels, in_channels)."""
     if x.values.shape[1] != w.values.shape[1]:
         raise DomainError("linear channel mismatch")
     wv, biased, read = w.values, bias is not None, reader(x)
-    out = x.values @ wv.T
-    if biased:
-        out = out + bias.values
-
-    def back(g):
-        gs = [g @ wv, g.T @ read()]
-        if biased:
-            gs.append(g.sum(axis=0, keepdims=True))
-        return gs
-
+    out = _linear_values(x.values, wv, bias.values if biased else None)
     inputs = [x, w, bias] if biased else [x, w]
-    return custom_op(out, inputs, back, level=x.level)
+    return custom_op(out, inputs, lambda g: _linear_grads(g, wv, read, biased), level=x.level)
 
 
 def relu_values(v, out=None):
@@ -245,6 +287,75 @@ def relu(a):
     for bit (relu_values maps NaN and -0.0 to +0.0), so no mask is kept."""
     out = relu_values(a.values)
     return custom_op(out, [a], lambda g: (g * (out > 0),), level=a.level)
+
+
+def _relu_mask(out, inputs):
+    """out > 0 as packed bits, 1 bit per element in C order, for the
+    backward of a fused ReLU op on `inputs`; None when no tape records it."""
+    return None if _recorded(inputs) is None else np.packbits(out > 0)
+
+
+def _masked(g, mask):
+    """g * (out > 0), relu's gradient, from _relu_mask's bits."""
+    return g * np.unpackbits(mask, count=g.size).view(bool).reshape(g.shape)
+
+
+def add_relu(a, b, remade=False):
+    """relu(add(a, b)) as one op, bit for bit in forward and backward.
+
+    Backward masks the gradient by the output being > 0, kept as packed
+    bits (_relu_mask), so it never reads the output. With `remade` a taped
+    output carries a recipe over a's and b's readers, so the ops that read
+    it remake it in backward, at the rows they read; without, they hold
+    it. The sum is elementwise, so a recipe remakes rows by reading only
+    those rows of a and b.
+    """
+    _check_same_shape(a, b)
+    out = a.values + b.values
+    relu_values(out, out=out)
+    mask = _relu_mask(out, [a, b])
+
+    def back(g):
+        gm = _masked(g, mask)
+        return gm, gm.copy()
+
+    recipe = None
+    if remade:
+        read_a, read_b = reader(a), reader(b)
+
+        def recipe(rows=None):
+            v = read_a(rows) + read_b(rows)
+            return relu_values(v, out=v)
+
+    return custom_op(out, [a, b], back, level=a.level, remake=recipe)
+
+
+def linear_relu(x, w, bias):
+    """relu(linear(x, w, bias)) as one op, bit for bit in forward and
+    backward, its mask kept as packed bits as add_relu's. A taped output
+    carries a recipe over x's reader, so the op that reads it (the next
+    layer) remakes it in backward and no backward holds it. A recipe asked
+    for rows remakes them all and takes those: a gemm over fewer rows need
+    not round as the forward's did."""
+    if x.values.shape[1] != w.values.shape[1]:
+        raise DomainError("linear channel mismatch")
+    wv, bv, read = w.values, bias.values, reader(x)
+    out = _linear_values(x.values, wv, bv)
+    relu_values(out, out=out)
+    mask = _relu_mask(out, [x, w, bias])
+
+    def recipe(rows=None):
+        v = _linear_values(read(), wv, bv)
+        relu_values(v, out=v)
+        return v if rows is None else np.take(v, rows, axis=0)
+
+    return custom_op(
+        out,
+        [x, w, bias],
+        lambda g: _linear_grads(_masked(g, mask), wv, read, True),
+        level=x.level,
+        remake=recipe,
+    )
 
 
 def row_gather(a, idx):

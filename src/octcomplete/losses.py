@@ -112,13 +112,23 @@ def _cloud(points, scale):
     return p, cKDTree(p, balanced_tree=False, compact_nodes=False)
 
 
+def _cpus():
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (os.sched_getaffinity is missing on macOS and Windows), else
+    every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _nearest(tree, p, order):
     """Distances from each point of p to its nearest point in `tree`, in
     p's order. The points are queried in `order`, their own tree's leaf
     order, so consecutive queries walk nearby branches, on every CPU this
-    process may run on; the distances are written back to p's order."""
+    process may run on (_cpus); the distances are written back to p's
+    order."""
     d = np.empty(len(p))
-    d[order] = tree.query(p[order], workers=len(os.sched_getaffinity(0)))[0]
+    d[order] = tree.query(p[order], workers=_cpus())[0]
     return d
 
 

@@ -259,22 +259,26 @@ class BlockMap:
             (np.ones(n, dtype), rows, np.arange(n + 1, dtype=np.int32)), shape=(self.rows, n)
         )
 
-    def read(self, x):
-        """x as the stencil reads it: rows flagged empty are zero."""
+    def read(self, read):
+        """An input of the level as the stencil reads it, from its reader
+        (autodiff.reader): rows flagged empty are zero. Only the nonempty
+        rows are read, so an input that carries a recipe is remade at
+        those rows alone."""
         if self.empty is None:
-            return x
+            return read()
         # zeros and one take of the nonempty rows: 2.4 times as fast as
         # np.where at 87.5 % empty rows (109k x 32), 2.1 to 2.8 times at
         # 46-60 % (2-core x86)
-        out = np.zeros(x.shape, x.dtype)
-        out[self.full_rows] = np.take(x, self.full_rows, axis=0)
+        full = read(self.full_rows)
+        out = np.zeros((self.rows, full.shape[1]), full.dtype)
+        out[self.full_rows] = full
         return out
 
     def conv(self, x, w):
         """The (rows, cout) convolution of x by the (cout, 27*cin) weight w,
         x's empty rows read as zero."""
         if self.reads_empty:
-            x = self.read(x)
+            x = self.read(ad.array_reader(x))
         cin, cout = x.shape[1], w.shape[0]
         dtype = np.result_type(x, w)
         mats = np.take(w.T, _matrix_rows(cin), axis=0)  # (216*cin, cout)
@@ -292,13 +296,14 @@ class BlockMap:
 
     def grads(self, x, g, w, need_gx):
         """The input gradient (None unless need_gx) and the (cout, 27*cin)
-        weight gradient of conv for the output gradient g.
+        weight gradient of conv for the output gradient g. x is the input
+        as the stencil reads it: BlockMap.read's where reads_empty, and
+        where not, right at least at the nonempty rows, the only ones a
+        split group gathers.
 
         The weight gradient is the adjoint of conv's weight gather: each
         group's product goes to its own rows of a buffer in the gather's
         layout, which _fold(cin) then adds back onto the rows of w.T."""
-        if self.reads_empty:
-            x = self.read(x)
         cin, cout = x.shape[1], g.shape[1]
         mats = np.take(w.T, _matrix_rows(cin), axis=0)
         # each group writes its own entries' rows; rows no group writes stay zero
@@ -346,18 +351,20 @@ def octree_conv(x, bmap, weight):
     reads a row flagged empty, both directions read a copy of x with those
     rows zeroed (BlockMap.read). Backward makes that copy and the gather
     again, so its closure keeps neither; where the stencil reads no empty
-    row, x is read as it is. The input gradient is skipped when x takes
-    none.
+    row, x is read as it is, unless x carries a recipe: then backward
+    remakes only the nonempty rows into a zeroed copy, on any map with
+    empty rows. The input gradient is skipped when x takes none.
     """
     if weight.values.shape[1] != 27 * x.channels:
         raise DomainError("conv channel mismatch")
     if bmap.rows != x.rows:
         raise DomainError("block map row mismatch")
     w, need_gx, read = weight.values, ad.tracked(x), ad.reader(x)
+    zeroed = bmap.reads_empty or (bmap.empty is not None and ad.remade(x))
     out = bmap.conv(x.values, w)
 
     def back(g):
-        return bmap.grads(read(), g, w, need_gx)
+        return bmap.grads(bmap.read(read) if zeroed else read(), g, w, need_gx)
 
     return ad.custom_op(out, [x, weight], back, level=x.level)
 
@@ -377,7 +384,7 @@ def downsample(x, bmap, weight):
     rows, shape, x_shape = bmap.owner_rows, (bmap.owners, 8 * x.channels), x.values.shape
     w, need_gx, read = weight.values, ad.tracked(x), ad.reader(x)
     out = np.zeros((bmap.parent_rows, w.shape[0]), dtype=np.result_type(x.values, w))
-    out[rows] = bmap.read(x.values).reshape(shape) @ w.T
+    out[rows] = bmap.read(ad.array_reader(x.values)).reshape(shape) @ w.T
 
     def back(g):
         go = g[rows]
@@ -386,8 +393,9 @@ def downsample(x, bmap, weight):
             gx = (go @ w).reshape(x_shape)
             if bmap.empty is not None:
                 gx[bmap.empty_rows] = 0
-        # the block view again: the closure keeps no masked copy of x
-        return gx, go.T @ bmap.read(read()).reshape(shape)
+        # the block view again: the closure keeps no masked copy of x, and
+        # an x that carries a recipe is remade at its nonempty rows only
+        return gx, go.T @ bmap.read(read).reshape(shape)
 
     out_level = None if x.level is None else x.level - 1
     return ad.custom_op(out, [x, weight], back, level=out_level)
@@ -415,8 +423,9 @@ def upsample(x, bmap, weight):
         gx = np.zeros(shape, dtype)
         gx[rows] = gb @ w
         # the owner rows again: the closure reads x, not a copy of its
-        # rows; on the first decoder level every row is an owner
-        return gx, gb.T @ read()[rows]
+        # rows, and an x that carries a recipe is remade at them only; on
+        # the first decoder level every row is an owner
+        return gx, gb.T @ read(rows)
 
     out_level = None if x.level is None else x.level + 1
     return ad.custom_op(out, [x, weight], back, level=out_level)
@@ -559,7 +568,9 @@ def batch_norm(x, params, train, relu=False):
     centre, s and shift, bit for bit the forward's, so neither the output
     nor a mask is kept. No output is kept at all: a taped output carries
     the recipe that remakes it from the same arrays (custom_op's `remake`),
-    which the ops that read it in backward call (ad.reader).
+    which the ops that read it in backward call (ad.reader), for all rows
+    or for the rows they read: the arithmetic is elementwise, so a row
+    block of x gives its rows of the output bit for bit.
     """
     if x.rows == 0:
         raise DomainError("batch_norm on an empty feature map")
@@ -618,8 +629,9 @@ def batch_norm(x, params, train, relu=False):
                 o -= d
         return gx, ggamma[None], gbeta[None]
 
-    def remake():
-        return _normalized(xv, blocks, centre, s, shift, relu)
+    def remake(rows=None):
+        xr = xv if rows is None else np.take(xv, rows, axis=0)
+        return _normalized(xr, _row_blocks(xr), centre, s, shift, relu)
 
     return ad.custom_op(
         out, [x, params.gamma, params.beta], back, level=x.level, remake=remake
@@ -673,8 +685,13 @@ def make_bn(params, prefix, c):
 class ResBlockStack:
     """Resblock(n, c): n bottleneck residual blocks at channel width c.
 
-    Each block is conv(c/4, 3, 1) + conv(c, 3, 1) around an identity skip;
-    entering with a different channel count inserts a 1x1 projection.
+    Each block is conv(c/4, 3, 1) + conv(c, 3, 1) around an identity skip,
+    joined by ad.add_relu; entering with a different channel count inserts
+    a 1x1 projection. In a taped forward the block outputs alternate,
+    first to last, between remade in backward (a recipe over the block's
+    input and its second batch-norm output) and kept, so no residual
+    recipe reads another; the last is always kept, so the next layer's
+    backward reads the stack's output as it is.
     """
 
     def __init__(self, params, prefix, in_c, c, n, rng=None):
@@ -694,15 +711,20 @@ class ResBlockStack:
     def forward(self, x, bmap, train):
         if self.projection is not None:
             x = batch_norm(ad.linear(x, self.projection), self.proj_bn, train)
-        for c1, w2, bn2 in self.blocks:
+        last = len(self.blocks) - 1
+        for i, (c1, w2, bn2) in enumerate(self.blocks):
             h = c1.forward(x, bmap, train)
             h = batch_norm(octree_conv(h, bmap, w2), bn2, train)
-            x = ad.relu(ad.add(x, h))
+            x = ad.add_relu(x, h, remade=i % 2 == 0 and i < last)
         return x
 
 
 class MLPHead:
-    """Shared 2-layer MLP applied per node (status prediction, regression)."""
+    """Shared 2-layer MLP applied per node (status prediction, regression).
+
+    The hidden layer is ad.linear_relu's: in a taped forward it is remade
+    in backward for the output layer's weight gradient, not kept.
+    """
 
     def __init__(self, params, prefix, in_c, hidden, out_c, rng=None):
         self.w1 = params.create(f"{prefix}.w1", he_init(rng, hidden, in_c))
@@ -711,5 +733,5 @@ class MLPHead:
         self.b2 = params.create(f"{prefix}.b2", np.zeros((1, out_c)), decay=False)
 
     def forward(self, x):
-        h = ad.relu(ad.linear(x, self.w1, self.b1))
+        h = ad.linear_relu(x, self.w1, self.b1)
         return ad.linear(h, self.w2, self.b2)

@@ -32,7 +32,9 @@ def guided_skip_add(d_map, e_map, align_idx, parent_index, mask: StatusMask):
     `align_idx` maps decoder rows to encoder rows (-1 -> zero row) and
     `parent_index` maps each decoder row to its parent row at the level of
     `mask`. The encoder rows named must be distinct, as those of distinct
-    decoder keys are: backward assigns their gradient rows.
+    decoder keys are: backward assigns their gradient rows. Backward reads
+    no values, and a taped output carries a recipe over the inputs'
+    readers, so the ops that read it remake it in backward.
     """
     if d_map.channels != e_map.channels:
         raise DomainError("skip channel mismatch between encoder and decoder")
@@ -48,9 +50,17 @@ def guided_skip_add(d_map, e_map, align_idx, parent_index, mask: StatusMask):
     out[open_rows] += e_map.values[e_rows]
     e_shape, e_dtype = e_map.values.shape, e_map.values.dtype
 
+    read_d, read_e = ad.reader(d_map), ad.reader(e_map)
+    fresh = ad.remade(d_map)  # then each read of d_map is a new array
+
     def back(g):
         ge = np.zeros(e_shape, e_dtype)
         ge[e_rows] = g[open_rows]
         return g, ge
 
-    return ad.custom_op(out, [d_map, e_map], back, level=d_map.level)
+    def remake(rows=None):
+        v = read_d() if fresh else read_d().copy()
+        v[open_rows] += read_e(e_rows)
+        return v if rows is None else np.take(v, rows, axis=0)
+
+    return ad.custom_op(out, [d_map, e_map], back, level=d_map.level, remake=remake)

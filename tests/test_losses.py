@@ -1,5 +1,7 @@
 """Loss values against analytic/hand-computed oracles; metric oracles."""
 
+import os
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -179,6 +181,28 @@ def test_chamfer_distances_equal_a_plain_tree_query(cloud, squared, rng):
     else:
         want = float(da.mean() + db.mean())
     assert losses._chamfer(ca, cb, squared) == want
+
+
+def test_chamfer_without_cpu_affinity(monkeypatch, rng):
+    """Where os has no sched_getaffinity (macOS, Windows), the tree queries
+    run on os.cpu_count() workers and every score equals the affinity
+    path's."""
+    complete = dt.make_shape("sphere", density=2500, seed=0)
+    partial = dt.virtual_scan(complete, dt.ScanConfig(num_views=2, seed=0))
+    a, b = rng.random((700, 3)), rng.random((500, 3))
+    want = [
+        chamfer_distance(a, b),
+        chamfer_distance(a, b, squared=True),
+        evaluate.identity_baseline(partial, complete),
+    ]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert losses._cpus() == (os.cpu_count() or 1)
+    got = [
+        chamfer_distance(a, b),
+        chamfer_distance(a, b, squared=True),
+        evaluate.identity_baseline(partial, complete),
+    ]
+    assert got == want
 
 
 def test_chamfer_empty_error():

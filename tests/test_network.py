@@ -149,48 +149,115 @@ def test_abandoned_taped_forward_leaves_no_cyclic_garbage(collector_off):
 
 def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off):
     """The tape holds gradient slots, not FeatureMaps: by the end of a taped
-    forward, before backward, the values of every ad.add output and of
-    every batch_norm output, relu or not, are freed. A batch-norm output's
-    slot carries the recipe that remakes it for the ops whose backward
-    reads it, which without residual blocks and skips include upsample,
-    downsample and the heads' linear; backward still fills every gradient
-    and leaves no recipe on any slot."""
-    add, batch_norm = ad.add, nn.batch_norm
-    unread, slots = [], []
+    forward, before backward, the values of every batch_norm output
+    (relu or not), every inner residual block output given a recipe
+    (every second one, from the first: blocks 1 and 3 of 4), every MLP
+    hidden layer and every guided skip output are freed, and each of
+    those carries a recipe until backward and none after. The
+    other block outputs stay alive and carry none, among them every
+    stack's last, which the next layer reads as it is. Without residual
+    blocks and skips, upsample, downsample and the heads read batch-norm
+    outputs. Backward still fills every gradient."""
+    batch_norm, add_relu, linear_relu = nn.batch_norm, ad.add_relu, ad.linear_relu
+    skip_add, stack_forward = network.guided_skip_add, nn.ResBlockStack.forward
+    freed, kept, stacks, slots = {}, [], [], []
 
-    def add_spy(a, b):
-        out = add(a, b)
-        unread.append(weakref.ref(out.values))
-        return out
-
-    def batch_norm_spy(x, params, train, relu=False):
-        out = batch_norm(x, params, train, relu)
-        unread.append(weakref.ref(out.values))
+    def watch(kind, out):
+        freed.setdefault(kind, []).append(weakref.ref(out.values))
         slots.append(out._slot)
         return out
 
-    monkeypatch.setattr(ad, "add", add_spy)
-    monkeypatch.setattr(nn, "batch_norm", batch_norm_spy)
+    def add_relu_spy(a, b, remade=False):
+        out = add_relu(a, b, remade)
+        if remade:
+            return watch("residual", out)
+        kept.append((weakref.ref(out.values), out._slot))
+        return out
+
+    def stack_spy(self, x, bmap, train):
+        out = stack_forward(self, x, bmap, train)
+        if self.blocks:
+            stacks.append(weakref.ref(out.values))
+        return out
+
+    def spy(kind, op):
+        return lambda *args, **kw: watch(kind, op(*args, **kw))
+
+    monkeypatch.setattr(nn, "batch_norm", spy("batch_norm", batch_norm))
+    monkeypatch.setattr(ad, "add_relu", add_relu_spy)
+    monkeypatch.setattr(ad, "linear_relu", spy("hidden", linear_relu))
+    monkeypatch.setattr(network, "guided_skip_add", spy("skip", skip_add))
+    monkeypatch.setattr(nn.ResBlockStack, "forward", stack_spy)
     partial, gt = sphere_octree()
     ib, gb = OctreeBatch([partial]), OctreeBatch([gt])
-    for spec in (small_spec(), small_spec(n_res=0, skip_mode="off")):
-        net = CompletionNet(spec, seed=0)
-        del unread[:], slots[:]
+    for n_res, skip_mode in ((2, "guided"), (4, "guided"), (0, "off")):
+        net = CompletionNet(small_spec(n_res=n_res, skip_mode=skip_mode), seed=0)
+        freed.clear()
+        del kept[:], stacks[:], slots[:]
         with ad.Tape() as tape:
             code, feats = net.encode(ib, train=True)
             res = net.decode(code, ib, feats, gt_batch=gb, train=True)
             del code, feats  # the caller's own references
-            assert len(slots) >= 8
-            assert [r for r in unread if r() is not None] == []
+            remade = n_res // 2  # blocks 1, 3, ... below the last
+            assert len(freed["batch_norm"]) >= 8
+            assert len(freed["hidden"]) == len(net.pred) + 1
+            assert len(freed.get("residual", [])) == remade * len(stacks)
+            assert len(kept) == (n_res - remade) * len(stacks)
+            assert len(stacks) == (0 if n_res == 0 else len(net.enc_rb) + len(net.dec_rb))
+            assert ("skip" in freed) == (skip_mode != "off")
+            assert {k: [r for r in v if r() is not None] for k, v in freed.items()} == {
+                k: [] for k in freed
+            }
             assert all(s.remake is not None for s in slots)
+            assert all(r() is not None and s.remake is None for r, s in kept)
+            assert all(r() is not None for r in stacks)
             loss = ad.sum_all(res.head_out)
             for logits in res.logits.values():
-                loss = add(loss, ad.sum_all(logits))
+                loss = ad.add(loss, ad.sum_all(logits))
             ad.backward(loss)
         assert tape.ops == []
         assert all(s.remake is None for s in slots)
         trainable = [n for n in net.params.names() if net.params.meta[n]["trainable"]]
         assert [n for n in trainable if net.params[n].grad is None] == []
+
+
+@pytest.mark.parametrize("n_res", [2, 3, 4])
+def test_no_residual_recipe_reads_another(monkeypatch, n_res):
+    """A remade inner residual output is remade from its block's input and
+    second batch-norm output; every second block output is kept, so
+    remaking one never remakes another, at any stack depth."""
+    add_relu = ad.add_relu
+    active, nested = [], []
+
+    def add_relu_spy(a, b, remade=False):
+        out = add_relu(a, b, remade)
+        recipe = out._slot.remake
+        if recipe is not None:
+
+            def watched(*rows):
+                nested.append(bool(active))
+                active.append(recipe)
+                try:
+                    return recipe(*rows)
+                finally:
+                    active.pop()
+
+            out._slot.remake = watched
+        return out
+
+    monkeypatch.setattr(ad, "add_relu", add_relu_spy)
+    partial, gt = sphere_octree()
+    ib, gb = OctreeBatch([partial]), OctreeBatch([gt])
+    net = CompletionNet(small_spec(n_res=n_res), seed=0)
+    with ad.Tape():
+        code, feats = net.encode(ib, train=True)
+        res = net.decode(code, ib, feats, gt_batch=gb, train=True)
+        loss = ad.sum_all(res.head_out)
+        for logits in res.logits.values():
+            loss = ad.add(loss, ad.sum_all(logits))
+        ad.backward(loss)
+    assert len(nested) >= len(net.enc_rb) + len(net.dec_rb)
+    assert not any(nested)
 
 
 def test_inference_deterministic():

@@ -818,7 +818,7 @@ def test_op_reading_a_bn_relu_output_remakes_it_bit_for_bit(op, train, rng, monk
             y = nn.batch_norm(x, params, train, relu=True)
             slot = y._slot
             recipe = slot.remake
-            slot.remake = lambda: remade.append(copied) or recipe()
+            slot.remake = lambda *rows: remade.append(copied) or recipe(*rows)
             if copied:
                 y = ad.add(y, ad.constant(np.zeros(y.values.shape, np.float32)))
             out = apply(y, w)
@@ -833,6 +833,123 @@ def test_op_reading_a_bn_relu_output_remakes_it_bit_for_bit(op, train, rng, monk
     assert remade == [False]
     for got, want in zip(*results):
         assert got.dtype == np.float32
+        assert np.array_equal(got, want)
+
+
+def bn_params(c, rng):
+    """Float32 batch-norm parameters of c channels with a zero gamma, so a
+    train-mode output has a constant channel; eval reads fixed running
+    statistics."""
+    gv = (rng.normal(size=(1, c)) + 1.0).astype(np.float32)
+    gv[0, 1] = 0.0
+    bv = (0.1 * rng.normal(size=(1, c))).astype(np.float32)
+    return nn.BNParams(
+        gamma=ad.parameter(gv),
+        beta=ad.parameter(bv),
+        running_mean=np.full((1, c), 0.25, np.float32),
+        running_var=np.full((1, c), 1.5, np.float32),
+    )
+
+
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("op", ["add_relu", "add_relu_kept", "linear_relu"])
+def test_fused_relu_op_equals_its_unfused_chain(op, train, rng, monkeypatch):
+    """ad.add_relu and ad.linear_relu equal relu(add) and relu(linear) bit
+    for bit: the output, the values their recipe remakes, whole and at a
+    scan level's nonempty rows, and every gradient, through inputs that
+    are themselves batch-norm outputs carrying recipes and through a conv
+    (which reads the nonempty rows of the level, empty rows and all) and a
+    linear layer (which reads every row). A remade output is freed once
+    dropped and remade once per reading op; its own backward reads only
+    its packed mask. add_relu without `remade` gives no recipe."""
+    monkeypatch.setattr(nn, "BN_BLOCK_BYTES", 4096)
+    o, level, _ = conv_case("scan")
+    bmap = block_map_of(o, level)
+    assert bmap.reads_empty
+    n, c, cout = bmap.rows, 4, 3
+    leaves = [rng.normal(size=(n, c)).astype(np.float32) for _ in range(2)]
+    leaves += [rng.normal(size=(c, c)).astype(np.float32), rng.normal(size=(1, c)).astype(np.float32)]
+    wc = rng.normal(size=(cout, 27 * c)).astype(np.float32)
+    wl = rng.normal(size=(cout, c)).astype(np.float32)
+    up = [rng.normal(size=(n, cout)).astype(np.float32) for _ in range(2)]
+    seed = int(rng.integers(1 << 30))
+    remade = op != "add_relu_kept"
+    results, calls = [], []
+    for fused in (True, False):
+        x, z, w1, b1 = (ad.parameter(v.copy()) for v in leaves)
+        w, v = ad.parameter(wc.copy()), ad.parameter(wl.copy())
+        p1, p2 = bn_params(c, np.random.default_rng(seed)), bn_params(c, np.random.default_rng(seed + 1))
+        with ad.Tape():
+            a = nn.batch_norm(x, p1, train, relu=True)
+            if op == "linear_relu":
+                y = ad.linear_relu(a, w1, b1) if fused else ad.relu(ad.linear(a, w1, b1))
+            else:
+                b = nn.batch_norm(z, p2, train)
+                y = ad.add_relu(a, b, remade=remade) if fused else ad.relu(ad.add(a, b))
+            values, slot = y.values.copy(), y._slot
+            if fused and remade:
+                recipe = slot.remake
+                assert np.array_equal(recipe(), values)
+                full = bmap.full_rows
+                assert np.array_equal(recipe(full), values[full])
+                slot.remake = lambda *rows: calls.append(len(rows)) or recipe(*rows)
+            elif fused:
+                assert slot.remake is None
+            kept = weakref.ref(y.values)
+            out = [nn.octree_conv(y, bmap, w), ad.linear(y, v)]
+            del y
+            assert (kept() is None) == (fused and remade)
+            loss = ad.add(*(ad.sum_all(ad.mul(o, ad.constant(u))) for o, u in zip(out, up)))
+            ad.backward(loss)
+        assert slot.remake is None
+        grads = [x.grad, w.grad, v.grad, p1.gamma.grad, p1.beta.grad]
+        if op == "linear_relu":
+            grads += [w1.grad, b1.grad]
+        else:
+            grads += [z.grad, p2.gamma.grad, p2.beta.grad]
+        results.append([values, out[0].values, out[1].values] + grads)
+    assert calls == ([0, 1] if remade else [])  # the linear reads all, then the conv its rows
+    assert np.count_nonzero(results[1][0] == 0) > n // 2  # the relu clips something
+    for got, want in zip(*results):
+        assert got is not None and got.dtype == np.float32
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("op", ["conv", "downsample"])
+@pytest.mark.parametrize("case", ["leaf", "scan"])
+def test_partial_remake_equals_full_remake(case, op, rng, monkeypatch):
+    """Where a level has empty rows, a conv or downsample whose input
+    carries a recipe remakes only the nonempty rows in backward, on a map
+    of split taps alone ("leaf", which reads no empty row) as on one with
+    merged taps ("scan"); its gradients equal, bit for bit, those of a
+    recipe that remakes every row and then takes those."""
+    monkeypatch.setattr(nn, "BN_BLOCK_BYTES", 4096)
+    o, level, kinds = conv_case(case)
+    bmap = block_map_of(o, level, kinds)
+    assert bmap.empty is not None and bmap.reads_empty == (case == "scan")
+    c, cout = 4, 3
+    xv, wv, apply = bn_then(op, bmap, c, cout, rng)
+    seed = int(rng.integers(1 << 30))
+    results, asked = [], []
+    for whole in (False, True):
+        x, w = ad.parameter(xv.copy()), ad.parameter(wv.copy())
+        params = bn_params(c, np.random.default_rng(seed))
+        with ad.Tape():
+            y = nn.batch_norm(x, params, True, relu=True)
+            recipe = y._slot.remake
+            if whole:
+                y._slot.remake = lambda rows=None: (
+                    recipe() if rows is None else np.take(recipe(), rows, axis=0)
+                )
+            else:
+                y._slot.remake = lambda *rows: asked.append(rows) or recipe(*rows)
+            out = apply(y, w)
+            del y
+            upstream = np.random.default_rng(seed).normal(size=out.values.shape)
+            ad.backward(ad.sum_all(ad.mul(out, ad.constant(upstream.astype(np.float32)))))
+        results.append((out.values, x.grad, w.grad, params.gamma.grad, params.beta.grad))
+    assert len(asked) == 1 and np.array_equal(asked[0][0], bmap.full_rows)
+    for got, want in zip(*results):
         assert np.array_equal(got, want)
 
 

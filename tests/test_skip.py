@@ -185,3 +185,37 @@ def test_shape_errors(rng):
         guided_skip_add(d, e3, align[:4], np.zeros(8, np.int64), StatusMask(np.ones(1)))
     with pytest.raises(DomainError):
         guided_skip_add(d, e3, align, np.full(8, 5, np.int64), StatusMask(np.ones(1)))
+
+
+@pytest.mark.parametrize("d_kind", ["kept", "remade"])
+def test_taped_skip_output_is_remade_bit_for_bit(d_kind, rng):
+    """A taped skip output carries a recipe that gives its values, whole or
+    at some rows, bit for bit, as often as it is called, whether the
+    decoder input is held as it is (and so must not be written) or is
+    itself remade; the recipe is dropped when the skip replays."""
+    n_dec, n_enc = 24, 20
+    align = np.full(n_dec, -1, dtype=np.int64)
+    align[rng.choice(n_dec, size=16, replace=False)] = rng.permutation(n_enc)[:16]
+    parent_index = np.repeat(np.arange(3), 8)
+    status = np.array([1.0, 0.0, 1.0])
+    d_arr = rng.normal(size=(n_dec, 3)).astype(np.float32)
+    e = ad.parameter(rng.normal(size=(n_enc, 3)).astype(np.float32))
+    rows = np.array([1, 5, 8, 23])
+    with ad.Tape():
+        d = ad.parameter(d_arr.copy())
+        if d_kind == "remade":
+
+            def remake(rows=None):
+                v = d_arr * 2  # a new array per call, as custom_op asks
+                return v if rows is None else np.take(v, rows, axis=0)
+
+            d = ad.custom_op(d.values * 2, [d], lambda g: (g * 2,), remake=remake)
+        before = d.values.copy()
+        out = guided_skip_add(d, e, align, parent_index, StatusMask(status))
+        recipe = out._slot.remake
+        for _ in range(2):
+            assert np.array_equal(recipe(), out.values)
+            assert np.array_equal(recipe(rows), out.values[rows])
+        assert np.array_equal(d.values, before)
+        ad.backward(ad.sum_all(out))
+    assert out._slot.remake is None
