@@ -18,9 +18,9 @@ decoder structure differs per sample, so no static graph is kept.
 The fused ReLU ops (``add_relu``, ``linear_relu``) keep their mask as
 packed bits, so their own backward never reads their output; the network
 gives recipes to batch-norm outputs, to inner residual block outputs, to
-MLP hidden layers and to guided-skip outputs (nn, skip), so the arrays a
-taped forward leaves for backward are batch-norm inputs, conv and linear
-inputs that carry no recipe, and masks.
+MLP hidden layers and to guided-skip outputs (nn, skip), so what a taped
+forward leaves for backward is mostly batch-norm inputs, the inputs
+without a recipe that convs and linear layers read, and masks.
 
 Outputs refer to their tape weakly, so a tape nobody holds is freed at once
 with everything it recorded: ``backward`` must run while the tape is alive,
@@ -189,12 +189,12 @@ def reader(fm):
     if slot.remake is None:
         return array_reader(fm.values)
 
-    def remade(rows=None):
+    def read(rows=None):
         if slot.remake is None:
             raise DomainError("an output's values were read after its op replayed")
         return slot.remake() if rows is None else slot.remake(rows)
 
-    return remade
+    return read
 
 
 def remade(fm):
