@@ -2,13 +2,17 @@
 
 Run directly:
 
-    PYTHONPATH=src python3 benchmarks/bench_step.py [--steps 3] [--n-res 2]
+    PYTHONPATH=src python3 benchmarks/bench_step.py [--steps 3] [--n-res 2] [--scene]
 
 Every step is one Trainer.step over the same batch of 4 samples: the shape
 pairs cli.make_shape_pair(seed, views=3) for seeds 0-3, a completion net
 with input and output depth 6, c0=32, c_max=128 and `--n-res` residual
 blocks per stack (default 2, 51 layers; 4 gives 83), at lr 0.01, under one
-BLAS thread. For each step it prints the seconds, the total loss, the
+BLAS thread. With `--scene` the batch is instead the 2 rooms
+cli.make_scene_pair(seed, views=3) for seeds 0-1 under perfbench's
+train-scene spec: a semantic net of 4 classes with the depth-8 scene head,
+output depth 6, c0=16, c_max=64 and `--n-res` (default 1) residual blocks
+per stack. For each step it prints the seconds, the total loss, the
 process's peak resident set so far (ru_maxrss, in MiB) and `params`, the
 first 16 hex digits of a sha256 over every parameter (running batch-norm
 statistics included) after the step. The first step's peak includes
@@ -37,6 +41,10 @@ from octcomplete.network import CompletionNet, NetworkSpec
 
 SPEC = dict(input_depth=6, output_depth=6, c0=32, c_max=128, n_res=2)
 SEEDS = range(4)  # one batch
+# perfbench's train-scene spec, and its batch size
+SCENE_SPEC = dict(input_depth=8, output_depth=6, c0=16, c_max=64, n_res=1,
+                  task="semantic", num_classes=4, scene_head=True)
+SCENE_SEEDS = range(2)
 VIEWS = 3
 LR = 0.01
 
@@ -54,11 +62,19 @@ def params_digest(params):
     return h.hexdigest()[:16]
 
 
+def make_pairs(spec):
+    """The batch's sample pairs: rooms for a spec with the scene head,
+    else shapes."""
+    if spec.scene_head:
+        return [cli.make_scene_pair(s, views=VIEWS) for s in SCENE_SEEDS]
+    return [cli.make_shape_pair(s, views=VIEWS) for s in SEEDS]
+
+
 def bench(steps, spec=SPEC):
     """Print one line per step; return the (seconds, loss, peak MiB,
     parameter digest) rows."""
     spec = NetworkSpec(**spec)
-    samples = [train.prepare_sample(cli.make_shape_pair(s, views=VIEWS), spec) for s in SEEDS]
+    samples = [train.prepare_sample(p, spec) for p in make_pairs(spec)]
     trainer = train.Trainer(CompletionNet(spec, seed=0), train.TrainConfig(lr=LR), samples)
     batch = np.arange(len(samples))
     rows = []
@@ -76,11 +92,16 @@ def bench(steps, spec=SPEC):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--steps", type=int, default=3)
-    ap.add_argument("--n-res", type=int, default=SPEC["n_res"],
-                    help="residual blocks per resblock stack")
+    ap.add_argument("--n-res", type=int, default=None,
+                    help="residual blocks per resblock stack (default: the spec's)")
+    ap.add_argument("--scene", action="store_true",
+                    help="train perfbench's train-scene spec on 2 rooms")
     args = ap.parse_args()
-    spec = dict(SPEC, n_res=args.n_res)
-    print(f"spec {spec}, batch {len(SEEDS)}, lr {LR}, "
+    spec = SCENE_SPEC if args.scene else SPEC
+    if args.n_res is not None:
+        spec = dict(spec, n_res=args.n_res)
+    batch = len(SCENE_SEEDS if args.scene else SEEDS)
+    print(f"spec {spec}, batch {batch}, lr {LR}, "
           f"BLAS threads {os.environ.get('OPENBLAS_NUM_THREADS')}")
     bench(args.steps, spec)
 

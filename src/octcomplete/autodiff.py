@@ -18,9 +18,12 @@ decoder structure differs per sample, so no static graph is kept.
 The fused ReLU ops (``add_relu``, ``linear_relu``) keep their mask as
 packed bits, so their own backward never reads their output; the network
 gives recipes to batch-norm outputs, to inner residual block outputs, to
-MLP hidden layers and to guided-skip outputs (nn, skip), so what a taped
-forward leaves for backward is mostly batch-norm inputs, the inputs
-without a recipe that convs and linear layers read, and masks.
+MLP hidden layers, to guided-skip outputs and, in the scene head, to the
+``max_pool`` output and the 1x1 projection's ``linear`` output, which
+batch norm reads through its reader (nn, skip). What a taped forward
+leaves for backward is mostly the batch-norm inputs that convs,
+downsample and upsample make, each residual stack's last output, and
+masks.
 
 Outputs refer to their tape weakly, so a tape nobody holds is freed at once
 with everything it recorded: ``backward`` must run while the tape is alive,
@@ -261,14 +264,37 @@ def _linear_grads(g, wv, read, biased):
     return gs
 
 
-def linear(x, w, bias=None):
-    """x @ w.T (+ bias); w is (out_channels, in_channels)."""
+def _linear_recipe(read, wv, bv, relu=False):
+    """The recipe of a linear (relu: linear_relu) output over its input's
+    reader. Asked for rows, it remakes them all and takes those: a gemm
+    over fewer rows need not round as the forward's did."""
+
+    def recipe(rows=None):
+        v = _linear_values(read(), wv, bv)
+        if relu:
+            relu_values(v, out=v)
+        return v if rows is None else np.take(v, rows, axis=0)
+
+    return recipe
+
+
+def linear(x, w, bias=None, remade=False):
+    """x @ w.T (+ bias); w is (out_channels, in_channels). With `remade` a
+    taped output carries a recipe over x's reader (_linear_recipe), so the
+    ops that read it remake it in backward; without, they hold it."""
     if x.values.shape[1] != w.values.shape[1]:
         raise DomainError("linear channel mismatch")
     wv, biased, read = w.values, bias is not None, reader(x)
-    out = _linear_values(x.values, wv, bias.values if biased else None)
+    bv = bias.values if biased else None
+    out = _linear_values(x.values, wv, bv)
     inputs = [x, w, bias] if biased else [x, w]
-    return custom_op(out, inputs, lambda g: _linear_grads(g, wv, read, biased), level=x.level)
+    return custom_op(
+        out,
+        inputs,
+        lambda g: _linear_grads(g, wv, read, biased),
+        level=x.level,
+        remake=_linear_recipe(read, wv, bv) if remade else None,
+    )
 
 
 def relu_values(v, out=None):
@@ -333,28 +359,20 @@ def add_relu(a, b, remade=False):
 def linear_relu(x, w, bias):
     """relu(linear(x, w, bias)) as one op, bit for bit in forward and
     backward, its mask kept as packed bits as add_relu's. A taped output
-    carries a recipe over x's reader, so the op that reads it (the next
-    layer) remakes it in backward and no backward holds it. A recipe asked
-    for rows remakes them all and takes those: a gemm over fewer rows need
-    not round as the forward's did."""
+    carries a recipe over x's reader (_linear_recipe), so the op that reads
+    it (the next layer) remakes it in backward and no backward holds it."""
     if x.values.shape[1] != w.values.shape[1]:
         raise DomainError("linear channel mismatch")
     wv, bv, read = w.values, bias.values, reader(x)
     out = _linear_values(x.values, wv, bv)
     relu_values(out, out=out)
     mask = _relu_mask(out, [x, w, bias])
-
-    def recipe(rows=None):
-        v = _linear_values(read(), wv, bv)
-        relu_values(v, out=v)
-        return v if rows is None else np.take(v, rows, axis=0)
-
     return custom_op(
         out,
         [x, w, bias],
         lambda g: _linear_grads(_masked(g, mask), wv, read, True),
         level=x.level,
-        remake=recipe,
+        remake=_linear_recipe(read, wv, bv, relu=True),
     )
 
 

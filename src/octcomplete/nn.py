@@ -436,7 +436,14 @@ def max_pool(x, bmap):
 
     `bmap` is the BlockMap of x's level. Children flagged empty count as
     -inf; parent rows whose children are all empty (or that own none)
-    produce zero rows. The gradient routes to the argmax child only.
+    produce zero rows. The gradient routes to the argmax child only. A
+    taped output carries a recipe over the argmax, kept as one byte per
+    (owner, channel), and x's reader: it reads only the nonempty argmax
+    child rows of the owners among the rows it is asked for, so an x that
+    carries a recipe is remade at those rows alone. The scene head's
+    output (109,224 rows x 16, read by `conv7`'s backward) is 6.7 MiB that
+    a train-scene tape no longer holds, for one remake of about 4 ms a
+    step.
     """
     if bmap.rows != x.rows:
         raise DomainError("block map row mismatch")
@@ -445,11 +452,11 @@ def max_pool(x, bmap):
     vals = np.where(empty[:, None], -np.inf, x.values).reshape(owners, 8, c)
     arg = vals.argmax(axis=1)  # (owners, c)
     best = np.take_along_axis(vals, arg[:, None, :], axis=1)[:, 0, :]
-    dead = empty.reshape(owners, 8).all(axis=1)[:, None]
+    dead = empty.reshape(owners, 8).all(axis=1)
     out = np.zeros((bmap.parent_rows, c), dtype=x.values.dtype)
-    out[bmap.owner_rows] = np.where(dead, 0.0, best)
+    out[bmap.owner_rows] = np.where(dead[:, None], 0.0, best)
     arg = arg.astype(np.uint8)  # the argmax child slot, one byte per (owner, channel)
-    shape, dtype = x.values.shape, x.values.dtype
+    shape, dtype, read = x.values.shape, x.values.dtype, ad.reader(x)
 
     def back(g):
         src = 8 * np.arange(owners)[:, None] + arg  # (owners, c) argmax child rows
@@ -461,7 +468,34 @@ def max_pool(x, bmap):
         ga[src[valid], cols[valid]] = g[bmap.owner_rows][valid]
         return (ga,)
 
-    return ad.custom_op(out, [x], back, level=None if x.level is None else x.level - 1)
+    def remake(rows=None):
+        if rows is None:
+            res = np.zeros((bmap.parent_rows, c), dtype)
+            at, ks = bmap.owner_rows, np.arange(owners)
+        else:
+            res = np.zeros((len(rows), c), dtype)
+            rank = np.full(bmap.parent_rows, -1)
+            rank[bmap.owner_rows] = np.arange(owners)
+            ks = rank[rows]
+            at = np.flatnonzero(ks >= 0)
+            ks = ks[at]
+        src = 8 * ks[:, None] + arg[ks]  # (owners asked, c) argmax child rows
+        # an empty argmax child is the forward's -inf; a dead owner's are all empty
+        full = ~empty[src]
+        # the rows to read, in order, marked per row of x rather than found
+        # by a sort of the argmax rows, and each argmax's flat index into
+        # what is read
+        mark = np.zeros(len(empty), dtype=bool)
+        mark[src[full]] = True
+        flat = (np.cumsum(mark) - 1)[src] * c + np.arange(c)
+        best = np.full(src.shape, -np.inf, dtype)
+        best[full] = np.take(read(np.flatnonzero(mark)), flat[full])
+        best[dead[ks]] = 0.0
+        res[at] = best
+        return res
+
+    out_level = None if x.level is None else x.level - 1
+    return ad.custom_op(out, [x], back, level=out_level, remake=remake)
 
 
 # Batch norm walks a map in row blocks of about this many bytes, so each
@@ -562,21 +596,25 @@ def batch_norm(x, params, train, relu=False):
     less in train mode the two means that derive from those sums. No
     full-size buffer is made besides the output and the input gradient,
     and only per-channel rows are kept; backward recomputes x - centre.
+    x is held through its reader (ad.reader): an x that carries a recipe
+    (the 1x1 projection's, ResBlockStack) is remade whole by backward and
+    at the rows asked for by this op's own recipe, so no backward holds it.
     With `relu`, the op is followed by ad.relu's rule (ad.relu_values) as
     one op, and backward masks the gradient by its output being > 0: the
     sums pass remakes that mask per block from x and the forward's own
     centre, s and shift, bit for bit the forward's, so neither the output
     nor a mask is kept. No output is kept at all: a taped output carries
-    the recipe that remakes it from the same arrays (custom_op's `remake`),
-    which the ops that read it in backward call (ad.reader), for all rows
-    or for the rows they read: the arithmetic is elementwise, so a row
-    block of x gives its rows of the output bit for bit.
+    the recipe that remakes it from the same rows and x's reader
+    (custom_op's `remake`), which the ops that read it in backward call
+    (ad.reader), for all rows or for the rows they read: the arithmetic is
+    elementwise, so a row block of x gives its rows of the output bit for
+    bit.
     """
     if x.rows == 0:
         raise DomainError("batch_norm on an empty feature map")
     if x.channels != params.gamma.values.shape[1]:
         raise DomainError("batch_norm channel mismatch")
-    xv = x.values
+    xv, read = x.values, ad.reader(x)
     n, c = xv.shape
     gamma = params.gamma.values
     blocks = _row_blocks(xv)
@@ -612,6 +650,7 @@ def batch_norm(x, params, train, relu=False):
         # the second pass then scales in place. g has the output's dtype,
         # which is x's (autodiff._accum), so gx's blocks hold the
         # pre-activation at the forward's precision
+        xv = read()
         gx = np.empty(g.shape, xv.dtype)
         gbeta, ggamma = _sums(blocks, xv, mu, g, relu_rows, gx)
         gbeta = gbeta.astype(g.dtype)
@@ -630,7 +669,7 @@ def batch_norm(x, params, train, relu=False):
         return gx, ggamma[None], gbeta[None]
 
     def remake(rows=None):
-        xr = xv if rows is None else np.take(xv, rows, axis=0)
+        xr = read(rows)
         return _normalized(xr, _row_blocks(xr), centre, s, shift, relu)
 
     return ad.custom_op(
@@ -687,11 +726,17 @@ class ResBlockStack:
 
     Each block is conv(c/4, 3, 1) + conv(c, 3, 1) around an identity skip,
     joined by ad.add_relu; entering with a different channel count inserts
-    a 1x1 projection. In a taped forward the block outputs alternate,
+    a 1x1 projection (ad.linear, then batch norm). In a taped forward the
+    projection's linear output is remade in backward (its `remade`), by its
+    batch norm's backward and recipe, and the block outputs alternate,
     first to last, between remade in backward (a recipe over the block's
     input and its second batch-norm output) and kept, so no residual
     recipe reads another; the last is always kept, so the next layer's
-    backward reads the stack's output as it is.
+    backward reads the stack's output as it is. The scene head's
+    projection (`head.rb7`, 109,224 rows x 32) is 13.3 MiB that a
+    train-scene tape no longer holds; the price is two remakes of it a
+    step, each of every row, as a gemm over fewer rows need not round
+    the same.
     """
 
     def __init__(self, params, prefix, in_c, c, n, rng=None):
@@ -710,7 +755,7 @@ class ResBlockStack:
 
     def forward(self, x, bmap, train):
         if self.projection is not None:
-            x = batch_norm(ad.linear(x, self.projection), self.proj_bn, train)
+            x = batch_norm(ad.linear(x, self.projection, remade=True), self.proj_bn, train)
         last = len(self.blocks) - 1
         for i, (c1, w2, bn2) in enumerate(self.blocks):
             h = c1.forward(x, bmap, train)

@@ -45,6 +45,29 @@ def sphere_octree(depth=4, seed=0, views=2):
     return build_octree(scan, depth), build_octree(shape, depth)
 
 
+def scene_spec():
+    """A small semantic net with the depth-8 scene head."""
+    return NetworkSpec(
+        input_depth=8,
+        output_depth=6,
+        n_res=1,
+        c0=16,
+        c_max=32,
+        scene_head=True,
+        task="semantic",
+        num_classes=4,
+        hidden=8,
+    )
+
+
+def scene_batches():
+    """A one-box room's 2-view scan at depth 8 and its complete octree at
+    depth 6, as an input and a ground-truth batch."""
+    pts, _ = dt.make_scene(dt.SceneConfig(seed=0, num_boxes=1))
+    scan = dt.virtual_scan(pts, dt.ScanConfig(num_views=2, seed=0))
+    return OctreeBatch([build_octree(scan, 8)]), OctreeBatch([build_octree(pts, 6)])
+
+
 def test_channel_schedule_mirror_and_cap():
     spec = NetworkSpec(input_depth=6, output_depth=6, n_res=2)
     ch = spec.channels()
@@ -153,12 +176,15 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
     (relu or not), every inner residual block output given a recipe
     (every second one, from the first: blocks 1 and 3 of 4), every MLP
     hidden layer and every guided skip output are freed, and each of
-    those carries a recipe until backward and none after. The
+    those carries a recipe until backward and none after. So are, with the
+    scene head, the `max_pool` output and the 1x1 projection's linear
+    output, which its batch norm reads through its recipe. The
     other block outputs stay alive and carry none, among them every
     stack's last, which the next layer reads as it is. Without residual
     blocks and skips, upsample, downsample and the heads read batch-norm
     outputs. Backward still fills every gradient."""
     batch_norm, add_relu, linear_relu = nn.batch_norm, ad.add_relu, ad.linear_relu
+    linear, max_pool = ad.linear, nn.max_pool
     skip_add, stack_forward = network.guided_skip_add, nn.ResBlockStack.forward
     freed, kept, stacks, slots = {}, [], [], []
 
@@ -174,6 +200,10 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
         kept.append((weakref.ref(out.values), out._slot))
         return out
 
+    def linear_spy(x, w, bias=None, remade=False):
+        out = linear(x, w, bias, remade)
+        return watch("projection", out) if remade else out
+
     def stack_spy(self, x, bmap, train):
         out = stack_forward(self, x, bmap, train)
         if self.blocks:
@@ -184,14 +214,22 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
         return lambda *args, **kw: watch(kind, op(*args, **kw))
 
     monkeypatch.setattr(nn, "batch_norm", spy("batch_norm", batch_norm))
+    monkeypatch.setattr(nn, "max_pool", spy("max_pool", max_pool))
     monkeypatch.setattr(ad, "add_relu", add_relu_spy)
+    monkeypatch.setattr(ad, "linear", linear_spy)
     monkeypatch.setattr(ad, "linear_relu", spy("hidden", linear_relu))
     monkeypatch.setattr(network, "guided_skip_add", spy("skip", skip_add))
     monkeypatch.setattr(nn.ResBlockStack, "forward", stack_spy)
-    partial, gt = sphere_octree()
-    ib, gb = OctreeBatch([partial]), OctreeBatch([gt])
-    for n_res, skip_mode in ((2, "guided"), (4, "guided"), (0, "off")):
-        net = CompletionNet(small_spec(n_res=n_res, skip_mode=skip_mode), seed=0)
+    sphere = tuple(OctreeBatch([o]) for o in sphere_octree())
+    cases = [
+        (small_spec(n_res=2, skip_mode="guided"), sphere),
+        (small_spec(n_res=4, skip_mode="guided"), sphere),
+        (small_spec(n_res=0, skip_mode="off"), sphere),
+        (scene_spec(), scene_batches()),
+    ]
+    for spec, (ib, gb) in cases:
+        net = CompletionNet(spec, seed=0)
+        n_res, scene = spec.n_res, int(spec.scene_head)
         freed.clear()
         del kept[:], stacks[:], slots[:]
         with ad.Tape() as tape:
@@ -203,8 +241,9 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
             assert len(freed["hidden"]) == len(net.pred) + 1
             assert len(freed.get("residual", [])) == remade * len(stacks)
             assert len(kept) == (n_res - remade) * len(stacks)
-            assert len(stacks) == (0 if n_res == 0 else len(net.enc_rb) + len(net.dec_rb))
-            assert ("skip" in freed) == (skip_mode != "off")
+            assert len(stacks) == (0 if n_res == 0 else len(net.enc_rb) + len(net.dec_rb) + scene)
+            assert ("skip" in freed) == (spec.skip_mode != "off")
+            assert len(freed.get("projection", [])) == len(freed.get("max_pool", [])) == scene
             assert {k: [r for r in v if r() is not None] for k, v in freed.items()} == {
                 k: [] for k in freed
             }
@@ -757,23 +796,8 @@ def test_sample_points_non_finite_patch_raises(patch):
 
 
 def test_scene_head_shapes():
-    pts, grid = dt.make_scene(dt.SceneConfig(seed=0, num_boxes=1))
-    scan = dt.virtual_scan(pts, dt.ScanConfig(num_views=2, seed=0))
-    partial = build_octree(scan, 8)
-    gt = build_octree(pts, 6)
-    spec = NetworkSpec(
-        input_depth=8,
-        output_depth=6,
-        n_res=1,
-        c0=16,
-        c_max=32,
-        scene_head=True,
-        task="semantic",
-        num_classes=4,
-        hidden=8,
-    )
-    net = CompletionNet(spec, seed=0)
-    ib, gb = OctreeBatch([partial]), OctreeBatch([gt])
+    net = CompletionNet(scene_spec(), seed=0)
+    ib, gb = scene_batches()
     with ad.Tape():
         code, feats = net.encode(ib, train=True)
         assert code.level == 2

@@ -1154,6 +1154,140 @@ def test_max_pool_all_empty_children_zero(rng):
     assert np.allclose(y.values[0], np.maximum(x.values[0], x.values[1]))
 
 
+def pool_case(rng, c=3):
+    """A BlockMap of 7 roots, 5 of them owners (rows 0, 2, 3, 4, 6), and a
+    float32 input of their 40 children: owner 0 has 2 nonempty children,
+    owner 1 (row 2) none, owner 2 (row 3) 8 whose channels tie at their
+    max, owner 3 (row 4) 2 whose values are all below those of its empty
+    children and -inf in channel 2, owner 4 (row 6) 8 distinct ones."""
+    status = np.array([1, 0, 1, 1, 1, 0, 1], dtype=np.uint8)
+    child_status = np.zeros(40, dtype=np.uint8)
+    child_status[[0, 1, 25, 30]] = 1
+    child_status[16:24] = child_status[32:40] = 1
+    xv = rng.normal(size=(40, c)).astype(np.float32)
+    xv[16:24] = xv[16]  # every child the same: each channel ties 8 ways
+    xv[[17, 21], 1] = 5.0  # a two-way tie at the max of channel 1
+    xv[24:32] = -np.abs(xv[24:32]) - 1.0
+    xv[[24, 26, 27, 28, 29, 31]] = 100.0  # empty: below every value read
+    xv[[25, 30], 2] = -np.inf  # the max is -inf, at an empty child's slot
+    roots = make_level(np.arange(7, dtype=np.uint64), status, True)
+    return nn.BlockMap(roots, root_pairs(status), child_status), xv
+
+
+def argmax_child_rows(bmap, xv, owners):
+    """The nonempty argmax child rows of `owners` (ranks), brute force."""
+    vals = np.where(bmap.empty[:, None], -np.inf, xv).reshape(bmap.owners, 8, -1)
+    src = 8 * np.arange(bmap.owners)[:, None] + vals.argmax(axis=1)
+    src = src[owners]
+    return np.unique(src[~bmap.empty[src]])
+
+
+def test_max_pool_recipe_remakes_its_output_bit_for_bit(rng):
+    """A taped max_pool output carries a recipe that remakes it bit for
+    bit, whole and at rows in any order and with repeats, on a map with
+    empty children, a dead owner, tied maxima, values below its empty
+    children's and a -inf maximum. Over an input that itself carries a
+    recipe it reads only the nonempty argmax child rows of the owners
+    among the rows asked for. The output is freed once dropped, and its
+    recipe is dropped when max_pool replays."""
+    bmap, xv = pool_case(rng)
+    asked = []
+
+    def recipe(rows=None):
+        asked.append(rows)
+        return xv.copy() if rows is None else np.take(xv, rows, axis=0)
+
+    x0 = ad.parameter(xv.copy())
+    with ad.Tape():
+        x = ad.custom_op(xv.copy(), [x0], lambda g: (g,), remake=recipe)
+        out = nn.max_pool(x, bmap)
+        values, slot = out.values.copy(), out._slot
+        assert np.array_equal(values[[1, 2, 5]], np.zeros((3, 3)))  # two non-owners, one dead
+        assert (values[4] < 0).all() and values[4, 2] == -np.inf
+        assert np.array_equal(slot.remake(), values)
+        for rows, owners in (([6, 1, 3, 3, 0], [4, 2, 2, 0]), ([2, 5], []), ([4], [3])):
+            del asked[:]
+            got = slot.remake(np.array(rows))
+            assert got.dtype == np.float32
+            assert np.array_equal(got, values[rows])
+            assert len(asked) == 1
+            assert np.array_equal(asked[0], argmax_child_rows(bmap, xv, owners))
+        kept = weakref.ref(out.values)
+        loss = ad.sum_all(out)
+        del out
+        assert kept() is None
+        ad.backward(loss)
+    assert slot.remake is None and x0.grad is not None
+
+
+def test_remade_linear_recipe_remakes_its_output_bit_for_bit(rng):
+    """ad.linear with `remade` gives a taped output a recipe over its
+    input's reader that remakes it bit for bit, whole and at rows in any
+    order and with repeats, biased or not, through an input that itself
+    carries a recipe (a batch-norm output); an untaped output, or one
+    without `remade`, carries none."""
+    n, cin, cout = 1000, 6, 5
+    xv = rng.normal(size=(n, cin)).astype(np.float32)
+    wv = rng.normal(size=(cout, cin)).astype(np.float32)
+    bv = rng.normal(size=(1, cout)).astype(np.float32)
+    rows = rng.integers(0, n, size=300)
+    x, w, b = (ad.parameter(v.copy()) for v in (xv, wv, bv))
+    with ad.Tape():
+        a = nn.batch_norm(x, bn_params(cin, rng), True, relu=True)
+        for bias in (b, None):
+            y = ad.linear(a, w, bias, remade=True)
+            assert ad.remade(a) and ad.remade(y)
+            assert np.array_equal(y._slot.remake(), y.values)
+            assert np.array_equal(y._slot.remake(rows), y.values[rows])
+            assert not ad.remade(ad.linear(a, w, bias))
+    assert not ad.remade(ad.linear(ad.constant(xv), w, b, remade=True))
+
+
+@pytest.mark.parametrize("relu", [False, True], ids=["bn", "bn_relu"])
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+def test_batch_norm_over_a_remade_input_equals_it_over_a_kept_one(train, relu, rng, monkeypatch):
+    """batch_norm holds its input through ad.reader: over an input that
+    carries a recipe (ad.linear with `remade`, as ResBlockStack's 1x1
+    projection) its output, the values its own recipe remakes, whole and
+    at a scan level's nonempty rows, and every gradient through a conv
+    that reads it equal, bit for bit, those of the same chain over the
+    input kept. The remade input is freed once dropped, and its recipe
+    is dropped when the linear replays."""
+    monkeypatch.setattr(nn, "BN_BLOCK_BYTES", 4096)
+    o, level, _ = conv_case("scan")
+    bmap = block_map_of(o, level)
+    n, cin, c, cout = bmap.rows, 3, 4, 5
+    xv = rng.normal(size=(n, cin)).astype(np.float32)
+    wv = rng.normal(size=(c, cin)).astype(np.float32)
+    wc = rng.normal(size=(cout, 27 * c)).astype(np.float32)
+    up = ad.constant(rng.normal(size=(n, cout)).astype(np.float32))
+    full = bmap.full_rows
+    seed = int(rng.integers(1 << 30))
+    results = []
+    for remade in (True, False):
+        x, w, v = (ad.parameter(a.copy()) for a in (xv, wv, wc))
+        params = bn_params(c, np.random.default_rng(seed))
+        with ad.Tape():
+            h = ad.linear(x, w, remade=remade)
+            kept, h_slot = weakref.ref(h.values), h._slot
+            y = nn.batch_norm(h, params, train, relu=relu)
+            del h
+            assert (kept() is None) == remade
+            values, recipe = y.values.copy(), y._slot.remake
+            remakes = [recipe(), recipe(full)]
+            out = nn.octree_conv(y, bmap, v)
+            del y
+            ad.backward(ad.sum_all(ad.mul(out, up)))
+        assert h_slot.remake is None
+        grads = [x.grad, w.grad, v.grad, params.gamma.grad, params.beta.grad]
+        results.append([values, *remakes, out.values, *grads])
+    values, whole, at_rows = results[0][:3]
+    assert np.array_equal(whole, values) and np.array_equal(at_rows, values[full])
+    for got, want in zip(*results):
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want)
+
+
 def test_parameters_store():
     p = nn.Parameters()
     p.create("a", np.ones((2, 2)))
