@@ -469,16 +469,13 @@ def max_pool(x, bmap):
         return (ga,)
 
     def remake(rows=None):
-        if rows is None:
-            res = np.zeros((bmap.parent_rows, c), dtype)
-            at, ks = bmap.owner_rows, np.arange(owners)
-        else:
-            res = np.zeros((len(rows), c), dtype)
-            rank = np.full(bmap.parent_rows, -1)
-            rank[bmap.owner_rows] = np.arange(owners)
-            ks = rank[rows]
-            at = np.flatnonzero(ks >= 0)
-            ks = ks[at]
+        ks = np.full(bmap.parent_rows, -1)  # the owner rank of each row, -1 for none
+        ks[bmap.owner_rows] = np.arange(owners)
+        if rows is not None:
+            ks = ks[rows]
+        res = np.zeros((len(ks), c), dtype)
+        at = np.flatnonzero(ks >= 0)
+        ks = ks[at]
         src = 8 * ks[:, None] + arg[ks]  # (owners asked, c) argmax child rows
         # an empty argmax child is the forward's -inf; a dead owner's are all empty
         full = ~empty[src]
