@@ -71,12 +71,14 @@ def make_pairs(spec):
 
 
 def bench(steps, spec=SPEC):
-    """Print one line per step; return the (seconds, loss, peak MiB,
-    parameter digest) rows."""
-    spec = NetworkSpec(**spec)
-    samples = [train.prepare_sample(p, spec) for p in make_pairs(spec)]
-    trainer = train.Trainer(CompletionNet(spec, seed=0), train.TrainConfig(lr=LR), samples)
+    """Print a line naming the run, then one line per step; return the
+    (seconds, loss, peak MiB, parameter digest) rows."""
+    net_spec = NetworkSpec(**spec)
+    samples = [train.prepare_sample(p, net_spec) for p in make_pairs(net_spec)]
+    trainer = train.Trainer(CompletionNet(net_spec, seed=0), train.TrainConfig(lr=LR), samples)
     batch = np.arange(len(samples))
+    print(f"spec {spec}, batch {len(samples)}, lr {LR}, "
+          f"BLAS threads {os.environ.get('OPENBLAS_NUM_THREADS')}", flush=True)
     rows = []
     for k in range(steps):
         t0 = time.perf_counter()
@@ -100,9 +102,6 @@ def main():
     spec = SCENE_SPEC if args.scene else SPEC
     if args.n_res is not None:
         spec = dict(spec, n_res=args.n_res)
-    batch = len(SCENE_SEEDS if args.scene else SEEDS)
-    print(f"spec {spec}, batch {batch}, lr {LR}, "
-          f"BLAS threads {os.environ.get('OPENBLAS_NUM_THREADS')}")
     bench(args.steps, spec)
 
 

@@ -278,10 +278,10 @@ def _linear_recipe(read, wv, bv, relu=False):
     return recipe
 
 
-def linear(x, w, bias=None, remade=False):
-    """x @ w.T (+ bias); w is (out_channels, in_channels). With `remade` a
-    taped output carries a recipe over x's reader (_linear_recipe), so the
-    ops that read it remake it in backward; without, they hold it."""
+def linear(x, w, bias=None):
+    """x @ w.T (+ bias); w is (out_channels, in_channels). A taped output
+    carries a recipe over x's reader (_linear_recipe), so the ops that
+    read it through their reader remake it in backward."""
     if x.values.shape[1] != w.values.shape[1]:
         raise DomainError("linear channel mismatch")
     wv, biased, read = w.values, bias is not None, reader(x)
@@ -293,7 +293,7 @@ def linear(x, w, bias=None, remade=False):
         inputs,
         lambda g: _linear_grads(g, wv, read, biased),
         level=x.level,
-        remake=_linear_recipe(read, wv, bv) if remade else None,
+        remake=_linear_recipe(read, wv, bv),
     )
 
 

@@ -724,8 +724,8 @@ class ResBlockStack:
     Each block is conv(c/4, 3, 1) + conv(c, 3, 1) around an identity skip,
     joined by ad.add_relu; entering with a different channel count inserts
     a 1x1 projection (ad.linear, then batch norm). In a taped forward the
-    projection's linear output is remade in backward (its `remade`), by its
-    batch norm's backward and recipe, and the block outputs alternate,
+    projection's linear output is remade in backward (ad.linear's recipe),
+    by its batch norm's backward and recipe, and the block outputs alternate,
     first to last, between remade in backward (a recipe over the block's
     input and its second batch-norm output) and kept, so no residual
     recipe reads another; the last is always kept, so the next layer's
@@ -752,7 +752,7 @@ class ResBlockStack:
 
     def forward(self, x, bmap, train):
         if self.projection is not None:
-            x = batch_norm(ad.linear(x, self.projection, remade=True), self.proj_bn, train)
+            x = batch_norm(ad.linear(x, self.projection), self.proj_bn, train)
         last = len(self.blocks) - 1
         for i, (c1, w2, bn2) in enumerate(self.blocks):
             h = c1.forward(x, bmap, train)

@@ -18,11 +18,13 @@ def bench_step():
     return mod
 
 
-def run_steps(mod, spec, capsys):
-    """Two steps of bench(spec), each printed line checked against the
-    row returned; returns the (loss, digest) rows."""
+def run_steps(mod, spec, batch, capsys):
+    """Two steps of bench(spec), its first line naming the spec and the
+    batch size and each step's line checked against the row returned;
+    returns the (loss, digest) rows."""
     rows = mod.bench(steps=2, spec=spec)
-    lines = capsys.readouterr().out.splitlines()
+    head, *lines = capsys.readouterr().out.splitlines()
+    assert head.startswith(f"spec {spec}, batch {batch}, lr ")
     assert len(rows) == len(lines) == 2
     for k, ((secs, loss, rss, digest), line) in enumerate(zip(rows, lines)):
         m = re.fullmatch(
@@ -38,7 +40,7 @@ def run_steps(mod, spec, capsys):
 
 def test_bench_step_prints_time_loss_and_peak_per_step(bench_step, capsys):
     tiny = dict(input_depth=4, output_depth=4, c0=4, c_max=8, n_res=0, hidden=4)
-    runs = [run_steps(bench_step, tiny, capsys) for _ in range(2)]
+    runs = [run_steps(bench_step, tiny, 4, capsys) for _ in range(2)]
     # the same steps repeat bit for bit, and each step moves the parameters
     assert runs[0] == runs[1]
     assert runs[0][0][1] != runs[0][1][1]
@@ -49,5 +51,5 @@ def test_bench_step_trains_the_scene_head_on_rooms(bench_step, capsys):
     `--scene` trains on, prints its steps and moves its parameters."""
     tiny = dict(bench_step.SCENE_SPEC, c0=4, c_max=8, n_res=0, hidden=4)
     assert tiny["scene_head"] and tiny["input_depth"] == 8
-    (_, first), (_, second) = run_steps(bench_step, tiny, capsys)
+    (_, first), (_, second) = run_steps(bench_step, tiny, 2, capsys)
     assert first != second
