@@ -15,7 +15,8 @@ also timed alone), and once ("sparse") over the depth-8 level of an octree
 over n // 256 points, whose stencil is about 5 % valid, like the scene
 input's finest level; downsample and max_pool run forward and backward at
 32 channels over that sparse level's block map, as the scene input head
-calls them; train-mode batch norm
+calls them, downsample over the level's nonempty rows, the rows a residual
+stream keeps; train-mode batch norm
 with the fused relu runs forward and backward over a tall, narrow map of
 n // 20 rows at 4 channels, a wide one of n // 128 rows at 128 channels
 and a tall one of n // 18 rows at 32 channels (about 109k rows at the
@@ -148,6 +149,7 @@ def bench(n, repeats):
     full_level, sparse_level = conv_levels(shell, sparse)
     sparse_map = nn.BlockMap(*sparse_level)
     sparse_feats = rng.standard_normal((sparse_map.rows, 32)).astype(np.float32)
+    sparse_kept = nn.nonempty(ad.constant(sparse_feats), sparse_map).values
     up_pairs, up5_pairs = shell.pairs(7), shells5.pairs(4)
     bn_maps = [
         rng.normal(2.0, 3.0, size=(n // r, c)).astype(np.float32)
@@ -167,7 +169,7 @@ def bench(n, repeats):
             shells5.levels[4], up5_pairs, shells5.levels[5].status)),
         ("conv fwd+bwd", lambda: conv_step(full_level, weight)),
         ("conv fwd+bwd sparse", lambda: conv_step(sparse_level, weight)),
-        ("downsample fwd+bwd", lambda: down_step(sparse_feats, sparse_map, down_weight)),
+        ("downsample fwd+bwd", lambda: down_step(sparse_kept, sparse_map, down_weight)),
         ("max_pool fwd+bwd", lambda: pool_step(sparse_feats, sparse_map)),
         ("batch_norm fwd+bwd", lambda: bn_step(bn_maps[0], bn_params[0])),
         ("batch_norm fwd+bwd wide", lambda: bn_step(bn_maps[1], bn_params[1])),

@@ -16,14 +16,18 @@ only leaves (parameters) keep a ``.grad``. The graph is define-by-run: the
 decoder structure differs per sample, so no static graph is kept.
 
 The fused ReLU ops (``add_relu``, ``linear_relu``) keep their mask as
-packed bits, so their own backward never reads their output; the network
-gives recipes to batch-norm outputs, to inner residual block outputs, to
-MLP hidden layers, to guided-skip outputs and, in the scene head, to the
-``max_pool`` output and the 1x1 projection's ``linear`` output, which
-batch norm reads through its reader (nn, skip). What a taped forward
-leaves for backward is mostly the batch-norm inputs that convs,
-downsample and upsample make, each residual stack's last output, and
-masks.
+packed bits, so their own backward never reads their output, and mask
+their own output gradient in place; ``linear``'s backward makes the
+weight gradient, which remakes an input that carries a recipe, before the
+input gradient. The network gives recipes to batch-norm outputs, to inner
+residual block outputs, to MLP hidden layers, to guided-skip outputs, to
+the row moves between a level's rows and its nonempty rows and, in the
+scene head, to the ``max_pool`` output and the 1x1 projection's
+``linear`` output, which batch norm reads through its reader (nn, skip).
+What a taped forward leaves for backward is mostly the batch-norm inputs
+that convs, downsample and upsample make, each residual stack's last
+output, kept as its level's nonempty rows on a level with empty rows,
+and masks.
 
 Outputs refer to their tape weakly, so a tape nobody holds is freed at once
 with everything it recorded: ``backward`` must run while the tape is alive,
@@ -250,15 +254,24 @@ def scale(a, s):
 
 
 def _linear_values(xv, wv, bv):
-    """xv @ wv.T, plus bv unless it is None."""
+    """xv @ wv.T, plus bv unless it is None: in place, unless the bias
+    widens the product's dtype (every Parameters tensor is float32)."""
     out = xv @ wv.T
-    return out if bv is None else out + bv
+    if bv is None:
+        return out
+    if np.result_type(out, bv) != out.dtype:
+        return out + bv
+    out += bv
+    return out
 
 
 def _linear_grads(g, wv, read, biased):
     """The input, weight and (if biased) bias gradients of linear for the
-    output gradient g; `read` is the input's reader."""
-    gs = [g @ wv, g.T @ read()]
+    output gradient g; `read` is the input's reader. The weight gradient
+    comes first, so an input that its read remakes is freed before the
+    input gradient is made."""
+    gw = g.T @ read()
+    gs = [g @ wv, gw]
     if biased:
         gs.append(g.sum(axis=0, keepdims=True))
     return gs
@@ -322,8 +335,11 @@ def _relu_mask(out, inputs):
 
 
 def _masked(g, mask):
-    """g * (out > 0), relu's gradient, from _relu_mask's bits."""
-    return g * np.unpackbits(mask, count=g.size).view(bool).reshape(g.shape)
+    """g * (out > 0), relu's gradient, from _relu_mask's bits, in g's own
+    array: g is the op's output gradient, which custom_op's contract makes
+    the op's."""
+    g *= np.unpackbits(mask, count=g.size).view(bool).reshape(g.shape)
+    return g
 
 
 def add_relu(a, b, remade=False):

@@ -51,9 +51,17 @@ def deinterleave3(codes):
 
 
 def gather_rows(src, idx):
-    """Gather rows of src by index; idx == -1 yields a zero row."""
-    padded = np.concatenate([src, np.zeros((1,) + src.shape[1:], dtype=src.dtype)])
-    return np.take(padded, idx, axis=0)
+    """Gather rows of src by index; idx == -1 yields a zero row.
+
+    The rows are taken from src itself, a -1 reading its last row, and the
+    -1 rows are zeroed after: no padded copy of src is made.
+    """
+    idx = np.asarray(idx)
+    if len(src) == 0:
+        return np.zeros(idx.shape + src.shape[1:], dtype=src.dtype)
+    out = np.take(src, idx, axis=0)
+    out[idx < 0] = 0
+    return out
 
 
 def gather_concat(src, idx2d):

@@ -141,6 +141,13 @@ class OctreeBatch(LevelStack):
     def nonempty(self, level):
         return self.levels[level].num_nonempty
 
+    def nonempty_index(self, level, rows):
+        """`rows`, nonempty rows of `level` or -1, as positions among the
+        level's nonempty rows in order, the rows encode keeps (-1 stays
+        -1)."""
+        rank = np.cumsum(self.levels[level].status != 0) - 1
+        return np.where(rows >= 0, rank[rows], -1)
+
     def signal_fm(self):
         sig = np.vstack([o.signal for o in self.octrees])
         return FeatureMap(sig, level=self.depth)
@@ -300,7 +307,9 @@ class CompletionNet:
         return hl["down7"].forward(x, bmap, train)
 
     def encode(self, batch: OctreeBatch, train=False):
-        """Bottom-up pass; returns the latent code and per-level skip features."""
+        """Bottom-up pass; returns the latent code and per-level skip
+        features, each the level's nonempty rows (nn.nonempty), as the
+        level's block keeps its residual stream and downsample reads it."""
         spec = self.spec
         if batch.depth != spec.input_depth:
             raise DomainError(
@@ -313,6 +322,8 @@ class CompletionNet:
             if l == spec.core_depth and self.lift is not None:
                 x = self.lift.forward(x, bmap, train)
             x = self.enc_rb[l].forward(x, bmap, train)
+            if spec.n_res == 0:  # a ConvBnRelu: a batch-norm output of every row
+                x = nn.nonempty(x, bmap)
             feats[l] = x
             x = self.enc_down[l].forward(x, bmap, train)
         return x, feats
@@ -373,7 +384,11 @@ class CompletionNet:
                     mask_vals = res.pred_status[l - 1]
                 parent_index = np.repeat(bmap.owner_rows, 8)
                 x = guided_skip_add(
-                    x, enc_feats[l], ds.enc_rows[l], parent_index, StatusMask(mask_vals)
+                    x,
+                    enc_feats[l],
+                    enc_batch.nonempty_index(l, ds.enc_rows[l]),
+                    parent_index,
+                    StatusMask(mask_vals),
                 )
                 res.skip_levels.append(l)
 

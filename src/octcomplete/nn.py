@@ -182,6 +182,8 @@ class BlockMap:
     decoder level. ``reads_empty`` says whether the centre's reshape or a
     merged group reads an empty row: a split group gathers read rows only,
     so a map of split groups alone needs no zeroed copy of its input.
+    ``full_rows`` lists the nonempty rows in order (None where no row is
+    empty), the ``n_nonempty`` rows a residual stream keeps (nonempty).
     """
 
     def __init__(self, level, pairs, child_status=None):
@@ -191,6 +193,7 @@ class BlockMap:
         self.owners = len(self.owner_rows)
         self.rows = 8 * self.owners
         self.empty = self.full_rows = self.empty_rows = None
+        self.n_nonempty = self.rows
         if child_status is not None:
             if len(child_status) != self.rows:
                 raise DomainError(f"{self.owners} owners cannot read {len(child_status)} rows")
@@ -201,6 +204,7 @@ class BlockMap:
                 # against 1.9 ms by the mask on a 109k x 32 map at 87.5 %
                 # empty rows, for 8 bytes per empty row (2-core x86)
                 self.empty_rows = np.flatnonzero(self.empty)
+                self.n_nonempty = len(self.full_rows)
         self.centre_merged = True
         self.groups = []
         outs, ins, n_out, n_in = [], [], 0, 0
@@ -259,20 +263,25 @@ class BlockMap:
             (np.ones(n, dtype), rows, np.arange(n + 1, dtype=np.int32)), shape=(self.rows, n)
         )
 
+    def fill(self, nonempty):
+        """The level's rows from the array of its nonempty rows, in order
+        (full_rows), the empty rows zero; the array itself where no row is
+        empty."""
+        if self.empty is None:
+            return nonempty
+        # zeros and one assignment of the nonempty rows: 2.4 times as fast
+        # as np.where at 87.5 % empty rows (109k x 32), 2.1 to 2.8 times at
+        # 46-60 % (2-core x86)
+        out = np.zeros((self.rows, nonempty.shape[1]), nonempty.dtype)
+        out[self.full_rows] = nonempty
+        return out
+
     def read(self, read):
         """An input of the level as the stencil reads it, from its reader
         (autodiff.reader): rows flagged empty are zero. Only the nonempty
         rows are read, so an input that carries a recipe is remade at
         those rows alone."""
-        if self.empty is None:
-            return read()
-        # zeros and one take of the nonempty rows: 2.4 times as fast as
-        # np.where at 87.5 % empty rows (109k x 32), 2.1 to 2.8 times at
-        # 46-60 % (2-core x86)
-        full = read(self.full_rows)
-        out = np.zeros((self.rows, full.shape[1]), full.dtype)
-        out[self.full_rows] = full
-        return out
+        return read() if self.empty is None else self.fill(read(self.full_rows))
 
     def conv(self, x, w):
         """The (rows, cout) convolution of x by the (cout, 27*cin) weight w,
@@ -369,33 +378,93 @@ def octree_conv(x, bmap, weight):
     return ad.custom_op(out, [x, weight], back, level=x.level)
 
 
+def nonempty(x, bmap):
+    """The nonempty rows of x, a map of `bmap`'s level, in order
+    (BlockMap.full_rows): the form in which a level keeps its residual
+    stream, whose empty rows no op reads. x itself on a level with no
+    empty row. The input gradient is zero at the empty rows. A taped
+    output carries a recipe over x's reader, which reads x at the rows
+    asked for alone, so an x that carries a recipe (a batch-norm output)
+    is remade at its nonempty rows only."""
+    if bmap.rows != x.rows:
+        raise DomainError("block map row mismatch")
+    full = bmap.full_rows
+    if full is None:
+        return x
+    read, shape, dtype = ad.reader(x), x.values.shape, x.values.dtype
+
+    def back(g):
+        gx = np.zeros(shape, dtype)
+        gx[full] = g
+        return (gx,)
+
+    def remake(rows=None):
+        return read(full if rows is None else full[rows])
+
+    out = np.take(x.values, full, axis=0)
+    return ad.custom_op(out, [x], back, level=x.level, remake=remake)
+
+
+def zero_filled(x, bmap):
+    """The rows of `bmap`'s level from x, its nonempty rows (nonempty),
+    the empty rows zero (BlockMap.fill): a convolution's input from a
+    kept residual stream. x itself on a level with no empty row. A taped
+    output carries a recipe over x's reader, which reads x at its rows
+    among those asked for alone."""
+    if bmap.n_nonempty != x.rows:
+        raise DomainError("block map row mismatch")
+    full = bmap.full_rows
+    if full is None:
+        return x
+    read, c, dtype = ad.reader(x), x.channels, x.values.dtype
+
+    def back(g):
+        return (np.take(g, full, axis=0),)
+
+    def remake(rows=None):
+        if rows is None:
+            return bmap.fill(read())
+        at = np.searchsorted(full, rows)
+        hit = at < len(full)
+        hit[hit] = full[at[hit]] == rows[hit]
+        if hit.all():
+            return read(at)
+        out = np.zeros((len(rows), c), dtype)
+        out[hit] = read(at[hit])
+        return out
+
+    return ad.custom_op(bmap.fill(x.values), [x], back, level=x.level, remake=remake)
+
+
 def downsample(x, bmap, weight):
     """conv(c, 2, 2): strided conv over each node's 8 children -> parent rows.
 
-    `bmap` is the BlockMap of x's level. One gemm of the (owners, 8*c)
-    block view with the (out, 8*c) weight; empty children read as zeros,
-    parent rows that own no children get zero rows. The input gradient is
-    skipped when x takes none.
+    `bmap` is the BlockMap of x's level, and x holds that level's
+    nonempty rows (nonempty), as the residual stream keeps them. One gemm
+    of the (owners, 8*c) block view, zero-filled from x (BlockMap.fill),
+    with the (out, 8*c) weight; parent rows that own no children get zero
+    rows. Backward fills the block view again from x's reader, so its
+    closure keeps no block view, and an x that carries a recipe is remade
+    whole. The input gradient, the block view's at x's rows, is skipped
+    when x takes none.
     """
     if weight.values.shape[1] != 8 * x.channels:
         raise DomainError("downsample channel mismatch")
-    if bmap.rows != x.rows:
+    if bmap.n_nonempty != x.rows:
         raise DomainError("block map row mismatch")
-    rows, shape, x_shape = bmap.owner_rows, (bmap.owners, 8 * x.channels), x.values.shape
+    rows, shape = bmap.owner_rows, (bmap.owners, 8 * x.channels)
     w, need_gx, read = weight.values, ad.tracked(x), ad.reader(x)
     out = np.zeros((bmap.parent_rows, w.shape[0]), dtype=np.result_type(x.values, w))
-    out[rows] = bmap.read(ad.array_reader(x.values)).reshape(shape) @ w.T
+    out[rows] = bmap.fill(x.values).reshape(shape) @ w.T
 
     def back(g):
         go = g[rows]
         gx = None
         if need_gx:
-            gx = (go @ w).reshape(x_shape)
-            if bmap.empty is not None:
-                gx[bmap.empty_rows] = 0
-        # the block view again: the closure keeps no masked copy of x, and
-        # an x that carries a recipe is remade at its nonempty rows only
-        return gx, go.T @ bmap.read(read).reshape(shape)
+            gx = (go @ w).reshape(bmap.rows, -1)
+            if bmap.full_rows is not None:
+                gx = np.take(gx, bmap.full_rows, axis=0)
+        return gx, go.T @ bmap.fill(read()).reshape(shape)
 
     out_level = None if x.level is None else x.level - 1
     return ad.custom_op(out, [x, weight], back, level=out_level)
@@ -677,8 +746,8 @@ def batch_norm(x, params, train, relu=False):
 class ConvBnRelu:
     """conv(c, k, s) in the Fig.-style notation: conv + BN + ReLU, no bias.
 
-    Kernel 3 runs at stride 1 (octree_conv), kernel 2 at stride 2
-    (downsample).
+    Kernel 3 runs at stride 1 (octree_conv) over every row of the level,
+    kernel 2 at stride 2 (downsample) over its nonempty rows (nonempty).
     """
 
     def __init__(self, params, prefix, in_c, out_c, kernel=3, rng=None):
@@ -723,17 +792,23 @@ class ResBlockStack:
 
     Each block is conv(c/4, 3, 1) + conv(c, 3, 1) around an identity skip,
     joined by ad.add_relu; entering with a different channel count inserts
-    a 1x1 projection (ad.linear, then batch norm). In a taped forward the
-    projection's linear output is remade in backward (ad.linear's recipe),
-    by its batch norm's backward and recipe, and the block outputs alternate,
-    first to last, between remade in backward (a recipe over the block's
-    input and its second batch-norm output) and kept, so no residual
-    recipe reads another; the last is always kept, so the next layer's
-    backward reads the stack's output as it is. The scene head's
-    projection (`head.rb7`, 109,224 rows x 32) is 13.3 MiB that a
-    train-scene tape no longer holds; the price is two remakes of it a
-    step, each of every row, as a gemm over fewer rows need not round
-    the same.
+    a 1x1 projection (ad.linear, then batch norm). `forward` takes a map of
+    every row of bmap's level and returns the residual stream as the
+    level's nonempty rows (nonempty), which no op reads at an empty row:
+    the stream, every block's input and output, is kept at those rows, and
+    each block's conv1 reads it zero-filled (zero_filled), as its stencil
+    reads it anyway. The convolution and batch-norm outputs stay at every
+    row, as batch-norm statistics take the empty rows in. On a level with
+    no empty row both moves are the map itself.
+    In a taped forward the projection's linear output is remade in
+    backward (ad.linear's recipe), by its batch norm's backward and recipe,
+    and the block outputs alternate, first to last, between remade in
+    backward (a recipe over the block's input and its second batch-norm
+    output's nonempty rows) and kept, so no residual recipe reads another;
+    the last is always kept, so the next layer's backward reads the
+    stack's output as it is. On the scene head's depth-7 level (`head.rb7`,
+    109,224 rows x 32, 87.5 % empty) the kept output and the projection's
+    batch-norm output that the blocks read are 1.7 MiB each, not 13.3.
     """
 
     def __init__(self, params, prefix, in_c, c, n, rng=None):
@@ -753,11 +828,12 @@ class ResBlockStack:
     def forward(self, x, bmap, train):
         if self.projection is not None:
             x = batch_norm(ad.linear(x, self.projection), self.proj_bn, train)
+        x = nonempty(x, bmap)
         last = len(self.blocks) - 1
         for i, (c1, w2, bn2) in enumerate(self.blocks):
-            h = c1.forward(x, bmap, train)
+            h = c1.forward(zero_filled(x, bmap), bmap, train)
             h = batch_norm(octree_conv(h, bmap, w2), bn2, train)
-            x = ad.add_relu(x, h, remade=i % 2 == 0 and i < last)
+            x = ad.add_relu(x, nonempty(h, bmap), remade=i % 2 == 0 and i < last)
         return x
 
 

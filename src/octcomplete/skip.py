@@ -29,12 +29,15 @@ class StatusMask:
 def guided_skip_add(d_map, e_map, align_idx, parent_index, mask: StatusMask):
     """out(x) = D(x) + E(x) * S(parent(x)) over one decoder level.
 
-    `align_idx` maps decoder rows to encoder rows (-1 -> zero row) and
+    `align_idx` maps decoder rows to rows of `e_map` (-1 -> zero row) and
     `parent_index` maps each decoder row to its parent row at the level of
-    `mask`. The encoder rows named must be distinct, as those of distinct
-    decoder keys are: backward assigns their gradient rows. Backward reads
-    no values, and a taped output carries a recipe over the inputs'
-    readers, so the ops that read it remake it in backward.
+    `mask`. The network's `e_map` is the encoder level's nonempty rows, as
+    encode keeps them (nn.nonempty), and `align_idx` their positions there
+    (OctreeBatch.nonempty_index): an empty encoder row is never added. The
+    encoder rows named must be distinct, as those of distinct decoder keys
+    are: backward assigns their gradient rows. Backward reads no values,
+    and a taped output carries a recipe over the inputs' readers, so the
+    ops that read it remake it in backward.
     """
     if d_map.channels != e_map.channels:
         raise DomainError("skip channel mismatch between encoder and decoder")

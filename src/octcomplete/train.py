@@ -213,6 +213,10 @@ class Trainer:
             )
             if not np.isfinite(report.total):
                 raise NumericalError(f"non-finite loss {report.total}")
+            # no backward reads the batches' levels or tap pairs, nor the
+            # decoder state; after backward only the statuses are read
+            res.state = None
+            del in_batch, gt_batch, code, feats
             ad.backward(loss)
         self.opt.step(lr)
 

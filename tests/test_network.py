@@ -182,11 +182,25 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
     other block outputs stay alive and carry none, among them every
     stack's last, which the next layer reads as it is. Without residual
     blocks and skips, upsample, downsample and the heads read batch-norm
-    outputs. Backward still fills every gradient."""
+    outputs. Backward still fills every gradient.
+
+    On a level with empty rows (an encoder level, the scene head's depth
+    7, and with n_res=0 each encoder level's ConvBnRelu) the residual
+    stream is the level's nonempty rows: every residual join's inputs and
+    output, every stack's output, every downsample input and every encoder
+    feature map; no closure holds a stream array of every row (a stack's
+    input, a conv1 input)."""
     batch_norm, add_relu, linear_relu = nn.batch_norm, ad.add_relu, ad.linear_relu
-    linear, max_pool = ad.linear, nn.max_pool
+    linear, max_pool, downsample = ad.linear, nn.max_pool, nn.downsample
     skip_add, stack_forward = network.guided_skip_add, nn.ResBlockStack.forward
+    zero_filled = nn.zero_filled
     freed, kept, stacks, slots = {}, [], [], []
+    # (level map, rows) of the stream's maps kept as nonempty rows, (level
+    # map, values) of those of every row, and the running stack's map
+    stream, full_row, in_stack = [], [], []
+
+    def on_level(bmap, *fms):
+        stream.extend((bmap, fm.rows) for fm in fms)
 
     def watch(kind, out):
         freed.setdefault(kind, []).append(weakref.ref(out.values))
@@ -195,6 +209,7 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
 
     def add_relu_spy(a, b, remade=False):
         out = add_relu(a, b, remade)
+        on_level(in_stack[-1], a, b, out)
         if remade:
             return watch("residual", out)
         kept.append((weakref.ref(out.values), out._slot))
@@ -207,10 +222,23 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
         return watch("projection", out) if bias is None else out
 
     def stack_spy(self, x, bmap, train):
+        in_stack.append(bmap)
+        full_row.append((bmap, weakref.ref(x.values)))
         out = stack_forward(self, x, bmap, train)
+        in_stack.pop()
+        on_level(bmap, out)
         if self.blocks:
             stacks.append(weakref.ref(out.values))
         return out
+
+    def zero_filled_spy(x, bmap):
+        out = zero_filled(x, bmap)
+        full_row.append((bmap, weakref.ref(out.values)))
+        return out
+
+    def downsample_spy(x, bmap, w):
+        on_level(bmap, x)
+        return downsample(x, bmap, w)
 
     def spy(kind, op):
         return lambda *args, **kw: watch(kind, op(*args, **kw))
@@ -222,6 +250,8 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
     monkeypatch.setattr(ad, "linear_relu", spy("hidden", linear_relu))
     monkeypatch.setattr(network, "guided_skip_add", spy("skip", skip_add))
     monkeypatch.setattr(nn.ResBlockStack, "forward", stack_spy)
+    monkeypatch.setattr(nn, "zero_filled", zero_filled_spy)
+    monkeypatch.setattr(nn, "downsample", downsample_spy)
     sphere = tuple(OctreeBatch([o]) for o in sphere_octree())
     cases = [
         (small_spec(n_res=2, skip_mode="guided"), sphere),
@@ -233,11 +263,18 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
         net = CompletionNet(spec, seed=0)
         n_res, scene = spec.n_res, int(spec.scene_head)
         freed.clear()
-        del kept[:], stacks[:], slots[:]
+        del kept[:], stacks[:], slots[:], stream[:], full_row[:]
         with ad.Tape() as tape:
             code, feats = net.encode(ib, train=True)
             res = net.decode(code, ib, feats, gt_batch=gb, train=True)
+            assert {l: f.rows for l, f in feats.items()} == {l: ib.nonempty(l) for l in feats}
             del code, feats  # the caller's own references
+            sparse = [m for m, _ in stream + full_row if m.empty is not None]
+            # the scene head's depth-7 level, or the encoder's finest
+            finest = ib.levels[7 if scene else spec.input_depth].num_nodes
+            assert finest in {m.rows for m in sparse}
+            assert [rows for m, rows in stream if rows != m.n_nonempty] == []
+            assert [m for m, r in full_row if m.empty is not None and r() is not None] == []
             remade = n_res // 2  # blocks 1, 3, ... below the last
             assert len(freed["batch_norm"]) >= 8
             assert len(freed["hidden"]) == len(net.pred) + 1

@@ -214,7 +214,9 @@ def test_grad_down_up_pool(seed):
     cin, cout = 2, 3
     cases = []
 
-    xv = rng.normal(size=(m, cin))
+    # downsample reads the level's nonempty rows, as the encoder keeps them
+    assert bmap.n_nonempty < m
+    xv = rng.normal(size=(bmap.n_nonempty, cin))
     wv = rng.normal(size=(cout, 8 * cin))
     x, w = ad.parameter(xv), ad.parameter(wv)
     cases.append(
@@ -277,12 +279,14 @@ def test_kernel_map_conv_grads_match_add_at(kernel, case, rng):
         bmap = block_map_of(o, level, kinds)
         conv = lambda x, w: nn.octree_conv(x, bmap, w)
         rows = o.levels[level].num_nodes
+        kept = np.arange(rows)  # the conv reads every row
     else:
         o = scan_octree()
         table = child_table(o, 3)
         bmap = block_map_of(o, 4)
         conv = lambda x, w: nn.downsample(x, bmap, w)
         rows = o.levels[4].num_nodes
+        kept = bmap.full_rows  # downsample reads the nonempty rows
     assert np.any(table < 0)
     taps = table.shape[1]
     xv = rng.normal(size=(rows, cin)).astype(np.float32)
@@ -290,12 +294,13 @@ def test_kernel_map_conv_grads_match_add_at(kernel, case, rng):
     g = rng.normal(size=(table.shape[0], cout)).astype(np.float32)
 
     cols = kernels.gather_concat(xv, table)  # (rows, taps * cin)
-    assert_close_f32(conv(FeatureMap(xv), FeatureMap(wv)).values, cols @ wv.T)
+    xk = xv[kept]
+    assert_close_f32(conv(FeatureMap(xk), FeatureMap(wv)).values, cols @ wv.T)
     want_gx = np.zeros_like(xv)
     flat, gx_flat = table.ravel(), (g @ wv).reshape(-1, cin)
     np.add.at(want_gx, flat[flat >= 0], gx_flat[flat >= 0])
-    gx, gw = taped_grads(conv, ad.parameter(xv.copy()), ad.parameter(wv.copy()), g)
-    assert_close_f32(gx, want_gx)
+    gx, gw = taped_grads(conv, ad.parameter(xk.copy()), ad.parameter(wv.copy()), g)
+    assert_close_f32(gx, want_gx[kept])
     assert_close_f32(gw, g.T @ cols)
 
 
@@ -497,14 +502,16 @@ def test_untracked_input_gets_no_gradient(op, rng, monkeypatch):
     tracked path's bit for bit."""
     o, level = (scan_octree(depth=5), 5) if op == "conv" else (scan_octree(), 4)
     cin, cout = 4, 8
-    xv = rng.normal(size=(o.levels[level].num_nodes, cin)).astype(np.float32)
     if op == "conv":
+        xv = rng.normal(size=(o.levels[level].num_nodes, cin)).astype(np.float32)
         bmap = block_map_of(o, level, {nn.MERGED, nn.SPLIT})
         fn = lambda x, w: nn.octree_conv(x, bmap, w)
         wv = rng.normal(size=(cout, 27 * cin)).astype(np.float32)
         g = rng.normal(size=(len(xv), cout)).astype(np.float32)
     else:
         bmap = block_map_of(o, level)
+        # downsample reads the level's nonempty rows
+        xv = rng.normal(size=(bmap.n_nonempty, cin)).astype(np.float32)
         fn = lambda x, w: nn.downsample(x, bmap, w)
         wv = rng.normal(size=(cout, 8 * cin)).astype(np.float32)
         g = rng.normal(size=(o.levels[3].num_nodes, cout)).astype(np.float32)
@@ -575,14 +582,15 @@ def test_downsample_on_batch_matches_child_table_oracle(rng):
     g = rng.normal(size=(table.shape[0], cout)).astype(np.float32)
     bmap = batch.block_map(4)
     down = lambda x, w: nn.downsample(x, bmap, w)
+    full = bmap.full_rows  # downsample reads the nonempty rows
 
     cols = kernels.gather_concat(xv, table)  # (rows, 8 * cin) im2col
-    assert_close_f32(down(FeatureMap(xv), FeatureMap(wv)).values, cols @ wv.T)
+    assert_close_f32(down(FeatureMap(xv[full]), FeatureMap(wv)).values, cols @ wv.T)
     want_gx = np.zeros_like(xv)
     flat, gx_flat = table.ravel(), (g @ wv).reshape(-1, cin)
     np.add.at(want_gx, flat[flat >= 0], gx_flat[flat >= 0])
-    gx, gw = taped_grads(down, ad.parameter(xv.copy()), ad.parameter(wv.copy()), g)
-    assert_close_f32(gx, want_gx)
+    gx, gw = taped_grads(down, ad.parameter(xv[full]), ad.parameter(wv.copy()), g)
+    assert_close_f32(gx, want_gx[full])
     assert_close_f32(gw, g.T @ cols)
 
 
@@ -635,18 +643,21 @@ def test_upsample_matches_composed_ops(rng):
 
 
 def test_block_ops_reject_mismatched_child_rows(rng):
-    """downsample and max_pool reject an input whose rows are not the map's
-    level's, upsample one whose rows are not the parent level's, and no map
-    is built over a parent level one owner short or a child status 8 rows
-    short."""
+    """max_pool rejects an input whose rows are not the map's level's,
+    downsample one whose rows are not the level's nonempty rows (all of
+    them, too), upsample one whose rows are not the parent level's, and no
+    map is built over a parent level one owner short or a child status 8
+    rows short."""
     batch = OctreeBatch([scan_octree()])
     bmap = batch.block_map(4)
     c = 3
     x = FeatureMap(rng.normal(size=(bmap.rows, c)), level=4)
     short = FeatureMap(x.values[:-8], level=4)  # 8 child rows too few
+    kept = FeatureMap(x.values[bmap.full_rows], level=4)  # the nonempty rows
     w = FeatureMap(rng.normal(size=(2, 8 * c)))
-    with pytest.raises(DomainError, match="row mismatch"):
-        nn.downsample(short, bmap, w)
+    for bad in (x, FeatureMap(kept.values[:-1], level=4)):
+        with pytest.raises(DomainError, match="row mismatch"):
+            nn.downsample(bad, bmap, w)
     with pytest.raises(DomainError, match="row mismatch"):
         nn.max_pool(short, bmap)
     parent = FeatureMap(rng.normal(size=(bmap.parent_rows, c)), level=3)
@@ -660,7 +671,7 @@ def test_block_ops_reject_mismatched_child_rows(rng):
     for level, cst in ((short_owner, child_status), (up, child_status[:-8])):
         with pytest.raises(DomainError):
             nn.BlockMap(level, batch.pairs(3), cst)
-    assert nn.downsample(x, bmap, w).rows == nn.max_pool(x, bmap).rows == up.num_nodes
+    assert nn.downsample(kept, bmap, w).rows == nn.max_pool(x, bmap).rows == up.num_nodes
     assert nn.upsample(parent, bmap, wu).rows == bmap.rows
 
 
@@ -777,7 +788,8 @@ def bn_then(op, bmap, c, cout, rng):
     xv[:, 0] = 2.0  # a constant channel: exact zeros in the train-mode output
     apply = {
         "conv": lambda y, w: nn.octree_conv(y, bmap, w),
-        "downsample": lambda y, w: nn.downsample(y, bmap, w),
+        # the nonempty rows, as a residual stream keeps them (nn.nonempty)
+        "downsample": lambda y, w: nn.downsample(nn.nonempty(y, bmap), bmap, w),
         "upsample": lambda y, w: nn.upsample(y, bmap, w),
         "linear": ad.linear,
     }[op]
@@ -787,7 +799,8 @@ def bn_then(op, bmap, c, cout, rng):
 @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
 @pytest.mark.parametrize("op", ["conv", "downsample", "upsample", "linear"])
 def test_op_reading_a_bn_relu_output_remakes_it_bit_for_bit(op, train, rng, monkeypatch):
-    """An op whose backward reads a BN-ReLU output reads it remade by the
+    """An op whose backward reads a BN-ReLU output (downsample through
+    its nonempty rows, nn.nonempty) reads it remade by the
     recipe on the output's slot, which holds no values: its forward and the
     gradients of x, of its weight and of gamma and beta equal, bit for bit,
     those of the same chain with the output passed through a copy
@@ -915,14 +928,75 @@ def test_fused_relu_op_equals_its_unfused_chain(op, train, rng, monkeypatch):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+def test_row_moves_equal_the_full_row_chain(train, rng, monkeypatch):
+    """nn.nonempty and nn.zero_filled equal, bit for bit, row gathers of
+    the same rows (ad.row_gather, where -1 reads a zero row): their
+    outputs, the values their recipes remake, whole and at rows (empty ones
+    among them), and every gradient, through a batch-norm output that
+    carries a recipe, a conv that reads the zero-filled rows and a linear
+    that reads the nonempty ones, as a residual block reads its stream.
+    The level is a scan's, with empty rows and merged and split taps; no
+    backward holds either move's output, as the ops that read them remake
+    them. On a level with no empty row both moves are their input."""
+    monkeypatch.setattr(nn, "BN_BLOCK_BYTES", 4096)
+    o, level, _ = conv_case("scan")
+    bmap = block_map_of(o, level)
+    full = bmap.full_rows
+    n, k, c, cout = bmap.rows, bmap.n_nonempty, 4, 3
+    assert bmap.reads_empty and k == len(full) < n
+    at = np.full(n, -1)
+    at[full] = np.arange(k)  # each row's place among the nonempty rows, or -1
+    xv = rng.normal(size=(n, c)).astype(np.float32)
+    wc = rng.normal(size=(cout, 27 * c)).astype(np.float32)
+    wl = rng.normal(size=(cout, c)).astype(np.float32)
+    up = [rng.normal(size=(n, cout)).astype(np.float32), rng.normal(size=(k, cout)).astype(np.float32)]
+    rows = np.sort(rng.choice(n, size=n // 3, replace=False))
+    kept_rows = np.sort(rng.choice(k, size=k // 3, replace=False))
+    assert np.any(at[rows] < 0) and np.any(at[rows] >= 0)
+    seed = int(rng.integers(1 << 30))
+    results = []
+    for moved in (True, False):
+        x, w, v = (ad.parameter(a.copy()) for a in (xv, wc, wl))
+        params = bn_params(c, np.random.default_rng(seed))
+        with ad.Tape():
+            y = nn.batch_norm(x, params, train, relu=True)
+            if moved:
+                kept = nn.nonempty(y, bmap)
+                filled = nn.zero_filled(kept, bmap)
+                remakes = [kept._slot.remake(), kept._slot.remake(kept_rows)]
+                remakes += [filled._slot.remake(), filled._slot.remake(rows)]
+            else:
+                kept = ad.row_gather(y, full)
+                filled = ad.row_gather(kept, at)
+                remakes = [kept.values, kept.values[kept_rows], filled.values, filled.values[rows]]
+            values = [kept.values.copy(), filled.values.copy()]
+            refs = [weakref.ref(m.values) for m in (kept, filled)]
+            out = [nn.octree_conv(filled, bmap, w), ad.linear(kept, v)]
+            del y, kept, filled
+            assert all(r() is None for r in refs) == moved
+            loss = ad.add(*(ad.sum_all(ad.mul(m, ad.constant(u))) for m, u in zip(out, up)))
+            ad.backward(loss)
+        grads = [x.grad, w.grad, v.grad, params.gamma.grad, params.beta.grad]
+        results.append(values + remakes + [m.values for m in out] + grads)
+    assert np.count_nonzero(results[1][0]) and not results[1][1][at < 0].any()
+    for got, want in zip(*results):
+        assert got is not None and got.dtype == np.float32
+        assert np.array_equal(got, want)
+    whole = block_map_of(complete_octree(2), 2)
+    y = FeatureMap(xv[: whole.rows])
+    assert nn.nonempty(y, whole) is y and nn.zero_filled(y, whole) is y
+
+
 @pytest.mark.parametrize("op", ["conv", "downsample"])
 @pytest.mark.parametrize("case", ["leaf", "scan"])
 def test_partial_remake_equals_full_remake(case, op, rng, monkeypatch):
-    """Where a level has empty rows, a conv or downsample whose input
-    carries a recipe remakes only the nonempty rows in backward, on a map
-    of split taps alone ("leaf", which reads no empty row) as on one with
-    merged taps ("scan"); its gradients equal, bit for bit, those of a
-    recipe that remakes every row and then takes those."""
+    """Where a level has empty rows, a conv whose input carries a recipe,
+    or a downsample of that input's nonempty rows (nn.nonempty), remakes
+    only the nonempty rows in backward, on a map of split taps alone
+    ("leaf", which reads no empty row) as on one with merged taps
+    ("scan"); its gradients equal, bit for bit, those of a recipe that
+    remakes every row and then takes those."""
     monkeypatch.setattr(nn, "BN_BLOCK_BYTES", 4096)
     o, level, kinds = conv_case(case)
     bmap = block_map_of(o, level, kinds)

@@ -5,6 +5,7 @@ import pytest
 
 from octcomplete import autodiff as ad
 from octcomplete.errors import DomainError
+from octcomplete.network import OctreeBatch
 from octcomplete.octree import find_in_sorted, octree_from_codes
 from octcomplete.skip import StatusMask, guided_skip_add
 
@@ -219,3 +220,38 @@ def test_taped_skip_output_is_remade_bit_for_bit(d_kind, rng):
         assert np.array_equal(d.values, before)
         ad.backward(ad.sum_all(out))
     assert out._slot.remake is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_skip_over_nonempty_encoder_rows_equals_full_row_skip(seed):
+    """guided_skip_add over the encoder level's nonempty rows, as encode
+    keeps them (nn.nonempty), aligned by OctreeBatch.nonempty_index, equals
+    the skip over every encoder row bit for bit: the output, the values its
+    recipe remakes and the decoder gradient; the encoder gradient is the
+    full-row one's at the nonempty rows, and that one is zero at every
+    empty row."""
+    rng = np.random.default_rng(seed)
+    depth = 3
+    enc, dec_keys, _, parent_index, status = random_pair(rng, depth, n_enc=30, n_dec_parents=20)
+    lv = enc.levels[depth]
+    full = np.flatnonzero(lv.status)
+    assert len(full) < lv.num_nodes  # the level has empty rows
+    c = 3
+    e_feats = rng.normal(size=(lv.num_nodes, c))
+    d_feats = rng.normal(size=(len(dec_keys), c))
+    g = rng.normal(size=d_feats.shape)
+    align = align_encoder_rows(enc, dec_keys, depth)
+    assert np.any((align >= 0) & (status[parent_index] != 0))  # some rows open
+    kept_align = OctreeBatch([enc]).nonempty_index(depth, align)
+    results = []
+    for e_vals, idx in ((e_feats, align), (e_feats[full], kept_align)):
+        d, e = ad.parameter(d_feats.copy()), ad.parameter(e_vals.copy())
+        with ad.Tape():
+            out = guided_skip_add(d, e, idx, parent_index, StatusMask(status))
+            remade = out._slot.remake()
+            ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        results.append((out.values, remade, d.grad, e.grad))
+    (out, remade, gd, ge), (kept_out, kept_remade, kept_gd, kept_ge) = results
+    assert np.array_equal(out, kept_out) and np.array_equal(remade, kept_remade)
+    assert np.array_equal(gd, kept_gd) and np.array_equal(ge[full], kept_ge)
+    assert not ge[lv.status == 0].any()

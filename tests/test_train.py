@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -190,6 +191,31 @@ def test_failed_step_leaves_no_cyclic_garbage(monkeypatch, collector_off):
     with pytest.raises(NumericalError, match="non-finite loss"):
         tr.step(np.arange(2), 0.01)
     assert gc.collect() == 0
+
+
+def test_step_frees_batches_and_decoder_state_before_backward(monkeypatch, collector_off):
+    """No backward reads the octree batches' levels or tap pairs, nor the
+    decoder state: both batches are freed by the time backward runs, and
+    the step still reports every level's status accuracy."""
+    _, net, samples = tiny_setup()
+    tr = Trainer(net, TrainConfig(lr=0.01, batch_size=2), samples)
+    batches, alive = [], []
+
+    def batch_spy(octrees):
+        b = OctreeBatch(octrees)
+        batches.append(weakref.ref(b))
+        return b
+
+    def backward_spy(loss):
+        alive.extend(r for r in batches if r() is not None)
+        return backward(loss)
+
+    backward = train.ad.backward
+    monkeypatch.setattr(train, "OctreeBatch", batch_spy)
+    monkeypatch.setattr(train.ad, "backward", backward_spy)
+    report = tr.step(np.arange(2), 0.01)
+    assert len(batches) == 2 and alive == []
+    assert set(report.metrics["status_accuracy"]) == {3, 4}
 
 
 @pytest.mark.parametrize("task", ["completion", "semantic"])
