@@ -13,10 +13,10 @@ pairs, once over the depth-8 level of an octree over n // 32 points on a
 sphere with every row read, as a decoder level reads it (its map build is
 also timed alone), and once ("sparse") over the depth-8 level of an octree
 over n // 256 points, whose stencil is about 5 % valid, like the scene
-input's finest level; downsample and max_pool run forward and backward at
-32 channels over that sparse level's block map, as the scene input head
-calls them, downsample over the level's nonempty rows, the rows a residual
-stream keeps; train-mode batch norm
+input's finest level, read at its nonempty rows; downsample and max_pool
+run forward and backward at 32 channels over that sparse level's block
+map, as the scene input head calls them, downsample over the level's
+nonempty rows, the rows a residual stream keeps; train-mode batch norm
 with the fused relu runs forward and backward over a tall, narrow map of
 n // 20 rows at 4 channels, a wide one of n // 128 rows at 128 channels
 and a tall one of n // 18 rows at 32 channels (about 109k rows at the
@@ -50,7 +50,7 @@ def conv_step(level, weight):
     """Block map build, convolution and backward over `level`, a (parent
     level, its tap pairs, child status) triple from conv_levels."""
     bmap = nn.BlockMap(*level)
-    x = ad.parameter(np.ones((bmap.rows, weight.shape[1] // 27), weight.dtype))
+    x = ad.parameter(np.ones((bmap.n_nonempty, weight.shape[1] // 27), weight.dtype))
     w = ad.parameter(weight)
     with ad.Tape():
         y = nn.octree_conv(x, bmap, w)

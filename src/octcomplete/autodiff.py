@@ -21,8 +21,8 @@ their own output gradient in place; ``linear``'s backward makes the
 weight gradient, which remakes an input that carries a recipe, before the
 input gradient. The network gives recipes to batch-norm outputs, to inner
 residual block outputs, to MLP hidden layers, to guided-skip outputs, to
-the row moves between a level's rows and its nonempty rows and, in the
-scene head, to the ``max_pool`` output and the 1x1 projection's
+the row move onto a level's nonempty rows, which its convolutions read,
+and, in the scene head, to the ``max_pool`` output and the 1x1 projection's
 ``linear`` output, which batch norm reads through its reader (nn, skip).
 What a taped forward leaves for backward is mostly the batch-norm inputs
 that convs, downsample and upsample make, each residual stack's last
@@ -175,26 +175,17 @@ def custom_op(values, inputs, backward_fn, level=None, remake=None):
     return out
 
 
-def array_reader(values):
-    """``reader``'s function for an array held as it is: read() returns
-    the array, read(rows) a copy of those rows."""
-
-    def read(rows=None):
-        return values if rows is None else np.take(values, rows, axis=0)
-
-    return read
-
-
 def reader(fm):
     """A function read(rows=None) that returns fm's values, or with an
-    index array only those rows, for a backward_fn to hold in their place:
-    the array itself (array_reader), or for a taped output that carries a
-    recipe (custom_op's `remake`), a call of that recipe, so the closure
-    keeps the slot and no array, and a read of some rows remakes only
-    those."""
+    index array a copy of only those rows, for a backward_fn to hold in
+    their place: a read of the array itself, or for a taped output that
+    carries a recipe (custom_op's `remake`), a call of that recipe, so the
+    closure keeps the slot and no array, and a read of some rows remakes
+    only those."""
     slot = fm._slot
     if slot.remake is None:
-        return array_reader(fm.values)
+        values = fm.values
+        return lambda rows=None: values if rows is None else np.take(values, rows, axis=0)
 
     def read(rows=None):
         if slot.remake is None:

@@ -135,6 +135,7 @@ def cmd_train(args):
     values = fileio.read_config(args.config)
     check_config_keys(values)
     spec = spec_from_config_values(values)
+    spec.validate()  # before the manifest is read, as is the train config
     tcfg = TrainConfig.from_dict(values, prefix="train.")
     tcfg.validate()  # before the net draws its weights from train.seed
     pairs = _load_pairs(args.data)

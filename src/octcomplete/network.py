@@ -21,6 +21,7 @@ from . import nn
 from .autodiff import FeatureMap
 from .errors import DomainError, NumericalError
 from .octree import (
+    MAX_DEPTH,
     Octree,
     PointSet,
     child_pairs,
@@ -57,6 +58,9 @@ class NetworkSpec:
         for name, low in (("c0", 1), ("c_max", 1), ("hidden", 1), ("n_res", 0), ("coarsest", 0)):
             if getattr(self, name) < low:
                 raise DomainError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("input_depth", "output_depth"):
+            if getattr(self, name) > MAX_DEPTH:
+                raise DomainError(f"{name} must be <= {MAX_DEPTH}, got {getattr(self, name)}")
         if self.scene_head and self.input_depth != 8:
             raise DomainError("scene head requires input depth 8")
         if self.output_depth != self.core_depth:
@@ -299,10 +303,10 @@ class CompletionNet:
             raise DomainError("scene input head expects depth-8 octrees")
         hl = self.head_layers
         bmap = batch.block_map(8)
-        x = hl["conv8"].forward(batch.signal_fm(), bmap, train)
+        x = hl["conv8"].forward(nn.nonempty(batch.signal_fm(), bmap), bmap, train)
         x = nn.max_pool(x, bmap)
         bmap = batch.block_map(7)
-        x = hl["conv7"].forward(x, bmap, train)
+        x = hl["conv7"].forward(nn.nonempty(x, bmap), bmap, train)
         x = hl["rb7"].forward(x, bmap, train)
         return hl["down7"].forward(x, bmap, train)
 
@@ -320,10 +324,11 @@ class CompletionNet:
         for l in range(spec.core_depth, spec.coarsest, -1):
             bmap = batch.block_map(l)
             if l == spec.core_depth and self.lift is not None:
-                x = self.lift.forward(x, bmap, train)
-            x = self.enc_rb[l].forward(x, bmap, train)
-            if spec.n_res == 0:  # a ConvBnRelu: a batch-norm output of every row
-                x = nn.nonempty(x, bmap)
+                x = self.lift.forward(nn.nonempty(x, bmap), bmap, train)
+            if spec.n_res == 0:  # a ConvBnRelu, whose output has every row
+                x = nn.nonempty(self.enc_rb[l].forward(nn.nonempty(x, bmap), bmap, train), bmap)
+            else:
+                x = self.enc_rb[l].forward(x, bmap, train)
             feats[l] = x
             x = self.enc_down[l].forward(x, bmap, train)
         return x, feats

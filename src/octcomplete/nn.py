@@ -5,8 +5,10 @@ built once per level from the parent level's 27 tap pairs as full-sibling
 blocks of 8 rows, is the one description of a level and its parent: every
 op on a level or between it and its parent takes it.
 Each op takes its weight FeatureMap and checks the input channels against
-the weight's shape. Empty sibling slots are stored rows: they read as zeros
-inside convolution stencils but participate in batch-norm statistics.
+the weight's shape. Empty sibling slots are stored rows of a level's
+convolution and batch-norm outputs, so they take part in batch-norm
+statistics, but a convolution or downsample reads only the level's
+nonempty rows (nonempty), its stencil reading the empty ones as zeros.
 """
 
 from dataclasses import dataclass
@@ -177,13 +179,11 @@ class BlockMap:
     weight gather (_matrix). All group products reach the output through
     one CSC matrix whose column j has a single one in row rows_out[j], and
     the input gradient's through one with rows_in. Rows flagged empty in
-    `child_status` read as zero and get no gradient, as the pair stencil
-    never reads them; without `child_status` every row is read, as on a
-    decoder level. ``reads_empty`` says whether the centre's reshape or a
-    merged group reads an empty row: a split group gathers read rows only,
-    so a map of split groups alone needs no zeroed copy of its input.
-    ``full_rows`` lists the nonempty rows in order (None where no row is
-    empty), the ``n_nonempty`` rows a residual stream keeps (nonempty).
+    `child_status` hold no features: ``full_rows`` lists the nonempty rows
+    in order (None where no row is empty), the ``n_nonempty`` rows that
+    the level's convolutions and downsample read (nonempty), which `fill`
+    zero-fills to every row for the stencil and `take` takes back; without
+    `child_status` every row is nonempty, as on a decoder level.
     """
 
     def __init__(self, level, pairs, child_status=None):
@@ -192,7 +192,7 @@ class BlockMap:
         self.parent_rows = len(level.child_start)
         self.owners = len(self.owner_rows)
         self.rows = 8 * self.owners
-        self.empty = self.full_rows = self.empty_rows = None
+        self.empty = self.full_rows = None
         self.n_nonempty = self.rows
         if child_status is not None:
             if len(child_status) != self.rows:
@@ -200,10 +200,6 @@ class BlockMap:
             if not child_status.all():
                 self.empty = child_status == 0
                 self.full_rows = np.flatnonzero(child_status)
-                # gradients zero their empty rows by this index: 1.7 ms
-                # against 1.9 ms by the mask on a 109k x 32 map at 87.5 %
-                # empty rows, for 8 bytes per empty row (2-core x86)
-                self.empty_rows = np.flatnonzero(self.empty)
                 self.n_nonempty = len(self.full_rows)
         self.centre_merged = True
         self.groups = []
@@ -240,11 +236,6 @@ class BlockMap:
         # would not check the rows it gives
         if min(self.rows_out.min(initial=0), self.rows_in.min(initial=0)) < 0:
             raise DomainError("a tap pair names a row that owns no children")
-        # a split group gathers only rows that are read, so only the
-        # centre's reshape and a merged group can read an empty row
-        self.reads_empty = self.empty is not None and (
-            self.centre_merged or any(c is None for c, *_ in self.groups)
-        )
 
     @property
     def kinds(self):
@@ -276,18 +267,14 @@ class BlockMap:
         out[self.full_rows] = nonempty
         return out
 
-    def read(self, read):
-        """An input of the level as the stencil reads it, from its reader
-        (autodiff.reader): rows flagged empty are zero. Only the nonempty
-        rows are read, so an input that carries a recipe is remade at
-        those rows alone."""
-        return read() if self.empty is None else self.fill(read(self.full_rows))
+    def take(self, a):
+        """The nonempty rows of a, an array of the level's rows, in order
+        (full_rows): fill's inverse; a itself where no row is empty."""
+        return a if self.full_rows is None else np.take(a, self.full_rows, axis=0)
 
     def conv(self, x, w):
-        """The (rows, cout) convolution of x by the (cout, 27*cin) weight w,
-        x's empty rows read as zero."""
-        if self.reads_empty:
-            x = self.read(ad.array_reader(x))
+        """The (rows, cout) convolution of x, the level's rows with the
+        empty ones zero (fill), by the (cout, 27*cin) weight w."""
         cin, cout = x.shape[1], w.shape[0]
         dtype = np.result_type(x, w)
         mats = np.take(w.T, _matrix_rows(cin), axis=0)  # (216*cin, cout)
@@ -305,10 +292,9 @@ class BlockMap:
 
     def grads(self, x, g, w, need_gx):
         """The input gradient (None unless need_gx) and the (cout, 27*cin)
-        weight gradient of conv for the output gradient g. x is the input
-        as the stencil reads it: BlockMap.read's where reads_empty, and
-        where not, right at least at the nonempty rows, the only ones a
-        split group gathers.
+        weight gradient of conv for the output gradient g, the input
+        gradient at the nonempty rows (take). x is conv's: the level's
+        rows, the empty ones zero.
 
         The weight gradient is the adjoint of conv's weight gather: each
         group's product goes to its own rows of a buffer in the gather's
@@ -336,44 +322,41 @@ class BlockMap:
             if need_gx:
                 blocks = gx.reshape(self.owners, 8 * cin)
                 blocks += gb @ _matrix(mats, _CENTRE_ENTRIES, 8).T
-        if need_gx and self.reads_empty:
-            gx[self.empty_rows] = 0
+        if need_gx:
+            gx = self.take(gx)
         return gx, (_fold(cin) @ gmats).T
 
 
 def octree_conv(x, bmap, weight):
     """3x3x3 convolution over the stored nodes of one level.
 
-    Absent or empty neighbors contribute zero rows; the output keeps the
-    row count of the input. `bmap` is the level's BlockMap, built once per
-    level from its parent level's tap pairs (network.LevelStack.block_map)
-    and shared with the ops between the level and its parent; `weight` is
-    (out, 27 * in), one (out, in) block W_t per tap t.
+    `bmap` is the level's BlockMap, built once per level from its parent
+    level's tap pairs (network.LevelStack.block_map) and shared with the
+    ops between the level and its parent; x holds the level's nonempty
+    rows (nonempty), as downsample's does, and the output every row of
+    the level, its empty neighbors read as zero. `weight` is (out, 27 *
+    in), one (out, in) block W_t per tap t.
 
-    Forward and backward run the map's groups (BlockMap.conv, .grads): one
-    gather, one gemm and, through one CSC product for all groups, one
-    scatter per parent tap, with the centre as a reshape. Every gemm
-    matrix is a row range of one gather of the rows of w.T (_matrix_rows);
-    backward writes each group's weight product into the same layout and
-    folds it back onto the rows of w.T by the gather's adjoint, one sparse
-    product (_fold). Where a merged group or the centre's reshape
-    reads a row flagged empty, both directions read a copy of x with those
-    rows zeroed (BlockMap.read). Backward makes that copy and the gather
-    again, so its closure keeps neither; where the stencil reads no empty
-    row, x is read as it is, unless x carries a recipe: then backward
-    remakes only the nonempty rows into a zeroed copy, on any map with
-    empty rows. The input gradient is skipped when x takes none.
+    Forward and backward run the map's groups (BlockMap.conv, .grads) on
+    x zero-filled to every row (BlockMap.fill): one gather, one gemm and,
+    through one CSC product for all groups, one scatter per parent tap,
+    with the centre as a reshape. Every gemm matrix is a row range of one
+    gather of the rows of w.T (_matrix_rows); backward writes each group's
+    weight product into the same layout and folds it back onto the rows of
+    w.T by the gather's adjoint, one sparse product (_fold). Backward fills
+    again from x's reader, so its closure keeps no filled copy, and an x
+    that carries a recipe is remade whole. The input gradient, at x's
+    rows, is skipped when x takes none.
     """
     if weight.values.shape[1] != 27 * x.channels:
         raise DomainError("conv channel mismatch")
-    if bmap.rows != x.rows:
+    if bmap.n_nonempty != x.rows:
         raise DomainError("block map row mismatch")
     w, need_gx, read = weight.values, ad.tracked(x), ad.reader(x)
-    zeroed = bmap.reads_empty or (bmap.empty is not None and ad.remade(x))
-    out = bmap.conv(x.values, w)
+    out = bmap.conv(bmap.fill(x.values), w)
 
     def back(g):
-        return bmap.grads(bmap.read(read) if zeroed else read(), g, w, need_gx)
+        return bmap.grads(bmap.fill(read()), g, w, need_gx)
 
     return ad.custom_op(out, [x, weight], back, level=x.level)
 
@@ -381,11 +364,11 @@ def octree_conv(x, bmap, weight):
 def nonempty(x, bmap):
     """The nonempty rows of x, a map of `bmap`'s level, in order
     (BlockMap.full_rows): the form in which a level keeps its residual
-    stream, whose empty rows no op reads. x itself on a level with no
-    empty row. The input gradient is zero at the empty rows. A taped
-    output carries a recipe over x's reader, which reads x at the rows
-    asked for alone, so an x that carries a recipe (a batch-norm output)
-    is remade at its nonempty rows only."""
+    stream and in which its convolutions and downsample read their input.
+    x itself on a level with no empty row. The input gradient is zero at
+    the empty rows. A taped output carries a recipe over x's reader, which
+    reads x at the rows asked for alone, so an x that carries a recipe (a
+    batch-norm output) is remade at its nonempty rows only."""
     if bmap.rows != x.rows:
         raise DomainError("block map row mismatch")
     full = bmap.full_rows
@@ -401,39 +384,7 @@ def nonempty(x, bmap):
     def remake(rows=None):
         return read(full if rows is None else full[rows])
 
-    out = np.take(x.values, full, axis=0)
-    return ad.custom_op(out, [x], back, level=x.level, remake=remake)
-
-
-def zero_filled(x, bmap):
-    """The rows of `bmap`'s level from x, its nonempty rows (nonempty),
-    the empty rows zero (BlockMap.fill): a convolution's input from a
-    kept residual stream. x itself on a level with no empty row. A taped
-    output carries a recipe over x's reader, which reads x at its rows
-    among those asked for alone."""
-    if bmap.n_nonempty != x.rows:
-        raise DomainError("block map row mismatch")
-    full = bmap.full_rows
-    if full is None:
-        return x
-    read, c, dtype = ad.reader(x), x.channels, x.values.dtype
-
-    def back(g):
-        return (np.take(g, full, axis=0),)
-
-    def remake(rows=None):
-        if rows is None:
-            return bmap.fill(read())
-        at = np.searchsorted(full, rows)
-        hit = at < len(full)
-        hit[hit] = full[at[hit]] == rows[hit]
-        if hit.all():
-            return read(at)
-        out = np.zeros((len(rows), c), dtype)
-        out[hit] = read(at[hit])
-        return out
-
-    return ad.custom_op(bmap.fill(x.values), [x], back, level=x.level, remake=remake)
+    return ad.custom_op(bmap.take(x.values), [x], back, level=x.level, remake=remake)
 
 
 def downsample(x, bmap, weight):
@@ -459,11 +410,7 @@ def downsample(x, bmap, weight):
 
     def back(g):
         go = g[rows]
-        gx = None
-        if need_gx:
-            gx = (go @ w).reshape(bmap.rows, -1)
-            if bmap.full_rows is not None:
-                gx = np.take(gx, bmap.full_rows, axis=0)
+        gx = bmap.take((go @ w).reshape(bmap.rows, -1)) if need_gx else None
         return gx, go.T @ bmap.fill(read()).reshape(shape)
 
     out_level = None if x.level is None else x.level - 1
@@ -746,8 +693,8 @@ def batch_norm(x, params, train, relu=False):
 class ConvBnRelu:
     """conv(c, k, s) in the Fig.-style notation: conv + BN + ReLU, no bias.
 
-    Kernel 3 runs at stride 1 (octree_conv) over every row of the level,
-    kernel 2 at stride 2 (downsample) over its nonempty rows (nonempty).
+    Either kernel reads the level's nonempty rows (nonempty): kernel 3
+    runs at stride 1 (octree_conv) and kernel 2 at stride 2 (downsample).
     """
 
     def __init__(self, params, prefix, in_c, out_c, kernel=3, rng=None):
@@ -795,11 +742,11 @@ class ResBlockStack:
     a 1x1 projection (ad.linear, then batch norm). `forward` takes a map of
     every row of bmap's level and returns the residual stream as the
     level's nonempty rows (nonempty), which no op reads at an empty row:
-    the stream, every block's input and output, is kept at those rows, and
-    each block's conv1 reads it zero-filled (zero_filled), as its stencil
-    reads it anyway. The convolution and batch-norm outputs stay at every
-    row, as batch-norm statistics take the empty rows in. On a level with
-    no empty row both moves are the map itself.
+    the stream, every block's input and output, is kept at those rows,
+    each block's conv1 reads it as it is, and conv2 reads conv1's nonempty
+    rows. The convolution and batch-norm outputs stay at every row, as
+    batch-norm statistics take the empty rows in. On a level with no empty
+    row `nonempty` is the map itself.
     In a taped forward the projection's linear output is remade in
     backward (ad.linear's recipe), by its batch norm's backward and recipe,
     and the block outputs alternate, first to last, between remade in
@@ -831,8 +778,8 @@ class ResBlockStack:
         x = nonempty(x, bmap)
         last = len(self.blocks) - 1
         for i, (c1, w2, bn2) in enumerate(self.blocks):
-            h = c1.forward(zero_filled(x, bmap), bmap, train)
-            h = batch_norm(octree_conv(h, bmap, w2), bn2, train)
+            h = c1.forward(x, bmap, train)
+            h = batch_norm(octree_conv(nonempty(h, bmap), bmap, w2), bn2, train)
             x = ad.add_relu(x, nonempty(h, bmap), remade=i % 2 == 0 and i < last)
         return x
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from octcomplete import autodiff as ad
+from octcomplete import nn
+from octcomplete.network import CompletionNet
 from octcomplete.octree import _CHILD_SLOT, _PARENT_TAP, child_rows, find_in_sorted, neighbor_table
 
 
@@ -59,6 +61,24 @@ def collector_off():
     yield
     if was_on:
         gc.enable()
+
+
+class _Float64Parameters(nn.Parameters):
+    def __init__(self):
+        super().__init__(np.float64)
+
+
+def float64_net(spec, seed=0):
+    """A CompletionNet(spec, seed) whose parameters are float64, so that
+    every op of its forward and backward runs in float64: the net is built
+    with nn.Parameters swapped for a float64 store, the same weights drawn
+    and cast to float64 rather than float32."""
+    made = nn.Parameters
+    nn.Parameters = _Float64Parameters
+    try:
+        return CompletionNet(spec, seed)
+    finally:
+        nn.Parameters = made
 
 
 def nbr_table(octree, level):

@@ -11,7 +11,7 @@ from octcomplete import data as dt
 from octcomplete import fileio
 from octcomplete.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from octcomplete.network import CompletionNet, NetworkSpec
-from octcomplete.octree import build_octree, cell_centers
+from octcomplete.octree import MAX_DEPTH, build_octree, cell_centers
 from octcomplete.train import net_from_checkpoint, spec_config_values
 
 
@@ -265,6 +265,26 @@ def test_complete_semantic_exports_argmax_label_grid(tmp_path):
     labels = np.argmax(shape.semantic_logits, axis=1)
     want = dt.shape_to_label_grid(shape.leaf_codes, labels, 4)
     assert np.array_equal(fileio.load_sgrid(grid), want)
+
+
+def test_depth_above_max_in_checkpoint_or_train_config_is_data_error(tmp_path, capsys):
+    """net.input_depth = net.output_depth = MAX_DEPTH + 1 exits 2, naming
+    the depth: in a checkpoint's config before the net draws a weight, and
+    in a train config before the manifest (here a missing file) is read."""
+    deep = MAX_DEPTH + 1
+    spec = NetworkSpec(input_depth=deep, output_depth=deep, c0=4, c_max=8, hidden=4)
+    ckpt = str(tmp_path / "deep.ockp")
+    fileio.save_checkpoint(ckpt, {}, fileio.config_to_text(spec_config_values(spec)), 0)
+    out = str(tmp_path / "out.ply")
+    capsys.readouterr()
+    assert run(["complete", "--ckpt", ckpt, "--in", str(tmp_path / "scan.ply"), "--out", out]) == EXIT_DATA
+    assert "input_depth" in capsys.readouterr().err
+    cfg = str(tmp_path / "cfg")
+    write_tiny_config(cfg, {"net.input_depth": str(deep), "net.output_depth": str(deep)})
+    argv = ["train", "--config", cfg, "--data", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "run")]
+    assert run(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "input_depth" in err and "Traceback" not in err
 
 
 def test_complete_truncated_checkpoint_is_data_error(tmp_path):

@@ -20,6 +20,7 @@ from octcomplete.network import (
     sample_points,
 )
 from octcomplete.octree import (
+    MAX_DEPTH,
     PointSet,
     build_octree,
     coords_from_keys,
@@ -102,6 +103,22 @@ def test_spec_validation():
         NetworkSpec(task="semantic", num_classes=1).validate()
     with pytest.raises(DomainError):
         NetworkSpec(skip_mode="sometimes").validate()
+
+
+def test_spec_depth_above_max_is_rejected_before_any_weight(monkeypatch):
+    """A depth above octree.MAX_DEPTH is a DomainError of validate, which
+    CompletionNet raises before it draws a weight."""
+    deep = MAX_DEPTH + 1
+    spec = NetworkSpec(input_depth=deep, output_depth=deep, c0=4, c_max=8, hidden=4)
+    with pytest.raises(DomainError, match="input_depth"):
+        spec.validate()
+    drawn = []
+    he_init = nn.he_init
+    monkeypatch.setattr(nn, "he_init", lambda *a: drawn.append(a) or he_init(*a))
+    with pytest.raises(DomainError, match="input_depth"):
+        CompletionNet(spec)
+    assert drawn == []
+    NetworkSpec(input_depth=MAX_DEPTH, output_depth=MAX_DEPTH).validate()
 
 
 def test_teacher_forced_decode_follows_gt():
@@ -188,12 +205,10 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
     7, and with n_res=0 each encoder level's ConvBnRelu) the residual
     stream is the level's nonempty rows: every residual join's inputs and
     output, every stack's output, every downsample input and every encoder
-    feature map; no closure holds a stream array of every row (a stack's
-    input, a conv1 input)."""
+    feature map; no closure holds a stack's input, a map of every row."""
     batch_norm, add_relu, linear_relu = nn.batch_norm, ad.add_relu, ad.linear_relu
     linear, max_pool, downsample = ad.linear, nn.max_pool, nn.downsample
     skip_add, stack_forward = network.guided_skip_add, nn.ResBlockStack.forward
-    zero_filled = nn.zero_filled
     freed, kept, stacks, slots = {}, [], [], []
     # (level map, rows) of the stream's maps kept as nonempty rows, (level
     # map, values) of those of every row, and the running stack's map
@@ -231,11 +246,6 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
             stacks.append(weakref.ref(out.values))
         return out
 
-    def zero_filled_spy(x, bmap):
-        out = zero_filled(x, bmap)
-        full_row.append((bmap, weakref.ref(out.values)))
-        return out
-
     def downsample_spy(x, bmap, w):
         on_level(bmap, x)
         return downsample(x, bmap, w)
@@ -250,7 +260,6 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
     monkeypatch.setattr(ad, "linear_relu", spy("hidden", linear_relu))
     monkeypatch.setattr(network, "guided_skip_add", spy("skip", skip_add))
     monkeypatch.setattr(nn.ResBlockStack, "forward", stack_spy)
-    monkeypatch.setattr(nn, "zero_filled", zero_filled_spy)
     monkeypatch.setattr(nn, "downsample", downsample_spy)
     sphere = tuple(OctreeBatch([o]) for o in sphere_octree())
     cases = [
