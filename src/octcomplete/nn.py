@@ -9,13 +9,14 @@ the weight's shape. Empty sibling slots are stored rows of a level's
 convolution and batch-norm outputs, so they take part in batch-norm
 statistics, but a convolution or downsample reads only the level's
 nonempty rows (nonempty), its stencil reading the empty ones as zeros.
+A convolution adds each group's product rows in place onto its output
+(kernels.add_rows) and builds no sparse matrix.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from . import autodiff as ad
 from . import kernels
@@ -123,14 +124,14 @@ def _matrix_rows(cin):
     return rows
 
 
-@lru_cache(maxsize=None)
-def _fold(cin):
-    """The adjoint of the _matrix_rows(cin) gather: the (27*cin, 216*cin)
-    sparse matrix with a one in row _matrix_rows(cin)[j] of column j, which
-    adds each gathered row back onto the row of w.T it came from."""
-    rows = _matrix_rows(cin)
-    n = len(rows)
-    return sparse.csr_array((np.ones(n, np.float32), (rows, np.arange(n))), shape=(27 * cin, n))
+def _fold(gathered):
+    """The adjoint of the _matrix_rows(cin) gather: each row of gathered, a
+    (216*cin, cout) array in the gather's layout, added back onto the row
+    of w.T it came from (kernels.add_rows, in row order), as a (27*cin,
+    cout) array."""
+    cin = len(gathered) // len(_BLOCK_TAPS)
+    out = np.zeros((27 * cin, gathered.shape[1]), gathered.dtype)
+    return kernels.add_rows(out, _matrix_rows(cin), gathered)
 
 
 def _matrix(gathered, e, k):
@@ -149,7 +150,7 @@ def _matrix(gathered, e, k):
 # than 0.5 and 0.15 or 0.4 no faster; train-scene timed the same at 0.15
 # to 0.5. A split tap holds more product rows than a merged one once a
 # block's k children read more than one row on average, so the lower
-# rule also keeps the product buffer smaller.
+# rule also keeps the product rows fewer.
 SPLIT_BELOW = 0.3
 
 MERGED, SPLIT = "merged", "split"
@@ -176,14 +177,20 @@ class BlockMap:
       the pairs that read that child.
     ``groups`` holds (child index or None, entries, k, out slice, in
     slice) per group, its gemm matrix being the entries' rows of the
-    weight gather (_matrix). All group products reach the output through
-    one CSC matrix whose column j has a single one in row rows_out[j], and
-    the input gradient's through one with rows_in. Rows flagged empty in
-    `child_status` hold no features: ``full_rows`` lists the nonempty rows
-    in order (None where no row is empty), the ``n_nonempty`` rows that
-    the level's convolutions and downsample read (nonempty), which `fill`
-    zero-fills to every row for the stencil and `take` takes back; without
-    `child_status` every row is nonempty, as on a decoder level.
+    weight gather (_matrix). Each group's product rows are added in place
+    onto the output rows rows_out[out slice] (kernels.add_rows), and its
+    input-gradient rows onto rows_in[in slice], one group at a time
+    through one buffer of the map's largest group (``most_out`` and
+    ``most_in`` rows). Rows flagged empty in `child_status` hold no
+    features: ``full_rows`` lists the nonempty rows in order (None where
+    no row is empty), the ``n_nonempty`` rows that the level's
+    convolutions and downsample read (nonempty), which `fill` zero-fills
+    to every row for the stencil and `take` takes back; without
+    `child_status` every row is nonempty, as on a decoder level. Where a
+    merged group or the merged centre reads an empty row (``fills``), a
+    convolution reads the level filled; elsewhere, as on a map of split
+    groups alone, rows_in are positions among the nonempty rows, set once
+    here, and a convolution gathers those rows as they are.
     """
 
     def __init__(self, level, pairs, child_status=None):
@@ -232,27 +239,22 @@ class BlockMap:
         none = np.zeros(0, dtype=np.int32)
         self.rows_out = np.concatenate(outs + [none]).astype(np.int32, copy=False)
         self.rows_in = np.concatenate(ins + [none]).astype(np.int32, copy=False)
-        # a pair row that owns no children has rank -1; the CSC products
-        # would not check the rows it gives
+        # a pair row that owns no children has rank -1
         if min(self.rows_out.min(initial=0), self.rows_in.min(initial=0)) < 0:
             raise DomainError("a tap pair names a row that owns no children")
+        self.most_out = max((so.stop - so.start for *_, so, _ in self.groups), default=0)
+        self.most_in = max((si.stop - si.start for *_, si in self.groups), default=0)
+        self.fills = self.empty is not None and (
+            self.centre_merged or self.empty[self.rows_in].any()
+        )
+        if self.empty is not None and not self.fills:
+            self.rows_in = np.searchsorted(self.full_rows, self.rows_in).astype(np.int32)
 
     @property
     def kinds(self):
         """The group kinds the map runs, the centre's reshape as MERGED."""
         kinds = {MERGED if c is None else SPLIT for c, *_ in self.groups}
         return kinds | {MERGED} if self.centre_merged and self.owners else kinds
-
-    def scatter(self, rows, dtype):
-        """The (self.rows, len(rows)) CSC matrix whose column j has a one in
-        row rows[j], for rows_out or rows_in. Built per call and not kept,
-        so a map holds no matrix while closures hold the map: 213k columns
-        build in 0.13 ms against 7.5 ms for their product with a 32-channel
-        buffer (2-core x86)."""
-        n = len(rows)
-        return sparse.csc_array(
-            (np.ones(n, dtype), rows, np.arange(n + 1, dtype=np.int32)), shape=(self.rows, n)
-        )
 
     def fill(self, nonempty):
         """The level's rows from the array of its nonempty rows, in order
@@ -273,17 +275,23 @@ class BlockMap:
         return a if self.full_rows is None else np.take(a, self.full_rows, axis=0)
 
     def conv(self, x, w):
-        """The (rows, cout) convolution of x, the level's rows with the
-        empty ones zero (fill), by the (cout, 27*cin) weight w."""
+        """The (rows, cout) convolution of x, the level's nonempty rows
+        (full_rows), by the (cout, 27*cin) weight w. Each group's gemm
+        writes one buffer, which is then added onto its output rows: the
+        same sums, in the same order, as one CSC product of every group's
+        rows at once."""
+        x = self.fill(x) if self.fills else x
         cin, cout = x.shape[1], w.shape[0]
         dtype = np.result_type(x, w)
         mats = np.take(w.T, _matrix_rows(cin), axis=0)  # (216*cin, cout)
-        buf = np.empty((len(self.rows_out), cout), dtype)
+        out = np.zeros((self.rows, cout), dtype)
+        buf = np.empty((self.most_out, cout), dtype)
         for _, e, k, so, si in self.groups:
             m = _matrix(mats, e, k)
             src = np.take(x, self.rows_in[si], axis=0).reshape(-1, m.shape[0])
-            np.matmul(src, m, out=buf[so].reshape(-1, m.shape[1]))
-        out = self.scatter(self.rows_out, dtype) @ buf
+            prod = buf[: so.stop - so.start]
+            np.matmul(src, m, out=prod.reshape(-1, m.shape[1]))
+            kernels.add_rows(out, self.rows_out[so], prod)
         del buf
         if self.centre_merged:
             blocks = out.reshape(self.owners, 8 * cout)
@@ -292,29 +300,31 @@ class BlockMap:
 
     def grads(self, x, g, w, need_gx):
         """The input gradient (None unless need_gx) and the (cout, 27*cin)
-        weight gradient of conv for the output gradient g, the input
-        gradient at the nonempty rows (take). x is conv's: the level's
-        rows, the empty ones zero.
+        weight gradient of conv for the output gradient g. x is conv's, and
+        the input gradient is at its rows: the level's nonempty rows. Each
+        group's input-gradient rows are added onto rows_in in turn, as
+        conv's output rows, through one buffer.
 
         The weight gradient is the adjoint of conv's weight gather: each
         group's product goes to its own rows of a buffer in the gather's
-        layout, which _fold(cin) then adds back onto the rows of w.T."""
+        layout, which _fold then adds back onto the rows of w.T."""
+        x = self.fill(x) if self.fills else x
         cin, cout = x.shape[1], g.shape[1]
         mats = np.take(w.T, _matrix_rows(cin), axis=0)
         # each group writes its own entries' rows; rows no group writes stay zero
         gmats = np.zeros(mats.shape, g.dtype)
-        buf = np.empty((len(self.rows_in), cin), g.dtype) if need_gx else None
+        gx = np.zeros((len(x), cin), g.dtype) if need_gx else None
+        buf = np.empty((self.most_in, cin), g.dtype) if need_gx else None
         for _, e, k, so, si in self.groups:
             m = _matrix(mats, e, k)
             go = np.take(g, self.rows_out[so], axis=0).reshape(-1, m.shape[1])
             src = np.take(x, self.rows_in[si], axis=0).reshape(-1, m.shape[0])
             np.matmul(src.T, go, out=_matrix(gmats, e, k))
             if need_gx:
-                np.matmul(go, m.T, out=buf[si].reshape(-1, m.shape[0]))
-        gx = None
-        if need_gx:
-            gx = self.scatter(self.rows_in, g.dtype) @ buf
-            del buf
+                prod = buf[: si.stop - si.start]
+                np.matmul(go, m.T, out=prod.reshape(-1, m.shape[0]))
+                kernels.add_rows(gx, self.rows_in[si], prod)
+        del buf
         if self.centre_merged:
             gb = g.reshape(self.owners, 8 * cout)
             xb = x.reshape(self.owners, 8 * cin)
@@ -322,9 +332,9 @@ class BlockMap:
             if need_gx:
                 blocks = gx.reshape(self.owners, 8 * cin)
                 blocks += gb @ _matrix(mats, _CENTRE_ENTRIES, 8).T
-        if need_gx:
+        if need_gx and self.fills:
             gx = self.take(gx)
-        return gx, (_fold(cin) @ gmats).T
+        return gx, _fold(gmats).T
 
 
 def octree_conv(x, bmap, weight):
@@ -338,25 +348,27 @@ def octree_conv(x, bmap, weight):
     in), one (out, in) block W_t per tap t.
 
     Forward and backward run the map's groups (BlockMap.conv, .grads) on
-    x zero-filled to every row (BlockMap.fill): one gather, one gemm and,
-    through one CSC product for all groups, one scatter per parent tap,
-    with the centre as a reshape. Every gemm matrix is a row range of one
-    gather of the rows of w.T (_matrix_rows); backward writes each group's
-    weight product into the same layout and folds it back onto the rows of
-    w.T by the gather's adjoint, one sparse product (_fold). Backward fills
-    again from x's reader, so its closure keeps no filled copy, and an x
-    that carries a recipe is remade whole. The input gradient, at x's
-    rows, is skipped when x takes none.
+    x: one gather, one gemm and one in-place add of its product rows
+    (kernels.add_rows) per group, through one buffer of the largest
+    group, with the centre as a reshape. The map zero-fills x to every row
+    (BlockMap.fill) only where a merged group or the merged centre reads
+    an empty row; a split-only map gathers x as it is. Every gemm matrix
+    is a row range of one gather of the rows of w.T (_matrix_rows);
+    backward writes each group's weight product into the same layout and
+    folds it back onto the rows of w.T by the gather's adjoint (_fold).
+    Backward reads x again through its reader, so its closure keeps no
+    filled copy, and an x that carries a recipe is remade whole. The input
+    gradient, at x's rows, is skipped when x takes none.
     """
     if weight.values.shape[1] != 27 * x.channels:
         raise DomainError("conv channel mismatch")
     if bmap.n_nonempty != x.rows:
         raise DomainError("block map row mismatch")
     w, need_gx, read = weight.values, ad.tracked(x), ad.reader(x)
-    out = bmap.conv(bmap.fill(x.values), w)
+    out = bmap.conv(x.values, w)
 
     def back(g):
-        return bmap.grads(bmap.fill(read()), g, w, need_gx)
+        return bmap.grads(read(), g, w, need_gx)
 
     return ad.custom_op(out, [x, weight], back, level=x.level)
 

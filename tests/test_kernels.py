@@ -3,6 +3,8 @@
 import tracemalloc
 
 import numpy as np
+import pytest
+from scipy import sparse
 
 from octcomplete import kernels
 
@@ -30,3 +32,47 @@ def test_gather_rows_copies_no_source(rng):
         tracemalloc.stop()
     assert np.array_equal(got, np.where((idx >= 0)[:, None], src[idx], 0.0))
     assert peak < src.nbytes // 10
+
+
+def csc_product(rows, values, n_out):
+    """The product of the (n_out, len(rows)) CSC matrix whose column j has
+    a single one in row rows[j] with values."""
+    n = len(rows)
+    ones = np.ones(n, values.dtype)
+    return sparse.csc_array((ones, rows, np.arange(n + 1)), shape=(n_out, n)) @ values
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_add_rows_is_the_csc_product_bit_for_bit(dtype, rng):
+    """add_rows into zeros equals the CSC product, bit for bit, with rows
+    repeated and none; into an out that holds values, in two calls, it
+    equals the product of those values' own columns followed by the
+    rows' ones, as one CSC product of every group's rows sums them."""
+    n_out, c = 40, 7
+    rows = rng.integers(0, n_out, size=300).astype(np.int32)
+    rows[:50] = 3  # one row added 50 times
+    values = rng.normal(size=(len(rows), c)).astype(dtype)
+    got = kernels.add_rows(np.zeros((n_out, c), dtype), rows, values)
+    assert got.dtype == dtype
+    assert np.array_equal(got, csc_product(rows, values, n_out))
+    none = kernels.add_rows(np.zeros((n_out, c), dtype), rows[:0], values[:0])
+    assert not none.any()
+    held = rng.normal(size=(n_out, c)).astype(dtype)
+    out = held.copy()
+    assert kernels.add_rows(out, rows[:120], values[:120]) is out
+    kernels.add_rows(out, rows[120:], values[120:])
+    stacked = np.concatenate([np.arange(n_out, dtype=np.int32), rows])
+    assert np.array_equal(out, csc_product(stacked, np.concatenate([held, values]), n_out))
+
+
+def test_add_rows_rejects_an_output_it_cannot_write(rng):
+    """Rows outside the output and an output that is not one C-ordered
+    buffer raise before the compiled loop runs."""
+    values = rng.normal(size=(3, 4)).astype(np.float32)
+    out = np.zeros((5, 4), np.float32)
+    for rows in ([0, 5, 1], [0, -1, 1]):
+        with pytest.raises(IndexError):
+            kernels.add_rows(out, np.array(rows, np.int32), values)
+    with pytest.raises(ValueError):
+        kernels.add_rows(np.zeros((4, 5), np.float32).T, np.array([0, 1, 2], np.int32), values)
+    assert not out.any()

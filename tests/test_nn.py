@@ -1,10 +1,10 @@
 """Neural operators against dense-grid oracles and adjoint identities."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from octcomplete import autodiff as ad
 from octcomplete import data as dt
@@ -353,26 +353,63 @@ def test_block_map_conv_matches_per_pair_oracle(case, tracked, rng):
     assert_close_f32(gw, want_gw)
 
 
-def test_block_map_keeps_no_sparse_matrix(rng):
-    """A conv forward and backward leave no scipy.sparse matrix on the
-    level's BlockMap, in an attribute or in a container it holds: each
-    call builds its scatter matrices and drops them."""
-    bmap, table, _ = oracle_case("batch")
-    xv = rng.normal(size=(len(table), 4)).astype(np.float32)
-    wv = rng.normal(size=(3, 27 * 4)).astype(np.float32)
-    g = rng.normal(size=(len(table), 3)).astype(np.float32)
-    x = ad.parameter(xv[bmap.full_rows])  # the conv reads the nonempty rows
-    gx, gw = taped_grads(lambda x, w: nn.octree_conv(x, bmap, w), x, ad.parameter(wv), g)
+def test_conv_buffer_holds_one_group_at_a_time(rng):
+    """One taped conv forward and backward on a merged scan-octree map
+    peaks (tracemalloc) below the product rows of all its groups at once,
+    which the conv held before it added each group's rows in place: the
+    product buffer is sized for the map's largest group."""
+    bmap = block_map_of(scan_octree(depth=5), 5, {nn.MERGED, nn.SPLIT})
+    cin, cout = 4, 32
+    every_group = len(bmap.rows_out) * cout * 4
+    assert bmap.most_out * cout * 4 < every_group // 10
+    x = ad.parameter(rng.normal(size=(bmap.n_nonempty, cin)).astype(np.float32))
+    w = ad.parameter(rng.normal(size=(cout, 27 * cin)).astype(np.float32))
+    g = rng.normal(size=(bmap.rows, cout)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        gx, gw = taped_grads(lambda x, w: nn.octree_conv(x, bmap, w), x, w, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert gx is not None and gw is not None
+    assert peak < every_group
 
-    def contents(value):
-        if isinstance(value, dict):
-            value = [*value.keys(), *value.values()]
-        if isinstance(value, (list, tuple)):
-            return [v for item in value for v in contents(item)]
-        return [value]
 
-    assert not any(sparse.issparse(v) for v in contents(list(vars(bmap).values())))
+@pytest.mark.parametrize("case", ["leaf", "split"])
+def test_split_only_map_reads_the_nonempty_rows_as_they_are(case, rng, monkeypatch):
+    """A map of split groups alone gathers no empty row: its rows_in are
+    positions among the nonempty rows, and a conv forward and backward
+    never zero-fill x (BlockMap.fill) nor take the input gradient back
+    (BlockMap.take), yet match the per-pair oracle; a map with merged
+    groups fills."""
+    if case == "leaf":
+        bmap, table, _ = oracle_case("leaf")
+    else:
+        o = one_child_octree(rng)
+        bmap = block_map_of(o, 4, {nn.SPLIT})
+        lv = o.levels[4]
+        table = neighbor_table(lv.keys, lv.status, 4)
+    assert bmap.empty is not None and not bmap.fills
+    assert bmap.rows_in.max() < bmap.n_nonempty
+    assert oracle_case("scan")[0].fills
+    cin, cout = 3, 4
+    xv = rng.normal(size=(len(table), cin)).astype(np.float32)
+    xv[bmap.empty] = 0
+    wv = rng.normal(size=(cout, 27 * cin)).astype(np.float32)
+    g = rng.normal(size=(len(table), cout)).astype(np.float32)
+    want_out, want_gx, want_gw = conv_oracle(xv, wv, table, g)
+
+    def refuse(*args):
+        raise AssertionError("a split-only map copied its rows")
+
+    monkeypatch.setattr(nn.BlockMap, "fill", refuse)
+    monkeypatch.setattr(nn.BlockMap, "take", refuse)
+    xk = xv[bmap.full_rows]
+    conv = lambda x, w: nn.octree_conv(x, bmap, w)
+    assert_close_f32(conv(FeatureMap(xk), FeatureMap(wv)).values, want_out)
+    gx, gw = taped_grads(conv, ad.parameter(xk), ad.parameter(wv), g)
+    assert_close_f32(gx, want_gx[bmap.full_rows])
+    assert_close_f32(gw, want_gw)
 
 
 def one_child_octree(rng, depth=4, parents=200):
@@ -470,7 +507,8 @@ def test_block_layout_covers_each_slot_and_tap_once():
 def test_weight_fold_is_the_adjoint_of_the_matrix_gather(rng):
     """For G in the layout of the weight gather, <gather(w.T), G> equals
     <w, G folded onto the rows of w.T> over all 216*cin gathered rows: the
-    weight gradient's fold is the adjoint of the forward's gather."""
+    weight gradient's fold (kernels.add_rows over _matrix_rows) is the
+    adjoint of the forward's gather."""
     for cin in (1, 3, 8):
         cout = 5
         w = rng.normal(size=(cout, 27 * cin))
@@ -478,7 +516,9 @@ def test_weight_fold_is_the_adjoint_of_the_matrix_gather(rng):
         g = rng.normal(size=gathered.shape)
         assert g.shape == (216 * cin, cout)
         lhs = np.vdot(gathered, g)
-        rhs = np.vdot(w.T, nn._fold(cin) @ g)
+        folded = nn._fold(g)
+        assert folded.shape == (27 * cin, cout)
+        rhs = np.vdot(w.T, folded)
         assert np.isclose(lhs, rhs, rtol=1e-12, atol=0)
 
 

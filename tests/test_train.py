@@ -155,6 +155,7 @@ scan = dt.virtual_scan(shape, dt.ScanConfig(num_views=2, seed=0))
 samples = [prepare_sample(dt.SamplePair(scan, shape), spec)]
 Trainer(CompletionNet(spec, seed=0), TrainConfig(lr=0.01, batch_size=1), samples).step([0], 0.01)
 assert "scipy.spatial" not in sys.modules, "loaded by import or by a train step"
+assert "scipy.sparse" not in sys.modules, "loaded by import or by a train step"
 losses.chamfer_distance(scan, shape)
 assert "scipy.spatial" in sys.modules, "chamfer_distance built no k-d tree"
 """
@@ -162,8 +163,9 @@ assert "scipy.spatial" in sys.modules, "chamfer_distance built no k-d tree"
 
 def test_training_does_not_load_the_kd_tree_library():
     """Importing the CLI, training and evaluation modules and running a
-    teacher-forced step leave scipy.spatial unloaded; the first k-d tree,
-    built by chamfer_distance, loads it."""
+    teacher-forced step leave scipy.spatial and scipy.sparse unloaded (the
+    convolutions load scipy's compiled row-add extension alone); the first
+    k-d tree, built by chamfer_distance, loads them."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
