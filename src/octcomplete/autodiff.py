@@ -22,8 +22,8 @@ weight gradient, which remakes an input that carries a recipe, before the
 input gradient. The network gives recipes to batch-norm outputs, to inner
 residual block outputs, to MLP hidden layers, to guided-skip outputs, to
 the row move onto a level's nonempty rows, which its convolutions read,
-and, in the scene head, to the ``max_pool`` output and the 1x1 projection's
-``linear`` output, which batch norm reads through its reader (nn, skip).
+and, in the scene head, to the 1x1 projection's ``linear`` output, which
+batch norm reads through its reader (nn, skip).
 What a taped forward leaves for backward is mostly the batch-norm inputs
 that convs, downsample and upsample make, each residual stack's last
 output, kept as its level's nonempty rows on a level with empty rows,
@@ -410,9 +410,9 @@ def sum_all(a):
     return custom_op(out, [a], lambda g: (np.full(shape, g[0, 0], dtype),))
 
 
-def constant(values, level=None):
-    return FeatureMap(values, level=level)
+def constant(values):
+    return FeatureMap(values)
 
 
-def parameter(values, level=None):
-    return FeatureMap(values, level=level, requires_grad=True)
+def parameter(values):
+    return FeatureMap(values, requires_grad=True)

@@ -17,12 +17,13 @@ from .octree import (
 
 SCENE_GRID_DIMS = (60, 36, 60)
 SCENE_VOXEL = 1.0 / 60.0
+# virtual_scan's depth buffer has this many pixels a side per view
+SCAN_IMAGE_RES = 128
 
 
 @dataclass
 class ScanConfig:
     num_views: int = 3
-    image_res: int = 128
     noise_std_fraction: float = 0.0
     seed: int = 0
 
@@ -187,7 +188,7 @@ def virtual_scan(shape: PointSet, cfg: ScanConfig) -> PointSet:
         pu = rel[idx] @ u
         pw = rel[idx] @ w
         depth = rel[idx] @ v
-        res = cfg.image_res
+        res = SCAN_IMAGE_RES
         px = np.clip(((pu + 0.9) / 1.8 * res).astype(np.int64), 0, res - 1)
         py = np.clip(((pw + 0.9) / 1.8 * res).astype(np.int64), 0, res - 1)
         pixel = px * res + py

@@ -9,13 +9,13 @@ from .network import CompletionNet, sample_points
 from .octree import PointSet, build_octree
 
 
-def identity_baseline(partial: PointSet, complete: PointSet, scale=128.0):
+def identity_baseline(partial: PointSet, complete: PointSet):
     """Distance of the raw partial input to the ground truth.
 
     A completion model should beat this number: it measures how much is
     missing when nothing is predicted at all.
     """
-    return chamfer_distance(partial, complete, scale=scale)
+    return chamfer_distance(partial, complete)
 
 
 def eval_completion_sample(
@@ -24,22 +24,21 @@ def eval_completion_sample(
     complete: PointSet,
     samples_per_node=4,
     seed=0,
-    scale=128.0,
 ):
     """Chamfer distance of the completed scan and of the raw scan (the
     identity baseline) to the complete cloud, whose k-d tree both share."""
     octree = build_octree(partial, net.spec.input_depth)
     shape = net.complete(octree)
-    truth = _cloud(complete, scale)
+    truth = _cloud(complete)
     out = {
-        "baseline": _chamfer(_cloud(partial, scale), truth),
+        "baseline": _chamfer(_cloud(partial), truth),
         "nodes": int(len(shape.leaf_codes)),
     }
     if shape.empty:
         out["chamfer"] = float("inf")
         return out, None
     pred_points = sample_points(shape, samples_per_node=samples_per_node, seed=seed)
-    out["chamfer"] = _chamfer(_cloud(pred_points, scale), truth)
+    out["chamfer"] = _chamfer(_cloud(pred_points), truth)
     return out, pred_points
 
 

@@ -71,14 +71,13 @@ class LossReport:
     structure: Dict[int, float] = field(default_factory=dict)
     task: float = 0.0
     total: float = 0.0
-    w: float = 1.0
     metrics: Dict[str, float] = field(default_factory=dict)
 
 
 def total_loss(structure_losses, task_loss, depth, w=1.0, start_level=3):
     """Loss = sum_{l=3}^{d} L_struct^l + w * L_task (taped scalar + report)."""
     acc = None
-    report = LossReport(w=w)
+    report = LossReport()
     for l in range(start_level, depth + 1):
         if l not in structure_losses:
             raise DomainError(f"missing structure loss for level {l}")
@@ -91,13 +90,18 @@ def total_loss(structure_losses, task_loss, depth, w=1.0, start_level=3):
     return acc, report
 
 
+# Chamfer distances are taken with the unit box scaled to a box of this size.
+CHAMFER_SCALE = 128.0
+
+
 def _positions(obj):
     pos = getattr(obj, "positions", obj)
     return np.asarray(pos, dtype=np.float64).reshape(-1, 3)
 
 
-def _cloud(points, scale):
-    """A point set's positions scaled by `scale` and the k-d tree over them.
+def _cloud(points):
+    """A point set's positions scaled by CHAMFER_SCALE and the k-d tree
+    over them.
 
     scipy.spatial is imported here, where a tree is built, not with the
     module: a training process builds none and so never loads it. The tree
@@ -106,7 +110,7 @@ def _cloud(points, scale):
     """
     from scipy.spatial import cKDTree
 
-    p = _positions(points) * scale
+    p = _positions(points) * CHAMFER_SCALE
     if len(p) == 0:
         raise DomainError("chamfer on an empty point set")
     return p, cKDTree(p, balanced_tree=False, compact_nodes=False)
@@ -145,14 +149,14 @@ def _chamfer(a, b, squared=False):
     return float(da.mean() + db.mean())
 
 
-def chamfer_distance(a, b, scale=128.0, squared=False):
+def chamfer_distance(a, b, squared=False):
     """Symmetric sum of mean nearest-neighbor distances.
 
-    Coordinates are scaled so the unit box maps to a box of size `scale`
-    before distances are taken. Nearest neighbors come from a k-d tree and
-    are exact.
+    Coordinates are scaled so the unit box maps to a box of size
+    CHAMFER_SCALE before distances are taken. Nearest neighbors come from
+    a k-d tree and are exact.
     """
-    return _chamfer(_cloud(a, scale), _cloud(b, scale), squared)
+    return _chamfer(_cloud(a), _cloud(b), squared)
 
 
 def iou(pred_voxels, gt_voxels):

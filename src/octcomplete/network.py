@@ -224,7 +224,6 @@ class DecodeResult:
     gt_status: Dict[int, np.ndarray] = field(default_factory=dict)
     head_out: Optional[FeatureMap] = None
     head_rows: Optional[np.ndarray] = None
-    skip_levels: List[int] = field(default_factory=list)
     state: Optional[DecoderState] = None
     # inference: level -> (rows expanded, expand_cap guard's cap), per guarded level
     growth: Dict[int, Tuple[int, float]] = field(default_factory=dict)
@@ -304,9 +303,9 @@ class CompletionNet:
         hl = self.head_layers
         bmap = batch.block_map(8)
         x = hl["conv8"].forward(nn.nonempty(batch.signal_fm(), bmap), bmap, train)
-        x = nn.max_pool(x, bmap)
+        x = nn.max_pool(x, bmap)  # level 7's nonempty rows
         bmap = batch.block_map(7)
-        x = hl["conv7"].forward(nn.nonempty(x, bmap), bmap, train)
+        x = hl["conv7"].forward(x, bmap, train)
         x = hl["rb7"].forward(x, bmap, train)
         return hl["down7"].forward(x, bmap, train)
 
@@ -395,7 +394,6 @@ class CompletionNet:
                     parent_index,
                     StatusMask(mask_vals),
                 )
-                res.skip_levels.append(l)
 
             x = self.dec_rb[l].forward(x, bmap, train)
             del bmap  # a level's map lives only while the level runs

@@ -49,9 +49,6 @@ class Parameters:
     def __getitem__(self, name):
         return self.store[name]
 
-    def total_count(self):
-        return sum(fm.values.size for fm in self.store.values())
-
     def zero_grad(self):
         for fm in self.store.values():
             fm.grad = None
@@ -460,18 +457,14 @@ def upsample(x, bmap, weight):
 
 
 def max_pool(x, bmap):
-    """Per-channel max over each node's 8 children.
+    """Per-channel max over each node's 8 children -> one row per owner.
 
-    `bmap` is the BlockMap of x's level. Children flagged empty count as
-    -inf; parent rows whose children are all empty (or that own none)
-    produce zero rows. The gradient routes to the argmax child only. A
-    taped output carries a recipe over the argmax, kept as one byte per
-    (owner, channel), and x's reader: it reads only the nonempty argmax
-    child rows of the owners among the rows it is asked for, so an x that
-    carries a recipe is remade at those rows alone. The scene head's
-    output (109,224 rows x 16, read by `conv7`'s backward) is 6.7 MiB that
-    a train-scene tape no longer holds, for one remake of about 4 ms a
-    step.
+    `bmap` is the BlockMap of x's level, and the output holds one row per
+    owner of it (``owner_rows``, in order): on an encoder level, the
+    parent level's nonempty rows, which its convolutions read. Children
+    flagged empty count as -inf; an owner whose children are all empty
+    gives a zero row. The gradient routes to the argmax child only, kept
+    as one byte per (owner, channel); backward reads no values.
     """
     if bmap.rows != x.rows:
         raise DomainError("block map row mismatch")
@@ -481,10 +474,9 @@ def max_pool(x, bmap):
     arg = vals.argmax(axis=1)  # (owners, c)
     best = np.take_along_axis(vals, arg[:, None, :], axis=1)[:, 0, :]
     dead = empty.reshape(owners, 8).all(axis=1)
-    out = np.zeros((bmap.parent_rows, c), dtype=x.values.dtype)
-    out[bmap.owner_rows] = np.where(dead[:, None], 0.0, best)
+    out = np.where(dead[:, None], 0.0, best)
     arg = arg.astype(np.uint8)  # the argmax child slot, one byte per (owner, channel)
-    shape, dtype, read = x.values.shape, x.values.dtype, ad.reader(x)
+    shape, dtype = x.values.shape, x.values.dtype
 
     def back(g):
         src = 8 * np.arange(owners)[:, None] + arg  # (owners, c) argmax child rows
@@ -493,34 +485,11 @@ def max_pool(x, bmap):
         ga = np.zeros(shape, dtype)
         valid = ~empty[src]
         cols = np.broadcast_to(np.arange(c), src.shape)
-        ga[src[valid], cols[valid]] = g[bmap.owner_rows][valid]
+        ga[src[valid], cols[valid]] = g[valid]
         return (ga,)
 
-    def remake(rows=None):
-        ks = np.full(bmap.parent_rows, -1)  # the owner rank of each row, -1 for none
-        ks[bmap.owner_rows] = np.arange(owners)
-        if rows is not None:
-            ks = ks[rows]
-        res = np.zeros((len(ks), c), dtype)
-        at = np.flatnonzero(ks >= 0)
-        ks = ks[at]
-        src = 8 * ks[:, None] + arg[ks]  # (owners asked, c) argmax child rows
-        # an empty argmax child is the forward's -inf; a dead owner's are all empty
-        full = ~empty[src]
-        # the rows to read, in order, marked per row of x rather than found
-        # by a sort of the argmax rows, and each argmax's flat index into
-        # what is read
-        mark = np.zeros(len(empty), dtype=bool)
-        mark[src[full]] = True
-        flat = (np.cumsum(mark) - 1)[src] * c + np.arange(c)
-        best = np.full(src.shape, -np.inf, dtype)
-        best[full] = np.take(read(np.flatnonzero(mark)), flat[full])
-        best[dead[ks]] = 0.0
-        res[at] = best
-        return res
-
     out_level = None if x.level is None else x.level - 1
-    return ad.custom_op(out, [x], back, level=out_level, remake=remake)
+    return ad.custom_op(out, [x], back, level=out_level)
 
 
 # Batch norm walks a map in row blocks of about this many bytes, so each
@@ -709,7 +678,7 @@ class ConvBnRelu:
     runs at stride 1 (octree_conv) and kernel 2 at stride 2 (downsample).
     """
 
-    def __init__(self, params, prefix, in_c, out_c, kernel=3, rng=None):
+    def __init__(self, params, prefix, in_c, out_c, kernel, rng):
         self.kernel = kernel
         taps = {3: 27, 2: 8}[kernel]
         self.w = params.create(f"{prefix}.w", he_init(rng, out_c, in_c * taps))
@@ -724,7 +693,7 @@ class ConvBnRelu:
 class Deconv:
     """Upsample(c): deconvolution (k=2, s=2) + BN + ReLU."""
 
-    def __init__(self, params, prefix, in_c, out_c, rng=None):
+    def __init__(self, params, prefix, in_c, out_c, rng):
         self.w = params.create(f"{prefix}.w", he_init(rng, 8 * out_c, in_c))
         self.bn = make_bn(params, f"{prefix}.bn", out_c)
 
@@ -770,7 +739,7 @@ class ResBlockStack:
     batch-norm output that the blocks read are 1.7 MiB each, not 13.3.
     """
 
-    def __init__(self, params, prefix, in_c, c, n, rng=None):
+    def __init__(self, params, prefix, in_c, c, n, rng):
         if c % 4 != 0:
             raise DomainError("resblock channels must be divisible by 4")
         self.blocks = []
@@ -803,7 +772,7 @@ class MLPHead:
     in backward for the output layer's weight gradient, not kept.
     """
 
-    def __init__(self, params, prefix, in_c, hidden, out_c, rng=None):
+    def __init__(self, params, prefix, in_c, hidden, out_c, rng):
         self.w1 = params.create(f"{prefix}.w1", he_init(rng, hidden, in_c))
         self.b1 = params.create(f"{prefix}.b1", np.zeros((1, hidden)), decay=False)
         self.w2 = params.create(f"{prefix}.w2", he_init(rng, out_c, hidden))

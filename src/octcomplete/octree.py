@@ -383,13 +383,11 @@ def build_octree(points: PointSet, depth: int) -> Octree:
     return Octree(depth=depth, levels=levels, signal=signal)
 
 
-def octree_from_codes(finest_codes, depth, signal=None):
-    """Octree directly from finest-cell key codes (zero signal by default)."""
+def octree_from_codes(finest_codes, depth):
+    """Octree directly from finest-cell key codes, with a zero signal."""
     _check_depth(depth, lo=1)
     levels = build_levels(finest_codes, depth)
-    rows = levels[depth].num_nodes
-    if signal is None:
-        signal = np.zeros((rows, 4), dtype=np.float32)
+    signal = np.zeros((levels[depth].num_nodes, 4), dtype=np.float32)
     return Octree(depth=depth, levels=levels, signal=signal)
 
 

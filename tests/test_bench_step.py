@@ -53,3 +53,18 @@ def test_bench_step_trains_the_scene_head_on_rooms(bench_step, capsys):
     assert tiny["scene_head"] and tiny["input_depth"] == 8
     (_, first), (_, second) = run_steps(bench_step, tiny, 2, capsys)
     assert first != second
+
+
+def test_scene_spec_is_perfbench_train_scene(bench_step, monkeypatch):
+    """`--scene` trains perfbench's train-scene net on a batch of its size,
+    so its digests check the arithmetic that workload runs."""
+    perfbench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    monkeypatch.syspath_prepend(perfbench)  # bench.py imports its sibling spans.py
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_bench", os.path.join(perfbench, "bench.py")
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    scene = bench.WORKLOADS["train-scene"]
+    assert bench_step.SCENE_SPEC == scene.spec
+    assert len(bench_step.SCENE_SEEDS) == scene.batch_size

@@ -61,7 +61,7 @@ def test_shapes_fit_unit_box():
 
 def test_scan_six_views_keeps_most_of_a_sphere():
     s = dt.make_shape("sphere", density=5000, seed=5)
-    scan = dt.virtual_scan(s, dt.ScanConfig(num_views=6, image_res=128, seed=5))
+    scan = dt.virtual_scan(s, dt.ScanConfig(num_views=6, seed=5))
     assert len(scan) >= 0.95 * len(s)
 
 

@@ -170,7 +170,7 @@ def test_chamfer_distances_equal_a_plain_tree_query(cloud, squared, rng):
     else:
         g = np.stack(np.meshgrid(*[np.arange(7.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
         a, b = g[rng.permutation(len(g))] / 8, (g[::3] + 0.5) / 8
-    ca, cb = losses._cloud(a, 128.0), losses._cloud(b, 128.0)
+    ca, cb = losses._cloud(a), losses._cloud(b)
     pa, pb = a * 128.0, b * 128.0
     da = cKDTree(pb).query(pa, workers=1)[0]
     db = cKDTree(pa).query(pb, workers=1)[0]

@@ -3,13 +3,14 @@
 import gc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from octcomplete import autodiff as ad
 from octcomplete import data as dt
-from octcomplete import kernels, network, nn, octree, skip, train
+from octcomplete import cli, kernels, network, nn, octree, skip, train
 from octcomplete.errors import DomainError, NumericalError
 from octcomplete.network import (
     CompletionNet,
@@ -121,11 +122,25 @@ def test_spec_depth_above_max_is_rejected_before_any_weight(monkeypatch):
     NetworkSpec(input_depth=MAX_DEPTH, output_depth=MAX_DEPTH).validate()
 
 
-def test_teacher_forced_decode_follows_gt():
+def skip_add_levels(monkeypatch):
+    """The levels of the decoder rows each guided_skip_add call adds to,
+    in call order."""
+    levels, skip_add = [], network.guided_skip_add
+
+    def spy(x, *args):
+        levels.append(x.level)
+        return skip_add(x, *args)
+
+    monkeypatch.setattr(network, "guided_skip_add", spy)
+    return levels
+
+
+def test_teacher_forced_decode_follows_gt(monkeypatch):
     partial, gt = sphere_octree()
     spec = small_spec()
     net = CompletionNet(spec, seed=0)
     ib, gb = OctreeBatch([partial]), OctreeBatch([gt])
+    skips = skip_add_levels(monkeypatch)
     with ad.Tape():
         code, feats = net.encode(ib, train=True)
         res = net.decode(code, ib, feats, gt_batch=gb, train=True)
@@ -135,7 +150,7 @@ def test_teacher_forced_decode_follows_gt():
     # head rows are the gt-nonempty finest rows
     assert np.array_equal(res.head_rows, np.flatnonzero(gt.levels[4].status == 1))
     # skip applied at every decoder level
-    assert res.skip_levels == [3, 4]
+    assert skips == [3, 4]
     # structure logits and losses exist for levels 3..depth
     assert sorted(res.logits.keys()) == [3, 4]
 
@@ -164,14 +179,47 @@ def test_teacher_forced_decoder_grows_the_gt_batch_levels_and_pairs():
             assert got == set(zip(want_o.tolist(), want_i.tolist())), (l, t)
 
 
-def test_decode_without_skip_has_no_skip_levels():
+def test_decode_without_skip_has_no_skip_levels(monkeypatch):
     partial, gt = sphere_octree()
     net = CompletionNet(small_spec(skip_mode="off"), seed=0)
     ib, gb = OctreeBatch([partial]), OctreeBatch([gt])
+    skips = skip_add_levels(monkeypatch)
     with ad.Tape():
         code, feats = net.encode(ib, train=True)
-        res = net.decode(code, ib, feats, gt_batch=gb, train=True)
-    assert res.skip_levels == []
+        net.decode(code, ib, feats, gt_batch=gb, train=True)
+    assert skips == []
+
+
+def test_guided_and_full_skips_run_the_same_inference():
+    """At inference a decoder row exists only below a parent predicted
+    nonempty, so the guide S(parent(x)) is 1 at every decoder row: the same
+    weights complete a scan bit for bit alike under guided and full skips,
+    on a shape net and on a scene net, and otherwise without skips. Under
+    teacher forcing the decoder grows the ground truth, also below parents
+    predicted empty, and the two modes' losses differ."""
+    partial, _ = sphere_octree()
+    room = scene_batches()[0].octrees[0]
+    for spec, scan in ((small_spec(), partial), (scene_spec(), room)):
+        modes = ("guided", "full", "off")
+        nets = {m: CompletionNet(replace(spec, skip_mode=m), seed=0) for m in modes}
+        for net in nets.values():
+            for name in net.params.names():
+                assert np.array_equal(net.params[name].values, nets["guided"].params[name].values)
+        done = {m: net.complete(scan) for m, net in nets.items()}
+        out = {
+            m: (s.leaf_codes, s.patches if spec.task == "completion" else s.semantic_logits)
+            for m, s in done.items()
+        }
+        assert len(out["guided"][0]) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(out["guided"], out["full"]))
+        assert not np.array_equal(out["guided"][0], out["off"][0])
+    pair = cli.make_shape_pair(0, views=2)
+    losses = []
+    for mode in ("guided", "full"):
+        spec = small_spec(skip_mode=mode)
+        trainer = Trainer(CompletionNet(spec, seed=0), TrainConfig(), [prepare_sample(pair, spec)])
+        losses.append(trainer.step([0], 0.01).total)
+    assert losses[0] != losses[1]
 
 
 def test_abandoned_taped_forward_leaves_no_cyclic_garbage(collector_off):
@@ -193,9 +241,10 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
     (relu or not), every inner residual block output given a recipe
     (every second one, from the first: blocks 1 and 3 of 4), every MLP
     hidden layer and every guided skip output are freed, and each of
-    those carries a recipe until backward and none after. So are, with the
-    scene head, the `max_pool` output and the 1x1 projection's linear
-    output, which its batch norm reads through its recipe. The
+    those carries a recipe until backward and none after. So is, with the
+    scene head, the 1x1 projection's linear output, which its batch norm
+    reads through its recipe; the `max_pool` output, level 7's nonempty
+    rows, stays alive for conv7's backward and carries none. The
     other block outputs stay alive and carry none, among them every
     stack's last, which the next layer reads as it is. Without residual
     blocks and skips, upsample, downsample and the heads read batch-norm
@@ -209,7 +258,7 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
     batch_norm, add_relu, linear_relu = nn.batch_norm, ad.add_relu, ad.linear_relu
     linear, max_pool, downsample = ad.linear, nn.max_pool, nn.downsample
     skip_add, stack_forward = network.guided_skip_add, nn.ResBlockStack.forward
-    freed, kept, stacks, slots = {}, [], [], []
+    freed, kept, pooled, stacks, slots = {}, [], [], [], []
     # (level map, rows) of the stream's maps kept as nonempty rows, (level
     # map, values) of those of every row, and the running stack's map
     stream, full_row, in_stack = [], [], []
@@ -236,6 +285,11 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
         # heads' outputs are read by the losses as they are
         return watch("projection", out) if bias is None else out
 
+    def max_pool_spy(x, bmap):
+        out = max_pool(x, bmap)
+        pooled.append((weakref.ref(out.values), out._slot))
+        return out
+
     def stack_spy(self, x, bmap, train):
         in_stack.append(bmap)
         full_row.append((bmap, weakref.ref(x.values)))
@@ -254,7 +308,7 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
         return lambda *args, **kw: watch(kind, op(*args, **kw))
 
     monkeypatch.setattr(nn, "batch_norm", spy("batch_norm", batch_norm))
-    monkeypatch.setattr(nn, "max_pool", spy("max_pool", max_pool))
+    monkeypatch.setattr(nn, "max_pool", max_pool_spy)
     monkeypatch.setattr(ad, "add_relu", add_relu_spy)
     monkeypatch.setattr(ad, "linear", linear_spy)
     monkeypatch.setattr(ad, "linear_relu", spy("hidden", linear_relu))
@@ -272,7 +326,7 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
         net = CompletionNet(spec, seed=0)
         n_res, scene = spec.n_res, int(spec.scene_head)
         freed.clear()
-        del kept[:], stacks[:], slots[:], stream[:], full_row[:]
+        del kept[:], pooled[:], stacks[:], slots[:], stream[:], full_row[:]
         with ad.Tape() as tape:
             code, feats = net.encode(ib, train=True)
             res = net.decode(code, ib, feats, gt_batch=gb, train=True)
@@ -291,12 +345,12 @@ def test_tape_keeps_no_output_that_no_backward_reads(monkeypatch, collector_off)
             assert len(kept) == (n_res - remade) * len(stacks)
             assert len(stacks) == (0 if n_res == 0 else len(net.enc_rb) + len(net.dec_rb) + scene)
             assert ("skip" in freed) == (spec.skip_mode != "off")
-            assert len(freed.get("projection", [])) == len(freed.get("max_pool", [])) == scene
+            assert len(freed.get("projection", [])) == len(pooled) == scene
             assert {k: [r for r in v if r() is not None] for k, v in freed.items()} == {
                 k: [] for k in freed
             }
             assert all(s.remake is not None for s in slots)
-            assert all(r() is not None and s.remake is None for r, s in kept)
+            assert all(r() is not None and s.remake is None for r, s in kept + pooled)
             assert all(r() is not None for r in stacks)
             loss = ad.sum_all(res.head_out)
             for logits in res.logits.values():

@@ -589,7 +589,9 @@ def test_max_pool_grad_matches_add_at(rng):
     g = rng.normal(size=(table.shape[0], c)).astype(np.float32)
     bmap = block_map_of(o, 4)
     pool = lambda x, w: nn.max_pool(x, bmap)
-    gx, _ = taped_grads(pool, ad.parameter(xv.copy()), None, g)
+    # the output is the owner rows; a row that owns no children reads none
+    assert (np.delete(table, bmap.owner_rows, axis=0) < 0).all()
+    gx, _ = taped_grads(pool, ad.parameter(xv.copy()), None, g[bmap.owner_rows])
     vals = kernels.gather_rows(xv, table.ravel()).reshape(-1, 8, c)
     vals[table < 0] = -np.inf
     src = np.take_along_axis(table, vals.argmax(axis=1), axis=1)  # argmax child rows
@@ -655,8 +657,11 @@ def test_max_pool_on_batch_matches_child_table_oracle(rng):
     vals = kernels.gather_rows(xv, table.ravel()).reshape(-1, 8, c)
     vals[table < 0] = -np.inf
     want = np.where((table < 0).all(axis=1)[:, None], 0.0, vals.max(axis=1))
-    assert np.array_equal(pool(FeatureMap(xv), None).values, want.astype(np.float32))
-    gx, _ = taped_grads(pool, ad.parameter(xv.copy()), None, g)
+    owners = bmap.owner_rows  # the output's rows, in order
+    assert np.array_equal(owners, np.flatnonzero(batch.levels[3].status))
+    assert (np.delete(table, owners, axis=0) < 0).all()
+    assert np.array_equal(pool(FeatureMap(xv), None).values, want[owners].astype(np.float32))
+    gx, _ = taped_grads(pool, ad.parameter(xv.copy()), None, g[owners])
     src = np.take_along_axis(table, vals.argmax(axis=1), axis=1)  # argmax child rows
     chans = np.broadcast_to(np.arange(c), src.shape)
     ok = src >= 0
@@ -720,7 +725,8 @@ def test_block_ops_reject_mismatched_child_rows(rng):
     for level, cst in ((short_owner, child_status), (up, child_status[:-8])):
         with pytest.raises(DomainError):
             nn.BlockMap(level, batch.pairs(3), cst)
-    assert nn.downsample(kept, bmap, w).rows == nn.max_pool(x, bmap).rows == up.num_nodes
+    assert nn.downsample(kept, bmap, w).rows == up.num_nodes
+    assert nn.max_pool(x, bmap).rows == bmap.owners
     assert nn.upsample(parent, bmap, wu).rows == bmap.rows
 
 
@@ -1263,8 +1269,8 @@ def test_max_pool_all_empty_children_zero(rng):
     child_status[:2] = 1
     roots = make_level(np.arange(3, dtype=np.uint64), status, True)
     y = nn.max_pool(x, nn.BlockMap(roots, root_pairs(status), child_status))
+    assert y.rows == 2  # one row per owner: roots 0 and 2
     assert np.array_equal(y.values[1], np.zeros(2))
-    assert np.array_equal(y.values[2], np.zeros(2))
     assert np.allclose(y.values[0], np.maximum(x.values[0], x.values[1]))
 
 
@@ -1288,22 +1294,13 @@ def pool_case(rng, c=3):
     return nn.BlockMap(roots, root_pairs(status), child_status), xv
 
 
-def argmax_child_rows(bmap, xv, owners):
-    """The nonempty argmax child rows of `owners` (ranks), brute force."""
-    vals = np.where(bmap.empty[:, None], -np.inf, xv).reshape(bmap.owners, 8, -1)
-    src = 8 * np.arange(bmap.owners)[:, None] + vals.argmax(axis=1)
-    src = src[owners]
-    return np.unique(src[~bmap.empty[src]])
-
-
-def test_max_pool_recipe_remakes_its_output_bit_for_bit(rng):
-    """A taped max_pool output carries a recipe that remakes it bit for
-    bit, whole and at rows in any order and with repeats, on a map with
-    empty children, a dead owner, tied maxima, values below its empty
-    children's and a -inf maximum. Over an input that itself carries a
-    recipe it reads only the nonempty argmax child rows of the owners
-    among the rows asked for. The output is freed once dropped, and its
-    recipe is dropped when max_pool replays."""
+def test_max_pool_gives_owner_rows_and_reads_no_values_in_backward(rng):
+    """One output row per owner, in order, on a map with empty children,
+    a dead owner, tied maxima, values below its empty children's and a
+    -inf maximum. The taped output carries no recipe, and backward reads
+    no values of an input that carries one: each (owner, channel)'s
+    gradient goes to its first nonempty argmax child, none where that
+    child is empty."""
     bmap, xv = pool_case(rng)
     asked = []
 
@@ -1311,27 +1308,32 @@ def test_max_pool_recipe_remakes_its_output_bit_for_bit(rng):
         asked.append(rows)
         return xv.copy() if rows is None else np.take(xv, rows, axis=0)
 
+    g = rng.normal(size=(bmap.owners, 3)).astype(np.float32)
     x0 = ad.parameter(xv.copy())
     with ad.Tape():
-        x = ad.custom_op(xv.copy(), [x0], lambda g: (g,), remake=recipe)
+        x = ad.custom_op(xv.copy(), [x0], lambda gx: (gx,), remake=recipe)
         out = nn.max_pool(x, bmap)
-        values, slot = out.values.copy(), out._slot
-        assert np.array_equal(values[[1, 2, 5]], np.zeros((3, 3)))  # two non-owners, one dead
-        assert (values[4] < 0).all() and values[4, 2] == -np.inf
-        assert np.array_equal(slot.remake(), values)
-        for rows, owners in (([6, 1, 3, 3, 0], [4, 2, 2, 0]), ([2, 5], []), ([4], [3])):
-            del asked[:]
-            got = slot.remake(np.array(rows))
-            assert got.dtype == np.float32
-            assert np.array_equal(got, values[rows])
-            assert len(asked) == 1
-            assert np.array_equal(asked[0], argmax_child_rows(bmap, xv, owners))
-        kept = weakref.ref(out.values)
-        loss = ad.sum_all(out)
-        del out
-        assert kept() is None
-        ad.backward(loss)
-    assert slot.remake is None and x0.grad is not None
+        assert out._slot.remake is None
+        values = out.values
+        ad.backward(ad.custom_op(np.zeros(1), [out], lambda _: (g,)))
+    assert asked == []
+    assert values.dtype == np.float32 and values.shape == (5, 3)
+    blocks = xv.reshape(5, 8, 3)
+    assert np.array_equal(values[0], blocks[0, :2].max(axis=0))
+    assert np.array_equal(values[1], np.zeros(3))  # the dead owner
+    assert np.array_equal(values[2], np.maximum(xv[16], xv[17]))
+    assert np.array_equal(values[3], np.maximum(xv[25], xv[30]))
+    assert (values[3] < 0).all() and values[3, 2] == -np.inf
+    assert np.array_equal(values[4], blocks[4].max(axis=0))
+    want = np.zeros_like(xv)
+    for ch in range(3):  # owner 0 reads children 0 and 1 alone, owner 4 all 8
+        want[np.argmax(xv[:2, ch]), ch] = g[0, ch]
+        want[32 + np.argmax(xv[32:, ch]), ch] = g[4, ch]
+    want[16, [0, 2]] = g[2, [0, 2]]  # the first of 8 ties
+    want[17, 1] = g[2, 1]  # the first of two ties
+    for ch in range(2):  # channel 2's argmax is an empty child: no gradient
+        want[25 if xv[25, ch] >= xv[30, ch] else 30, ch] = g[3, ch]
+    assert np.array_equal(x0.grad, want)
 
 
 def test_linear_recipe_remakes_its_output_bit_for_bit(rng):
@@ -1410,7 +1412,7 @@ def test_parameters_store():
     with pytest.raises(DomainError):
         p.create("a", np.ones(1))
     p.create("b", np.ones((1, 3)), trainable=False)
-    assert p.total_count() == 7
+    assert p["b"].values.shape == (1, 3) and not p.meta["b"]["trainable"]
     assert p.names() == ["a", "b"]
 
 
