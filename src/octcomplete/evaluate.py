@@ -8,6 +8,9 @@ from .losses import _chamfer, _cloud, chamfer_distance, iou
 from .network import CompletionNet, sample_points
 from .octree import PointSet, build_octree
 
+# Points sampled per predicted leaf before a completion is scored.
+SAMPLES_PER_NODE = 4
+
 
 def identity_baseline(partial: PointSet, complete: PointSet):
     """Distance of the raw partial input to the ground truth.
@@ -22,11 +25,12 @@ def eval_completion_sample(
     net: CompletionNet,
     partial: PointSet,
     complete: PointSet,
-    samples_per_node=4,
     seed=0,
 ):
     """Chamfer distance of the completed scan and of the raw scan (the
-    identity baseline) to the complete cloud, whose k-d tree both share."""
+    identity baseline) to the complete cloud, whose k-d tree both share.
+    The completion is scored at SAMPLES_PER_NODE points per leaf, sampled
+    with `seed`."""
     octree = build_octree(partial, net.spec.input_depth)
     shape = net.complete(octree)
     truth = _cloud(complete)
@@ -37,20 +41,19 @@ def eval_completion_sample(
     if shape.empty:
         out["chamfer"] = float("inf")
         return out, None
-    pred_points = sample_points(shape, samples_per_node=samples_per_node, seed=seed)
+    pred_points = sample_points(shape, samples_per_node=SAMPLES_PER_NODE, seed=seed)
     out["chamfer"] = _chamfer(_cloud(pred_points), truth)
     return out, pred_points
 
 
-def eval_completion(net, pairs, samples_per_node=4, seed=0):
-    """Mean metrics over (partial, complete) point-set pairs."""
+def eval_completion(net, pairs):
+    """Mean metrics over (partial, complete) point-set pairs; pair i's
+    completion is sampled with seed i."""
     if not pairs:
         raise DomainError("nothing to evaluate")
     rows = []
     for i, (partial, complete) in enumerate(pairs):
-        metrics, _ = eval_completion_sample(
-            net, partial, complete, samples_per_node=samples_per_node, seed=seed + i
-        )
+        metrics, _ = eval_completion_sample(net, partial, complete, seed=i)
         rows.append(metrics)
     return {
         "chamfer": float(np.mean([r["chamfer"] for r in rows])),

@@ -1,9 +1,11 @@
 """Hot inner-loop kernels: Morton bit interleaving, index-table row moves,
-the BLAS gemv behind the per-channel sums and the compiled row adds of the
-convolutions.
+the BLAS gemv behind the per-channel sums, the compiled row adds of the
+convolutions and the k-d tree of the nearest-neighbour queries.
 
-Every kernel but add_rows is plain numpy. Index tables use -1 for "no
-row"; gathers read it as a zero row.
+Every kernel but add_rows and kd_tree is plain numpy; those two run
+scipy's compiled loops, each extension loaded from its file (`_extension`)
+without importing its scipy subpackage. Index tables use -1 for "no row";
+gathers read it as a zero row.
 """
 
 import importlib.machinery
@@ -13,20 +15,21 @@ import os
 import numpy as np
 
 
-def _load_sparsetools():
-    """scipy's compiled `sparse._sparsetools` extension, loaded from its
-    file in scipy's install directory. Importing `scipy.sparse` for it
-    would pull in scipy's array-API layer, for one C loop: `import
-    octcomplete.train` loads 547 modules and peaks at 52.6 MiB of RSS that
-    way, against 236 and 36.1 MiB (2-core x86, Python 3.11, scipy 1.17)."""
+def _extension(package, name):
+    """scipy's compiled `scipy.<package>.<name>` extension, loaded from its
+    file in scipy's install directory without importing `scipy.<package>`.
+    Importing `scipy.sparse` for `_sparsetools` would pull in scipy's
+    array-API layer, for one C loop: `import octcomplete.train` loads 547
+    modules and peaks at 52.6 MiB of RSS that way, against 236 and 36.1 MiB
+    (2-core x86, Python 3.11, scipy 1.17)."""
     scipy = importlib.util.find_spec("scipy")  # finds the package, imports nothing
     if scipy is None:
         raise ImportError("octcomplete needs scipy")
-    base = os.path.join(scipy.submodule_search_locations[0], "sparse", "_sparsetools")
+    base = os.path.join(scipy.submodule_search_locations[0], package, name)
     suffixes = importlib.machinery.EXTENSION_SUFFIXES
     for path in (base + suffix for suffix in suffixes):
         if os.path.exists(path):
-            loader = importlib.machinery.ExtensionFileLoader("scipy.sparse._sparsetools", path)
+            loader = importlib.machinery.ExtensionFileLoader(f"scipy.{package}.{name}", path)
             module = importlib.util.module_from_spec(
                 importlib.util.spec_from_file_location(loader.name, path, loader=loader)
             )
@@ -35,7 +38,23 @@ def _load_sparsetools():
     raise ImportError(f"no compiled extension {base} with a suffix in {suffixes}", path=base)
 
 
-_sparsetools = _load_sparsetools()
+_sparsetools = _extension("sparse", "_sparsetools")
+_ckdtree = None  # loaded by the first kd_tree: its module init imports scipy.sparse
+
+
+def kd_tree(points, **options):
+    """scipy's `cKDTree(points, **options)`, from the `spatial/_ckdtree`
+    extension loaded by file on the first call. Importing `scipy.spatial`
+    for the class would also load `scipy.linalg` and `scipy.special`:
+    `import octcomplete.train, octcomplete.evaluate` and one Chamfer
+    distance read 68.5 MiB of RSS and 648 modules that way, against 53.6
+    MiB and 549 (2-core x86, Python 3.11, scipy 1.17). Loaded both ways
+    in one process, in either order, the two share one module."""
+    global _ckdtree
+    if _ckdtree is None:
+        _ckdtree = _extension("spatial", "_ckdtree")
+    return _ckdtree.cKDTree(points, **options)
+
 
 # magic masks that spread 21 bits over every third bit of a 64-bit word
 _SPREAD_MASKS = (

@@ -7,6 +7,7 @@ from typing import Dict
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 from .errors import DomainError
 
 
@@ -103,17 +104,16 @@ def _cloud(points):
     """A point set's positions scaled by CHAMFER_SCALE and the k-d tree
     over them.
 
-    scipy.spatial is imported here, where a tree is built, not with the
-    module: a training process builds none and so never loads it. The tree
-    splits at the midpoint and keeps loose boxes (balanced_tree=False,
-    compact_nodes=False), which builds faster; queries stay exact.
+    The tree is `kernels.kd_tree`, whose compiled module loads with the
+    first tree, not with this module: a training process builds none and
+    so never loads it. The tree splits at the midpoint and keeps loose
+    boxes (balanced_tree=False, compact_nodes=False), which builds faster;
+    queries stay exact.
     """
-    from scipy.spatial import cKDTree
-
     p = _positions(points) * CHAMFER_SCALE
     if len(p) == 0:
         raise DomainError("chamfer on an empty point set")
-    return p, cKDTree(p, balanced_tree=False, compact_nodes=False)
+    return p, kernels.kd_tree(p, balanced_tree=False, compact_nodes=False)
 
 
 def _cpus():

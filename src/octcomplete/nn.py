@@ -464,19 +464,26 @@ def max_pool(x, bmap):
     parent level's nonempty rows, which its convolutions read. Children
     flagged empty count as -inf; an owner whose children are all empty
     gives a zero row. The gradient routes to the argmax child only, kept
-    as one byte per (owner, channel); backward reads no values.
+    as one byte per (owner, channel); backward reads no values. The
+    forward walks the owners in blocks of about BN_BLOCK_BYTES of input,
+    so the -inf copy and the int64 argmax exist one block at a time.
     """
     if bmap.rows != x.rows:
         raise DomainError("block map row mismatch")
     owners, c = bmap.owners, x.channels
     empty = np.zeros(x.rows, dtype=bool) if bmap.empty is None else bmap.empty
-    vals = np.where(empty[:, None], -np.inf, x.values).reshape(owners, 8, c)
-    arg = vals.argmax(axis=1)  # (owners, c)
-    best = np.take_along_axis(vals, arg[:, None, :], axis=1)[:, 0, :]
-    dead = empty.reshape(owners, 8).all(axis=1)
-    out = np.where(dead[:, None], 0.0, best)
-    arg = arg.astype(np.uint8)  # the argmax child slot, one byte per (owner, channel)
+    empty8, xv = empty.reshape(owners, 8), x.values.reshape(owners, 8, c)
     shape, dtype = x.values.shape, x.values.dtype
+    out = np.empty((owners, c), dtype)
+    arg = np.empty((owners, c), np.uint8)  # the argmax child slot, one byte per (owner, channel)
+    step = max(1, BN_BLOCK_BYTES // (8 * c * x.values.itemsize))
+    for a in range(0, owners, step):
+        b = slice(a, a + step)
+        vals = np.where(empty8[b, :, None], -np.inf, xv[b])
+        k = vals.argmax(axis=1)
+        arg[b] = k
+        out[b] = np.take_along_axis(vals, k[:, None, :], axis=1)[:, 0, :]
+    out[empty8.all(axis=1)] = 0.0
 
     def back(g):
         src = 8 * np.arange(owners)[:, None] + arg  # (owners, c) argmax child rows

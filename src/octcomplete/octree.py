@@ -414,14 +414,14 @@ def estimate_normals(positions, k=16) -> PointSet:
     The normal is the smallest-eigenvalue eigenvector, sign-oriented away
     from the centroid. Neighborhoods of rank < 2 fall back to the
     orientation direction and are counted in ``degenerate_normals``.
+    The neighbors come from one `kernels.kd_tree` with scipy's default
+    options, which loads its compiled module on the first tree built.
     """
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     n = len(positions)
     if n < k + 1:
         raise DomainError(f"need at least {k + 1} points for normal estimation")
-    from scipy.spatial import cKDTree  # loaded only where a tree is built
-
-    tree = cKDTree(positions)
+    tree = kernels.kd_tree(positions)
     _, nbr = tree.query(positions, k=k + 1)
     nbr_pts = positions[nbr]  # (n, k+1, 3)
     mean = nbr_pts.mean(axis=1, keepdims=True)

@@ -1,5 +1,7 @@
 """Row kernels against plain numpy references."""
 
+import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,6 +34,15 @@ def test_gather_rows_copies_no_source(rng):
         tracemalloc.stop()
     assert np.array_equal(got, np.where((idx >= 0)[:, None], src[idx], 0.0))
     assert peak < src.nbytes // 10
+
+
+def test_extension_without_a_file_names_its_path():
+    """A scipy extension with no compiled file raises ImportError naming
+    the path it looked for; no fallback import is tried."""
+    base = os.path.join("scipy", "spatial", "_no_such_extension")
+    with pytest.raises(ImportError, match=re.escape(base)) as err:
+        kernels._extension("spatial", "_no_such_extension")
+    assert err.value.path.endswith(base)
 
 
 def csc_product(rows, values, n_out):

@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 
 from octcomplete import autodiff as ad
 from octcomplete import data as dt
-from octcomplete import evaluate, losses
+from octcomplete import evaluate, kernels, losses
 from octcomplete.errors import DomainError
 from octcomplete.losses import (
     chamfer_distance,
@@ -158,6 +158,34 @@ def test_chamfer_accepts_pointsets(rng):
     assert chamfer_distance(ps, pos) == 0.0
 
 
+def two_clouds(cloud, rng):
+    """Two unit-box point sets: random, or a shuffled lattice and a
+    lattice offset from it by half a step, which makes exact ties between
+    nearest neighbors."""
+    if cloud == "random":
+        return rng.random((700, 3)), rng.random((500, 3))
+    g = np.stack(np.meshgrid(*[np.arange(7.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    return g[rng.permutation(len(g))] / 8, (g[::3] + 0.5) / 8
+
+
+@pytest.mark.parametrize("k", [1, 17])
+@pytest.mark.parametrize("cloud", ["random", "lattice"])
+def test_kd_tree_queries_equal_scipy_spatials_bit_for_bit(cloud, k, rng):
+    """kernels.kd_tree, with _cloud's options and with the defaults,
+    answers k-nearest queries with the distances and indices of a
+    scipy.spatial.cKDTree of the same options, bit for bit."""
+    a, b = two_clouds(cloud, rng)
+    pa, tree = losses._cloud(a)
+    pb = b * losses.CHAMFER_SCALE
+    pairs = [
+        (tree, cKDTree(pa, balanced_tree=False, compact_nodes=False)),
+        (kernels.kd_tree(pa), cKDTree(pa)),
+    ]
+    for got, want in pairs:
+        (gd, gi), (wd, wi) = got.query(pb, k=k), want.query(pb, k=k)
+        assert np.array_equal(gd, wd) and np.array_equal(gi, wi)
+
+
 @pytest.mark.parametrize("squared", [False, True])
 @pytest.mark.parametrize("cloud", ["random", "lattice"])
 def test_chamfer_distances_equal_a_plain_tree_query(cloud, squared, rng):
@@ -165,11 +193,7 @@ def test_chamfer_distances_equal_a_plain_tree_query(cloud, squared, rng):
     by a midpoint-split tree, equal a balanced tree's single-worker query
     in input order bit for bit, so the means do too; the lattice makes
     exact ties between nearest neighbors."""
-    if cloud == "random":
-        a, b = rng.random((700, 3)), rng.random((500, 3))
-    else:
-        g = np.stack(np.meshgrid(*[np.arange(7.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
-        a, b = g[rng.permutation(len(g))] / 8, (g[::3] + 0.5) / 8
+    a, b = two_clouds(cloud, rng)
     ca, cb = losses._cloud(a), losses._cloud(b)
     pa, pb = a * 128.0, b * 128.0
     da = cKDTree(pb).query(pa, workers=1)[0]
@@ -212,19 +236,21 @@ def test_chamfer_empty_error():
 
 def test_eval_completion_sample_shares_the_complete_clouds_tree(monkeypatch):
     """The raw scan and the completion are both scored against one k-d tree
-    of the complete cloud, and both scores equal separate chamfer_distance
-    calls bit for bit."""
+    of the complete cloud (three trees built through kernels.kd_tree), and
+    both scores equal separate chamfer_distance calls bit for bit."""
     spec = NetworkSpec(input_depth=4, output_depth=4, n_res=1, c0=8, c_max=16, hidden=8)
     net = CompletionNet(spec, seed=3)
     complete = dt.make_shape("sphere", density=2500, seed=0)
     partial = dt.virtual_scan(complete, dt.ScanConfig(num_views=2, seed=0))
     built = []
 
+    kd_tree = kernels.kd_tree
+
     def counted_tree(points, **options):
         built.append(len(points))
-        return cKDTree(points, **options)
+        return kd_tree(points, **options)
 
-    monkeypatch.setattr("scipy.spatial.cKDTree", counted_tree)
+    monkeypatch.setattr(kernels, "kd_tree", counted_tree)
     metrics, pred = evaluate.eval_completion_sample(net, partial, complete)
     assert pred is not None
     assert built == [len(complete.positions), len(partial.positions), len(pred.positions)]
@@ -232,6 +258,21 @@ def test_eval_completion_sample_shares_the_complete_clouds_tree(monkeypatch):
     assert metrics["baseline"] == chamfer_distance(partial, complete)
     assert metrics["baseline"] == evaluate.identity_baseline(partial, complete)
     assert metrics["chamfer"] == chamfer_distance(pred, complete)
+
+
+def test_eval_completion_samples_pair_i_with_seed_i():
+    """eval_completion's row i is eval_completion_sample's metrics at
+    seed i, and the mean chamfer is the rows' mean; at one seed for every
+    pair the rows would differ, as the sampled points do."""
+    spec = NetworkSpec(input_depth=4, output_depth=4, n_res=1, c0=8, c_max=16, hidden=8)
+    net = CompletionNet(spec, seed=3)
+    complete = dt.make_shape("sphere", density=2500, seed=0)
+    partial = dt.virtual_scan(complete, dt.ScanConfig(num_views=2, seed=0))
+    report = evaluate.eval_completion(net, [(partial, complete)] * 2)
+    rows = [evaluate.eval_completion_sample(net, partial, complete, seed=i)[0] for i in (0, 1)]
+    assert report["per_sample"] == rows
+    assert rows[0]["chamfer"] != rows[1]["chamfer"]
+    assert report["chamfer"] == float(np.mean([r["chamfer"] for r in rows]))
 
 
 def test_iou_counting_oracle(rng):

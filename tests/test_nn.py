@@ -1336,6 +1336,58 @@ def test_max_pool_gives_owner_rows_and_reads_no_values_in_backward(rng):
     assert np.array_equal(x0.grad, want)
 
 
+def pooled(x, bmap, g):
+    """max_pool's output values and its input gradient for upstream g."""
+    x = ad.parameter(x)
+    with ad.Tape():
+        out = nn.max_pool(x, bmap)
+        ad.backward(ad.custom_op(np.zeros(1), [out], lambda _: (g,)))
+    return out.values, x.grad
+
+
+@pytest.mark.parametrize("case", ["pool_case", "scan_batch"])
+def test_max_pool_in_row_blocks_is_bit_identical(case, rng, monkeypatch):
+    """The forward walks the owners in blocks of about BN_BLOCK_BYTES of
+    input: blocks of 3 owners (pool_case's 5 owners: dead, tied, -inf and
+    below-empty ones) or 7 (two merged scans), the last one ragged, give
+    the output and gradient of one block over the whole map bit for bit."""
+    if case == "pool_case":
+        bmap, xv, per_block = *pool_case(rng), 3
+    else:
+        bmap, per_block = scan_batch().block_map(4), 7
+        xv = rng.normal(size=(bmap.rows, 6)).astype(np.float32)
+    assert bmap.owners % per_block
+    g = rng.normal(size=(bmap.owners, xv.shape[1])).astype(np.float32)
+    monkeypatch.setattr(nn, "BN_BLOCK_BYTES", 1 << 40)
+    want = pooled(xv.copy(), bmap, g)
+    monkeypatch.setattr(nn, "BN_BLOCK_BYTES", per_block * 8 * xv.shape[1] * xv.itemsize)
+    got = pooled(xv.copy(), bmap, g)
+    assert got[0].dtype == want[0].dtype == np.float32
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_max_pool_forward_holds_one_block_of_its_input(rng):
+    """The forward's traced peak on a 2 MiB float32 input (4096 owners of
+    8 children, 16 channels, a quarter of the children empty) stays below
+    half the input's bytes: the -inf copy and the int64 argmax are made
+    one block at a time, and what stays is the output and one byte per
+    (owner, channel)."""
+    owners, c = 4096, 16
+    status = np.ones(owners, dtype=np.uint8)
+    child_status = (rng.random(8 * owners) < 0.75).astype(np.uint8)
+    roots = make_level(np.arange(owners, dtype=np.uint64), status, True)
+    bmap = nn.BlockMap(roots, root_pairs(status), child_status)
+    x = FeatureMap(rng.normal(size=(8 * owners, c)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        out = nn.max_pool(x, bmap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.values.shape == (owners, c)
+    assert peak < x.values.nbytes // 2
+
+
 def test_linear_recipe_remakes_its_output_bit_for_bit(rng):
     """ad.linear gives a taped output a recipe over its input's reader
     that remakes it bit for bit, whole and at rows in any order and with

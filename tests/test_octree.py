@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octcomplete import data as dt
+from octcomplete import kernels
 from octcomplete.errors import DomainError
 from octcomplete.network import OctreeBatch
 from octcomplete.octree import (
@@ -410,6 +411,26 @@ def test_majority_labels_match_add_at(rng):
     want = counts.argmax(axis=1).astype(np.int32)
     want[counts.sum(axis=1) == 0] = -1
     assert np.array_equal(majority_labels(o, ps), want)
+
+
+@pytest.mark.parametrize("cloud", ["sphere", "lattice"])
+def test_estimate_normals_equal_a_scipy_spatial_tree(cloud, monkeypatch):
+    """estimate_normals gives the same normals, bit for bit, with
+    scipy.spatial's cKDTree in place of kernels.kd_tree; the lattice makes
+    ties between neighbors."""
+    from scipy.spatial import cKDTree
+
+    if cloud == "sphere":
+        pts = dt.make_shape("sphere", density=3000, seed=5).positions
+    else:
+        g = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        pts = g / 8 + 0.1
+    want = estimate_normals(pts, k=12)
+    monkeypatch.setattr(kernels, "kd_tree", lambda points, **options: cKDTree(points, **options))
+    got = estimate_normals(pts, k=12)
+    assert np.array_equal(got.positions, want.positions)
+    assert np.array_equal(got.normals, want.normals)
+    assert got.degenerate_normals == want.degenerate_normals
 
 
 def test_estimate_normals_sphere():

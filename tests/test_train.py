@@ -145,7 +145,7 @@ import sys
 import numpy as np
 
 import octcomplete.cli, octcomplete.evaluate, octcomplete.train
-from octcomplete import data as dt, losses
+from octcomplete import data as dt, kernels, losses
 from octcomplete.network import CompletionNet, NetworkSpec
 from octcomplete.train import TrainConfig, Trainer, prepare_sample
 
@@ -154,18 +154,37 @@ shape = dt.make_shape("sphere", density=1200, seed=0)
 scan = dt.virtual_scan(shape, dt.ScanConfig(num_views=2, seed=0))
 samples = [prepare_sample(dt.SamplePair(scan, shape), spec)]
 Trainer(CompletionNet(spec, seed=0), TrainConfig(lr=0.01, batch_size=1), samples).step([0], 0.01)
-assert "scipy.spatial" not in sys.modules, "loaded by import or by a train step"
-assert "scipy.sparse" not in sys.modules, "loaded by import or by a train step"
+tree_free = ("scipy.spatial", "scipy.linalg", "scipy.special")
+for name in tree_free + ("scipy.sparse",):
+    assert name not in sys.modules, f"{name} loaded by import or by a train step"
+assert kernels._ckdtree is None, "the k-d tree module loaded by import or by a train step"
+
+built, kd_tree = [], kernels.kd_tree
+kernels.kd_tree = lambda points, **options: built.append(len(points)) or kd_tree(points, **options)
 losses.chamfer_distance(scan, shape)
-assert "scipy.spatial" in sys.modules, "chamfer_distance built no k-d tree"
+assert built == [len(scan), len(shape)], "chamfer_distance built no k-d tree"
+dt.add_noise(scan, dt.ScanConfig(noise_std_fraction=0.01, seed=0))  # estimate_normals
+assert built[2:] == [len(scan)], "add_noise built no k-d tree"
+for name in tree_free:
+    assert name not in sys.modules, f"{name} loaded by a k-d tree"
+
+from scipy.spatial import cKDTree
+
+p = np.random.default_rng(0).random((500, 3))
+got, want = kd_tree(p).query(p, k=5), cKDTree(p).query(p, k=5)
+assert all(np.array_equal(g, w) for g, w in zip(got, want)), "trees differ"
 """
 
 
 def test_training_does_not_load_the_kd_tree_library():
     """Importing the CLI, training and evaluation modules and running a
-    teacher-forced step leave scipy.spatial and scipy.sparse unloaded (the
-    convolutions load scipy's compiled row-add extension alone); the first
-    k-d tree, built by chamfer_distance, loads them."""
+    teacher-forced step leave scipy.sparse, scipy.spatial, scipy.linalg and
+    scipy.special unloaded and load no k-d tree module (the convolutions
+    load scipy's compiled row-add extension alone). The k-d trees of
+    chamfer_distance and of add_noise's estimate_normals load scipy's
+    compiled tree module from its file, still without scipy.spatial,
+    scipy.linalg or scipy.special; scipy.spatial imported after it gives
+    the same query results bit for bit."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
